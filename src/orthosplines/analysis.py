@@ -12,12 +12,15 @@ discretization gap, which callers quantify by refining G.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bspline, charint, knots, ortho
 from .errors import DomainError, LevelOutOfRange
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,9 @@ def tail_decay_audit(system, p, gamma_fit):
     the characteristic interval J, the envelope is
     gamma^d(x) |J|^(1/2) / (|J| + dist(x, J))^(1 - 1/p) and the audited
     quantity is the L^p norm of phi on the far side of x.  Reports the
-    maximum ratio over all (n, x).
+    maximum ratio over all (n, x).  Each ratio is formed from logarithms,
+    since gamma^d underflows on deep tails; a zero tail has ratio 0, and a
+    maximum past the float range is reported as inf.
     """
     if not 0.0 < gamma_fit < 1.0:
         raise DomainError(f"gamma_fit={gamma_fit} outside (0, 1)")
@@ -296,7 +301,8 @@ def tail_decay_audit(system, p, gamma_fit):
     total = left[:, -1]
     rights = rule.intervals[:, 1]
 
-    max_ratio = 0.0
+    log_gamma = math.log(gamma_fit)
+    max_log = -math.inf
     count = 0
     for n in range(2, system.N + 1):
         fn = system.function(n)
@@ -317,9 +323,13 @@ def tail_decay_audit(system, p, gamma_fit):
                 tail_p = total[row] - left[row, cut]
                 dist = x - d
             dn = charint.d_point(dc, x)
-            envelope = (
-                gamma_fit**dn * math.sqrt(d - c) / (d - c + dist) ** (1.0 - 1.0 / p)
-            )
-            max_ratio = max(max_ratio, float(tail_p) ** (1.0 / p) / envelope)
+            if tail_p > 0.0:
+                log_envelope = (
+                    dn * log_gamma
+                    + 0.5 * math.log(d - c)
+                    - (1.0 - 1.0 / p) * math.log(d - c + dist)
+                )
+                max_log = max(max_log, math.log(tail_p) / p - log_envelope)
             count += 1
+    max_ratio = math.exp(max_log) if max_log <= _LOG_FLOAT_MAX else math.inf
     return {"k": k, "p": p, "N": system.N, "gamma": gamma_fit, "max_ratio": max_ratio, "tails": count}

@@ -16,14 +16,13 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
     DomainError,
-    InverseNotAvailable,
     NotPositiveDefinite,
     PartitionMismatch,
     QuadratureTooCoarse,
 )
 
-# Dense inverses past this size are refused; solve on demand instead.
-MAX_INVERSE_SIZE = 20000
+# Columns of the Gram inverse produced per banded solve.
+_INVERSE_BLOCK = 256
 
 
 def _find_spans(partition, xs):
@@ -125,7 +124,6 @@ class QuadratureRule:
 
     q: int
     intervals: np.ndarray  # (S, 2) nonzero-width spans
-    span_start: np.ndarray  # (S,) 0-based first-knot index of each span
     nodes: np.ndarray  # (S, q)
     weights: np.ndarray  # (S, q)
 
@@ -146,7 +144,6 @@ class QuadratureRule:
         return cls(
             q=q,
             intervals=np.column_stack([a, b]),
-            span_start=live,
             nodes=nodes,
             weights=weights,
         )
@@ -164,8 +161,8 @@ class GramSystem:
     """Banded Gram matrix a_ij = <N_i, N_j> with its Cholesky factorization.
 
     The band has width k - 1 (supports of N_i and N_j are disjoint once
-    |i - j| >= k).  The dense inverse is materialized lazily and only for
-    M <= MAX_INVERSE_SIZE.
+    |i - j| >= k).  The inverse B = A^{-1} is dense; it is read a block of
+    columns at a time through the factor and never held whole.
     """
 
     def __init__(self, partition, band, factor, q):
@@ -173,7 +170,6 @@ class GramSystem:
         self.band = band
         self.factor = factor
         self.q = q
-        self._inverse = None
 
     @property
     def M(self):
@@ -212,35 +208,22 @@ class GramSystem:
             y[d:] += s * v[:-d]
         return y
 
-    def inner(self, c, d):
-        """<f, g> for splines with coefficients c and d over this partition."""
-        return float(np.asarray(c) @ self.apply(d))
-
     def solve(self, rhs):
         """A x = rhs through the banded Cholesky factor."""
         return cho_solve_banded((self.factor, False), rhs)
 
-    @property
-    def inverse(self):
-        """Dense B = A^{-1}, computed once; refused past MAX_INVERSE_SIZE."""
-        if self._inverse is None:
-            if self.M > MAX_INVERSE_SIZE:
-                raise InverseNotAvailable(
-                    f"M={self.M} exceeds the dense-inverse cap {MAX_INVERSE_SIZE}"
-                )
-            inv = self.solve(np.eye(self.M))
-            self._inverse = 0.5 * (inv + inv.T)
-        return self._inverse
+    def inverse_columns(self):
+        """Yield (start, cols) with cols = B[:, start:start + w], w <= 256, left to right.
 
-    def inverse_entry(self, i, j):
-        """b_ij, 1-based; one banded solve when the inverse is not cached."""
-        if not (1 <= i <= self.M and 1 <= j <= self.M):
-            raise IndexError(f"({i}, {j}) outside 1..{self.M}")
-        if self._inverse is not None:
-            return float(self._inverse[i - 1, j - 1])
-        e = np.zeros(self.M)
-        e[j - 1] = 1.0
-        return float(self.solve(e)[i - 1])
+        Each block is one banded solve against the matching identity columns,
+        so at most M x 256 entries of B exist at a time.
+        """
+        M = self.M
+        for start in range(0, M, _INVERSE_BLOCK):
+            width = min(_INVERSE_BLOCK, M - start)
+            rhs = np.zeros((M, width))
+            rhs[start + np.arange(width), np.arange(width)] = 1.0
+            yield start, self.solve(rhs)
 
 
 def gram_matrix(partition, rule=None):

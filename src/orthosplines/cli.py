@@ -18,6 +18,8 @@ import sys
 import tempfile
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Smallest default --grid per command; finer inputs get 4 cells per knot.
+_GRID_FLOOR = {"verify": 4096, "experiment": 2048}
 
 
 def _cap_threads():
@@ -38,6 +40,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,6 +81,16 @@ def _config_dict(args):
         "tol_recon",
     )
     return {key: getattr(args, key) for key in keep if hasattr(args, key)}
+
+
+def _resolve_grid(args, system):
+    """Keep an explicit --grid; else the larger of the floor and 4 cells per finest knot.
+
+    Four cells per knot is the coarsest grid the analysis layer accepts.  The
+    resolved value lands in args, so the report's config records it.
+    """
+    if args.grid is None:
+        args.grid = max(_GRID_FLOOR[args.command], 4 * len(system.finest.knots))
 
 
 def _load_sequence(args):
@@ -139,6 +155,7 @@ def _verify_suites(args, seq, N):
     from . import analysis, bspline, gram, knots, ortho
 
     system = ortho.build_system(seq, N)
+    _resolve_grid(args, system)
     F = system.matrix
     G = system.gram
     suites = []
@@ -246,6 +263,7 @@ def _cmd_experiment(args):
 
     seq, digest = _load_sequence(args)
     system = ortho.build_system(seq, args.n)
+    _resolve_grid(args, system)
     ps = args.p or [1.2, 1.5, 3.0, 6.0]
     reports = [
         analysis.uncond_experiment(
@@ -320,7 +338,9 @@ def _parser():
 
     sp = sub.add_parser("verify", help="run the property suites")
     common(sp)
-    sp.add_argument("--grid", type=int, default=4096, help="cell grid size (default 4096)")
+    sp.add_argument(
+        "--grid", type=int, default=None, help="cell grid size (default: max(4096, 4 per knot))"
+    )
     sp.add_argument("--tol-ortho", type=float, default=1e-10, help="orthonormality tolerance")
     sp.add_argument("--tol-recon", type=float, default=1e-8, help="reconstruction tolerance")
     sp.set_defaults(func=_cmd_verify)
@@ -334,7 +354,9 @@ def _parser():
     common(sp)
     sp.add_argument("--p", type=float, action="append", help="exponent, repeatable")
     sp.add_argument("--trials", type=int, default=200, help="trials (default 200)")
-    sp.add_argument("--grid", type=int, default=2048, help="cell grid size (default 2048)")
+    sp.add_argument(
+        "--grid", type=int, default=None, help="cell grid size (default: max(2048, 4 per knot))"
+    )
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("decay", help="Gram-inverse decay profiles at n/2 and n")

@@ -45,10 +45,6 @@ class NotPositiveDefinite(SplineError, ValueError):
     """Banded Cholesky factorization failed; the partition is malformed."""
 
 
-class InverseNotAvailable(SplineError, RuntimeError):
-    """A dense inverse was requested but cannot or may not be materialized."""
-
-
 class DegenerateFit(SplineError, ValueError):
     """Too few usable offsets to fit a geometric decay envelope."""
 

@@ -4,6 +4,8 @@ The inverse of the banded B-spline Gram matrix has three verifiable traits:
 its sign pattern is a checkerboard, each diagonal entry dominates the
 reciprocal of the matching Gram diagonal, and its entries decay
 geometrically away from the diagonal once weighted by the local knot gap.
+Each check reads the inverse a block of columns at a time through the Gram
+system's banded solves, so no dense M x M array is formed.
 """
 
 from __future__ import annotations
@@ -54,59 +56,64 @@ class DecayProfile:
         }
 
 
+def _inverse_diagonal(G):
+    """b_ii for every i, read block by block."""
+    # Copy each diagonal: a view would keep its whole block alive.
+    return np.concatenate(
+        [np.diagonal(cols, -start).copy() for start, cols in G.inverse_columns()]
+    )
+
+
 def checkerboard_check(G):
-    """Verify (-1)^(i+j) b_ij >= -tol for the dense inverse.
+    """Verify (-1)^(i+j) b_ij >= -tol over the whole inverse.
 
-    tol is 1e-12 times the largest inverse magnitude, slack for entries that
-    are exact zeros in exact arithmetic.  Returns the first violating (i, j)
-    in row-major order, 1-based, when the pattern fails.
+    tol is 1e-12 times the largest b_ii, which is the largest inverse
+    magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is slack
+    for entries that are exact zeros in exact arithmetic.  Returns the first
+    violating (i, j) in row-major order, 1-based, when the pattern fails.
     """
-    B = G.inverse
-    tol = 1e-12 * float(np.abs(B).max())
-    idx = np.arange(B.shape[0])
-    checker = (-1.0) ** (idx[:, None] + idx[None, :])
-    signed = checker * B
-    bad = np.argwhere(signed < -tol)
-    if len(bad) == 0:
-        return CheckResult(passed=True, first_violation=None, tol=tol)
-    i, j = bad[0]
-    return CheckResult(passed=False, first_violation=(int(i) + 1, int(j) + 1), tol=tol)
-
-
-def diag_ratios(A, B):
-    """1 / (a_ii b_ii) for a dense SPD matrix and its inverse; each is <= 1."""
-    return 1.0 / (np.diagonal(A) * np.diagonal(B))
+    tol = 1e-12 * float(_inverse_diagonal(G).max())
+    first = None
+    for start, cols in G.inverse_columns():
+        alt = (-1.0) ** np.arange(cols.shape[0])
+        signed = cols * alt[:, None]
+        signed *= alt[start : start + cols.shape[1]]
+        bad = np.argwhere(signed < -tol)
+        if len(bad):
+            # argwhere is row-major, so bad[0] is this block's first violation.
+            hit = (int(bad[0][0]) + 1, start + int(bad[0][1]) + 1)
+            first = hit if first is None else min(first, hit)
+    return CheckResult(passed=first is None, first_violation=first, tol=tol)
 
 
 def diag_inverse_bound(G):
     """Max over i of 1 / (a_ii b_ii); at most 1 when b_ii >= 1 / a_ii holds."""
     a_diag = G.band[G.partition.order - 1]
-    b_diag = np.diagonal(G.inverse)
-    return float(np.max(1.0 / (a_diag * b_diag)))
+    return float(np.max(1.0 / (a_diag * _inverse_diagonal(G))))
 
 
 def decay_profile(G):
     """Fit the geometric decay of the gap-weighted Gram inverse.
 
-    m_d is the max of |b_ij| (tau_{max(i,j)+k} - tau_{min(i,j)}) over offset
-    d = |i - j|.  Offsets below the noise floor are dropped.  The rate
-    gamma_hat is the least-squares slope of the raw |b_ij| maxima per offset:
-    the gap weight grows with d (by roughly d knot spacings), so fitting the
-    weighted envelope directly would overshoot the geometric rate.  C_hat is
-    then inflated until C_hat gamma_hat^d dominates every fitted m_d.
+    m_d is the max of |b_ij| (tau_{i+k} - tau_j) over i - j = d, read from
+    the lower triangle since B is symmetric.  Offsets below the noise floor
+    are dropped.  The rate gamma_hat is the least-squares slope of the raw
+    |b_ij| maxima per offset: the gap weight grows with d (by roughly d knot
+    spacings), so fitting the weighted envelope directly would overshoot the
+    geometric rate.  C_hat is then inflated until C_hat gamma_hat^d dominates
+    every fitted m_d.
     """
-    B = G.inverse
     part = G.partition
     k, M = part.order, part.M
     knots = part.knots
-    idx = np.arange(M)
-    hi = np.maximum.outer(idx, idx)
-    lo = np.minimum.outer(idx, idx)
-    gap = knots[hi + k] - knots[lo]
-    A = np.abs(B)
-    W = A * gap
-    m = np.array([np.diagonal(W, d).max() for d in range(M)])
-    raw = np.array([np.diagonal(A, d).max() for d in range(M)])
+    raw = np.zeros(M)
+    m = np.zeros(M)
+    for start, cols in G.inverse_columns():
+        for c in range(cols.shape[1]):
+            j = start + c
+            b = np.abs(cols[j:, c])
+            np.maximum(raw[: M - j], b, out=raw[: M - j])
+            np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
     keep = np.flatnonzero(m > NOISE_FLOOR * m[0])
     if len(keep) == 1 and keep[0] == 0:
         # Diagonal to machine precision; decay faster than any geometric rate.

@@ -178,8 +178,9 @@ def gram_schmidt_oracle(seq, n):
 def estwj_ratio(of, G):
     """|w_{j0}| over the diagonal Gram-inverse entry at the selected index."""
     j0 = of.char.j0
-    b = G.inverse_entry(j0, j0)
-    return abs(float(of.w[j0 - 1])) / b
+    e = np.zeros(G.M)
+    e[j0 - 1] = 1.0
+    return abs(float(of.w[j0 - 1])) / float(G.solve(e)[j0 - 1])
 
 
 class OrthoSystem:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,6 +290,18 @@ class TestTailDecay:
         assert np.isfinite(out["max_ratio"])
         with pytest.raises(DomainError):
             analysis.tail_decay_audit(system_k2, 1.5, 1.2)
+
+    def test_underflowing_envelope_gives_no_nan(self):
+        seq = knots.random_admissible(3, 3, 201)
+        system = ortho.build_system(seq, 200)
+        # gamma^d underflows to 0 on the deep tails; a direct quotient gives 0/0
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="invalid value", category=RuntimeWarning)
+            deep = analysis.tail_decay_audit(system, 2.0, 0.01)
+        assert not math.isnan(deep["max_ratio"])
+        # at gamma = 0.5 nothing underflows; the direct quotient gives 4.989656987772841
+        shallow = analysis.tail_decay_audit(system, 2.0, 0.5)
+        assert shallow["max_ratio"] == pytest.approx(4.989656987772841, rel=1e-12)
 
     def test_ratio_stable_under_doubling(self):
         seq = knots.random_admissible(19, 2, 33)

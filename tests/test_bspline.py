@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from orthosplines import bspline, knots
 from orthosplines.errors import (
     DomainError,
-    InverseNotAvailable,
     PartitionMismatch,
     QuadratureTooCoarse,
 )
@@ -123,24 +122,11 @@ class TestGramMatrix:
     def test_solve_and_inverse_agree(self):
         p = part(2, [0, 1, 0.5, 0.25, 0.7])
         G = bspline.gram_matrix(p)
+        B = np.linalg.inv(G.dense())
         rhs = np.arange(1.0, p.M + 1)
-        assert np.allclose(G.inverse @ rhs, G.solve(rhs), atol=1e-12)
-        assert np.allclose(G.dense() @ G.inverse, np.eye(p.M), atol=1e-12)
-
-    def test_inverse_entry_matches_dense(self):
-        p = part(3, [0, 1, 0.5, 0.25, 0.7, 0.9])
-        G = bspline.gram_matrix(p)
-        B = G.inverse
-        assert G.inverse_entry(2, 3) == pytest.approx(B[1, 2], abs=0)
-
-    def test_inverse_size_guard(self, monkeypatch):
-        monkeypatch.setattr(bspline, "MAX_INVERSE_SIZE", 3)
-        p = part(2, [0, 1, 0.5, 0.25, 0.7])
-        G = bspline.gram_matrix(p)
-        with pytest.raises(InverseNotAvailable):
-            G.inverse
-        # banded solves stay available past the cap
-        assert np.isfinite(G.solve(np.ones(p.M))).all()
+        assert np.allclose(B @ rhs, G.solve(rhs), atol=1e-12)
+        streamed = np.hstack([cols for _, cols in G.inverse_columns()])
+        assert np.allclose(streamed, B, atol=1e-12)
 
 
 class TestBoehmRefine:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -43,6 +45,16 @@ class TestGenAndBuild:
         out = tmp_path / "r.json"
         assert run("build", "--k", "1", "--n", "4", "--seed", "0", "--out", str(out)) == 0
         assert (tmp_path / "r.txt").exists()
+
+    def test_reports_follow_the_umask(self, tmp_path):
+        out = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            assert run("build", "--k", "1", "--n", "4", "--seed", "0", "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "r.txt").stat().st_mode) == 0o644
 
 
 class TestVerify:
@@ -94,6 +106,18 @@ class TestExperiment:
         (entry,) = payload["reports"]
         assert entry["p"] == 2.0
         assert entry["ratio_max"] == pytest.approx(1.0, abs=1e-8)
+        assert payload["config"]["grid"] == 2048
+
+    def test_default_grid_grows_with_the_knots(self, tmp_path):
+        # 603 knots at k=2, N=600: the old fixed 2048 cells were too coarse
+        out = tmp_path / "exp.json"
+        assert run(
+            "experiment", "--k", "2", "--n", "600", "--seed", "0",
+            "--p", "2", "--trials", "2", "--out", str(out),
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["grid"] == 4 * 603
+        assert payload["reports"][0]["grid"] == 4 * 603
 
 
 class TestCensusAndDecay:
