@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bspline, charint, knots, ortho
+from . import bspline, charint, ortho
 from .errors import DomainError, LevelOutOfRange
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -308,7 +308,7 @@ def tail_decay_audit(system, p, gamma_fit):
         fn = system.function(n)
         row = system.row_of_level(n)
         c, d = fn.char.J
-        level_part = knots.partition_at(system.seq, n)
+        level_part = fn.phi.partition
         dc = charint.DistanceCounter(partition=level_part, char=fn.char)
         values = np.unique(level_part.knots)
         for x in values:

@@ -8,6 +8,7 @@ sum_j N_j(x) = 1 holds on the closed interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,15 @@ from .errors import (
 
 # Columns of the Gram inverse produced per banded solve.
 _INVERSE_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(q):
+    """Read-only Gauss-Legendre nodes and weights of q points on [-1, 1]."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+    ref_x.setflags(write=False)
+    ref_w.setflags(write=False)
+    return ref_x, ref_w
 
 
 def _find_spans(partition, xs):
@@ -129,14 +139,18 @@ class QuadratureRule:
 
     @classmethod
     def for_partition(cls, partition, q):
+        return cls._over_spans(partition.knots, q)
+
+    @classmethod
+    def _over_spans(cls, knots, q):
+        """The rule on the nonzero-width spans of a run of consecutive knots."""
         if q < 1:
             raise QuadratureTooCoarse(f"need at least one node, got q={q}")
-        knots = partition.knots
         widths = np.diff(knots)
         live = np.flatnonzero(widths > 0)
         a = knots[live]
         b = knots[live + 1]
-        ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+        ref_x, ref_w = _gauss_legendre(q)
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * ref_x[None, :]
@@ -226,6 +240,38 @@ class GramSystem:
             yield start, self.solve(rhs)
 
 
+def _band_columns(partition, rule, lo, hi):
+    """Columns lo..hi-1 of the upper Gram band, summed from the rule's span blocks.
+
+    Span blocks are added in (a, b) loop order, then in span order, however
+    many columns are asked for, so a column whose spans all lie in the rule
+    carries the same bits as in the assembly of the whole band.
+    """
+    k = partition.order
+    first, vals = eval_basis_many(partition, rule.flat_nodes)
+    S = rule.nodes.shape[0]
+    vals = vals.reshape(S, rule.q, k)
+    blocks = np.einsum("sqa,sqb,sq->sab", vals, vals, rule.weights)
+    # All nodes of one span share the same first index; take it per span.
+    f0 = first.reshape(S, rule.q)[:, 0] - 1 - lo
+    band = np.zeros((k, hi - lo))
+    for a in range(k):
+        for b in range(a, k):
+            d = b - a
+            cols = f0 + b
+            keep = (cols >= 0) & (cols < hi - lo)
+            np.add.at(band[k - 1 - d], cols[keep], blocks[keep, a, b])
+    return band
+
+
+def _factored(partition, band, q):
+    try:
+        factor = cholesky_banded(band, lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    return GramSystem(partition, band, factor, q)
+
+
 def gram_matrix(partition, rule=None):
     """Assemble the banded Gram matrix of the partition's B-spline basis.
 
@@ -238,22 +284,35 @@ def gram_matrix(partition, rule=None):
         rule = QuadratureRule.for_partition(partition, k)
     if rule.q < k:
         raise QuadratureTooCoarse(f"q={rule.q} < k={k} cannot integrate the products exactly")
-    first, vals = eval_basis_many(partition, rule.flat_nodes)
-    S = rule.nodes.shape[0]
-    vals = vals.reshape(S, rule.q, k)
-    blocks = np.einsum("sqa,sqb,sq->sab", vals, vals, rule.weights)
-    # All nodes of one span share the same first index; take it per span.
-    f0 = first.reshape(S, rule.q)[:, 0] - 1
-    band = np.zeros((k, partition.M))
-    for a in range(k):
-        for b in range(a, k):
-            d = b - a
-            np.add.at(band[k - 1 - d], f0 + b, blocks[:, a, b])
-    try:
-        factor = cholesky_banded(band, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return GramSystem(partition, band, factor, rule.q)
+    return _factored(partition, _band_columns(partition, rule, 0, partition.M), rule.q)
+
+
+def gram_refine(G, fine, i0):
+    """The Gram system of a one-knot refinement, from the coarse one.
+
+    ``fine`` is G's partition with tau_{i0} (1-based) inserted.  Band column
+    c (0-based) holds <N_c, N_{c-d}>, d < k, and the Cox-de Boor value of a
+    B-spline depends only on its own knots; so every column whose B-splines
+    lie on one side of the new knot, c < i0 - k - 1 or c >= i0 + k - 1, is
+    the coarse column, shifted by one past the knot.  The columns within 2k
+    of the knot are assembled afresh with G's rule size; the extra k on
+    either side are slack for a Gauss node that rounds onto the end of a
+    span a few ulps wide and is evaluated on a later span.  The band equals
+    the one ``gram_matrix(fine)`` assembles, bit for bit, and is factored
+    again.
+    """
+    _check_refinement(G.partition, fine, i0)
+    k = fine.order
+    p = i0 - 1
+    band = np.empty((k, fine.M))
+    band[:, :p] = G.band[:, :p]
+    band[:, p + 1 :] = G.band[:, p:]
+    lo, hi = max(0, p - 2 * k), min(fine.M, p + 2 * k)
+    # Span s feeds columns s-k+1..s; take k spans of slack on either side.
+    s0, s1 = max(0, lo - k), min(len(fine.knots) - 1, hi + 2 * k - 1)
+    rule = QuadratureRule._over_spans(fine.knots[s0 : s1 + 1], G.q)
+    band[:, lo:hi] = _band_columns(fine, rule, lo, hi)
+    return _factored(fine, band, G.q)
 
 
 @dataclass(frozen=True)
@@ -314,12 +373,8 @@ class RefinementMap:
         return out
 
 
-def boehm_refine(coarse, fine, i0):
-    """Express each coarse B-spline over the fine basis after one knot insert.
-
-    Raises PartitionMismatch unless removing tau_{i0} (1-based) from the fine
-    partition reproduces the coarse one exactly.
-    """
+def _check_refinement(coarse, fine, i0):
+    """Raise PartitionMismatch unless fine is coarse with tau_{i0} (1-based) inserted."""
     if coarse.order != fine.order:
         raise PartitionMismatch("orders differ")
     if fine.level != coarse.level + 1 or len(fine.knots) != len(coarse.knots) + 1:
@@ -328,6 +383,15 @@ def boehm_refine(coarse, fine, i0):
         raise PartitionMismatch(f"insertion index {i0} outside the fine knot vector")
     if not np.array_equal(np.delete(fine.knots, i0 - 1), coarse.knots):
         raise PartitionMismatch("removing the inserted knot does not recover the coarse partition")
+
+
+def boehm_refine(coarse, fine, i0):
+    """Express each coarse B-spline over the fine basis after one knot insert.
+
+    Raises PartitionMismatch unless removing tau_{i0} (1-based) from the fine
+    partition reproduces the coarse one exactly.
+    """
+    _check_refinement(coarse, fine, i0)
     k = coarse.order
     t = fine.knots
     x = t[i0 - 1]
@@ -373,8 +437,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
         pts = _chebyshev_points(lo[:, None], hi[:, None], 8 * k)
         xs = np.concatenate([pts.ravel(), lo, hi])
         return float(np.abs(f.eval(xs)).max())
-    q = k + 2
-    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+    ref_x, ref_w = _gauss_legendre(k + 2)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * ref_x[None, :]

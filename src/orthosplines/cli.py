@@ -173,13 +173,15 @@ def _verify_suites(args, seq, N):
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     xs = np.linspace(0.0, 1.0, 1000)
+    coarse = knots.boundary_partition(seq.order)
     for n in range(2, N + 1):
-        coarse = knots.partition_at(seq, n - 1) if n > 2 else knots.boundary_partition(seq.order)
-        fine = knots.partition_at(seq, n)
-        rmap = bspline.boehm_refine(coarse, fine, knots.insert_event(seq, n).i0)
+        of = system.function(n)
+        fine = of.phi.partition
+        rmap = bspline.boehm_refine(coarse, fine, of.i0)
         c = rng.standard_normal(coarse.M)
         gap = bspline.Spline(fine, rmap.prolong(c)).eval(xs) - bspline.Spline(coarse, c).eval(xs)
         worst = max(worst, float(np.abs(gap).max()))
+        coarse = fine
     suites.append(("boehm-identity", worst <= args.tol_recon, {"max_err": worst}))
 
     # At p = 2 the length normalization |J|^(1/p - 1/2) drops out, so the

@@ -169,6 +169,22 @@ def insert_event(seq, n):
     return InsertEvent(level=n, i0=i0)
 
 
+def next_partition(seq, partition):
+    """The partition one level above ``partition``, with its insert event.
+
+    Inserts the next sequence point after any equal knots, as
+    ``insert_event`` places it, so the result equals ``partition_at`` of the
+    next level without sorting the prefix again.
+    """
+    n = partition.level + 1
+    _check_level(seq, n)
+    t = seq.points[n]
+    pos = int(np.searchsorted(partition.knots, t, side="right"))
+    knots = np.insert(partition.knots, pos, t)
+    fine = Partition(order=partition.order, knots=knots, level=n, M=partition.M + 1)
+    return fine, InsertEvent(level=n, i0=pos + 1)
+
+
 def random_admissible(seed, order, n_points, law="uniform-iid"):
     """Deterministic random admissible sequence of ``n_points`` total points.
 

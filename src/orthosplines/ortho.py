@@ -9,6 +9,7 @@ orthonormal polynomials.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,9 +19,9 @@ from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
 from . import charint
-from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix
+from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine
 from .errors import EmptyInterval, IndexOutOfRange
-from .knots import boundary_partition, insert_event, partition_at
+from .knots import boundary_partition, insert_event, next_partition, partition_at
 
 
 @dataclass(frozen=True)
@@ -186,19 +187,55 @@ def estwj_ratio(of, G):
 class OrthoSystem:
     """The assembled system: initial block plus f_2..f_N on one sequence.
 
-    ``matrix`` holds every system function expressed over the level-N
-    B-spline basis (rows ordered by level, the block first), which makes
-    whole-system evaluation and Gram identities single matrix products.
+    Each f_n lives on its own level in ``functions``.  ``matrix`` holds every
+    system function expressed over the level-N B-spline basis (rows ordered
+    by level, the block first), which makes whole-system evaluation and Gram
+    identities single matrix products; it is formed on first use.
     """
 
-    def __init__(self, seq, N, block, functions, finest, gram, matrix):
+    def __init__(self, seq, N, block, functions, finest, gram):
         self.seq = seq
         self.N = N
         self.block = block
         self.functions = functions
         self.finest = finest
         self.gram = gram
-        self.matrix = matrix
+
+    @functools.cached_property
+    def matrix(self):
+        """Every system function over the level-N basis, shape (size, size).
+
+        One sweep over the levels prolongs the earlier functions through each
+        single-knot refinement, in the operations of
+        ``RefinementMap.prolong_many``, then adds the level's own function.
+        Each column stands for one level-N B-spline from the start, labelled
+        by the level-N position of its first knot; labels never move, so an
+        insertion rewrites only the k + 1 columns around it, and the array
+        is filled in place with no second M x M copy.
+        """
+        k, M = self.order, self.size
+        # Level-N position of t_n: k plus its rank among t_2..t_N, ties in
+        # insertion order, as next_partition places equal knots.
+        rank = np.empty(self.N - 1, dtype=np.intp)
+        rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
+        coarse = boundary_partition(k)
+        labels = np.arange(k)
+        F = np.zeros((M, M))
+        F[:k, :k] = polynomial_coeffs_over(coarse, self.block.polys)
+        for row, of in enumerate(self.functions, start=k):
+            fine = of.phi.partition
+            rmap = boehm_refine(coarse, fine, of.i0)
+            p = of.i0 - 1
+            labels = np.insert(labels, p, k + rank[fine.level - 2])
+            cols = labels[p - k : p + 1]
+            old = F[:row, cols[:-1]]
+            new = np.zeros((row, k + 1))
+            new[:, :-1] += old * rmap.w1
+            new[:, 1:] += old * rmap.w2
+            F[:row, cols] = new
+            F[row, labels] = of.phi.coeffs
+            coarse = fine
+        return F
 
     @property
     def order(self):
@@ -207,7 +244,7 @@ class OrthoSystem:
     @property
     def size(self):
         """Number of system functions, equal to the finest-level M."""
-        return self.matrix.shape[0]
+        return self.finest.M
 
     def row_of_level(self, n):
         """Row index of level n in the system matrix; block levels included."""
@@ -237,7 +274,7 @@ class OrthoSystem:
                     "level": of.level,
                     "i0": of.i0,
                     "knots-hash": digest.hexdigest(),
-                    "coeffs": [float(c) for c in of.phi.coeffs],
+                    "coeffs": of.phi.coeffs.tolist(),
                     "J": [float(of.char.J[0]), float(of.char.J[1])],
                     "norm2": float(of.norm2),
                 }
@@ -262,28 +299,21 @@ def polynomial_coeffs_over(partition, polys):
 def build_system(seq, N):
     """Assemble the orthonormal system of a sequence up to level N.
 
-    Walks the levels once: prolongs all earlier functions through the
-    one-knot refinement, builds the level Gram, appends the new orthonormal
-    function.  Returns an OrthoSystem carrying the level-N representation.
+    Walks the levels once: inserts t_n into the previous partition, updates
+    the Gram band around it, and builds the new orthonormal function on its
+    level.  A level copies the O(M k) band, reassembles O(k) columns of it,
+    and factors and solves it once: O(N^2 k^2) for the whole build.  The
+    level-N matrix is formed only when asked for.
     """
     k = seq.order
     if N < 2:
         raise IndexOutOfRange(f"N must be at least 2, got {N}")
     block = initial_block(k)
     part = boundary_partition(k)
-    F = polynomial_coeffs_over(part, block.polys)
+    G = gram_matrix(part)
     functions = []
-    G = None
-    for n in range(2, N + 1):
-        fine = partition_at(seq, n)
-        i0 = insert_event(seq, n).i0
-        rmap = boehm_refine(part, fine, i0)
-        F = rmap.prolong_many(F)
-        G = gram_matrix(fine)
-        of = ortho_function(G, i0)
-        F = np.vstack([F, of.phi.coeffs[None, :]])
-        functions.append(of)
-        part = fine
-    return OrthoSystem(
-        seq=seq, N=N, block=block, functions=functions, finest=part, gram=G, matrix=F
-    )
+    for _ in range(2, N + 1):
+        part, event = next_partition(seq, part)
+        G = gram_refine(G, part, event.i0)
+        functions.append(ortho_function(G, event.i0))
+    return OrthoSystem(seq=seq, N=N, block=block, functions=functions, finest=part, gram=G)

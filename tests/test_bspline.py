@@ -128,6 +128,16 @@ class TestGramMatrix:
         streamed = np.hstack([cols for _, cols in G.inverse_columns()])
         assert np.allclose(streamed, B, atol=1e-12)
 
+    def test_refine_rejects_a_partition_it_does_not_refine(self):
+        G = bspline.gram_matrix(part(2, [0, 1, 0.5], n=2))
+        fine = part(2, [0, 1, 0.5, 0.25], n=3)
+        # deleting tau_4 = 0.5 leaves (0, 0, 0.25, 1, 1), not the coarse knots
+        with pytest.raises(PartitionMismatch):
+            bspline.gram_refine(G, fine, 4)
+        with pytest.raises(PartitionMismatch):
+            bspline.gram_refine(G, part(2, [0, 1, 0.5, 0.25, 0.75], n=4), 3)
+        assert np.array_equal(bspline.gram_refine(G, fine, 3).band, bspline.gram_matrix(fine).band)
+
 
 class TestBoehmRefine:
     def test_order_one_split(self):

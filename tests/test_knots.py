@@ -115,6 +115,17 @@ class TestInsertEvent:
             assert seq.order + 1 <= ev.i0 <= part.M
             assert part.tau(ev.i0) == seq.points[n]
 
+    def test_next_partition_grows_the_level(self):
+        # full multiplicity: every equal block is filled to k copies
+        seq = knots.validate_admissible(3, [0, 1] + [0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.25])
+        part = knots.boundary_partition(3)
+        for n in range(2, len(seq.points)):
+            part, ev = knots.next_partition(seq, part)
+            assert part == knots.partition_at(seq, n)
+            assert ev == knots.insert_event(seq, n)
+        with pytest.raises(LevelOutOfRange):
+            knots.next_partition(seq, part)
+
     def test_removal_recovers_previous_level(self):
         seq = knots.random_admissible(9, 2, 10)
         for n in range(3, 10):

@@ -2,11 +2,53 @@ import numpy as np
 import pytest
 
 from orthosplines import bspline, knots, ortho
-from orthosplines.errors import EmptyInterval, IndexOutOfRange
+from orthosplines.errors import EmptyInterval, IndexOutOfRange, LevelOutOfRange
 
 
 def level_gram(seq, n):
     return bspline.gram_matrix(knots.partition_at(seq, n))
+
+
+def cubic_build(seq, N):
+    """The level loop as first written, kept as the oracle of build_system.
+
+    Re-sorts every level's partition, prolongs all earlier functions through
+    each single-knot refinement, stacks a new copy of the system matrix and
+    assembles the whole Gram matrix per level: O(N^3) in all.
+    """
+    k = seq.order
+    block = ortho.initial_block(k)
+    part = knots.boundary_partition(k)
+    F = ortho.polynomial_coeffs_over(part, block.polys)
+    functions = []
+    for n in range(2, N + 1):
+        fine = knots.partition_at(seq, n)
+        i0 = knots.insert_event(seq, n).i0
+        F = bspline.boehm_refine(part, fine, i0).prolong_many(F)
+        of = ortho.ortho_function(bspline.gram_matrix(fine), i0)
+        F = np.vstack([F, of.phi.coeffs[None, :]])
+        functions.append(of)
+        part = fine
+    return functions, F
+
+
+LEVELS = 40
+FAMILIES = ("uniform-iid", "dyadic-shuffled", "near-one", "full-multiplicity", "next-to-ends")
+
+
+def family_sequence(family, k):
+    """A sequence of at most LEVELS + 1 points of one family, for order k."""
+    if family in knots.LAWS:
+        return knots.random_admissible(20 + k, k, LEVELS + 1, family)
+    if family == "near-one":
+        interior = [1.0 - 2.0**-j for j in range(1, LEVELS)]
+    elif family == "full-multiplicity":
+        interior = [(2 * i + 1) / 32.0 for i in range(16) for _ in range(k)][: LEVELS - 1]
+    else:
+        tiny = 2.0**-1000
+        interior = [tiny, np.nextafter(1.0, 0.0), 2 * tiny, 0.5]
+        interior += list(np.random.default_rng(k).random(LEVELS - 1 - len(interior)))
+    return knots.validate_admissible(k, [0.0, 1.0] + interior)
 
 
 class TestAlphaCoefficients:
@@ -218,6 +260,36 @@ class TestEstwjRatio:
         assert min(lows) > 0.0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+class TestIncrementalBuild:
+    def test_matches_cubic_oracle(self, k, family):
+        seq = family_sequence(family, k)
+        N = len(seq.points) - 1
+        functions, F = cubic_build(seq, N)
+        system = ortho.build_system(seq, N)
+        assert len(system.functions) == len(functions)
+        for mine, ref in zip(system.functions, functions):
+            assert mine.phi.coeffs.tobytes() == ref.phi.coeffs.tobytes()
+            assert mine.i0 == ref.i0
+            assert mine.char == ref.char
+            assert mine.norm2 == ref.norm2
+        assert np.array_equal(system.matrix, F)
+
+    def test_local_band_equals_full_assembly(self, k, family):
+        seq = family_sequence(family, k)
+        part = knots.boundary_partition(k)
+        G = bspline.gram_matrix(part)
+        for n in range(2, len(seq.points)):
+            part, event = knots.next_partition(seq, part)
+            G = bspline.gram_refine(G, part, event.i0)
+            full = bspline.gram_matrix(knots.partition_at(seq, n))
+            assert part == full.partition
+            assert event == knots.insert_event(seq, n)
+            assert np.array_equal(G.band, full.band)
+            assert np.array_equal(G.factor, full.factor)
+
+
 class TestBuildSystem:
     def test_size_and_levels(self):
         seq = knots.random_admissible(2, 3, 10)
@@ -256,6 +328,21 @@ class TestBuildSystem:
             assert set(r) == {"level", "i0", "knots-hash", "coeffs", "J", "norm2"}
             assert r["norm2"] > 0.0
             assert len(r["knots-hash"]) == 64
+
+    def test_export_does_not_form_the_matrix(self):
+        seq = knots.random_admissible(4, 3, 30)
+        system = ortho.build_system(seq, 29)
+        system.export_records()
+        assert system.size == system.finest.M
+        assert "matrix" not in system.__dict__
+        F = system.matrix
+        assert system.matrix is F
+        assert F.shape == (system.size, system.size) and F.flags.c_contiguous
+
+    def test_level_beyond_the_points(self):
+        seq = knots.random_admissible(4, 2, 6)
+        with pytest.raises(LevelOutOfRange):
+            ortho.build_system(seq, 6)
 
     def test_deterministic_rebuild(self):
         seq = knots.random_admissible(5, 2, 8)
