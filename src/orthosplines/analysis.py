@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bspline, charint, ortho
+from . import bspline, charint
 from .errors import DomainError, LevelOutOfRange
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -52,19 +52,17 @@ class Expansion:
     def size(self):
         return len(self.coeffs)
 
-    def rows(self):
-        return self.system.matrix[: self.size]
-
     def term_matrix(self, xs):
         """Values of the participating functions at xs, one row each."""
-        return self.rows() @ bspline.basis_matrix(self.system.finest, xs).T
+        return self.system.value_matrix(xs)[: self.size]
 
     def values(self, xs):
         return self.coeffs @ self.term_matrix(xs)
 
     def reconstruction(self):
         """The expansion as a spline on the finest partition."""
-        return bspline.Spline(self.system.finest, self.rows().T @ self.coeffs)
+        coeffs = self.system.matrix[: self.size].T @ self.coeffs
+        return bspline.Spline(self.system.gram.partition, coeffs)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def expand(f, system, N=None):
     size = N + system.order - 1
     if size < 1:
         raise LevelOutOfRange(f"truncation level {N} leaves no functions")
-    part = system.finest
+    part = system.gram.partition
     if isinstance(f, bspline.Spline) and f.partition.order == part.order and np.array_equal(
         f.partition.knots, part.knots
     ):
@@ -134,7 +132,7 @@ def random_signs(seed, trial, size):
 
 def _grid_size(system, grid):
     G = grid.G if isinstance(grid, GridFunction) else int(grid)
-    n_knots = len(system.finest.knots)
+    n_knots = len(system.gram.partition.knots)
     if G < 4 * n_knots:
         raise DomainError(f"grid of {G} cells is too coarse for {n_knots} knots")
     return G
@@ -176,19 +174,19 @@ def hl_maximal(g):
     return GridFunction(G, out)
 
 
-def level_sets(e, lam, r, grid):
-    """Square-function threshold set and its maximal-average hull.
+def level_sets(sf, lam, r):
+    """Threshold set of a square function and its maximal-average hull.
 
-    E collects the cells where Sf > lam.  B is the cell set where some
-    grid-aligned interval through the cell has 1_E-average above r; that is
-    decided exactly in O(G) by testing whether the best-sum segment of
-    1_E - r through each cell is positive, which is the same predicate.
+    ``sf`` is the GridFunction of ``square_function``.  E collects the cells
+    where Sf > lam.  B is the cell set where some grid-aligned interval
+    through the cell has 1_E-average above r; that is decided exactly in
+    O(G) by testing whether the best-sum segment of 1_E - r through each
+    cell is positive, which is the same predicate.
     """
     if lam <= 0:
         raise DomainError(f"lambda={lam} must be positive")
     if not 0.0 < r < 1.0:
         raise DomainError(f"r={r} outside (0, 1)")
-    sf = square_function(e, grid)
     G = sf.G
     E = sf.values > lam
     s = E.astype(float) - r
@@ -212,27 +210,24 @@ def level_sets(e, lam, r, grid):
     )
 
 
-def uncond_experiment(seq, N, p, trials, seed, grid=2048, mode="dense", system=None):
+def uncond_experiment(system, p, trials, seed, grid=2048, mode="dense"):
     """Sign-flip norm ratios for random expansions, reported as max/min/q95.
 
-    Per trial: a unit coefficient vector a and a sign vector eps are drawn
-    from per-trial streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is
-    computed on the exact piecewise-polynomial representations (quadrature
-    per knot interval, not on the sample grid).  Square-function ratios
+    Expansions run over every function of the built system.  Per trial: a
+    unit coefficient vector a and a sign vector eps are drawn from per-trial
+    streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is computed on the
+    exact piecewise-polynomial representations (quadrature per knot
+    interval, not on the sample grid).  Square-function ratios
     ||Sf||_p / ||f||_p come from the cell grid.
     """
     if not 1.0 < p < math.inf:
         raise DomainError(f"p={p} outside (1, inf)")
     if trials < 1:
         raise DomainError(f"trials={trials} must be at least 1")
-    if system is None:
-        system = ortho.build_system(seq, N)
     k = system.order
-    size = N + k - 1
-    if size > system.size:
-        raise LevelOutOfRange(f"system built to level {system.N}, asked for {N}")
-    F = system.matrix[:size]
-    part = system.finest
+    size = system.size
+    F = system.matrix
+    part = system.gram.partition
 
     rule = bspline.QuadratureRule.for_partition(part, k + 6)
     xq = rule.flat_nodes
@@ -251,14 +246,14 @@ def uncond_experiment(seq, N, p, trials, seed, grid=2048, mode="dense", system=N
 
     G = _grid_size(system, grid)
     xs = (np.arange(G) + 0.5) / G
-    T = F @ bspline.basis_matrix(part, xs).T
+    T = system.value_matrix(xs)
     sq = np.sqrt(A**2 @ T**2)
     norm_sq = (sq**p).mean(axis=1) ** (1.0 / p)
     sq_ratio = norm_sq / norm_f
     return {
         "k": k,
         "p": p,
-        "N": N,
+        "N": system.N,
         "trials": trials,
         "seed": seed,
         "ratio_max": float(R.max()),
@@ -286,11 +281,10 @@ def tail_decay_audit(system, p, gamma_fit):
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
-    part = system.finest
-    rule = bspline.QuadratureRule.for_partition(part, k + 6)
+    rule = bspline.QuadratureRule.for_partition(system.gram.partition, k + 6)
     xq = rule.flat_nodes
     q = rule.q
-    vals = system.matrix @ bspline.basis_matrix(part, xq).T
+    vals = system.value_matrix(xq)
     n_spans = len(rule.intervals)
     pieces = np.einsum(
         "nsq,sq->ns",
@@ -308,9 +302,8 @@ def tail_decay_audit(system, p, gamma_fit):
         fn = system.function(n)
         row = system.row_of_level(n)
         c, d = fn.char.J
-        level_part = fn.phi.partition
-        dc = charint.DistanceCounter(partition=level_part, char=fn.char)
-        values = np.unique(level_part.knots)
+        level_knots = fn.phi.partition.knots
+        values = np.unique(level_knots)
         for x in values:
             if c < x < d:
                 continue
@@ -322,7 +315,7 @@ def tail_decay_audit(system, p, gamma_fit):
                 cut = int(np.searchsorted(rights, x, side="right"))
                 tail_p = total[row] - left[row, cut]
                 dist = x - d
-            dn = charint.d_point(dc, x)
+            dn = charint.d_point(level_knots, fn.char.J, x)
             if tail_p > 0.0:
                 log_envelope = (
                     dn * log_gamma

@@ -39,10 +39,11 @@ def _find_spans(partition, xs):
     """0-based span index s with knots[s] <= x < knots[s+1] for each x.
 
     x = 1 uses the span ending at 1 (left limit).  Raises DomainError for
-    points outside [0, 1].
+    points outside [0, 1] and for NaN.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    # Written so that NaN, which min and max propagate, fails the test.
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
     knots = partition.knots
     spans = np.searchsorted(knots, xs, side="right") - 1
@@ -80,12 +81,6 @@ def eval_basis_many(partition, xs):
     return first, vals
 
 
-def eval_basis(partition, x):
-    """Single-point variant: (1-based first index, the k basis values there)."""
-    first, vals = eval_basis_many(partition, [float(x)])
-    return int(first[0]), vals[0]
-
-
 def basis_matrix(partition, xs):
     """Dense design matrix of shape (len(xs), M) with entry N_j(x_i)."""
     first, vals = eval_basis_many(partition, xs)
@@ -119,13 +114,6 @@ class Spline:
         return float(out[0]) if scalar else out
 
     __call__ = eval
-
-    def to_dict(self):
-        return {
-            "k": self.partition.order,
-            "knots": [float(t) for t in self.partition.knots],
-            "coeffs": [float(c) for c in self.coeffs],
-        }
 
 
 @dataclass(frozen=True)
@@ -189,26 +177,6 @@ class GramSystem:
     def M(self):
         return self.partition.M
 
-    def entry(self, i, j):
-        """a_ij, 1-based."""
-        i0, j0 = i - 1, j - 1
-        if not (0 <= i0 < self.M and 0 <= j0 < self.M):
-            raise IndexError(f"({i}, {j}) outside 1..{self.M}")
-        if abs(i0 - j0) >= self.partition.order:
-            return 0.0
-        lo, hi = min(i0, j0), max(i0, j0)
-        return float(self.band[self.partition.order - 1 - (hi - lo), hi])
-
-    def dense(self):
-        """Full symmetric matrix A."""
-        k, M = self.partition.order, self.M
-        a = np.zeros((M, M))
-        for d in range(k):
-            diag = self.band[k - 1 - d, d:]
-            a[np.arange(M - d), np.arange(d, M)] = diag
-            a[np.arange(d, M), np.arange(M - d)] = diag
-        return a
-
     def apply(self, v):
         """A @ v for a vector (M,) or stacked columns (M, T)."""
         v = np.asarray(v, dtype=float)
@@ -267,8 +235,10 @@ def _band_columns(partition, rule, lo, hi):
 def _factored(partition, band, q):
     try:
         factor = cholesky_banded(band, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        # ValueError: a band entry is inf or NaN, e.g. from knots a few
+        # subnormal ulps apart.
+        raise NotPositiveDefinite(f"level {partition.level}: {exc}") from exc
     return GramSystem(partition, band, factor, q)
 
 
@@ -315,64 +285,6 @@ def gram_refine(G, fine, i0):
     return _factored(fine, band, G.q)
 
 
-@dataclass(frozen=True)
-class RefinementMap:
-    """Coarse B-splines written in the basis of a one-knot refinement.
-
-    Row i of the map lists the one or two (index, weight) pairs with
-    tilde-N_i = sum weight * N_index over the fine partition.  Regimes:
-    identity up to i0 - k - 1, two-term convex combinations for
-    i0 - k <= i <= i0 - 1, index shift from i0 on.
-    """
-
-    coarse: object
-    fine: object
-    i0: int
-    w1: np.ndarray  # first weight of each two-term row, rows i0-k..i0-1
-    w2: np.ndarray  # second weight of the same rows
-
-    @property
-    def rows(self):
-        """Per coarse index i (1-based), the list of (fine index, weight)."""
-        k, i0 = self.coarse.order, self.i0
-        out = []
-        for i in range(1, self.coarse.M + 1):
-            if i <= i0 - k - 1:
-                out.append([(i, 1.0)])
-            elif i <= i0 - 1:
-                t = i - (i0 - k)
-                out.append([(i, float(self.w1[t])), (i + 1, float(self.w2[t]))])
-            else:
-                out.append([(i + 1, 1.0)])
-        return out
-
-    def as_matrix(self):
-        """(M_coarse, M_fine) matrix R with tilde-N_i = sum_j R[i, j] N_j."""
-        R = np.zeros((self.coarse.M, self.fine.M))
-        for i, pairs in enumerate(self.rows):
-            for j, w in pairs:
-                R[i, j - 1] = w
-        return R
-
-    def prolong(self, coeffs):
-        """Coefficients of a coarse spline over the fine basis."""
-        return self.prolong_many(np.asarray(coeffs, dtype=float)[None, :])[0]
-
-    def prolong_many(self, F):
-        """Row-wise prolongation of stacked coarse coefficient vectors (T, M_coarse)."""
-        F = np.asarray(F, dtype=float)
-        k, i0 = self.coarse.order, self.i0
-        T = F.shape[0]
-        out = np.zeros((T, self.fine.M))
-        a = i0 - k - 1  # count of identity rows (0-based block end)
-        b = i0 - 1  # 0-based end of the two-term block
-        out[:, :a] = F[:, :a]
-        out[:, a:b] += F[:, a:b] * self.w1[None, :]
-        out[:, a + 1 : b + 1] += F[:, a:b] * self.w2[None, :]
-        out[:, b + 1 :] += F[:, b:]
-        return out
-
-
 def _check_refinement(coarse, fine, i0):
     """Raise PartitionMismatch unless fine is coarse with tau_{i0} (1-based) inserted."""
     if coarse.order != fine.order:
@@ -386,8 +298,10 @@ def _check_refinement(coarse, fine, i0):
 
 
 def boehm_refine(coarse, fine, i0):
-    """Express each coarse B-spline over the fine basis after one knot insert.
+    """Weights (w1, w2) of the coarse B-splines that the knot tau_{i0} splits.
 
+    Coarse B-splines i0-k..i0-1 (1-based) become w1 N_i + w2 N_{i+1} over the
+    fine basis; those before are unchanged and those after shift by one.
     Raises PartitionMismatch unless removing tau_{i0} (1-based) from the fine
     partition reproduces the coarse one exactly.
     """
@@ -398,21 +312,36 @@ def boehm_refine(coarse, fine, i0):
     lo = np.arange(i0 - k, i0)  # 1-based two-term row indices
     w1 = (x - t[lo - 1]) / (t[lo + k - 1] - t[lo - 1])
     w2 = (t[lo + k] - x) / (t[lo + k] - t[lo])
-    return RefinementMap(coarse=coarse, fine=fine, i0=i0, w1=w1, w2=w2)
+    return w1, w2
+
+
+def split_columns(block, w1, w2):
+    """Map the k coarse columns a knot splits onto the k + 1 fine columns.
+
+    Column j of ``block`` goes to fine columns j and j + 1 with weights
+    w1[j] and w2[j]; leading axes are carried along.
+    """
+    out = np.zeros(block.shape[:-1] + (block.shape[-1] + 1,))
+    out[..., :-1] += block * w1
+    out[..., 1:] += block * w2
+    return out
+
+
+def prolong(coeffs, i0, w1, w2):
+    """Coefficients over the fine basis of splines given over the coarse one.
+
+    ``coeffs`` holds coarse coefficients along its last axis; (w1, w2) come
+    from ``boehm_refine`` for the insertion at tau_{i0} (1-based).
+    """
+    a, b = i0 - len(w1) - 1, i0 - 1
+    return np.concatenate(
+        [coeffs[..., :a], split_columns(coeffs[..., a:b], w1, w2), coeffs[..., b:]], axis=-1
+    )
 
 
 def _chebyshev_points(lo, hi, count):
     theta = np.pi * (2 * np.arange(count) + 1) / (2 * count)
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-
-
-def _clip_intervals(partition, a, b):
-    """Knot spans intersected with [a, b]; returns (lo, hi) arrays, hi > lo."""
-    knots = partition.knots
-    lo = np.maximum(knots[:-1], a)
-    hi = np.minimum(knots[1:], b)
-    keep = hi > lo
-    return lo[keep], hi[keep]
 
 
 def lp_norm(f, p, interval=(0.0, 1.0)):
@@ -430,46 +359,13 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     if a == b:
         return 0.0
     k = f.partition.order
-    lo, hi = _clip_intervals(f.partition, a, b)
-    if len(lo) == 0:
-        return 0.0
+    knots = f.partition.knots
+    cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+    rule = QuadratureRule._over_spans(cuts, k + 2)
     if math.isinf(p):
+        lo, hi = rule.intervals[:, 0], rule.intervals[:, 1]
         pts = _chebyshev_points(lo[:, None], hi[:, None], 8 * k)
         xs = np.concatenate([pts.ravel(), lo, hi])
         return float(np.abs(f.eval(xs)).max())
-    ref_x, ref_w = _gauss_legendre(k + 2)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * ref_x[None, :]
-    ws = half[:, None] * ref_w[None, :]
-    vals = np.abs(f.eval(xs.ravel())) ** p
-    return float((ws.ravel() * vals).sum() ** (1.0 / p))
-
-
-def deboor_stability_ratio(f, p):
-    """Stability of the B-spline coordinates in L^p, two reported numbers.
-
-    First: ||f||_p divided by the weighted coefficient norm
-    ||(a_j nu_j^{1/p})||_{l^p} with nu_j the support length of N_j.  Second:
-    the max over j of |a_j| against |J_j|^{-1/p} ||f||_{L^p(J_j)}, where J_j
-    is the longest knot span inside the support of N_j.
-    """
-    if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
-        raise DomainError(f"p must be finite and >= 1, got {p!r}")
-    part = f.partition
-    k = part.order
-    knots = part.knots
-    nu = knots[k : k + part.M] - knots[: part.M]
-    seq_norm = float((np.abs(f.coeffs) ** p @ nu) ** (1.0 / p))
-    ratio = lp_norm(f, p) / seq_norm
-    worst = 0.0
-    for j in range(part.M):
-        if f.coeffs[j] == 0.0:
-            continue
-        widths = knots[j + 1 : j + k + 1] - knots[j : j + k]
-        s = int(np.argmax(widths))
-        jj = (float(knots[j + s]), float(knots[j + s + 1]))
-        local = lp_norm(f, p, jj)
-        quot = abs(f.coeffs[j]) * (jj[1] - jj[0]) ** (1.0 / p) / local
-        worst = max(worst, quot)
-    return ratio, worst
+    vals = np.abs(f.eval(rule.flat_nodes)) ** p
+    return float((rule.flat_weights * vals).sum() ** (1.0 / p))

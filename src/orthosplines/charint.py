@@ -1,4 +1,4 @@
-"""Characteristic intervals, knot-distance counters, and counting machinery.
+"""Characteristic intervals, knot-count distances, and counting machinery.
 
 Each inserted knot gets a characteristic interval: among the k + 1 B-spline
 supports touching the insertion index, keep those of near-minimal length,
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, NotAKnot
+from .errors import DomainError, IndexOutOfRange
 
 # Relative slack when grouping near-equal coefficient magnitudes.
 TIE_REL_TOL = 1e-12
@@ -28,14 +28,6 @@ class CharInterval:
     J0: tuple
     J: tuple
     level: int
-
-
-@dataclass(frozen=True)
-class DistanceCounter:
-    """Knot-counting distances from points or intervals to a characteristic interval."""
-
-    partition: object
-    char: object
 
 
 def characteristic_interval(partition, i0, alpha):
@@ -67,17 +59,17 @@ def characteristic_interval(partition, i0, alpha):
     return CharInterval(j0=j0, J0=J0, J=J, level=partition.level)
 
 
-def d_point(dc, x):
-    """Knots between x and the characteristic interval, endpoint included.
+def d_point(knots, J, x):
+    """Knots between x and the characteristic interval J, endpoint included.
 
-    Counts knots with multiplicity strictly between x and the nearer endpoint
-    of J, plus that endpoint once; 0 when x lies in J.
+    ``knots`` is the level's sorted knot vector.  Counts knots with
+    multiplicity strictly between x and the nearer endpoint of J, plus that
+    endpoint once; 0 when x lies in J.
     """
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
-    c, d = dc.char.J
-    knots = dc.partition.knots
+    c, d = J
     if c <= x <= d:
         return 0
     if x < c:
@@ -87,18 +79,17 @@ def d_point(dc, x):
     return int(between) + 1
 
 
-def d_interval(dc, V):
-    """Knots between an interval and J, both facing endpoints counted when knots.
+def d_interval(knots, J, V):
+    """Knots between an interval V and J, both facing endpoints counted when knots.
 
-    0 when the closures of V and J intersect; otherwise knots with
-    multiplicity strictly between them, plus one for each facing endpoint
-    that is itself a knot value.
+    0 when the closures of V and J intersect; otherwise knots of the sorted
+    vector ``knots`` with multiplicity strictly between them, plus one for
+    each facing endpoint that is itself a knot value.
     """
     va, vb = float(V[0]), float(V[1])
     if not (0.0 <= va <= vb <= 1.0):
         raise DomainError(f"interval ({va}, {vb}) is not inside [0, 1]")
-    c, d = dc.char.J
-    knots = dc.partition.knots
+    c, d = J
     if vb >= c and va <= d:
         return 0
     if vb < c:
@@ -132,41 +123,13 @@ def _longest_nondecreasing(xs):
     return len(tails)
 
 
-def char_multiplicity_census(system, x, y, beta):
-    """How many levels n <= N put their J_n inside [x, y] at comparable length.
-
-    Counts n with J_n a subset of [x, y] and |J_n| >= (1 - beta) (y - x).
-    Both window endpoints must be values of the knot sequence.  For a fixed
-    window the count never decreases as N grows, since each J_n stays fixed
-    once chosen.  It is bounded by a constant depending only on k and beta;
-    the proof sketch is in tests/test_acceptance.py, criterion 7.
-    """
-    x, y = float(x), float(y)
-    if not 0.0 <= beta <= 0.5:
-        raise DomainError(f"beta={beta} outside [0, 1/2]")
-    if not x < y:
-        raise DomainError(f"window needs x < y, got [{x}, {y}]")
-    values = set(system.seq.points[: system.N + 1])
-    if x not in values:
-        raise NotAKnot(x)
-    if y not in values:
-        raise NotAKnot(y)
-    floor = (1.0 - beta) * (y - x)
-    count = 0
-    for of in system.functions:
-        c, d = of.char.J
-        if c >= x and d <= y and (d - c) >= floor:
-            count += 1
-    return count
-
-
 def census_max(system, beta):
     """Max census count over every knot-value window, with its argmax window.
 
-    Enumerates, per level, only the windows that can count it: containment
-    plus the length floor cap the window width at |J_n| / (1 - beta).  Each
-    candidate pair is admitted with the exact predicate of
-    char_multiplicity_census, so the two agree bit for bit.
+    A window [x, y] with both ends knot values counts level n when J_n lies
+    inside it and |J_n| >= (1 - beta) (y - x).  Enumerates, per level, only
+    the windows that can count it: containment plus the length floor cap the
+    window width at |J_n| / (1 - beta).
 
     The maximum never decreases as N grows: every J_n persists and the set
     of windows only gains knots.  It is bounded by a constant depending only

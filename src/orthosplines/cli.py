@@ -90,7 +90,7 @@ def _resolve_grid(args, system):
     resolved value lands in args, so the report's config records it.
     """
     if args.grid is None:
-        args.grid = max(_GRID_FLOOR[args.command], 4 * len(system.finest.knots))
+        args.grid = max(_GRID_FLOOR[args.command], 4 * len(system.gram.partition.knots))
 
 
 def _load_sequence(args):
@@ -177,9 +177,10 @@ def _verify_suites(args, seq, N):
     for n in range(2, N + 1):
         of = system.function(n)
         fine = of.phi.partition
-        rmap = bspline.boehm_refine(coarse, fine, of.i0)
+        w1, w2 = bspline.boehm_refine(coarse, fine, of.i0)
         c = rng.standard_normal(coarse.M)
-        gap = bspline.Spline(fine, rmap.prolong(c)).eval(xs) - bspline.Spline(coarse, c).eval(xs)
+        fine_c = bspline.prolong(c, of.i0, w1, w2)
+        gap = bspline.Spline(fine, fine_c).eval(xs) - bspline.Spline(coarse, c).eval(xs)
         worst = max(worst, float(np.abs(gap).max()))
         coarse = fine
     suites.append(("boehm-identity", worst <= args.tol_recon, {"max_err": worst}))
@@ -210,7 +211,7 @@ def _verify_suites(args, seq, N):
         e = analysis.Expansion(system, N, analysis.random_coeffs(args.seed, trial, system.size))
         sf = analysis.square_function(e, args.grid)
         lam = max(float(np.quantile(sf.values, 0.6)), 1e-9)
-        sets = analysis.level_sets(e, lam, 0.5, args.grid)
+        sets = analysis.level_sets(sf, lam, 0.5)
         holds = holds and bool(np.all(sets.B[sets.E]))
         if sets.weak_constant is not None:
             worst_c = max(worst_c, sets.weak_constant)
@@ -268,9 +269,7 @@ def _cmd_experiment(args):
     _resolve_grid(args, system)
     ps = args.p or [1.2, 1.5, 3.0, 6.0]
     reports = [
-        analysis.uncond_experiment(
-            seq, args.n, p, args.trials, args.seed, grid=args.grid, system=system
-        )
+        analysis.uncond_experiment(system, p, args.trials, args.seed, grid=args.grid)
         for p in ps
     ]
     payload = {"config": _config_dict(args), "input_hash": digest, "reports": reports}

@@ -69,16 +69,6 @@ class Partition:
             raise IndexError(f"knot index {i} outside 1..{len(self.knots)}")
         return float(self.knots[i - 1])
 
-    @property
-    def interior(self):
-        """The sorted interior knots (between the boundary blocks)."""
-        k = self.order
-        return self.knots[k : len(self.knots) - k]
-
-    def support(self, j):
-        """Support [tau_j, tau_{j+k}] of the j-th B-spline, 1-based."""
-        return self.tau(j), self.tau(j + self.order)
-
 
 @dataclass(frozen=True)
 class InsertEvent:

@@ -16,28 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
-from scipy.linalg import solve as dense_solve
 
 from . import charint
-from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine
-from .errors import EmptyInterval, IndexOutOfRange
-from .knots import boundary_partition, insert_event, next_partition, partition_at
+from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine, split_columns
+from .errors import IndexOutOfRange, NotPositiveDefinite
+from .knots import boundary_partition, next_partition
 
 
 @dataclass(frozen=True)
 class OrthoFunction:
     """One orthonormal spline function with its construction data.
 
-    ``alpha`` holds the k + 1 insertion coefficients for j = i0-k..i0, ``w``
-    the B-spline coefficients of the unnormalized complement function g,
-    ``norm2`` its L2 norm, ``phi`` the normalized spline, and ``char`` the
-    characteristic interval.
+    ``alpha`` holds the k + 1 insertion coefficients for j = i0-k..i0,
+    ``norm2`` the L2 norm of the unnormalized complement function g, ``phi``
+    the normalized spline g / norm2, and ``char`` the characteristic interval.
     """
 
     level: int
     i0: int
     alpha: np.ndarray
-    w: np.ndarray
     norm2: float
     phi: Spline
     char: charint.CharInterval
@@ -92,7 +89,8 @@ def ortho_function(G, i0):
 
     Solves A w = alpha (alpha scattered into R^M), so w carries the B-spline
     coefficients of the unnormalized g; ||g||_2^2 = sum alpha_j w_j over the
-    alpha support.  The sign convention is inherited from alpha.
+    alpha support.  The sign convention is inherited from alpha.  Raises
+    NotPositiveDefinite, naming the level, when ||g||_2 or w is not finite.
     """
     part = G.partition
     k = part.order
@@ -101,11 +99,11 @@ def ortho_function(G, i0):
     rhs[i0 - k - 1 : i0] = alpha
     w = G.solve(rhs)
     norm2 = math.sqrt(float(rhs @ w))
+    if not (math.isfinite(norm2) and np.isfinite(w).all()):
+        raise NotPositiveDefinite(f"level {part.level}: complement function not finite, norm {norm2}")
     phi = Spline(part, w / norm2)
     char = charint.characteristic_interval(part, i0, alpha)
-    return OrthoFunction(
-        level=part.level, i0=i0, alpha=alpha, w=w, norm2=norm2, phi=phi, char=char
-    )
+    return OrthoFunction(level=part.level, i0=i0, alpha=alpha, norm2=norm2, phi=phi, char=char)
 
 
 def initial_block(order):
@@ -121,84 +119,21 @@ def initial_block(order):
     return PolynomialBlock(order=order, polys=tuple(polys))
 
 
-def legendre_projection(f, interval, order, q=None):
-    """Orthogonal L2 projection of f onto order-k polynomials on an interval.
-
-    Uses the affinely mapped Legendre basis of the interval; the inner
-    products are computed by Gauss-Legendre quadrature with q nodes
-    (default max(k, 16), exact whenever f is itself a polynomial of order
-    <= q - k + 1).  Returns a Legendre series object on the interval.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise EmptyInterval(f"interval [{a}, {b}] has no interior")
-    if q is None:
-        q = max(order, 16)
-    ref_x, ref_w = leggauss(q)
-    xs = 0.5 * (a + b) + 0.5 * (b - a) * ref_x
-    ws = 0.5 * (b - a) * ref_w
-    fx = np.asarray([float(f(x)) for x in xs])
-    scale = math.sqrt(2.0 / (b - a))
-    coef = np.zeros(order)
-    u = (2.0 * xs - a - b) / (b - a)
-    for j in range(order):
-        lj = Legendre.basis(j)(u) * scale
-        inner = float(np.sum(ws * fx * lj))
-        coef[j] = (2 * j + 1) / 2.0 * inner * scale
-    return Legendre(coef, domain=[a, b])
-
-
-def gram_schmidt_oracle(seq, n):
-    """Brute-force construction of the level-n function, used as an oracle.
-
-    Projects the newly appearing fine B-spline onto the coarse space embedded
-    through the refinement map, subtracts, and normalizes; dense linear
-    algebra throughout.  The sign is aligned by the independent rule that the
-    N_{i0} coefficient of the result has sign (-1)^k.
-    """
-    k = seq.order
-    fine = partition_at(seq, n)
-    coarse = partition_at(seq, n - 1) if n >= 3 else boundary_partition(k)
-    i0 = insert_event(seq, n).i0
-    rmap = boehm_refine(coarse, fine, i0)
-    C = rmap.as_matrix()
-    A = gram_matrix(fine).dense()
-    e = np.zeros(fine.M)
-    e[i0 - 1] = 1.0
-    normal = C @ A @ C.T
-    target = C @ A @ e
-    c = dense_solve(normal, target, assume_a="pos")
-    r = e - C.T @ c
-    nrm = math.sqrt(float(r @ A @ r))
-    phi = r / nrm
-    if phi[i0 - 1] * (-1.0) ** k < 0:
-        phi = -phi
-    return Spline(fine, phi)
-
-
-def estwj_ratio(of, G):
-    """|w_{j0}| over the diagonal Gram-inverse entry at the selected index."""
-    j0 = of.char.j0
-    e = np.zeros(G.M)
-    e[j0 - 1] = 1.0
-    return abs(float(of.w[j0 - 1])) / float(G.solve(e)[j0 - 1])
-
-
 class OrthoSystem:
     """The assembled system: initial block plus f_2..f_N on one sequence.
 
     Each f_n lives on its own level in ``functions``.  ``matrix`` holds every
     system function expressed over the level-N B-spline basis (rows ordered
     by level, the block first), which makes whole-system evaluation and Gram
-    identities single matrix products; it is formed on first use.
+    identities single matrix products; it is formed on first use.  ``gram``
+    is the level-N Gram system; its partition is the finest one.
     """
 
-    def __init__(self, seq, N, block, functions, finest, gram):
+    def __init__(self, seq, N, block, functions, gram):
         self.seq = seq
         self.N = N
         self.block = block
         self.functions = functions
-        self.finest = finest
         self.gram = gram
 
     @functools.cached_property
@@ -206,8 +141,8 @@ class OrthoSystem:
         """Every system function over the level-N basis, shape (size, size).
 
         One sweep over the levels prolongs the earlier functions through each
-        single-knot refinement, in the operations of
-        ``RefinementMap.prolong_many``, then adds the level's own function.
+        single-knot refinement with ``split_columns``, then adds the level's
+        own function.
         Each column stands for one level-N B-spline from the start, labelled
         by the level-N position of its first knot; labels never move, so an
         insertion rewrites only the k + 1 columns around it, and the array
@@ -224,15 +159,11 @@ class OrthoSystem:
         F[:k, :k] = polynomial_coeffs_over(coarse, self.block.polys)
         for row, of in enumerate(self.functions, start=k):
             fine = of.phi.partition
-            rmap = boehm_refine(coarse, fine, of.i0)
+            w1, w2 = boehm_refine(coarse, fine, of.i0)
             p = of.i0 - 1
             labels = np.insert(labels, p, k + rank[fine.level - 2])
             cols = labels[p - k : p + 1]
-            old = F[:row, cols[:-1]]
-            new = np.zeros((row, k + 1))
-            new[:, :-1] += old * rmap.w1
-            new[:, 1:] += old * rmap.w2
-            F[:row, cols] = new
+            F[:row, cols] = split_columns(F[:row, cols[:-1]], w1, w2)
             F[row, labels] = of.phi.coeffs
             coarse = fine
         return F
@@ -244,7 +175,7 @@ class OrthoSystem:
     @property
     def size(self):
         """Number of system functions, equal to the finest-level M."""
-        return self.finest.M
+        return self.gram.M
 
     def row_of_level(self, n):
         """Row index of level n in the system matrix; block levels included."""
@@ -261,7 +192,7 @@ class OrthoSystem:
 
     def value_matrix(self, xs):
         """Every system function evaluated at the points, (size, len(xs))."""
-        return self.matrix @ basis_matrix(self.finest, xs).T
+        return self.matrix @ basis_matrix(self.gram.partition, xs).T
 
     def export_records(self):
         """One serializable record per constructed level n >= 2."""
@@ -316,4 +247,4 @@ def build_system(seq, N):
         part, event = next_partition(seq, part)
         G = gram_refine(G, part, event.i0)
         functions.append(ortho_function(G, event.i0))
-    return OrthoSystem(seq=seq, N=N, block=block, functions=functions, finest=part, gram=G)
+    return OrthoSystem(seq=seq, N=N, block=block, functions=functions, gram=G)

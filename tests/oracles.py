@@ -1,0 +1,197 @@
+"""Test-only oracles: independent recomputations and paper-lemma checks.
+
+Each function recomputes a quantity that the library obtains another way
+(dense linear algebra, explicit refinement matrices, single-point
+evaluation, exhaustive window counts), or checks a lemma of the paper that
+no command runs.  The command line reaches none of them.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial.legendre import Legendre, leggauss
+from scipy.linalg import solve as dense_solve
+
+from orthosplines import bspline, knots
+from orthosplines.errors import DomainError, EmptyInterval, NotAKnot
+
+
+def eval_basis(partition, x):
+    """Single-point variant of eval_basis_many: (1-based first index, the k values)."""
+    first, vals = bspline.eval_basis_many(partition, [float(x)])
+    return int(first[0]), vals[0]
+
+
+def dense(G):
+    """Full symmetric Gram matrix A of a GramSystem, from its band."""
+    k, M = G.partition.order, G.M
+    a = np.zeros((M, M))
+    for d in range(k):
+        diag = G.band[k - 1 - d, d:]
+        a[np.arange(M - d), np.arange(d, M)] = diag
+        a[np.arange(d, M), np.arange(M - d)] = diag
+    return a
+
+
+def refinement_matrix(coarse, fine, i0):
+    """(M_coarse, M_fine) matrix R with tilde-N_i = sum_j R[i, j] N_j.
+
+    Row i (1-based) lists one or two (fine index, weight) pairs.  Regimes:
+    identity up to i0 - k - 1, two-term convex combinations for
+    i0 - k <= i <= i0 - 1, index shift from i0 on.
+    """
+    w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+    k = coarse.order
+    R = np.zeros((coarse.M, fine.M))
+    for i in range(1, coarse.M + 1):
+        if i <= i0 - k - 1:
+            pairs = [(i, 1.0)]
+        elif i <= i0 - 1:
+            t = i - (i0 - k)
+            pairs = [(i, float(w1[t])), (i + 1, float(w2[t]))]
+        else:
+            pairs = [(i + 1, 1.0)]
+        for j, w in pairs:
+            R[i - 1, j - 1] = w
+    return R
+
+
+def prolong_many(F, coarse, fine, i0):
+    """Row-wise prolongation of stacked coarse coefficient vectors (T, M_coarse).
+
+    Identity block, two-term block and shifted block written out separately,
+    apart from the library's split kernel.
+    """
+    w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+    F = np.asarray(F, dtype=float)
+    k = coarse.order
+    T = F.shape[0]
+    out = np.zeros((T, fine.M))
+    a = i0 - k - 1  # count of identity rows (0-based block end)
+    b = i0 - 1  # 0-based end of the two-term block
+    out[:, :a] = F[:, :a]
+    out[:, a:b] += F[:, a:b] * w1[None, :]
+    out[:, a + 1 : b + 1] += F[:, a:b] * w2[None, :]
+    out[:, b + 1 :] += F[:, b:]
+    return out
+
+
+def gram_schmidt_oracle(seq, n):
+    """Brute-force construction of the level-n function.
+
+    Projects the newly appearing fine B-spline onto the coarse space embedded
+    through the refinement map, subtracts, and normalizes; dense linear
+    algebra throughout.  The sign is aligned by the independent rule that the
+    N_{i0} coefficient of the result has sign (-1)^k.
+    """
+    k = seq.order
+    fine = knots.partition_at(seq, n)
+    coarse = knots.partition_at(seq, n - 1) if n >= 3 else knots.boundary_partition(k)
+    i0 = knots.insert_event(seq, n).i0
+    C = refinement_matrix(coarse, fine, i0)
+    A = dense(bspline.gram_matrix(fine))
+    e = np.zeros(fine.M)
+    e[i0 - 1] = 1.0
+    normal = C @ A @ C.T
+    target = C @ A @ e
+    c = dense_solve(normal, target, assume_a="pos")
+    r = e - C.T @ c
+    nrm = math.sqrt(float(r @ A @ r))
+    phi = r / nrm
+    if phi[i0 - 1] * (-1.0) ** k < 0:
+        phi = -phi
+    return bspline.Spline(fine, phi)
+
+
+def estwj_ratio(of, G):
+    """|w_{j0}| over the diagonal Gram-inverse entry at the selected index.
+
+    w = norm2 * phi are the coefficients of the unnormalized complement g.
+    """
+    j0 = of.char.j0
+    e = np.zeros(G.M)
+    e[j0 - 1] = 1.0
+    w = of.norm2 * of.phi.coeffs
+    return abs(float(w[j0 - 1])) / float(G.solve(e)[j0 - 1])
+
+
+def deboor_stability_ratio(f, p):
+    """Stability of the B-spline coordinates in L^p, two reported numbers.
+
+    First: ||f||_p divided by the weighted coefficient norm
+    ||(a_j nu_j^{1/p})||_{l^p} with nu_j the support length of N_j.  Second:
+    the max over j of |a_j| against |J_j|^{-1/p} ||f||_{L^p(J_j)}, where J_j
+    is the longest knot span inside the support of N_j.
+    """
+    if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+    part = f.partition
+    k = part.order
+    kn = part.knots
+    nu = kn[k : k + part.M] - kn[: part.M]
+    seq_norm = float((np.abs(f.coeffs) ** p @ nu) ** (1.0 / p))
+    ratio = bspline.lp_norm(f, p) / seq_norm
+    worst = 0.0
+    for j in range(part.M):
+        if f.coeffs[j] == 0.0:
+            continue
+        widths = kn[j + 1 : j + k + 1] - kn[j : j + k]
+        s = int(np.argmax(widths))
+        jj = (float(kn[j + s]), float(kn[j + s + 1]))
+        local = bspline.lp_norm(f, p, jj)
+        quot = abs(f.coeffs[j]) * (jj[1] - jj[0]) ** (1.0 / p) / local
+        worst = max(worst, quot)
+    return ratio, worst
+
+
+def legendre_projection(f, interval, order, q=None):
+    """Orthogonal L2 projection of f onto order-k polynomials on an interval.
+
+    Uses the affinely mapped Legendre basis of the interval; the inner
+    products are computed by Gauss-Legendre quadrature with q nodes
+    (default max(k, 16), exact whenever f is itself a polynomial of order
+    <= q - k + 1).  Returns a Legendre series object on the interval.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not b > a:
+        raise EmptyInterval(f"interval [{a}, {b}] has no interior")
+    if q is None:
+        q = max(order, 16)
+    ref_x, ref_w = leggauss(q)
+    xs = 0.5 * (a + b) + 0.5 * (b - a) * ref_x
+    ws = 0.5 * (b - a) * ref_w
+    fx = np.asarray([float(f(x)) for x in xs])
+    scale = math.sqrt(2.0 / (b - a))
+    coef = np.zeros(order)
+    u = (2.0 * xs - a - b) / (b - a)
+    for j in range(order):
+        lj = Legendre.basis(j)(u) * scale
+        inner = float(np.sum(ws * fx * lj))
+        coef[j] = (2 * j + 1) / 2.0 * inner * scale
+    return Legendre(coef, domain=[a, b])
+
+
+def char_multiplicity_census(system, x, y, beta):
+    """How many levels n <= N put their J_n inside [x, y] at comparable length.
+
+    Counts n with J_n a subset of [x, y] and |J_n| >= (1 - beta) (y - x).
+    Both window endpoints must be values of the knot sequence.  The direct
+    count that charint.census_max must agree with on every window.
+    """
+    x, y = float(x), float(y)
+    if not 0.0 <= beta <= 0.5:
+        raise DomainError(f"beta={beta} outside [0, 1/2]")
+    if not x < y:
+        raise DomainError(f"window needs x < y, got [{x}, {y}]")
+    values = set(system.seq.points[: system.N + 1])
+    if x not in values:
+        raise NotAKnot(x)
+    if y not in values:
+        raise NotAKnot(y)
+    floor = (1.0 - beta) * (y - x)
+    count = 0
+    for of in system.functions:
+        c, d = of.char.J
+        if c >= x and d <= y and (d - c) >= floor:
+            count += 1
+    return count

@@ -13,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import gram_schmidt_oracle
+
 from orthosplines import analysis, bspline, charint, gram, knots, ortho
 
 
@@ -47,7 +49,7 @@ def test_criterion_02_oracle_equivalence():
             G = bspline.gram_matrix(knots.partition_at(seq, n))
             ev = knots.insert_event(seq, n)
             fast = ortho.ortho_function(G, ev.i0).phi
-            oracle = ortho.gram_schmidt_oracle(seq, n)
+            oracle = gram_schmidt_oracle(seq, n)
             s = 1.0 if float(fast.coeffs @ oracle.coeffs) >= 0 else -1.0
             diff = float(np.linalg.norm(fast.coeffs - s * oracle.coeffs))
             worst = max(worst, diff)
@@ -65,10 +67,10 @@ def test_criterion_03_refinement_identity():
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
             ev = knots.insert_event(seq, n)
-            R = bspline.boehm_refine(coarse, fine, ev.i0)
+            w1, w2 = bspline.boehm_refine(coarse, fine, ev.i0)
             c = rng.standard_normal(coarse.M)
             f = bspline.Spline(coarse, c)
-            g = bspline.Spline(fine, R.prolong(c))
+            g = bspline.Spline(fine, bspline.prolong(c, ev.i0, w1, w2))
             worst = max(worst, float(np.max(np.abs(f(xs) - g(xs)))))
     _report(f"criterion 3 refinement identity: max pointwise gap = {worst:.3e} (tol 1e-12)")
     assert worst <= 1e-12
@@ -239,7 +241,7 @@ def test_criterion_08_level_set_inclusion():
             q = 0.3 + 0.65 * float(rng.random())
             r = 0.1 + 0.8 * float(rng.random())
             lam = max(float(np.quantile(sf.values, q)), 1e-9)
-            ls = analysis.level_sets(e, lam, r, G)
+            ls = analysis.level_sets(sf, lam, r)
             assert np.all(ls.B[ls.E])
             checked += 1
     _report(
@@ -292,14 +294,12 @@ def test_criterion_10_unconditionality_ratios():
             sd = 50 + 10 * k + i
             seq = knots.random_admissible(sd, k, 257)
             systems = {N: ortho.build_system(seq, N) for N in (128, 256)}
-            ensemble.append((sd, seq, systems))
+            ensemble.append((sd, systems))
 
     worst_p2 = 0.0
-    for sd, seq, systems in ensemble:
+    for sd, systems in ensemble:
         for N in (128, 256):
-            out = analysis.uncond_experiment(
-                seq, N, 2.0, trials=10, seed=sd, system=systems[N]
-            )
+            out = analysis.uncond_experiment(systems[N], 2.0, trials=10, seed=sd)
             worst_p2 = max(
                 worst_p2,
                 abs(out["ratio_max"] - 1.0),
@@ -311,10 +311,8 @@ def test_criterion_10_unconditionality_ratios():
         pooled = {}
         for N in (128, 256):
             pooled[N] = max(
-                analysis.uncond_experiment(
-                    seq, N, p, trials=10, seed=sd, system=systems[N]
-                )["ratio_max"]
-                for sd, seq, systems in ensemble
+                analysis.uncond_experiment(systems[N], p, trials=10, seed=sd)["ratio_max"]
+                for sd, systems in ensemble
             )
         drift = abs(pooled[256] / pooled[128] - 1.0)
         worst_drift = max(worst_drift, drift)

@@ -30,14 +30,14 @@ class TestExpand:
 
     def test_callable_path_matches_spline_path(self, system_k2):
         c = np.random.default_rng(0).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.finest, c)
+        f = bspline.Spline(system_k2.gram.partition, c)
         exact = analysis.expand(f, system_k2).coeffs
         quad = analysis.expand(lambda xs: f(xs), system_k2).coeffs
         assert np.max(np.abs(exact - quad)) <= 1e-10
 
     def test_parseval(self, system_k2):
         c = np.random.default_rng(1).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.finest, c)
+        f = bspline.Spline(system_k2.gram.partition, c)
         e = analysis.expand(f, system_k2)
         assert float(e.coeffs @ e.coeffs) == pytest.approx(
             bspline.lp_norm(f, 2.0) ** 2, abs=1e-8
@@ -45,7 +45,7 @@ class TestExpand:
 
     def test_reconstruction_roundtrip(self, system_k2):
         c = np.random.default_rng(2).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.finest, c)
+        f = bspline.Spline(system_k2.gram.partition, c)
         g = analysis.expand(f, system_k2).reconstruction()
         xs = np.linspace(0, 1, 500)
         assert np.max(np.abs(f(xs) - g(xs))) <= 1e-9
@@ -167,7 +167,7 @@ class TestLevelSets:
         c = analysis.random_coeffs(9, 0, system_k2.size)
         e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
         sf = analysis.square_function(e, 512)
-        ls = analysis.level_sets(e, float(sf.values.max()) * 1.01, 0.5, 512)
+        ls = analysis.level_sets(sf, float(sf.values.max()) * 1.01, 0.5)
         assert ls.e_measure == 0.0
         assert ls.b_measure == 0.0
         assert ls.weak_constant is None
@@ -175,7 +175,7 @@ class TestLevelSets:
     def test_tiny_threshold_fills_interval(self, system_k2):
         c = analysis.random_coeffs(9, 1, system_k2.size)
         e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        ls = analysis.level_sets(e, 1e-12, 0.5, 512)
+        ls = analysis.level_sets(analysis.square_function(e, 512), 1e-12, 0.5)
         assert ls.e_measure == pytest.approx(1.0, abs=1e-9)
         assert ls.b_measure == 1.0
 
@@ -186,7 +186,7 @@ class TestLevelSets:
         e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
         sf = analysis.square_function(e, 512)
         lam = float(np.quantile(sf.values, 0.7))
-        ls = analysis.level_sets(e, lam, 0.5, 512)
+        ls = analysis.level_sets(sf, lam, 0.5)
         ind = analysis.GridFunction(G=512, values=ls.E.astype(float))
         hull = analysis.hl_maximal(ind).values > 0.5
         assert np.array_equal(ls.B, hull)
@@ -199,7 +199,7 @@ class TestLevelSets:
         sf = analysis.square_function(e, 512)
         lam = float(np.quantile(sf.values, 0.7))
         r = 0.4
-        ls = analysis.level_sets(e, lam, r, 512)
+        ls = analysis.level_sets(sf, lam, r)
         m = analysis.hl_maximal(
             analysis.GridFunction(G=512, values=ls.E.astype(float))
         ).values
@@ -211,7 +211,7 @@ class TestLevelSets:
         e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
         sf = analysis.square_function(e, 512)
         lam = float(np.quantile(sf.values, 0.5))
-        ls = analysis.level_sets(e, lam, 0.3, 512)
+        ls = analysis.level_sets(sf, lam, 0.3)
         assert ls.weak_constant is not None
         # measure of the hull is controlled by measure of the set over r
         assert ls.b_measure <= ls.e_measure / 0.3 + 1e-12
@@ -220,28 +220,29 @@ class TestLevelSets:
         e = analysis.Expansion(
             system=system_k2, level=12, coeffs=np.ones(system_k2.size)
         )
+        sf = analysis.square_function(e, 512)
         with pytest.raises(DomainError):
-            analysis.level_sets(e, 0.0, 0.5, 512)
+            analysis.level_sets(sf, 0.0, 0.5)
         with pytest.raises(DomainError):
-            analysis.level_sets(e, 1.0, 1.5, 512)
+            analysis.level_sets(sf, 1.0, 1.5)
 
 
 class TestUncondExperiment:
     def test_p_two_is_isometric(self):
-        seq = knots.random_admissible(11, 2, 9)
-        out = analysis.uncond_experiment(seq, 8, 2.0, trials=20, seed=5)
+        system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
+        out = analysis.uncond_experiment(system, 2.0, trials=20, seed=5)
         assert out["ratio_max"] == pytest.approx(1.0, abs=1e-8)
         assert out["ratio_min"] == pytest.approx(1.0, abs=1e-8)
 
     def test_deterministic(self):
-        seq = knots.random_admissible(11, 2, 9)
-        a = analysis.uncond_experiment(seq, 8, 1.5, trials=10, seed=3)
-        b = analysis.uncond_experiment(seq, 8, 1.5, trials=10, seed=3)
+        system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
+        a = analysis.uncond_experiment(system, 1.5, trials=10, seed=3)
+        b = analysis.uncond_experiment(system, 1.5, trials=10, seed=3)
         assert a == b
 
     def test_result_keys_and_sanity(self):
-        seq = knots.random_admissible(12, 3, 9)
-        out = analysis.uncond_experiment(seq, 8, 3.0, trials=15, seed=1)
+        system = ortho.build_system(knots.random_admissible(12, 3, 9), 8)
+        out = analysis.uncond_experiment(system, 3.0, trials=15, seed=1)
         assert {
             "k",
             "p",
@@ -258,19 +259,12 @@ class TestUncondExperiment:
         assert 0.0 < out["ratio_min"] <= out["ratio_max"] < 10.0
         assert out["ratio_min"] <= out["ratio_q95"] <= out["ratio_max"] + 1e-12
 
-    def test_prebuilt_system_reused(self):
-        seq = knots.random_admissible(13, 2, 9)
-        system = ortho.build_system(seq, 8)
-        a = analysis.uncond_experiment(seq, 8, 1.2, trials=5, seed=2, system=system)
-        b = analysis.uncond_experiment(seq, 8, 1.2, trials=5, seed=2)
-        assert a == b
-
     def test_parameter_validation(self):
-        seq = knots.random_admissible(11, 2, 9)
+        system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(seq, 8, 1.0, trials=5, seed=0)
+            analysis.uncond_experiment(system, 1.0, trials=5, seed=0)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(seq, 8, 2.0, trials=0, seed=0)
+            analysis.uncond_experiment(system, 2.0, trials=0, seed=0)
 
 
 class TestTailDecay:

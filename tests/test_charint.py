@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from oracles import char_multiplicity_census
 
 from orthosplines import charint, knots, ortho
 from orthosplines.errors import DomainError, IndexOutOfRange, NotAKnot
@@ -66,65 +67,64 @@ class TestCharacteristicInterval:
             charint.characteristic_interval(part, 1, np.array([1.0, -1.0, 1.0]))
 
 
-def quarter_counter():
+def quarter():
+    """Level-3 knots of (0, 1, 1/4, 1/2) at k = 1 and the interval J = [1/2, 1]."""
     seq = knots.validate_admissible(1, [0, 1, 0.25, 0.5])
-    part = knots.partition_at(seq, 3)
-    char = charint.CharInterval(j0=3, J0=(0.5, 1.0), J=(0.5, 1.0), level=3)
-    return charint.DistanceCounter(partition=part, char=char)
+    return knots.partition_at(seq, 3).knots, (0.5, 1.0)
 
 
 class TestDPoint:
     def test_counts_between_and_endpoint(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         # knots 0.25 and the endpoint 0.5 separate x from J
-        assert charint.d_point(dc, 0.1) == 2
+        assert charint.d_point(kn, J, 0.1) == 2
 
     def test_zero_inside(self):
-        dc = quarter_counter()
-        assert charint.d_point(dc, 0.75) == 0
-        assert charint.d_point(dc, 0.5) == 0
-        assert charint.d_point(dc, 1.0) == 0
+        kn, J = quarter()
+        assert charint.d_point(kn, J, 0.75) == 0
+        assert charint.d_point(kn, J, 0.5) == 0
+        assert charint.d_point(kn, J, 1.0) == 0
 
     def test_monotone_moving_away(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         xs = [0.4, 0.3, 0.2, 0.1, 0.0]
-        ds = [charint.d_point(dc, x) for x in xs]
+        ds = [charint.d_point(kn, J, x) for x in xs]
         assert ds == sorted(ds)
         assert ds[0] == 1  # only the endpoint 0.5
 
     def test_outside_unit_interval(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         with pytest.raises(DomainError):
-            charint.d_point(dc, -0.5)
+            charint.d_point(kn, J, -0.5)
 
 
 class TestDInterval:
     def test_zero_on_overlap(self):
-        dc = quarter_counter()
-        assert charint.d_interval(dc, (0.4, 0.6)) == 0
-        assert charint.d_interval(dc, (0.5, 1.0)) == 0
-        assert charint.d_interval(dc, (0.0, 0.5)) == 0  # closures touch
+        kn, J = quarter()
+        assert charint.d_interval(kn, J, (0.4, 0.6)) == 0
+        assert charint.d_interval(kn, J, (0.5, 1.0)) == 0
+        assert charint.d_interval(kn, J, (0.0, 0.5)) == 0  # closures touch
 
     def test_counts_both_facing_endpoints(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         # between 0.2 and 0.5: knot 0.25, plus the facing endpoint of J;
         # 0.2 itself is not a knot
-        assert charint.d_interval(dc, (0.0, 0.2)) == 2
+        assert charint.d_interval(kn, J, (0.0, 0.2)) == 2
 
     def test_facing_endpoint_that_is_a_knot(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         # 0.25 is a knot, so both facing endpoints count; nothing in between
-        assert charint.d_interval(dc, (0.0, 0.25)) == 2
+        assert charint.d_interval(kn, J, (0.0, 0.25)) == 2
 
     def test_at_most_point_distance_of_far_end(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         for a, b in [(0.0, 0.2), (0.0, 0.25), (0.05, 0.3), (0.1, 0.45)]:
-            assert charint.d_interval(dc, (a, b)) <= charint.d_point(dc, a) + 1
+            assert charint.d_interval(kn, J, (a, b)) <= charint.d_point(kn, J, a) + 1
 
     def test_bad_interval(self):
-        dc = quarter_counter()
+        kn, J = quarter()
         with pytest.raises(DomainError):
-            charint.d_interval(dc, (0.6, 0.2))
+            charint.d_interval(kn, J, (0.6, 0.2))
 
 
 class TestMonotoneSubsequence:
@@ -181,25 +181,25 @@ class TestCensus:
         system = ortho.build_system(seq, 4)
         spans = {of.char.J for of in system.functions}
         assert (0.75, 1.0) not in spans
-        assert charint.char_multiplicity_census(system, 0.75, 1.0, 0.0) == 0
+        assert char_multiplicity_census(system, 0.75, 1.0, 0.0) == 0
 
     def test_beta_zero_needs_exact_match(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5])
         system = ortho.build_system(seq, 2)
         assert system.functions[0].char.J == (0.0, 0.5)
-        assert charint.char_multiplicity_census(system, 0.0, 0.5, 0.0) == 1
-        assert charint.char_multiplicity_census(system, 0.0, 1.0, 0.0) == 0
-        assert charint.char_multiplicity_census(system, 0.0, 1.0, 0.5) == 1
+        assert char_multiplicity_census(system, 0.0, 0.5, 0.0) == 1
+        assert char_multiplicity_census(system, 0.0, 1.0, 0.0) == 0
+        assert char_multiplicity_census(system, 0.0, 1.0, 0.5) == 1
 
     def test_window_endpoints_must_be_knots(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5])
         system = ortho.build_system(seq, 2)
         with pytest.raises(NotAKnot):
-            charint.char_multiplicity_census(system, 0.1, 0.5, 0.0)
+            char_multiplicity_census(system, 0.1, 0.5, 0.0)
         with pytest.raises(DomainError):
-            charint.char_multiplicity_census(system, 0.5, 0.5, 0.0)
+            char_multiplicity_census(system, 0.5, 0.5, 0.0)
         with pytest.raises(DomainError):
-            charint.char_multiplicity_census(system, 0.0, 0.5, 0.9)
+            char_multiplicity_census(system, 0.0, 0.5, 0.9)
 
     def test_max_agrees_with_direct_evaluation(self):
         seq = knots.random_admissible(9, 2, 24)
@@ -208,13 +208,13 @@ class TestCensus:
             count, window = charint.census_max(system, beta)
             assert window is not None
             x, y = window
-            assert charint.char_multiplicity_census(system, x, y, beta) == count
+            assert char_multiplicity_census(system, x, y, beta) == count
             # exhaustive check over every knot-value window
             values = sorted(set(seq.points))
             best = 0
             for i, xv in enumerate(values):
                 for yv in values[i + 1 :]:
-                    c = charint.char_multiplicity_census(system, xv, yv, beta)
+                    c = char_multiplicity_census(system, xv, yv, beta)
                     best = max(best, c)
             assert best == count
 

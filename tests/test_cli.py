@@ -38,6 +38,17 @@ class TestGenAndBuild:
         assert run("build", "--points", str(seq_file), "--k", "2") == 2
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_non_finite_level_is_an_error(self, tmp_path, capsys):
+        # knots at the smallest normal doubles give norm2 = inf at level 2
+        seq_file = tmp_path / "seq.json"
+        points = [0.0, 1.0, 2.0**-1022, 0.5, 0.25, 0.75, 2.0**-1021, 0.125]
+        seq_file.write_text(json.dumps({"k": 3, "points": points}))
+        out = tmp_path / "build.json"
+        assert run("build", "--points", str(seq_file), "--out", str(out)) == 2
+        assert "error: level 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "build.txt").exists()
+
     def test_build_needs_n_or_points(self):
         assert run("build", "--k", "2", "--seed", "1") == 2
 
@@ -82,15 +93,12 @@ class TestVerify:
 
 
 class TestExperiment:
-    def test_reruns_are_byte_identical(self, tmp_path):
-        out = tmp_path / "exp.json"
-        argv = [
-            "experiment",
-            "--k", "2", "--n", "16", "--seed", "3",
-            "--p", "1.5", "--p", "3.0",
-            "--trials", "8",
-            "--out", str(out),
-        ]
+    @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment", "decay"])
+    def test_reruns_are_byte_identical(self, tmp_path, command):
+        out = tmp_path / f"{command}.json"
+        argv = [command, "--k", "2", "--n", "16", "--seed", "3", "--out", str(out)]
+        if command == "experiment":
+            argv += ["--p", "1.5", "--p", "3.0", "--trials", "8"]
         assert cli.main(argv) == 0
         first = out.read_bytes()
         assert cli.main(argv) == 0

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import dense
 
 from orthosplines import bspline, gram, knots
 from orthosplines.errors import DegenerateFit
@@ -66,7 +67,7 @@ class Planted:
 class TestCheckerboard:
     def test_order_two_signs(self):
         G = gram_for(2, [0, 1, 0.5])
-        B = np.linalg.inv(G.dense())
+        B = np.linalg.inv(dense(G))
         assert B[0, 1] <= 0.0
         assert B[0, 2] >= 0.0
         res = gram.checkerboard_check(G)
@@ -80,7 +81,7 @@ class TestCheckerboard:
 
     def test_detects_planted_violation(self):
         G = gram_for(2, [0, 1, 0.5, 0.25])
-        B = np.linalg.inv(G.dense())
+        B = np.linalg.inv(dense(G))
         # flip one strictly negative off-diagonal entry and its mirror image
         B[0, 1] = -B[0, 1]
         B[1, 0] = -B[1, 0]
@@ -132,7 +133,7 @@ class TestDecayProfile:
         assert 0.0 < prof.gamma_hat < 1.0
         assert prof.residual <= 0.0
         part = G.partition
-        B = np.linalg.inv(G.dense())
+        B = np.linalg.inv(dense(G))
         idx = np.arange(part.M)
         hi = np.maximum.outer(idx, idx)
         lo = np.minimum.outer(idx, idx)
@@ -159,7 +160,7 @@ def test_inverse_identity_moderate_size():
     seq = knots.random_admissible(29, 3, 150)
     G = bspline.gram_matrix(knots.partition_at(seq, 149))
     B = np.hstack([cols for _, cols in G.inverse_columns()])
-    residual = G.dense() @ B - np.eye(G.M)
+    residual = dense(G) @ B - np.eye(G.M)
     assert np.max(np.abs(residual)) <= 1e-8
 
 
@@ -169,7 +170,7 @@ def multi_block():
     seq = knots.random_admissible(3, 4, 2049)
     G = bspline.gram_matrix(knots.partition_at(seq, 2048))
     assert G.M == 2051
-    return G, np.linalg.inv(G.dense())
+    return G, np.linalg.inv(dense(G))
 
 
 class TestStreamedInverse:
@@ -198,7 +199,7 @@ class TestStreamedInverse:
         G, B = multi_block
         res = gram.checkerboard_check(G)
         assert (res.passed, res.first_violation) == dense_checkerboard(B)
-        expected = float(np.max(1.0 / (np.diagonal(G.dense()) * np.diagonal(B))))
+        expected = float(np.max(1.0 / (np.diagonal(dense(G)) * np.diagonal(B))))
         assert gram.diag_inverse_bound(G) == pytest.approx(expected, rel=1e-14)
 
     def test_violation_past_first_block_has_global_index(self, multi_block):

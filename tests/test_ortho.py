@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from oracles import (
+    dense,
+    estwj_ratio,
+    gram_schmidt_oracle,
+    legendre_projection,
+    prolong_many,
+    refinement_matrix,
+)
 
 from orthosplines import bspline, knots, ortho
-from orthosplines.errors import EmptyInterval, IndexOutOfRange, LevelOutOfRange
+from orthosplines.errors import (
+    EmptyInterval,
+    IndexOutOfRange,
+    LevelOutOfRange,
+    NotPositiveDefinite,
+)
 
 
 def level_gram(seq, n):
@@ -24,7 +37,7 @@ def cubic_build(seq, N):
     for n in range(2, N + 1):
         fine = knots.partition_at(seq, n)
         i0 = knots.insert_event(seq, n).i0
-        F = bspline.boehm_refine(part, fine, i0).prolong_many(F)
+        F = prolong_many(F, part, fine, i0)
         of = ortho.ortho_function(bspline.gram_matrix(fine), i0)
         F = np.vstack([F, of.phi.coeffs[None, :]])
         functions.append(of)
@@ -72,11 +85,11 @@ class TestAlphaCoefficients:
                 coarse = knots.partition_at(seq, n - 1)
                 fine = knots.partition_at(seq, n)
                 ev = knots.insert_event(seq, n)
-                R = bspline.boehm_refine(coarse, fine, ev.i0)
+                R = refinement_matrix(coarse, fine, ev.i0)
                 alpha = ortho.alpha_coefficients(fine, ev.i0)
                 ext = np.zeros(fine.M)
                 ext[ev.i0 - k - 1 : ev.i0] = alpha
-                assert np.max(np.abs(R.as_matrix() @ ext)) <= 1e-12
+                assert np.max(np.abs(R @ ext)) <= 1e-12
 
     def test_alternation_and_bound(self):
         for sd in range(8):
@@ -99,7 +112,7 @@ class TestOrthoFunction:
         seq = knots.validate_admissible(1, [0, 1, 0.5])
         G = level_gram(seq, 2)
         of = ortho.ortho_function(G, 2)
-        assert np.allclose(of.w, [2.0, -2.0], atol=1e-14)
+        assert np.allclose(of.norm2 * of.phi.coeffs, [2.0, -2.0], atol=1e-14)
         assert of.norm2 == pytest.approx(2.0, abs=1e-14)
         assert np.allclose(of.phi.coeffs, [1.0, -1.0], atol=1e-14)
 
@@ -110,7 +123,7 @@ class TestOrthoFunction:
                 G = level_gram(seq, n)
                 ev = knots.insert_event(seq, n)
                 of = ortho.ortho_function(G, ev.i0)
-                assert np.sign(of.w[ev.i0 - 1]) == (-1.0) ** k
+                assert np.sign(of.norm2 * of.phi.coeffs[ev.i0 - 1]) == (-1.0) ** k
 
     def test_products_share_sign_per_column(self):
         # each w_l is a sum of alpha_j b_jl terms that all carry one sign
@@ -119,14 +132,15 @@ class TestOrthoFunction:
         G = level_gram(seq, n)
         ev = knots.insert_event(seq, n)
         of = ortho.ortho_function(G, ev.i0)
-        B = np.linalg.inv(G.dense())
+        w = of.norm2 * of.phi.coeffs
+        B = np.linalg.inv(dense(G))
         k = seq.order
         js = np.arange(ev.i0 - k - 1, ev.i0)
         for ell in range(G.M):
             terms = of.alpha * B[js, ell]
             total = float(np.sum(terms))
             assert abs(total) == pytest.approx(np.sum(np.abs(terms)), abs=1e-14)
-            assert total == pytest.approx(float(of.w[ell]), abs=1e-12)
+            assert total == pytest.approx(float(w[ell]), abs=1e-12)
 
     def test_orthogonal_to_coarse_levels(self):
         seq = knots.random_admissible(12, 2, 9)
@@ -137,9 +151,9 @@ class TestOrthoFunction:
             of = ortho.ortho_function(G, ev.i0)
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
-            R = bspline.boehm_refine(coarse, fine, ev.i0)
+            R = refinement_matrix(coarse, fine, ev.i0)
             # inner products with every coarse B-spline via the fine gram
-            inner = R.as_matrix() @ G.apply(of.phi.coeffs)
+            inner = R @ G.apply(of.phi.coeffs)
             assert np.max(np.abs(inner)) <= 1e-10
 
 
@@ -176,24 +190,24 @@ class TestInitialBlock:
 
 class TestLegendreProjection:
     def test_linear_to_constant(self):
-        proj = ortho.legendre_projection(lambda x: x, (0.0, 1.0), 1)
+        proj = legendre_projection(lambda x: x, (0.0, 1.0), 1)
         xs = np.linspace(0, 1, 5)
         assert np.allclose(proj(xs), 0.5, atol=1e-14)
 
     def test_symmetric_square(self):
-        proj = ortho.legendre_projection(lambda x: x * x, (-1.0, 1.0), 2)
+        proj = legendre_projection(lambda x: x * x, (-1.0, 1.0), 2)
         xs = np.linspace(-1, 1, 5)
         assert np.allclose(proj(xs), 1 / 3, atol=1e-13)
 
     def test_idempotent_on_low_order(self):
         poly = np.polynomial.Polynomial([1.0, -2.0, 3.0])
-        proj = ortho.legendre_projection(poly, (0.2, 0.9), 3)
+        proj = legendre_projection(poly, (0.2, 0.9), 3)
         xs = np.linspace(0.2, 0.9, 9)
         assert np.max(np.abs(proj(xs) - poly(xs))) <= 1e-12
 
     def test_empty_interval_rejected(self):
         with pytest.raises(EmptyInterval):
-            ortho.legendre_projection(lambda x: x, (0.5, 0.5), 2)
+            legendre_projection(lambda x: x, (0.5, 0.5), 2)
 
     def test_operator_norm_recorded(self):
         # averaging operator bound on a handful of random polynomials
@@ -202,7 +216,7 @@ class TestLegendreProjection:
         for p in (1.0, 1.5, 2.0, np.inf):
             for _ in range(5):
                 poly = np.polynomial.Polynomial(rng.standard_normal(6))
-                proj = ortho.legendre_projection(poly, (0.1, 0.8), 3)
+                proj = legendre_projection(poly, (0.1, 0.8), 3)
                 xs = np.linspace(0.1, 0.8, 400)
                 num = np.abs(proj(xs))
                 den = np.abs(poly(xs))
@@ -223,7 +237,7 @@ class TestOracleAgreement:
                 G = level_gram(seq, n)
                 ev = knots.insert_event(seq, n)
                 fast = ortho.ortho_function(G, ev.i0).phi
-                oracle = ortho.gram_schmidt_oracle(seq, n)
+                oracle = gram_schmidt_oracle(seq, n)
                 s = np.sign(fast.coeffs @ oracle.coeffs)
                 assert np.linalg.norm(fast.coeffs - s * oracle.coeffs) <= 1e-8
 
@@ -233,7 +247,7 @@ class TestOracleAgreement:
             G = level_gram(seq, n)
             ev = knots.insert_event(seq, n)
             fast = ortho.ortho_function(G, ev.i0).phi
-            oracle = ortho.gram_schmidt_oracle(seq, n)
+            oracle = gram_schmidt_oracle(seq, n)
             inner = float(fast.coeffs @ G.apply(oracle.coeffs))
             assert abs(inner) == pytest.approx(1.0, abs=1e-9)
 
@@ -244,7 +258,7 @@ class TestEstwjRatio:
         G = level_gram(seq, 3)
         ev = knots.insert_event(seq, 3)
         of = ortho.ortho_function(G, ev.i0)
-        assert ortho.estwj_ratio(of, G) == pytest.approx(1.0, abs=1e-12)
+        assert estwj_ratio(of, G) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_away_from_zero(self):
         lows = []
@@ -255,7 +269,7 @@ class TestEstwjRatio:
                 G = level_gram(seq, n)
                 ev = knots.insert_event(seq, n)
                 of = ortho.ortho_function(G, ev.i0)
-                low = min(low, ortho.estwj_ratio(of, G))
+                low = min(low, estwj_ratio(of, G))
             lows.append(low)
         assert min(lows) > 0.0
 
@@ -290,11 +304,29 @@ class TestIncrementalBuild:
             assert np.array_equal(G.factor, full.factor)
 
 
+# Knots a few subnormal or smallest-normal ulps from 0: the first gives an
+# infinite norm2 at level 2, the second an infinite Gram band entry.
+NON_FINITE = {
+    "smallest-normals": [0.0, 1.0, 2.0**-1022, 0.5, 0.25, 0.75, 2.0**-1021, 0.125],
+    "next-to-zero": [0.0, 1.0, float(np.nextafter(0.0, 1.0)), 0.5],
+}
+
+
+class TestNonFiniteLevels:
+    @pytest.mark.parametrize("family", sorted(NON_FINITE))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_build_fails_naming_the_level(self, k, family):
+        seq = knots.validate_admissible(k, NON_FINITE[family])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveDefinite, match="level 2"):
+                ortho.build_system(seq, len(seq.points) - 1)
+
+
 class TestBuildSystem:
     def test_size_and_levels(self):
         seq = knots.random_admissible(2, 3, 10)
         system = ortho.build_system(seq, 9)
-        assert system.size == system.finest.M
+        assert system.size == system.gram.partition.M
         assert system.order == 3
         assert system.row_of_level(-1) == 0
         assert system.row_of_level(9) == system.size - 1
@@ -333,7 +365,7 @@ class TestBuildSystem:
         seq = knots.random_admissible(4, 3, 30)
         system = ortho.build_system(seq, 29)
         system.export_records()
-        assert system.size == system.finest.M
+        assert system.size == system.gram.partition.M
         assert "matrix" not in system.__dict__
         F = system.matrix
         assert system.matrix is F
