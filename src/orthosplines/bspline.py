@@ -167,11 +167,10 @@ class GramSystem:
     columns at a time through the factor and never held whole.
     """
 
-    def __init__(self, partition, band, factor, q):
+    def __init__(self, partition, band, factor):
         self.partition = partition
         self.band = band
         self.factor = factor
-        self.q = q
 
     @property
     def M(self):
@@ -232,29 +231,24 @@ def _band_columns(partition, rule, lo, hi):
     return band
 
 
-def _factored(partition, band, q):
+def _factored(partition, band):
     try:
         factor = cholesky_banded(band, lower=False)
     except (np.linalg.LinAlgError, ValueError) as exc:
         # ValueError: a band entry is inf or NaN, e.g. from knots a few
         # subnormal ulps apart.
         raise NotPositiveDefinite(f"level {partition.level}: {exc}") from exc
-    return GramSystem(partition, band, factor, q)
+    return GramSystem(partition, band, factor)
 
 
-def gram_matrix(partition, rule=None):
+def gram_matrix(partition):
     """Assemble the banded Gram matrix of the partition's B-spline basis.
 
-    The default rule uses q = k nodes per interval, which integrates the
-    degree-(2k - 2) products exactly.  A caller-supplied rule must satisfy
-    q >= k.
+    The rule uses q = k nodes per interval, which integrates the
+    degree-(2k - 2) products exactly.
     """
-    k = partition.order
-    if rule is None:
-        rule = QuadratureRule.for_partition(partition, k)
-    if rule.q < k:
-        raise QuadratureTooCoarse(f"q={rule.q} < k={k} cannot integrate the products exactly")
-    return _factored(partition, _band_columns(partition, rule, 0, partition.M), rule.q)
+    rule = QuadratureRule.for_partition(partition, partition.order)
+    return _factored(partition, _band_columns(partition, rule, 0, partition.M))
 
 
 def gram_refine(G, fine, i0):
@@ -265,7 +259,7 @@ def gram_refine(G, fine, i0):
     B-spline depends only on its own knots; so every column whose B-splines
     lie on one side of the new knot, c < i0 - k - 1 or c >= i0 + k - 1, is
     the coarse column, shifted by one past the knot.  The columns within 2k
-    of the knot are assembled afresh with G's rule size; the extra k on
+    of the knot are assembled afresh with k nodes per span; the extra k on
     either side are slack for a Gauss node that rounds onto the end of a
     span a few ulps wide and is evaluated on a later span.  The band equals
     the one ``gram_matrix(fine)`` assembles, bit for bit, and is factored
@@ -280,9 +274,9 @@ def gram_refine(G, fine, i0):
     lo, hi = max(0, p - 2 * k), min(fine.M, p + 2 * k)
     # Span s feeds columns s-k+1..s; take k spans of slack on either side.
     s0, s1 = max(0, lo - k), min(len(fine.knots) - 1, hi + 2 * k - 1)
-    rule = QuadratureRule._over_spans(fine.knots[s0 : s1 + 1], G.q)
+    rule = QuadratureRule._over_spans(fine.knots[s0 : s1 + 1], k)
     band[:, lo:hi] = _band_columns(fine, rule, lo, hi)
-    return _factored(fine, band, G.q)
+    return _factored(fine, band)
 
 
 def _check_refinement(coarse, fine, i0):

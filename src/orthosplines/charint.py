@@ -1,4 +1,4 @@
-"""Characteristic intervals, knot-count distances, and counting machinery.
+"""Characteristic intervals, knot-count distances, and the census of intervals.
 
 Each inserted knot gets a characteristic interval: among the k + 1 B-spline
 supports touching the insertion index, keep those of near-minimal length,
@@ -9,7 +9,6 @@ carries a fixed fraction of its norm there.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,50 +78,6 @@ def d_point(knots, J, x):
     return int(between) + 1
 
 
-def d_interval(knots, J, V):
-    """Knots between an interval V and J, both facing endpoints counted when knots.
-
-    0 when the closures of V and J intersect; otherwise knots of the sorted
-    vector ``knots`` with multiplicity strictly between them, plus one for
-    each facing endpoint that is itself a knot value.
-    """
-    va, vb = float(V[0]), float(V[1])
-    if not (0.0 <= va <= vb <= 1.0):
-        raise DomainError(f"interval ({va}, {vb}) is not inside [0, 1]")
-    c, d = J
-    if vb >= c and va <= d:
-        return 0
-    if vb < c:
-        gap_lo, gap_hi = vb, c
-        v_end = vb
-    else:
-        gap_lo, gap_hi = d, va
-        v_end = va
-    between = np.searchsorted(knots, gap_hi, "left") - np.searchsorted(knots, gap_lo, "right")
-    count = int(between) + 1  # the facing endpoint of J is always a knot
-    if np.any(knots == v_end):
-        count += 1
-    return count
-
-
-def monotone_subsequence(xs):
-    """Length of the longest nondecreasing or nonincreasing subsequence."""
-    xs = list(xs)
-    return max(_longest_nondecreasing(xs), _longest_nondecreasing([-x for x in xs]))
-
-
-def _longest_nondecreasing(xs):
-    # Patience sorting on the tails array; bisect_right admits ties.
-    tails = []
-    for x in xs:
-        pos = bisect_right(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-    return len(tails)
-
-
 def census_max(system, beta):
     """Max census count over every knot-value window, with its argmax window.
 
@@ -138,7 +93,7 @@ def census_max(system, beta):
     """
     if not 0.0 <= beta <= 0.5:
         raise DomainError(f"beta={beta} outside [0, 1/2]")
-    values = sorted(set(system.seq.points[: system.N + 1]))
+    values = np.unique(system.seq.points[: system.N + 1])
     counts = {}
     for of in system.functions:
         c, d = of.char.J
@@ -147,16 +102,16 @@ def census_max(system, beta):
         xlo = int(np.searchsorted(values, d - cap, "left"))
         while xlo > 0 and width >= (1.0 - beta) * (d - values[xlo - 1]):
             xlo -= 1
-        xhi = bisect_right(values, c)  # one past the last x <= c
+        xhi = int(np.searchsorted(values, c, "right"))  # one past the last x <= c
         ystart = int(np.searchsorted(values, d, "left"))
         for xi in range(xlo, xhi):
             xv = values[xi]
             for yi in range(ystart, len(values)):
-                yv = values[yi]
-                if width < (1.0 - beta) * (yv - xv):
+                if width < (1.0 - beta) * (values[yi] - xv):
                     break
-                counts[(xv, yv)] = counts.get((xv, yv), 0) + 1
+                counts[(xi, yi)] = counts.get((xi, yi), 0) + 1
     if not counts:
         return 0, None
+    # values is sorted, so index pairs order windows as their end points do.
     best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return best[1], list(best[0])
+    return best[1], [float(values[i]) for i in best[0]]

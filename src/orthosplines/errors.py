@@ -52,14 +52,3 @@ class DegenerateFit(SplineError, ValueError):
 class IndexOutOfRange(SplineError, IndexError):
     """A 1-based basis or insertion index is outside its valid range."""
 
-
-class EmptyInterval(SplineError, ValueError):
-    """An interval with nonpositive length was supplied."""
-
-
-class NotAKnot(SplineError, ValueError):
-    """A census window endpoint is not a value of the knot sequence."""
-
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"{value!r} is not a knot value of the sequence")

@@ -70,14 +70,6 @@ class Partition:
         return float(self.knots[i - 1])
 
 
-@dataclass(frozen=True)
-class InsertEvent:
-    """Position of the level-n point inside the level-n partition."""
-
-    level: int
-    i0: int
-
-
 def validate_admissible(order, raw_points):
     """Check multiplicity and range constraints and wrap the sequence.
 
@@ -141,30 +133,14 @@ def partition_at(seq, n):
     return Partition(order=k, knots=knots, level=n, M=n + k - 1)
 
 
-def insert_event(seq, n):
-    """Locate t_n inside the level-n partition.
-
-    Returns the 1-based index i0 with k + 1 <= i0 <= M such that removing
-    tau_{i0} recovers the level-(n-1) partition.  When t_n duplicates existing
-    knots, i0 is the last copy of the equal block, which keeps the refinement
-    weights well defined.
-    """
-    _check_level(seq, n)
-    part = partition_at(seq, n)
-    t = seq.points[n]
-    matches = np.flatnonzero(part.knots == t)
-    i0 = int(matches[-1]) + 1
-    if not seq.order + 1 <= i0 <= part.M:
-        raise AssertionError(f"insertion index {i0} escaped [k+1, M]")
-    return InsertEvent(level=n, i0=i0)
-
-
 def next_partition(seq, partition):
-    """The partition one level above ``partition``, with its insert event.
+    """The partition one level above ``partition`` and the index of its new knot.
 
-    Inserts the next sequence point after any equal knots, as
-    ``insert_event`` places it, so the result equals ``partition_at`` of the
-    next level without sorting the prefix again.
+    Returns ``(fine, i0)``: t_n goes in after any equal knots, so removing
+    tau_{i0} (1-based) recovers ``partition``, k + 1 <= i0 <= M, and a
+    repeated value takes the last copy of its block, which keeps the
+    refinement weights well defined.  ``fine`` equals ``partition_at`` of the
+    next level, without sorting the prefix again.
     """
     n = partition.level + 1
     _check_level(seq, n)
@@ -172,7 +148,7 @@ def next_partition(seq, partition):
     pos = int(np.searchsorted(partition.knots, t, side="right"))
     knots = np.insert(partition.knots, pos, t)
     fine = Partition(order=partition.order, knots=knots, level=n, M=partition.M + 1)
-    return fine, InsertEvent(level=n, i0=pos + 1)
+    return fine, pos + 1
 
 
 def random_admissible(seed, order, n_points, law="uniform-iid"):

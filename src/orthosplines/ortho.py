@@ -40,27 +40,6 @@ class OrthoFunction:
     char: charint.CharInterval
 
 
-@dataclass(frozen=True)
-class PolynomialBlock:
-    """The k orthonormal polynomials on [0, 1], degrees 0..k-1.
-
-    Entry of degree d carries the system level n = d - k + 2, so the levels
-    run from -k + 2 through 1.
-    """
-
-    order: int
-    polys: tuple
-
-    @property
-    def levels(self):
-        return range(-self.order + 2, 2)
-
-    def eval_matrix(self, xs):
-        """Values of every block polynomial at the points, shape (k, len(xs))."""
-        xs = np.asarray(xs, dtype=float)
-        return np.vstack([p(xs) for p in self.polys])
-
-
 def alpha_coefficients(partition, i0):
     """Insertion coefficients alpha_j, j = i0-k..i0, of the new knot tau_{i0}.
 
@@ -107,24 +86,24 @@ def ortho_function(G, i0):
 
 
 def initial_block(order):
-    """Orthonormal polynomials on [0, 1] up to degree k - 1.
+    """Orthonormal polynomials on [0, 1] of degrees 0..k - 1, as a tuple.
 
     Shifted Legendre polynomials scaled to unit L2 norm; leading coefficients
-    are positive.
+    are positive.  The degree-d entry carries the system level d - k + 2, so
+    the block fills levels -k + 2 through 1.
     """
-    polys = []
-    for d in range(order):
-        p = Legendre.basis(d, domain=[0.0, 1.0]) * math.sqrt(2 * d + 1)
-        polys.append(p)
-    return PolynomialBlock(order=order, polys=tuple(polys))
+    return tuple(
+        Legendre.basis(d, domain=[0.0, 1.0]) * math.sqrt(2 * d + 1) for d in range(order)
+    )
 
 
 class OrthoSystem:
     """The assembled system: initial block plus f_2..f_N on one sequence.
 
-    Each f_n lives on its own level in ``functions``.  ``matrix`` holds every
-    system function expressed over the level-N B-spline basis (rows ordered
-    by level, the block first), which makes whole-system evaluation and Gram
+    ``block`` holds the k polynomials of ``initial_block``, and each f_n lives
+    on its own level in ``functions``.  ``matrix`` holds every system
+    function expressed over the level-N B-spline basis (rows ordered by
+    level, the block first), which makes whole-system evaluation and Gram
     identities single matrix products; it is formed on first use.  ``gram``
     is the level-N Gram system; its partition is the finest one.
     """
@@ -156,7 +135,7 @@ class OrthoSystem:
         coarse = boundary_partition(k)
         labels = np.arange(k)
         F = np.zeros((M, M))
-        F[:k, :k] = polynomial_coeffs_over(coarse, self.block.polys)
+        F[:k, :k] = polynomial_coeffs_over(coarse, self.block)
         for row, of in enumerate(self.functions, start=k):
             fine = of.phi.partition
             w1, w2 = boehm_refine(coarse, fine, of.i0)
@@ -244,7 +223,7 @@ def build_system(seq, N):
     G = gram_matrix(part)
     functions = []
     for _ in range(2, N + 1):
-        part, event = next_partition(seq, part)
-        G = gram_refine(G, part, event.i0)
-        functions.append(ortho_function(G, event.i0))
+        part, i0 = next_partition(seq, part)
+        G = gram_refine(G, part, i0)
+        functions.append(ortho_function(G, i0))
     return OrthoSystem(seq=seq, N=N, block=block, functions=functions, gram=G)

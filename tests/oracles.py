@@ -3,17 +3,48 @@
 Each function recomputes a quantity that the library obtains another way
 (dense linear algebra, explicit refinement matrices, single-point
 evaluation, exhaustive window counts), or checks a lemma of the paper that
-no command runs.  The command line reaches none of them.
+no command runs: expansions and their maximal functions, interval
+distances, monotone subsequences.  The command line reaches none of them.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
 from orthosplines import bspline, knots
-from orthosplines.errors import DomainError, EmptyInterval, NotAKnot
+from orthosplines.errors import DomainError, LevelOutOfRange, SplineError
+
+
+class EmptyInterval(SplineError, ValueError):
+    """An interval with nonpositive length was supplied."""
+
+
+class NotAKnot(SplineError, ValueError):
+    """A census window endpoint is not a value of the knot sequence."""
+
+
+def insert_event(seq, n):
+    """1-based index i0 of t_n in the level-n partition, found by sorting the prefix.
+
+    A t_n equal to earlier knots takes the last copy of the block, as
+    ``knots.next_partition`` places it.
+    """
+    part = knots.partition_at(seq, n)
+    return int(np.flatnonzero(part.knots == seq.points[n])[-1]) + 1
+
+
+def block_levels(polys):
+    """System levels of the initial block: the degree-d polynomial has level d - k + 2."""
+    return range(-len(polys) + 2, 2)
+
+
+def block_values(polys, xs):
+    """Values of every block polynomial at the points, shape (k, len(xs))."""
+    xs = np.asarray(xs, dtype=float)
+    return np.vstack([p(xs) for p in polys])
 
 
 def eval_basis(partition, x):
@@ -87,7 +118,7 @@ def gram_schmidt_oracle(seq, n):
     k = seq.order
     fine = knots.partition_at(seq, n)
     coarse = knots.partition_at(seq, n - 1) if n >= 3 else knots.boundary_partition(k)
-    i0 = knots.insert_event(seq, n).i0
+    i0 = insert_event(seq, n)
     C = refinement_matrix(coarse, fine, i0)
     A = dense(bspline.gram_matrix(fine))
     e = np.zeros(fine.M)
@@ -185,9 +216,9 @@ def char_multiplicity_census(system, x, y, beta):
         raise DomainError(f"window needs x < y, got [{x}, {y}]")
     values = set(system.seq.points[: system.N + 1])
     if x not in values:
-        raise NotAKnot(x)
+        raise NotAKnot(f"{x!r} is not a knot value of the sequence")
     if y not in values:
-        raise NotAKnot(y)
+        raise NotAKnot(f"{y!r} is not a knot value of the sequence")
     floor = (1.0 - beta) * (y - x)
     count = 0
     for of in system.functions:
@@ -195,3 +226,114 @@ def char_multiplicity_census(system, x, y, beta):
         if c >= x and d <= y and (d - c) >= floor:
             count += 1
     return count
+
+
+def expand(f, system, N=None):
+    """Coefficients of f against the orthonormal functions through level N.
+
+    Splines on the system's finest partition go through the Gram matrix and
+    are exact; anything callable is integrated by Gauss-Legendre quadrature
+    on the finest partition.
+    """
+    if N is None:
+        N = system.N
+    if N > system.N:
+        raise LevelOutOfRange(f"system built to level {system.N}, asked for {N}")
+    size = N + system.order - 1
+    if size < 1:
+        raise LevelOutOfRange(f"truncation level {N} leaves no functions")
+    part = system.gram.partition
+    if isinstance(f, bspline.Spline) and f.partition.order == part.order and np.array_equal(
+        f.partition.knots, part.knots
+    ):
+        a = system.matrix @ system.gram.apply(f.coeffs)
+    else:
+        rule = bspline.QuadratureRule.for_partition(part, system.order + 8)
+        xs = rule.flat_nodes
+        fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+        moments = bspline.basis_matrix(part, xs).T @ (rule.flat_weights * fv)
+        a = system.matrix @ moments
+    return a[:size]
+
+
+def expansion_values(system, coeffs, xs):
+    """sum_n c_n f_n at the points, over the first len(coeffs) functions."""
+    return coeffs @ system.value_matrix(xs)[: len(coeffs)]
+
+
+def reconstruction(system, coeffs):
+    """The expansion as a spline on the finest partition."""
+    return bspline.Spline(system.gram.partition, system.matrix[: len(coeffs)].T @ coeffs)
+
+
+def maximal_function(coeffs, V):
+    """Largest absolute partial sum of the expansion, level by level.
+
+    ``V`` is ``system.value_matrix(xs)``; one value per point of xs.
+    """
+    partial = np.cumsum(coeffs[:, None] * V[: len(coeffs)], axis=0)
+    return np.abs(partial).max(axis=0)
+
+
+def hl_maximal(g):
+    """Exact sup of interval averages of |g| over grid-aligned intervals.
+
+    ``g`` holds one value per cell of a uniform grid.  For each left endpoint
+    i the averages over [i, j] are a running mean in j; a reversed
+    cumulative max gives the best interval starting at i and covering each
+    cell, and the outer loop keeps the best over i.  Work is O(G^2) but
+    entirely in vector ops; degenerate one-cell intervals are included, so
+    the result dominates |g| pointwise.
+    """
+    a = np.abs(g)
+    G = len(a)
+    P = np.concatenate([[0.0], np.cumsum(a)])
+    out = np.zeros(G)
+    for i in range(G):
+        avgs = (P[i + 1 :] - P[i]) / np.arange(1, G - i + 1)
+        np.maximum(out[i:], np.maximum.accumulate(avgs[::-1])[::-1], out=out[i:])
+    return out
+
+
+def d_interval(knots, J, V):
+    """Knots between an interval V and J, both facing endpoints counted when knots.
+
+    0 when the closures of V and J intersect; otherwise knots of the sorted
+    vector ``knots`` with multiplicity strictly between them, plus one for
+    each facing endpoint that is itself a knot value.
+    """
+    va, vb = float(V[0]), float(V[1])
+    if not (0.0 <= va <= vb <= 1.0):
+        raise DomainError(f"interval ({va}, {vb}) is not inside [0, 1]")
+    c, d = J
+    if vb >= c and va <= d:
+        return 0
+    if vb < c:
+        gap_lo, gap_hi = vb, c
+        v_end = vb
+    else:
+        gap_lo, gap_hi = d, va
+        v_end = va
+    between = np.searchsorted(knots, gap_hi, "left") - np.searchsorted(knots, gap_lo, "right")
+    count = int(between) + 1  # the facing endpoint of J is always a knot
+    if np.any(knots == v_end):
+        count += 1
+    return count
+
+
+def monotone_subsequence(xs):
+    """Length of the longest nondecreasing or nonincreasing subsequence."""
+    xs = list(xs)
+    return max(_longest_nondecreasing(xs), _longest_nondecreasing([-x for x in xs]))
+
+
+def _longest_nondecreasing(xs):
+    # Patience sorting on the tails array; bisect_right admits ties.
+    tails = []
+    for x in xs:
+        pos = bisect_right(tails, x)
+        if pos == len(tails):
+            tails.append(x)
+        else:
+            tails[pos] = x
+    return len(tails)

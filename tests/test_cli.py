@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from orthosplines import cli
+from orthosplines import cli, ortho
 
 
 def run(*argv):
@@ -126,6 +126,30 @@ class TestExperiment:
         payload = json.loads(out.read_text())
         assert payload["config"]["grid"] == 4 * 603
         assert payload["reports"][0]["grid"] == 4 * 603
+
+
+class TestEvaluationCount:
+    # verify evaluates at the tail audit's quadrature nodes and on the cell
+    # grid; experiment only on the cell grid, however many --p it gets.
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["verify"], 2),
+            (["experiment", "--p", "1.2", "--p", "1.5", "--p", "3", "--p", "6", "--trials", "8"], 1),
+        ],
+        ids=["verify", "experiment"],
+    )
+    def test_value_matrix_formed_once_per_point_set(self, monkeypatch, argv, calls):
+        seen = []
+        value_matrix = ortho.OrthoSystem.value_matrix
+
+        def counted(system, xs):
+            seen.append(len(xs))
+            return value_matrix(system, xs)
+
+        monkeypatch.setattr(ortho.OrthoSystem, "value_matrix", counted)
+        assert cli.main(argv + ["--k", "2", "--n", "16", "--seed", "3"]) == 0
+        assert len(seen) == calls
 
 
 class TestCensusAndDecay:

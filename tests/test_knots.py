@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from oracles import insert_event
 
 from orthosplines import knots
 from orthosplines.errors import (
@@ -89,40 +90,40 @@ class TestPartitionAt:
 class TestInsertEvent:
     def test_single_interior(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5])
-        assert knots.insert_event(seq, 2).i0 == 3
+        assert insert_event(seq, 2) == 3
 
     def test_insert_before_existing(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5, 0.25])
-        assert knots.insert_event(seq, 3).i0 == 3
+        assert insert_event(seq, 3) == 3
 
     def test_insert_after_existing(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5, 0.75])
-        assert knots.insert_event(seq, 3).i0 == 3
+        assert insert_event(seq, 3) == 3
 
     def test_duplicate_takes_last_copy(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5, 0.5])
-        ev = knots.insert_event(seq, 3)
+        i0 = insert_event(seq, 3)
         part = knots.partition_at(seq, 3)
         # knots (0,0,0.5,0.5,1,1): the new copy is the later index 4
-        assert ev.i0 == 4
-        assert part.tau(ev.i0) == 0.5
+        assert i0 == 4
+        assert part.tau(i0) == 0.5
 
     def test_index_within_bounds(self):
         seq = knots.random_admissible(5, 3, 12)
         for n in range(2, 12):
             part = knots.partition_at(seq, n)
-            ev = knots.insert_event(seq, n)
-            assert seq.order + 1 <= ev.i0 <= part.M
-            assert part.tau(ev.i0) == seq.points[n]
+            i0 = insert_event(seq, n)
+            assert seq.order + 1 <= i0 <= part.M
+            assert part.tau(i0) == seq.points[n]
 
     def test_next_partition_grows_the_level(self):
         # full multiplicity: every equal block is filled to k copies
         seq = knots.validate_admissible(3, [0, 1] + [0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.25])
         part = knots.boundary_partition(3)
         for n in range(2, len(seq.points)):
-            part, ev = knots.next_partition(seq, part)
+            part, i0 = knots.next_partition(seq, part)
             assert part == knots.partition_at(seq, n)
-            assert ev == knots.insert_event(seq, n)
+            assert i0 == insert_event(seq, n)
         with pytest.raises(LevelOutOfRange):
             knots.next_partition(seq, part)
 
@@ -131,8 +132,8 @@ class TestInsertEvent:
         for n in range(3, 10):
             fine = knots.partition_at(seq, n)
             coarse = knots.partition_at(seq, n - 1)
-            ev = knots.insert_event(seq, n)
-            trimmed = np.delete(fine.knots, ev.i0 - 1)
+            i0 = insert_event(seq, n)
+            trimmed = np.delete(fine.knots, i0 - 1)
             assert np.array_equal(trimmed, coarse.knots)
 
 

@@ -1,0 +1,65 @@
+"""Nothing in src/orthosplines exists for the tests alone.
+
+Every public top-level function and class, and every non-dunder method, must
+be named somewhere in the package outside its own definition, as a Name, an
+Attribute or an import alias.  A helper only tests call belongs in
+tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+import orthosplines
+
+ALLOWED = set()  # definitions exempt from the check
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _mentions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unreached(package):
+    """Qualified names of the covered definitions that nothing outside them names."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(Path(package).glob("*.py"))}
+    mentions = [(name, path, line) for path, tree in trees.items() for name, line in _mentions(tree)]
+    out = []
+    for path, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name, own = qualname.rsplit(".", 1)[-1], range(node.lineno, node.end_lineno + 1)
+            if not any(m == name and not (p == path and ln in own) for m, p, ln in mentions):
+                out.append(qualname)
+    return sorted(out)
+
+
+def test_every_definition_is_reached_inside_the_package():
+    assert sorted(set(unreached(Path(orthosplines.__file__).parent)) - ALLOWED) == []
+
+
+def test_the_check_sees_an_unreached_helper(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return twin()\n\n\n"
+        "def helper():\n    return helper()\n\n\n"
+        "def twin():\n    return 1\n\n\n"
+        "class Box:\n    def spare(self):\n        return self.spare()\n\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "Box()\nused()\n"
+    )
+    assert unreached(tmp_path) == ["Box.spare", "helper"]

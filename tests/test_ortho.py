@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 from oracles import (
+    EmptyInterval,
+    block_levels,
+    block_values,
     dense,
     estwj_ratio,
     gram_schmidt_oracle,
+    insert_event,
     legendre_projection,
     prolong_many,
     refinement_matrix,
@@ -11,7 +15,6 @@ from oracles import (
 
 from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
-    EmptyInterval,
     IndexOutOfRange,
     LevelOutOfRange,
     NotPositiveDefinite,
@@ -32,11 +35,11 @@ def cubic_build(seq, N):
     k = seq.order
     block = ortho.initial_block(k)
     part = knots.boundary_partition(k)
-    F = ortho.polynomial_coeffs_over(part, block.polys)
+    F = ortho.polynomial_coeffs_over(part, block)
     functions = []
     for n in range(2, N + 1):
         fine = knots.partition_at(seq, n)
-        i0 = knots.insert_event(seq, n).i0
+        i0 = insert_event(seq, n)
         F = prolong_many(F, part, fine, i0)
         of = ortho.ortho_function(bspline.gram_matrix(fine), i0)
         F = np.vstack([F, of.phi.coeffs[None, :]])
@@ -84,11 +87,11 @@ class TestAlphaCoefficients:
             for n in range(3, 9):
                 coarse = knots.partition_at(seq, n - 1)
                 fine = knots.partition_at(seq, n)
-                ev = knots.insert_event(seq, n)
-                R = refinement_matrix(coarse, fine, ev.i0)
-                alpha = ortho.alpha_coefficients(fine, ev.i0)
+                i0 = insert_event(seq, n)
+                R = refinement_matrix(coarse, fine, i0)
+                alpha = ortho.alpha_coefficients(fine, i0)
                 ext = np.zeros(fine.M)
-                ext[ev.i0 - k - 1 : ev.i0] = alpha
+                ext[i0 - k - 1 : i0] = alpha
                 assert np.max(np.abs(R @ ext)) <= 1e-12
 
     def test_alternation_and_bound(self):
@@ -97,8 +100,8 @@ class TestAlphaCoefficients:
             seq = knots.random_admissible(sd, k, 10)
             for n in range(2, 10):
                 part = knots.partition_at(seq, n)
-                ev = knots.insert_event(seq, n)
-                alpha = ortho.alpha_coefficients(part, ev.i0)
+                i0 = insert_event(seq, n)
+                alpha = ortho.alpha_coefficients(part, i0)
                 assert np.max(np.abs(alpha)) <= 1.0 + 1e-14
                 signs = np.sign(alpha)
                 assert np.all(signs != 0.0)
@@ -121,21 +124,21 @@ class TestOrthoFunction:
             seq = knots.random_admissible(sd, k, 8)
             for n in range(2, 8):
                 G = level_gram(seq, n)
-                ev = knots.insert_event(seq, n)
-                of = ortho.ortho_function(G, ev.i0)
-                assert np.sign(of.norm2 * of.phi.coeffs[ev.i0 - 1]) == (-1.0) ** k
+                i0 = insert_event(seq, n)
+                of = ortho.ortho_function(G, i0)
+                assert np.sign(of.norm2 * of.phi.coeffs[i0 - 1]) == (-1.0) ** k
 
     def test_products_share_sign_per_column(self):
         # each w_l is a sum of alpha_j b_jl terms that all carry one sign
         seq = knots.random_admissible(10, 3, 12)
         n = 11
         G = level_gram(seq, n)
-        ev = knots.insert_event(seq, n)
-        of = ortho.ortho_function(G, ev.i0)
+        i0 = insert_event(seq, n)
+        of = ortho.ortho_function(G, i0)
         w = of.norm2 * of.phi.coeffs
         B = np.linalg.inv(dense(G))
         k = seq.order
-        js = np.arange(ev.i0 - k - 1, ev.i0)
+        js = np.arange(i0 - k - 1, i0)
         for ell in range(G.M):
             terms = of.alpha * B[js, ell]
             total = float(np.sum(terms))
@@ -147,11 +150,11 @@ class TestOrthoFunction:
         xs = None
         for n in range(3, 9):
             G = level_gram(seq, n)
-            ev = knots.insert_event(seq, n)
-            of = ortho.ortho_function(G, ev.i0)
+            i0 = insert_event(seq, n)
+            of = ortho.ortho_function(G, i0)
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
-            R = refinement_matrix(coarse, fine, ev.i0)
+            R = refinement_matrix(coarse, fine, i0)
             # inner products with every coarse B-spline via the fine gram
             inner = R @ G.apply(of.phi.coeffs)
             assert np.max(np.abs(inner)) <= 1e-10
@@ -160,15 +163,15 @@ class TestOrthoFunction:
 class TestInitialBlock:
     def test_order_one_constant(self):
         block = ortho.initial_block(1)
-        assert list(block.levels) == [1]
+        assert list(block_levels(block)) == [1]
         xs = np.linspace(0, 1, 7)
-        assert np.allclose(block.eval_matrix(xs)[0], 1.0, atol=1e-14)
+        assert np.allclose(block_values(block, xs)[0], 1.0, atol=1e-14)
 
     def test_order_two_linear(self):
         block = ortho.initial_block(2)
-        assert list(block.levels) == [0, 1]
+        assert list(block_levels(block)) == [0, 1]
         xs = np.linspace(0, 1, 7)
-        vals = block.eval_matrix(xs)
+        vals = block_values(block, xs)
         assert np.allclose(vals[0], 1.0, atol=1e-14)
         assert np.allclose(vals[1], np.sqrt(3) * (2 * xs - 1), atol=1e-13)
 
@@ -178,13 +181,13 @@ class TestInitialBlock:
         block = ortho.initial_block(5)
         ref_x, ref_w = leggauss(12)
         xs, ws = 0.5 * (ref_x + 1), 0.5 * ref_w
-        V = block.eval_matrix(xs)
+        V = block_values(block, xs)
         G = (V * ws) @ V.T
         assert np.max(np.abs(G - np.eye(5))) <= 1e-13
 
     def test_leading_coefficients_positive(self):
         block = ortho.initial_block(4)
-        for p in block.polys:
+        for p in block:
             assert p.convert(kind=np.polynomial.Polynomial).coef[-1] > 0
 
 
@@ -235,8 +238,8 @@ class TestOracleAgreement:
             seq = knots.random_admissible(sd, k, 8)
             for n in range(2, 8):
                 G = level_gram(seq, n)
-                ev = knots.insert_event(seq, n)
-                fast = ortho.ortho_function(G, ev.i0).phi
+                i0 = insert_event(seq, n)
+                fast = ortho.ortho_function(G, i0).phi
                 oracle = gram_schmidt_oracle(seq, n)
                 s = np.sign(fast.coeffs @ oracle.coeffs)
                 assert np.linalg.norm(fast.coeffs - s * oracle.coeffs) <= 1e-8
@@ -245,8 +248,8 @@ class TestOracleAgreement:
         seq = knots.random_admissible(31, 3, 7)
         for n in range(2, 7):
             G = level_gram(seq, n)
-            ev = knots.insert_event(seq, n)
-            fast = ortho.ortho_function(G, ev.i0).phi
+            i0 = insert_event(seq, n)
+            fast = ortho.ortho_function(G, i0).phi
             oracle = gram_schmidt_oracle(seq, n)
             inner = float(fast.coeffs @ G.apply(oracle.coeffs))
             assert abs(inner) == pytest.approx(1.0, abs=1e-9)
@@ -256,8 +259,8 @@ class TestEstwjRatio:
     def test_order_one_is_exact(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5, 0.25])
         G = level_gram(seq, 3)
-        ev = knots.insert_event(seq, 3)
-        of = ortho.ortho_function(G, ev.i0)
+        i0 = insert_event(seq, 3)
+        of = ortho.ortho_function(G, i0)
         assert estwj_ratio(of, G) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_away_from_zero(self):
@@ -267,8 +270,8 @@ class TestEstwjRatio:
             low = np.inf
             for n in range(2, 12):
                 G = level_gram(seq, n)
-                ev = knots.insert_event(seq, n)
-                of = ortho.ortho_function(G, ev.i0)
+                i0 = insert_event(seq, n)
+                of = ortho.ortho_function(G, i0)
                 low = min(low, estwj_ratio(of, G))
             lows.append(low)
         assert min(lows) > 0.0
@@ -295,11 +298,11 @@ class TestIncrementalBuild:
         part = knots.boundary_partition(k)
         G = bspline.gram_matrix(part)
         for n in range(2, len(seq.points)):
-            part, event = knots.next_partition(seq, part)
-            G = bspline.gram_refine(G, part, event.i0)
+            part, i0 = knots.next_partition(seq, part)
+            G = bspline.gram_refine(G, part, i0)
             full = bspline.gram_matrix(knots.partition_at(seq, n))
             assert part == full.partition
-            assert event == knots.insert_event(seq, n)
+            assert i0 == insert_event(seq, n)
             assert np.array_equal(G.band, full.band)
             assert np.array_equal(G.factor, full.factor)
 
@@ -348,7 +351,7 @@ class TestBuildSystem:
         system = ortho.build_system(seq, 5)
         xs = np.linspace(0, 1, 50)
         vals = system.value_matrix(xs)
-        block_vals = system.block.eval_matrix(xs)
+        block_vals = block_values(system.block, xs)
         assert np.max(np.abs(vals[: seq.order] - block_vals)) <= 1e-11
 
     def test_export_records_shape(self):
