@@ -17,6 +17,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
     DomainError,
+    IndexOutOfRange,
     NotPositiveDefinite,
     PartitionMismatch,
     QuadratureTooCoarse,
@@ -164,7 +165,8 @@ class GramSystem:
 
     The band has width k - 1 (supports of N_i and N_j are disjoint once
     |i - j| >= k).  The inverse B = A^{-1} is dense; it is read a block of
-    columns at a time through the factor and never held whole.
+    columns at a time through the factor and never held whole, and its
+    diagonal is kept after the first read.
     """
 
     def __init__(self, partition, band, factor):
@@ -205,6 +207,14 @@ class GramSystem:
             rhs = np.zeros((M, width))
             rhs[start + np.arange(width), np.arange(width)] = 1.0
             yield start, self.solve(rhs)
+
+    @functools.cached_property
+    def inverse_diagonal(self):
+        """b_ii for every i, read block by block once and kept."""
+        # Copy each diagonal: a view would keep its whole block alive.
+        return np.concatenate(
+            [np.diagonal(cols, -start).copy() for start, cols in self.inverse_columns()]
+        )
 
 
 def _band_columns(partition, rule, lo, hi):
@@ -263,7 +273,8 @@ def gram_refine(G, fine, i0):
     either side are slack for a Gauss node that rounds onto the end of a
     span a few ulps wide and is evaluated on a later span.  The band equals
     the one ``gram_matrix(fine)`` assembles, bit for bit, and is factored
-    again.
+    again.  Raises PartitionMismatch unless ``fine`` refines G's partition
+    at tau_{i0}.
     """
     _check_refinement(G.partition, fine, i0)
     k = fine.order
@@ -291,16 +302,18 @@ def _check_refinement(coarse, fine, i0):
         raise PartitionMismatch("removing the inserted knot does not recover the coarse partition")
 
 
-def boehm_refine(coarse, fine, i0):
+def boehm_refine(fine, i0):
     """Weights (w1, w2) of the coarse B-splines that the knot tau_{i0} splits.
 
-    Coarse B-splines i0-k..i0-1 (1-based) become w1 N_i + w2 N_{i+1} over the
-    fine basis; those before are unchanged and those after shift by one.
-    Raises PartitionMismatch unless removing tau_{i0} (1-based) from the fine
-    partition reproduces the coarse one exactly.
+    The coarse partition is ``fine`` without tau_{i0} (1-based), so the fine
+    knots alone fix the weights.  Coarse B-splines i0-k..i0-1 (1-based)
+    become w1 N_i + w2 N_{i+1} over the fine basis; those before are
+    unchanged and those after shift by one.  Raises IndexOutOfRange unless
+    k + 1 <= i0 <= M.
     """
-    _check_refinement(coarse, fine, i0)
-    k = coarse.order
+    k = fine.order
+    if not k + 1 <= i0 <= fine.M:
+        raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {fine.M}]")
     t = fine.knots
     x = t[i0 - 1]
     lo = np.arange(i0 - k, i0)  # 1-based two-term row indices

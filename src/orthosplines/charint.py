@@ -61,21 +61,19 @@ def characteristic_interval(partition, i0, alpha):
 def d_point(knots, J, x):
     """Knots between x and the characteristic interval J, endpoint included.
 
-    ``knots`` is the level's sorted knot vector.  Counts knots with
+    ``knots`` is the level's sorted knot vector and ``x`` a point or an
+    array of points; the counts have the shape of x.  Counts knots with
     multiplicity strictly between x and the nearer endpoint of J, plus that
     endpoint once; 0 when x lies in J.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x={x} outside [0, 1]")
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN included
+    if outside.any():
+        raise DomainError(f"x={float(x[outside].flat[0])} outside [0, 1]")
     c, d = J
-    if c <= x <= d:
-        return 0
-    if x < c:
-        between = np.searchsorted(knots, c, "left") - np.searchsorted(knots, x, "right")
-    else:
-        between = np.searchsorted(knots, x, "left") - np.searchsorted(knots, d, "right")
-    return int(between) + 1
+    left = np.searchsorted(knots, c, "left") - np.searchsorted(knots, x, "right") + 1
+    right = np.searchsorted(knots, x, "left") - np.searchsorted(knots, d, "right") + 1
+    return np.where(x < c, left, np.where(x > d, right, 0))
 
 
 def census_max(system, beta):

@@ -177,7 +177,7 @@ def _verify_suites(args, seq, N):
     for n in range(2, N + 1):
         of = system.function(n)
         fine = of.phi.partition
-        w1, w2 = bspline.boehm_refine(coarse, fine, of.i0)
+        w1, w2 = bspline.boehm_refine(fine, of.i0)
         c = rng.standard_normal(coarse.M)
         fine_c = bspline.prolong(c, of.i0, w1, w2)
         gap = bspline.Spline(fine, fine_c).eval(xs) - bspline.Spline(coarse, c).eval(xs)
@@ -266,9 +266,10 @@ def _cmd_experiment(args):
     from . import analysis, ortho
 
     seq, digest = _load_sequence(args)
+    ps = args.p or [1.2, 1.5, 3.0, 6.0]
+    analysis.check_exponents(ps)
     system = ortho.build_system(seq, args.n)
     _resolve_grid(args, system)
-    ps = args.p or [1.2, 1.5, 3.0, 6.0]
     reports = analysis.uncond_experiment(system, ps, args.trials, args.seed, grid=args.grid)
     payload = {"config": _config_dict(args), "input_hash": digest, "reports": reports}
     rows = [

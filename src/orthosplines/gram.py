@@ -56,14 +56,6 @@ class DecayProfile:
         }
 
 
-def _inverse_diagonal(G):
-    """b_ii for every i, read block by block."""
-    # Copy each diagonal: a view would keep its whole block alive.
-    return np.concatenate(
-        [np.diagonal(cols, -start).copy() for start, cols in G.inverse_columns()]
-    )
-
-
 def checkerboard_check(G):
     """Verify (-1)^(i+j) b_ij >= -tol over the whole inverse.
 
@@ -72,7 +64,7 @@ def checkerboard_check(G):
     for entries that are exact zeros in exact arithmetic.  Returns the first
     violating (i, j) in row-major order, 1-based, when the pattern fails.
     """
-    tol = 1e-12 * float(_inverse_diagonal(G).max())
+    tol = 1e-12 * float(G.inverse_diagonal.max())
     first = None
     for start, cols in G.inverse_columns():
         alt = (-1.0) ** np.arange(cols.shape[0])
@@ -89,7 +81,7 @@ def checkerboard_check(G):
 def diag_inverse_bound(G):
     """Max over i of 1 / (a_ii b_ii); at most 1 when b_ii >= 1 / a_ii holds."""
     a_diag = G.band[G.partition.order - 1]
-    return float(np.max(1.0 / (a_diag * _inverse_diagonal(G))))
+    return float(np.max(1.0 / (a_diag * G.inverse_diagonal)))
 
 
 def decay_profile(G):

@@ -42,8 +42,8 @@ class KnotSequence:
 class Partition:
     """Extended knot vector of one level: boundary multiplicity k, sorted interior.
 
-    ``knots`` holds tau_1..tau_{n+2k-1} in a read-only array; ``tau`` gives
-    1-based access.  M = n + k - 1 is the number of order-k B-splines.
+    ``knots`` holds tau_1..tau_{n+2k-1} in a read-only array, so tau_i is
+    ``knots[i - 1]``.  M = n + k - 1 is the number of order-k B-splines.
     """
 
     order: int
@@ -62,12 +62,6 @@ class Partition:
             and self.level == other.level
             and np.array_equal(self.knots, other.knots)
         )
-
-    def tau(self, i):
-        """1-based knot lookup: tau(1) = first knot."""
-        if not 1 <= i <= len(self.knots):
-            raise IndexError(f"knot index {i} outside 1..{len(self.knots)}")
-        return float(self.knots[i - 1])
 
 
 def validate_admissible(order, raw_points):

@@ -43,24 +43,17 @@ class OrthoFunction:
 def alpha_coefficients(partition, i0):
     """Insertion coefficients alpha_j, j = i0-k..i0, of the new knot tau_{i0}.
 
-    alpha_j is a signed product of ratios of knot differences; the first
-    entry is positive, signs alternate strictly on the leading nonzero block,
-    and entries vanish once the product hits a knot equal to tau_{i0}.
+    With (w1, w2) the refinement weights of ``boehm_refine``, the entry for
+    j = i0-k+m is (-1)^m times the product of w1[1:m] and w2[m:k-1], taken
+    in that order.  The first entry is positive, signs alternate strictly on
+    the leading nonzero block, and entries vanish once the product hits a
+    knot equal to tau_{i0}.
     """
     k = partition.order
-    if not k + 1 <= i0 <= partition.M:
-        raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {partition.M}]")
-    tau = partition.tau
-    x = tau(i0)
-    alpha = np.empty(k + 1)
-    for idx, j in enumerate(range(i0 - k, i0 + 1)):
-        prod = 1.0
-        for ell in range(i0 - k + 1, j):
-            prod *= (x - tau(ell)) / (tau(ell + k) - tau(ell))
-        for ell in range(j + 1, i0):
-            prod *= (tau(ell + k) - x) / (tau(ell + k) - tau(ell))
-        alpha[idx] = (-1.0) ** (j - i0 + k) * prod
-    return alpha
+    w1, w2 = boehm_refine(partition, i0)
+    return np.array(
+        [(-1.0) ** m * math.prod(np.concatenate([w1[1:m], w2[m : k - 1]])) for m in range(k + 1)]
+    )
 
 
 def ortho_function(G, i0):
@@ -132,19 +125,16 @@ class OrthoSystem:
         # insertion order, as next_partition places equal knots.
         rank = np.empty(self.N - 1, dtype=np.intp)
         rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
-        coarse = boundary_partition(k)
         labels = np.arange(k)
         F = np.zeros((M, M))
-        F[:k, :k] = polynomial_coeffs_over(coarse, self.block)
+        F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.block)
         for row, of in enumerate(self.functions, start=k):
-            fine = of.phi.partition
-            w1, w2 = boehm_refine(coarse, fine, of.i0)
+            w1, w2 = boehm_refine(of.phi.partition, of.i0)
             p = of.i0 - 1
-            labels = np.insert(labels, p, k + rank[fine.level - 2])
+            labels = np.insert(labels, p, k + rank[of.level - 2])
             cols = labels[p - k : p + 1]
             F[:row, cols] = split_columns(F[:row, cols[:-1]], w1, w2)
             F[row, labels] = of.phi.coeffs
-            coarse = fine
         return F
 
     @property

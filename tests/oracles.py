@@ -8,13 +8,14 @@ distances, monotone subsequences.  The command line reaches none of them.
 """
 
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
-from orthosplines import bspline, knots
+from orthosplines import bspline, charint, knots
 from orthosplines.errors import DomainError, LevelOutOfRange, SplineError
 
 
@@ -71,7 +72,8 @@ def refinement_matrix(coarse, fine, i0):
     identity up to i0 - k - 1, two-term convex combinations for
     i0 - k <= i <= i0 - 1, index shift from i0 on.
     """
-    w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+    assert np.array_equal(np.delete(fine.knots, i0 - 1), coarse.knots)
+    w1, w2 = bspline.boehm_refine(fine, i0)
     k = coarse.order
     R = np.zeros((coarse.M, fine.M))
     for i in range(1, coarse.M + 1):
@@ -93,7 +95,7 @@ def prolong_many(F, coarse, fine, i0):
     Identity block, two-term block and shifted block written out separately,
     apart from the library's split kernel.
     """
-    w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+    w1, w2 = bspline.boehm_refine(fine, i0)
     F = np.asarray(F, dtype=float)
     k = coarse.order
     T = F.shape[0]
@@ -105,6 +107,29 @@ def prolong_many(F, coarse, fine, i0):
     out[:, a + 1 : b + 1] += F[:, a:b] * w2[None, :]
     out[:, b + 1 :] += F[:, b:]
     return out
+
+
+def alpha_loop(partition, i0):
+    """Insertion coefficients alpha_j, j = i0-k..i0, as knot-ratio products in 1-based loops.
+
+    The form that ``ortho.alpha_coefficients`` replaced with products of the
+    refinement weights; both multiply the same ratios in the same order.
+    """
+    k = partition.order
+
+    def tau(i):
+        return float(partition.knots[i - 1])
+
+    x = tau(i0)
+    alpha = np.empty(k + 1)
+    for idx, j in enumerate(range(i0 - k, i0 + 1)):
+        prod = 1.0
+        for ell in range(i0 - k + 1, j):
+            prod *= (x - tau(ell)) / (tau(ell + k) - tau(ell))
+        for ell in range(j + 1, i0):
+            prod *= (tau(ell + k) - x) / (tau(ell + k) - tau(ell))
+        alpha[idx] = (-1.0) ** (j - i0 + k) * prod
+    return alpha
 
 
 def gram_schmidt_oracle(seq, n):
@@ -226,6 +251,67 @@ def char_multiplicity_census(system, x, y, beta):
         if c >= x and d <= y and (d - c) >= floor:
             count += 1
     return count
+
+
+def tail_decay_loop(system, ps, gammas):
+    """``analysis.tail_decay_audit`` for every (p, gamma), one Python iteration per (n, x) pair.
+
+    Returns {(p, gamma): report}.  Each pair makes its own ``searchsorted``
+    and scalar ``charint.d_point`` calls, and every logarithm is a math.log
+    of one float, so the maxima are the per-pair ones bit for bit.
+    """
+    k = system.order
+    rule = bspline.QuadratureRule.for_partition(system.gram.partition, k + 6)
+    vals = system.value_matrix(rule.flat_nodes)
+    n_spans = len(rule.intervals)
+    rights = rule.intervals[:, 1]
+    lefts = {}
+    for p in ps:
+        pieces = np.einsum(
+            "nsq,sq->ns",
+            np.abs(vals.reshape(system.size, n_spans, rule.q)) ** p,
+            rule.weights,
+        )
+        lefts[p] = np.concatenate([np.zeros((system.size, 1)), np.cumsum(pieces, axis=1)], axis=1)
+
+    max_log = {(p, g): -math.inf for p in ps for g in gammas}
+    count = 0
+    for n in range(2, system.N + 1):
+        fn = system.function(n)
+        row = system.row_of_level(n)
+        c, d = fn.char.J
+        level_knots = fn.phi.partition.knots
+        for x in np.unique(level_knots):
+            if c < x < d:
+                continue
+            cut = int(np.searchsorted(rights, x, side="right"))
+            dist = c - x if x <= c else x - d
+            dn = int(charint.d_point(level_knots, fn.char.J, x))
+            for p in ps:
+                left = lefts[p]
+                tail_p = left[row, cut] if x <= c else left[row, -1] - left[row, cut]
+                if not tail_p > 0.0:
+                    continue
+                for g in gammas:
+                    log_envelope = (
+                        dn * math.log(g)
+                        + 0.5 * math.log(d - c)
+                        - (1.0 - 1.0 / p) * math.log(d - c + dist)
+                    )
+                    max_log[p, g] = max(max_log[p, g], math.log(tail_p) / p - log_envelope)
+            count += 1
+    log_float_max = math.log(sys.float_info.max)
+    return {
+        (p, g): {
+            "k": k,
+            "p": p,
+            "N": system.N,
+            "gamma": g,
+            "max_ratio": math.exp(m) if m <= log_float_max else math.inf,
+            "tails": count,
+        }
+        for (p, g), m in max_log.items()
+    }
 
 
 def expand(f, system, N=None):

@@ -9,6 +9,7 @@ from oracles import (
     hl_maximal,
     maximal_function,
     reconstruction,
+    tail_decay_loop,
 )
 
 from orthosplines import analysis, bspline, gram, knots, ortho
@@ -288,6 +289,26 @@ class TestTailDecay:
         # at gamma = 0.5 nothing underflows; the direct quotient gives 4.989656987772841
         shallow = analysis.tail_decay_audit(system, 2.0, 0.5)
         assert shallow["max_ratio"] == pytest.approx(4.989656987772841, rel=1e-12)
+
+    @pytest.mark.parametrize("law", knots.LAWS + ("near-one",))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_matches_the_pair_loop(self, k, law):
+        # the audit's maxima must be the per-pair loop's, bit for bit
+        ps = (1.0, 1.5, 2.0, 4.0)
+        for sd in (1, 2):
+            if law == "near-one":
+                head = [1.0 - 2.0**-j for j in range(1, 31)]
+                tail = np.random.default_rng(sd).random(10).tolist()
+                seq = knots.validate_admissible(k, [0.0, 1.0] + head + tail)
+            else:
+                seq = knots.random_admissible(sd, k, 41, law)
+            system = ortho.build_system(seq, 40)
+            fit = gram.decay_profile(system.gram).gamma_hat
+            gammas = (fit if 0.0 < fit < 1.0 else 0.5, 0.01, 0.9)
+            expected = tail_decay_loop(system, ps, gammas)
+            for p in ps:
+                for g in gammas:
+                    assert analysis.tail_decay_audit(system, p, g) == expected[p, g]
 
     def test_ratio_stable_under_doubling(self):
         seq = knots.random_admissible(19, 2, 33)

@@ -7,6 +7,7 @@ from oracles import deboor_stability_ratio, dense, eval_basis, insert_event, ref
 from orthosplines import bspline, knots
 from orthosplines.errors import (
     DomainError,
+    IndexOutOfRange,
     PartitionMismatch,
     QuadratureTooCoarse,
 )
@@ -133,12 +134,15 @@ class TestGramMatrix:
             bspline.gram_refine(G, fine, 4)
         with pytest.raises(PartitionMismatch):
             bspline.gram_refine(G, part(2, [0, 1, 0.5, 0.25, 0.75], n=4), 3)
+        order_one = bspline.gram_matrix(knots.boundary_partition(1))
+        with pytest.raises(PartitionMismatch):
+            bspline.gram_refine(order_one, part(2, [0, 1, 0.5]), 3)
         assert np.array_equal(bspline.gram_refine(G, fine, 3).band, bspline.gram_matrix(fine).band)
 
 
 def refinement(coarse, fine, i0):
     """The refinement matrix through the library kernel: prolong of the identity."""
-    w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+    w1, w2 = bspline.boehm_refine(fine, i0)
     return bspline.prolong(np.eye(coarse.M), i0, w1, w2)
 
 
@@ -160,7 +164,7 @@ class TestBoehmRefine:
     def test_rows_are_one_based_pairs(self):
         coarse = knots.boundary_partition(2)
         fine = part(2, [0, 1, 0.5])
-        w1, w2 = bspline.boehm_refine(coarse, fine, 3)
+        w1, w2 = bspline.boehm_refine(fine, 3)
         assert len(w1) == len(w2) == coarse.order
         assert np.all((0.0 <= w1) & (w1 <= 1.0))
         assert np.all((0.0 <= w2) & (w2 <= 1.0))
@@ -179,7 +183,7 @@ class TestBoehmRefine:
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
             i0 = insert_event(seq, n)
-            w1, w2 = bspline.boehm_refine(coarse, fine, i0)
+            w1, w2 = bspline.boehm_refine(fine, i0)
             c = rng.standard_normal(coarse.M)
             f = bspline.Spline(coarse, c)
             g = bspline.Spline(fine, bspline.prolong(c, i0, w1, w2))
@@ -191,17 +195,11 @@ class TestBoehmRefine:
         assert np.allclose(refinement(coarse, fine, 3), refinement_matrix(coarse, fine, 3))
 
     def test_wrong_insert_index_rejected(self):
-        coarse = part(2, [0, 1, 0.5], n=2)
         fine = part(2, [0, 1, 0.5, 0.25], n=3)
-        # deleting tau_5 = 1 does not recover the coarse knots
-        with pytest.raises(PartitionMismatch):
-            bspline.boehm_refine(coarse, fine, 5)
-
-    def test_mismatched_orders_rejected(self):
-        with pytest.raises(PartitionMismatch):
-            bspline.boehm_refine(
-                knots.boundary_partition(1), part(2, [0, 1, 0.5]), 3
-            )
+        # k + 1 <= i0 <= M = 4: tau_2 = 0 and tau_5 = 1 are boundary knots
+        for i0 in (2, 5, -1):
+            with pytest.raises(IndexOutOfRange):
+                bspline.boehm_refine(fine, i0)
 
 
 class TestLpNorm:

@@ -49,8 +49,8 @@ class TestCharacteristicInterval:
             for n in range(2, 12):
                 part, char = char_for(seq, n)
                 i0 = insert_event(seq, n)
-                lo = part.tau(max(i0 - k, 1))
-                hi = part.tau(min(i0 + k, len(part.knots)))
+                lo = part.knots[max(i0 - k, 1) - 1]
+                hi = part.knots[min(i0 + k, len(part.knots)) - 1]
                 assert lo - 1e-15 <= char.J[0] <= char.J[1] <= hi + 1e-15
 
     def test_deterministic(self):
@@ -87,6 +87,8 @@ class TestDPoint:
         assert charint.d_point(kn, J, 0.75) == 0
         assert charint.d_point(kn, J, 0.5) == 0
         assert charint.d_point(kn, J, 1.0) == 0
+        # an endpoint of J that is a double knot, as 1 is at k = 2
+        assert charint.d_point(np.array([0, 0, 0.5, 1, 1]), J, 1.0) == 0
 
     def test_monotone_moving_away(self):
         kn, J = quarter()
@@ -99,6 +101,24 @@ class TestDPoint:
         kn, J = quarter()
         with pytest.raises(DomainError):
             charint.d_point(kn, J, -0.5)
+        # one bad point of an array is enough, NaN included
+        for bad in (np.nan, 1.5, -1e-300):
+            with pytest.raises(DomainError):
+                charint.d_point(kn, J, np.array([0.1, 0.75, bad]))
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        for sd, k in [(1, 1), (2, 2), (3, 3), (4, 5)]:
+            seq = knots.random_admissible(sd, k, 30, "dyadic-shuffled" if sd % 2 else "uniform-iid")
+            for n in (2, 15, 29):
+                part, char = char_for(seq, n)
+                kn = part.knots
+                xs = np.concatenate([np.unique(kn), rng.random(40), list(char.J)])
+                expected = [charint.d_point(kn, char.J, float(x)) for x in xs]
+                assert np.array_equal(charint.d_point(kn, char.J, xs), expected)
+                grid = charint.d_point(kn, char.J, xs[-6:].reshape(2, 3))
+                assert grid.shape == (2, 3)
+                assert np.array_equal(grid.ravel(), expected[-6:])
 
 
 class TestDInterval:

@@ -186,5 +186,18 @@ class TestUsageErrors:
         bad.write_text("{\"order\": 2}")
         assert run("build", "--points", str(bad)) == 2
 
+    def test_bad_exponent_exits_before_the_build(self, monkeypatch, capsys):
+        builds = []
+        build_system = ortho.build_system
+
+        def counted(seq, N):
+            builds.append(N)
+            return build_system(seq, N)
+
+        monkeypatch.setattr(ortho, "build_system", counted)
+        assert run("experiment", "--k", "3", "--n", "64", "--seed", "1", "--p", "0.5") == 2
+        assert "error: p=0.5 outside (1, inf)" in capsys.readouterr().err
+        assert builds == []
+
     def test_missing_points_file(self, tmp_path):
         assert run("build", "--points", str(tmp_path / "absent.json")) == 2

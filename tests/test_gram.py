@@ -54,10 +54,11 @@ def dense_decay_profile(G, B):
 
 
 class Planted:
-    """Supplies inverse columns from a dense matrix, as GramSystem does from its factor."""
+    """Serves inverse columns and the diagonal of a dense B, as GramSystem does from its factor."""
 
     def __init__(self, B):
         self.B = B
+        self.inverse_diagonal = np.diagonal(B).copy()
 
     def inverse_columns(self):
         for start in range(0, self.B.shape[1], 256):

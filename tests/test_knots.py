@@ -79,13 +79,6 @@ class TestPartitionAt:
         with pytest.raises(LevelOutOfRange):
             knots.partition_at(seq, 3)
 
-    def test_tau_is_one_based(self):
-        seq = knots.validate_admissible(2, [0, 1, 0.5])
-        part = knots.partition_at(seq, 2)
-        assert part.tau(1) == 0.0
-        assert part.tau(3) == 0.5
-        assert part.tau(5) == 1.0
-
 
 class TestInsertEvent:
     def test_single_interior(self):
@@ -106,7 +99,7 @@ class TestInsertEvent:
         part = knots.partition_at(seq, 3)
         # knots (0,0,0.5,0.5,1,1): the new copy is the later index 4
         assert i0 == 4
-        assert part.tau(i0) == 0.5
+        assert part.knots[i0 - 1] == 0.5
 
     def test_index_within_bounds(self):
         seq = knots.random_admissible(5, 3, 12)
@@ -114,7 +107,7 @@ class TestInsertEvent:
             part = knots.partition_at(seq, n)
             i0 = insert_event(seq, n)
             assert seq.order + 1 <= i0 <= part.M
-            assert part.tau(i0) == seq.points[n]
+            assert part.knots[i0 - 1] == seq.points[n]
 
     def test_next_partition_grows_the_level(self):
         # full multiplicity: every equal block is filled to k copies

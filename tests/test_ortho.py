@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     EmptyInterval,
+    alpha_loop,
     block_levels,
     block_values,
     dense,
@@ -93,6 +94,21 @@ class TestAlphaCoefficients:
                 ext = np.zeros(fine.M)
                 ext[i0 - k - 1 : i0] = alpha
                 assert np.max(np.abs(R @ ext)) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_bytes_match_the_knot_ratio_loop(self, k):
+        rng = np.random.default_rng(k)
+        # full multiplicity: each value k times, the copies interleaved
+        values = [0.5, 0.25, 0.75, 0.125, 0.625, 0.3, 0.9]
+        full = [values[i] for i in rng.permutation(np.repeat(np.arange(len(values)), k))]
+        seqs = [knots.random_admissible(sd, k, 60, law) for sd in (1, 2) for law in knots.LAWS]
+        seqs.append(knots.validate_admissible(k, [0.0, 1.0] + full))
+        for seq in seqs:
+            part = knots.boundary_partition(k)
+            for _ in range(2, len(seq.points)):
+                part, i0 = knots.next_partition(seq, part)
+                got = ortho.alpha_coefficients(part, i0)
+                assert got.tobytes() == alpha_loop(part, i0).tobytes()
 
     def test_alternation_and_bound(self):
         for sd in range(8):
