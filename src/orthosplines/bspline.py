@@ -91,6 +91,12 @@ def basis_matrix(partition, xs):
     return out
 
 
+def spline_values(coeffs, first, vals):
+    """Values of the spline with these coefficients, from ``eval_basis_many`` output."""
+    cols = (first - 1)[:, None] + np.arange(vals.shape[1])[None, :]
+    return (coeffs[cols] * vals).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Spline:
     """Coefficient vector over a partition's B-spline basis."""
@@ -109,9 +115,7 @@ class Spline:
 
     def eval(self, xs):
         scalar = np.isscalar(xs)
-        first, vals = eval_basis_many(self.partition, np.atleast_1d(xs))
-        cols = (first - 1)[:, None] + np.arange(self.partition.order)[None, :]
-        out = (self.coeffs[cols] * vals).sum(axis=1)
+        out = spline_values(self.coeffs, *eval_basis_many(self.partition, np.atleast_1d(xs)))
         return float(out[0]) if scalar else out
 
     __call__ = eval
@@ -195,25 +199,31 @@ class GramSystem:
         """A x = rhs through the banded Cholesky factor."""
         return cho_solve_banded((self.factor, False), rhs)
 
-    def inverse_columns(self):
+    def inverse_columns(self, trailing=False):
         """Yield (start, cols) with cols = B[:, start:start + w], w <= 256, left to right.
 
         Each block is one banded solve against the matching identity columns,
-        so at most M x 256 entries of B exist at a time.
+        so at most M x 256 entries of B exist at a time.  With ``trailing``,
+        cols is B[start:, start:start + w], the rows on and below the
+        diagonal.  Those rows solve against the trailing factor alone: the
+        forward sweep is zero above ``start`` and the backward sweep never
+        reads upward, so the entries carry the same bits as in the full
+        columns for about half the work.
         """
         M = self.M
         for start in range(0, M, _INVERSE_BLOCK):
             width = min(_INVERSE_BLOCK, M - start)
-            rhs = np.zeros((M, width))
-            rhs[start + np.arange(width), np.arange(width)] = 1.0
-            yield start, self.solve(rhs)
+            top = start if trailing else 0
+            rhs = np.zeros((M - top, width))
+            rhs[start - top + np.arange(width), np.arange(width)] = 1.0
+            yield start, cho_solve_banded((self.factor[:, top:], False), rhs)
 
     @functools.cached_property
     def inverse_diagonal(self):
         """b_ii for every i, read block by block once and kept."""
         # Copy each diagonal: a view would keep its whole block alive.
         return np.concatenate(
-            [np.diagonal(cols, -start).copy() for start, cols in self.inverse_columns()]
+            [np.diagonal(cols).copy() for _, cols in self.inverse_columns(trailing=True)]
         )
 
 

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Smallest default --grid per command; finer inputs get 4 cells per knot.
@@ -31,15 +32,55 @@ def _cap_threads():
 
 
 def _canonical(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Chunks of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, streamed.
+
+    An iterator is encoded as a list while it is consumed, so a report can be
+    written as its records are made.  A list of plain floats goes through the
+    C encoder in one call and gets its line breaks after; no float repr holds
+    ", ", so the split cannot fall inside a number.  Dict keys are strings.
+    """
+    yield from _encode(payload, "\n")
+    yield "\n"
 
 
-def _atomic_write(path, text):
+def _encode(obj, newline):
+    """Chunks of one value in the indent=2 layout; ``newline`` opens its inner lines."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + json.dumps(key) + ": "
+            yield from _encode(value, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        if isinstance(obj, list) and obj and all(type(x) is float for x in obj):
+            yield "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + newline + "]"
+            return
+        sep = "[" + inner
+        for item in obj:
+            yield sep
+            yield from _encode(item, inner)
+            sep = "," + inner
+        yield "[]" if sep == "[" + inner else newline + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _atomic_write(path, chunks):
+    """Write the chunks to path through a temporary file in its directory.
+
+    A failure while the chunks are made leaves neither path nor the
+    temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".orthosplines-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -57,11 +98,17 @@ def _table(rows):
 
 
 def _emit(args, payload, rows):
+    """Write the report, then print the table and write its .txt sibling.
+
+    The report goes first: a payload that streams its records can still
+    fail, and then nothing is written or printed.
+    """
+    if args.out:
+        _atomic_write(args.out, _canonical(payload))
     text = _table(rows)
     print(text)
     if args.out:
-        _atomic_write(args.out, _canonical(payload))
-        _atomic_write(os.path.splitext(args.out)[0] + ".txt", text + "\n")
+        _atomic_write(os.path.splitext(args.out)[0] + ".txt", [text + "\n"])
 
 
 def _config_dict(args):
@@ -129,20 +176,28 @@ def _cmd_gen(args):
 
 
 def _cmd_build(args):
+    """Export f_2..f_N, each record encoded and written as soon as its level is built.
+
+    Without --out every level is still built, so a failing level is reported
+    the same way.
+    """
     from . import ortho
 
     seq, digest = _load_sequence(args)
     N = args.n if args.n is not None else len(seq.points) - 1
-    system = ortho.build_system(seq, N)
+    stream = ortho.levels(seq, N)
+    if not args.out:
+        for _ in stream:
+            pass
     payload = {
         "config": _config_dict(args),
         "input_hash": digest,
-        "records": system.export_records(),
+        "records": (ortho.export_record(of) for _, of in stream),
     }
     rows = [
-        ("order", system.order),
+        ("order", seq.order),
         ("level", N),
-        ("functions", system.size),
+        ("functions", N + seq.order - 1),
         ("input", digest[:16]),
     ]
     _emit(args, payload, rows)
@@ -170,17 +225,20 @@ def _verify_suites(args, seq, N):
     diag = gram.diag_inverse_bound(G)
     suites.append(("diag-bound", diag <= 1.0 + 1e-12, {"max_ratio": diag}))
 
+    # Level n's coarse spline lives on level n - 1's partition, so each
+    # partition's basis values at xs are formed once and used twice.
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     xs = np.linspace(0.0, 1.0, 1000)
-    coarse = knots.boundary_partition(seq.order)
+    coarse = bspline.eval_basis_many(knots.boundary_partition(seq.order), xs)
     for n in range(2, N + 1):
         of = system.function(n)
-        fine = of.phi.partition
-        w1, w2 = bspline.boehm_refine(fine, of.i0)
-        c = rng.standard_normal(coarse.M)
+        part = of.phi.partition
+        fine = bspline.eval_basis_many(part, xs)
+        w1, w2 = bspline.boehm_refine(part, of.i0)
+        c = rng.standard_normal(part.M - 1)
         fine_c = bspline.prolong(c, of.i0, w1, w2)
-        gap = bspline.Spline(fine, fine_c).eval(xs) - bspline.Spline(coarse, c).eval(xs)
+        gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)
         worst = max(worst, float(np.abs(gap).max()))
         coarse = fine
     suites.append(("boehm-identity", worst <= args.tol_recon, {"max_err": worst}))

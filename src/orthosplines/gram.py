@@ -100,10 +100,10 @@ def decay_profile(G):
     knots = part.knots
     raw = np.zeros(M)
     m = np.zeros(M)
-    for start, cols in G.inverse_columns():
+    for start, cols in G.inverse_columns(trailing=True):
         for c in range(cols.shape[1]):
             j = start + c
-            b = np.abs(cols[j:, c])
+            b = np.abs(cols[c:, c])
             np.maximum(raw[: M - j], b, out=raw[: M - j])
             np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
     keep = np.flatnonzero(m > NOISE_FLOOR * m[0])

@@ -87,8 +87,7 @@ def validate_admissible(order, raw_points):
     MultiplicityExceeded
         If some interior value occurs more than ``order`` times.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    _check_order(order)
     pts = [float(p) for p in raw_points]
     if len(pts) < 2:
         raise BadBoundary("sequence needs at least the boundary pair 0, 1")
@@ -153,6 +152,8 @@ def random_admissible(seed, order, n_points, law="uniform-iid"):
     ``dyadic-shuffled`` emits the dyadic rationals level by level, each level
     in seeded random order.
     """
+    # Before the draw: no value can be accepted at order 0, so it would never end.
+    _check_order(order)
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}, got {law!r}")
     if n_points < 2:
@@ -178,6 +179,11 @@ def random_admissible(seed, order, n_points, law="uniform-iid"):
             level += 1
         interior = interior[:n_interior]
     return validate_admissible(order, [0.0, 1.0] + interior)
+
+
+def _check_order(order):
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
 
 
 def _check_level(seq, n):

@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
 from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine, split_columns
-from .errors import IndexOutOfRange, NotPositiveDefinite
+from .errors import IndexOutOfRange, LevelOutOfRange, NotPositiveDefinite
 from .knots import boundary_partition, next_partition
 
 
@@ -163,23 +163,18 @@ class OrthoSystem:
         """Every system function evaluated at the points, (size, len(xs))."""
         return self.matrix @ basis_matrix(self.gram.partition, xs).T
 
-    def export_records(self):
-        """One serializable record per constructed level n >= 2."""
-        out = []
-        for of in self.functions:
-            part = of.phi.partition
-            digest = hashlib.sha256(np.ascontiguousarray(part.knots).tobytes())
-            out.append(
-                {
-                    "level": of.level,
-                    "i0": of.i0,
-                    "knots-hash": digest.hexdigest(),
-                    "coeffs": of.phi.coeffs.tolist(),
-                    "J": [float(of.char.J[0]), float(of.char.J[1])],
-                    "norm2": float(of.norm2),
-                }
-            )
-        return out
+
+def export_record(of):
+    """The serializable record of one constructed level n >= 2."""
+    digest = hashlib.sha256(np.ascontiguousarray(of.phi.partition.knots).tobytes())
+    return {
+        "level": of.level,
+        "i0": of.i0,
+        "knots-hash": digest.hexdigest(),
+        "coeffs": of.phi.coeffs.tolist(),
+        "J": [float(of.char.J[0]), float(of.char.J[1])],
+        "norm2": float(of.norm2),
+    }
 
 
 def polynomial_coeffs_over(partition, polys):
@@ -196,24 +191,33 @@ def polynomial_coeffs_over(partition, polys):
     return np.linalg.solve(design, vals.T).T
 
 
-def build_system(seq, N):
-    """Assemble the orthonormal system of a sequence up to level N.
+def levels(seq, N):
+    """Yield (G, f_n) for n = 2..N: the level-n Gram system and orthonormal function.
 
     Walks the levels once: inserts t_n into the previous partition, updates
     the Gram band around it, and builds the new orthonormal function on its
     level.  A level copies the O(M k) band, reassembles O(k) columns of it,
-    and factors and solves it once: O(N^2 k^2) for the whole build.  The
-    level-N matrix is formed only when asked for.
+    and factors and solves it once: O(N^2 k^2) for the whole walk.  Nothing
+    of a level is kept once the next one is asked for, so a consumer that
+    drops what it was given runs in memory flat in N.
     """
-    k = seq.order
     if N < 2:
-        raise IndexOutOfRange(f"N must be at least 2, got {N}")
-    block = initial_block(k)
-    part = boundary_partition(k)
+        raise LevelOutOfRange(f"N must be at least 2, got {N}")
+    part = boundary_partition(seq.order)
     G = gram_matrix(part)
-    functions = []
     for _ in range(2, N + 1):
         part, i0 = next_partition(seq, part)
         G = gram_refine(G, part, i0)
-        functions.append(ortho_function(G, i0))
-    return OrthoSystem(seq=seq, N=N, block=block, functions=functions, gram=G)
+        yield G, ortho_function(G, i0)
+
+
+def build_system(seq, N):
+    """Assemble the orthonormal system of a sequence up to level N.
+
+    Collects the functions of ``levels`` and keeps the level-N Gram system.
+    The level-N matrix is formed only when asked for.
+    """
+    functions = []
+    for G, of in levels(seq, N):
+        functions.append(of)
+    return OrthoSystem(seq=seq, N=N, block=initial_block(seq.order), functions=functions, gram=G)

@@ -7,6 +7,7 @@ no command runs: expansions and their maximal functions, interval
 distances, monotone subsequences.  The command line reaches none of them.
 """
 
+import json
 import math
 import sys
 from bisect import bisect_right
@@ -25,6 +26,11 @@ class EmptyInterval(SplineError, ValueError):
 
 class NotAKnot(SplineError, ValueError):
     """A census window endpoint is not a value of the knot sequence."""
+
+
+def canonical_json(payload):
+    """The report text a streamed writer must produce: the standard library's indent=2 encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def insert_event(seq, n):

@@ -126,6 +126,27 @@ class TestGramMatrix:
         streamed = np.hstack([cols for _, cols in G.inverse_columns()])
         assert np.allclose(streamed, B, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "k, n, law",
+        [(1, 30, "uniform-iid"), (2, 300, "dyadic-shuffled"), (3, 600, "uniform-iid"),
+         (4, 520, "uniform-iid"), (6, 270, "dyadic-shuffled")],
+    )
+    def test_trailing_blocks_are_the_lower_rows_bit_for_bit(self, k, n, law):
+        G = bspline.gram_matrix(part(k, knots.random_admissible(n + k, k, n + 1, law).points))
+        full = list(G.inverse_columns())
+        trailing = list(G.inverse_columns(trailing=True))
+        assert [start for start, _ in trailing] == [start for start, _ in full]
+        for (start, lower), (_, cols) in zip(trailing, full):
+            assert lower.shape == (G.M - start, cols.shape[1])
+            assert np.array_equal(lower, cols[start:])
+
+    def test_trailing_blocks_under_full_multiplicity(self):
+        G = bspline.gram_matrix(part(3, [0, 1, 0.5, 0.5, 0.5, 0.25, 0.75, 0.75]))
+        for (start, lower), (_, cols) in zip(G.inverse_columns(trailing=True), G.inverse_columns()):
+            assert np.array_equal(lower, cols[start:])
+        full = np.hstack([cols for _, cols in G.inverse_columns()])
+        assert np.array_equal(G.inverse_diagonal, np.diagonal(full))
+
     def test_refine_rejects_a_partition_it_does_not_refine(self):
         G = bspline.gram_matrix(part(2, [0, 1, 0.5], n=2))
         fine = part(2, [0, 1, 0.5, 0.25], n=3)

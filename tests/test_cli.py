@@ -1,14 +1,39 @@
 import json
+import math
 import os
+import signal
 import stat
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from oracles import canonical_json
 
-from orthosplines import cli, ortho
+from orthosplines import bspline, cli, ortho
+
+
+# Two knots one ulp apart next to 1 make the level-5 Gram matrix of k=3 singular.
+FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 0.75]
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that has not returned within 20 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        pytest.fail("no return within 20 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
 
 
 class TestGenAndBuild:
@@ -48,6 +73,37 @@ class TestGenAndBuild:
         assert "error: level 2" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "build.txt").exists()
+
+    def test_failing_level_mid_stream_leaves_no_file(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 3, "points": FAILS_AT_LEVEL_5}))
+        out = tmp_path / "build.json"
+        assert run("build", "--points", str(seq_file), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "error: level 5" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+    def test_build_streams_its_records(self, tmp_path):
+        # Peak traced memory stays flat in N and below the report's own size.
+        run("build", "--k", "3", "--n", "50", "--seed", "1")
+        peaks = {}
+        for n in (200, 400):
+            out = tmp_path / f"build-{n}.json"
+            tracemalloc.start()
+            try:
+                assert run("build", "--k", "3", "--n", str(n), "--seed", "1", "--out", str(out)) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] < 1.5 * peaks[200]
+        assert peaks[400] < out.stat().st_size / 4
+
+    def test_build_without_out_builds_every_level(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 3, "points": FAILS_AT_LEVEL_5}))
+        assert run("build", "--points", str(seq_file)) == 2
+        assert "error: level 5" in capsys.readouterr().err
 
     def test_build_needs_n_or_points(self):
         assert run("build", "--k", "2", "--seed", "1") == 2
@@ -151,6 +207,20 @@ class TestEvaluationCount:
         assert cli.main(argv + ["--k", "2", "--n", "16", "--seed", "3"]) == 0
         assert len(seen) == calls
 
+    def test_boehm_identity_evaluates_each_partition_once(self, monkeypatch):
+        # 1,000 points on the 16 partitions of levels 1..16, each once
+        seen = []
+        eval_basis_many = bspline.eval_basis_many
+
+        def counted(partition, xs):
+            if len(xs) == 1000:
+                seen.append(partition.level)
+            return eval_basis_many(partition, xs)
+
+        monkeypatch.setattr(bspline, "eval_basis_many", counted)
+        assert cli.main(["verify", "--k", "2", "--n", "16", "--seed", "3"]) == 0
+        assert seen == list(range(1, 17))
+
 
 class TestCensusAndDecay:
     def test_census_runs(self, tmp_path):
@@ -201,3 +271,73 @@ class TestUsageErrors:
 
     def test_missing_points_file(self, tmp_path):
         assert run("build", "--points", str(tmp_path / "absent.json")) == 2
+
+    @pytest.mark.parametrize("command", ["gen", "build", "verify"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_order_below_one_fails_at_once(self, deadline, capsys, command, k):
+        assert run(command, "--k", k, "--n", "8", "--seed", "1") == 2
+        assert "error: order must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment"])
+    def test_level_one_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        assert run(command, "--k", "2", "--n", "1", "--seed", "1", "--out", str(out)) == 2
+        assert "error: N must be at least 2, got 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class AsIterator(list):
+    """A list the writer receives as a one-pass iterator; the oracle reads it as a list."""
+
+
+def as_streamed(obj):
+    """obj with every AsIterator turned into an iterator, recursively."""
+    if isinstance(obj, AsIterator):
+        return iter([as_streamed(x) for x in obj])
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(as_streamed(x) for x in obj)
+    if isinstance(obj, dict):
+        return {key: as_streamed(value) for key, value in obj.items()}
+    return obj
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225e-308, 1e308, 0.1]
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+leaves = (
+    floats
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.lists(floats, max_size=8)
+)
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(inner, max_size=5).map(AsIterator)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestCanonicalWriter:
+    @seed(8)
+    @settings(max_examples=400, deadline=None)
+    @given(payload=payloads)
+    def test_matches_the_standard_encoder(self, payload):
+        assert "".join(cli._canonical(as_streamed(payload))) == canonical_json(payload)
+
+    def test_edge_cases(self):
+        payload = {
+            "empty": [[], {}, (), AsIterator()],
+            "floats": EDGE_FLOATS,
+            "mixed": [1.5, 2, True, None, "\u00e9\u2603"],
+            "nested": {"b": [[0.5, -0.0]], "a": AsIterator([{"z": 1, "y": [1e-300]}])},
+        }
+        assert "".join(cli._canonical(as_streamed(payload))) == canonical_json(payload)
+
+    def test_atomic_write_takes_chunks(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._atomic_write(str(path), cli._canonical({"records": iter([{"a": [0.25, 0.5]}])}))
+        assert path.read_text() == canonical_json({"records": [{"a": [0.25, 0.5]}]})

@@ -355,6 +355,21 @@ class TestBuildSystem:
         with pytest.raises(IndexOutOfRange):
             system.function(1)
 
+    def test_collects_the_levels_walk(self):
+        seq = knots.random_admissible(6, 3, 12)
+        system = ortho.build_system(seq, 11)
+        walked = list(ortho.levels(seq, 11))
+        assert [of.level for _, of in walked] == list(range(2, 12))
+        for (G, of), kept in zip(walked, system.functions):
+            assert G.partition == of.phi.partition
+            assert np.array_equal(of.phi.coeffs, kept.phi.coeffs)
+        assert np.array_equal(walked[-1][0].band, system.gram.band)
+
+    def test_level_below_two_is_a_level_error(self):
+        seq = knots.random_admissible(6, 3, 12)
+        with pytest.raises(LevelOutOfRange, match="at least 2"):
+            ortho.build_system(seq, 1)
+
     def test_gram_identity_large(self):
         seq = knots.random_admissible(14, 2, 301)
         system = ortho.build_system(seq, 300)
@@ -373,7 +388,7 @@ class TestBuildSystem:
     def test_export_records_shape(self):
         seq = knots.random_admissible(4, 2, 6)
         system = ortho.build_system(seq, 5)
-        recs = system.export_records()
+        recs = [ortho.export_record(of) for of in system.functions]
         assert [r["level"] for r in recs] == [2, 3, 4, 5]
         for r in recs:
             assert set(r) == {"level", "i0", "knots-hash", "coeffs", "J", "norm2"}
@@ -383,7 +398,7 @@ class TestBuildSystem:
     def test_export_does_not_form_the_matrix(self):
         seq = knots.random_admissible(4, 3, 30)
         system = ortho.build_system(seq, 29)
-        system.export_records()
+        [ortho.export_record(of) for of in system.functions]
         assert system.size == system.gram.partition.M
         assert "matrix" not in system.__dict__
         F = system.matrix
