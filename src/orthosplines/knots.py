@@ -119,7 +119,7 @@ def partition_at(seq, n):
 
     Requires n >= 2 and at least n + 1 sequence points.
     """
-    _check_level(seq, n)
+    check_level(seq, n)
     k = seq.order
     interior = np.sort(np.asarray(seq.points[2 : n + 1], dtype=float))
     knots = np.concatenate([np.zeros(k), interior, np.ones(k)])
@@ -136,7 +136,7 @@ def next_partition(seq, partition):
     next level, without sorting the prefix again.
     """
     n = partition.level + 1
-    _check_level(seq, n)
+    check_level(seq, n)
     t = seq.points[n]
     pos = int(np.searchsorted(partition.knots, t, side="right"))
     knots = np.insert(partition.knots, pos, t)
@@ -186,7 +186,14 @@ def _check_order(order):
         raise ValueError(f"order must be a positive integer, got {order!r}")
 
 
-def _check_level(seq, n):
+def check_depth(N):
+    """A system has levels 2..N, so N must be at least 2; a command's --n is this N."""
+    if N < 2:
+        raise LevelOutOfRange(f"N must be at least 2, got {N}")
+
+
+def check_level(seq, n):
+    """Level n needs n >= 2 and the n + 1 points t_0..t_n."""
     if n < 2:
         raise LevelOutOfRange(f"level must be at least 2, got {n}")
     if n > len(seq.points) - 1:

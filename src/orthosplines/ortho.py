@@ -19,8 +19,8 @@ from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
 from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine, split_columns
-from .errors import IndexOutOfRange, LevelOutOfRange, NotPositiveDefinite
-from .knots import boundary_partition, next_partition
+from .errors import IndexOutOfRange, NotPositiveDefinite
+from .knots import boundary_partition, check_depth, check_level, next_partition
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,11 @@ def levels(seq, N):
     level.  A level copies the O(M k) band, reassembles O(k) columns of it,
     and factors and solves it once: O(N^2 k^2) for the whole walk.  Nothing
     of a level is kept once the next one is asked for, so a consumer that
-    drops what it was given runs in memory flat in N.
+    drops what it was given runs in memory flat in N.  An N the sequence
+    cannot reach fails before the first level is built.
     """
-    if N < 2:
-        raise LevelOutOfRange(f"N must be at least 2, got {N}")
+    check_depth(N)
+    check_level(seq, N)
     part = boundary_partition(seq.order)
     G = gram_matrix(part)
     for _ in range(2, N + 1):

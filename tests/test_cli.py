@@ -3,7 +3,10 @@ import math
 import os
 import signal
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,12 +281,32 @@ class TestUsageErrors:
         assert run(command, "--k", k, "--n", "8", "--seed", "1") == 2
         assert "error: order must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment"])
+    @pytest.mark.parametrize("command", ["gen", "build", "verify", "census", "experiment"])
     def test_level_one_is_a_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "r.json"
         assert run(command, "--k", "2", "--n", "1", "--seed", "1", "--out", str(out)) == 2
         assert "error: N must be at least 2, got 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment"])
+    def test_level_beyond_the_points_exits_before_the_walk(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 2, "points": [0.0, 1.0, 0.5, 0.25, 0.75]}))
+        built = []
+        ortho_function = ortho.ortho_function
+
+        def counted(G, i0):
+            built.append(i0)
+            return ortho_function(G, i0)
+
+        monkeypatch.setattr(ortho, "ortho_function", counted)
+        out = tmp_path / "r.json"
+        assert run(command, "--points", str(seq_file), "--n", "5", "--out", str(out)) == 2
+        assert "error: level 5 needs 6 points, sequence has 5" in capsys.readouterr().err
+        assert built == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
 
 
 class AsIterator(list):
@@ -301,7 +324,16 @@ def as_streamed(obj):
     return obj
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225e-308, 1e308, 0.1]
+# The writer renders 1e-9 <= |x| < 1e-4 and |x| >= 1e16 apart from the rest;
+# these sit on both sides of each edge.
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225e-308, 1e308, 0.1,
+    1e-4, math.nextafter(1e-4, 0.0), 1e-5, 1e-9, math.nextafter(1e-9, 0.0),
+    1e-10, math.nextafter(1e-10, 0.0), math.nextafter(1e-10, 1.0),
+    1e16, math.nextafter(1e16, 0.0), 1.2345678901234568e17, 1e22,
+    -1e-07, sys.float_info.max,
+]
+FINITE_EDGE_FLOATS = [x for x in EDGE_FLOATS if math.isfinite(x)]
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
 leaves = (
     floats
@@ -332,6 +364,8 @@ class TestCanonicalWriter:
         payload = {
             "empty": [[], {}, (), AsIterator()],
             "floats": EDGE_FLOATS,
+            "finite": FINITE_EDGE_FLOATS,
+            "negated": [-x for x in FINITE_EDGE_FLOATS],
             "mixed": [1.5, 2, True, None, "\u00e9\u2603"],
             "nested": {"b": [[0.5, -0.0]], "a": AsIterator([{"z": 1, "y": [1e-300]}])},
         }
@@ -341,3 +375,21 @@ class TestCanonicalWriter:
         path = tmp_path / "r.json"
         cli._atomic_write(str(path), cli._canonical({"records": iter([{"a": [0.25, 0.5]}])}))
         assert path.read_text() == canonical_json({"records": [{"a": [0.25, 0.5]}]})
+
+    def test_random_doubles_match_the_standard_encoder(self):
+        # Random 64-bit patterns cover every binade and the subnormals.
+        bits = np.random.default_rng(9).integers(0, 2**64, size=101_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        payload = {"values": values[np.isfinite(values)][:100_000].tolist()}
+        assert len(payload["values"]) == 100_000
+        assert "".join(cli._canonical(payload)) == canonical_json(payload)
+
+    def test_import_loads_neither_numpy_nor_orjson(self):
+        # _cap_threads must run before numpy is imported; the writer imports
+        # numpy and orjson only when it is called.
+        code = "import sys, orthosplines.cli; print(sorted({'numpy', 'orjson'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
