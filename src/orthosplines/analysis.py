@@ -123,7 +123,7 @@ def uncond_experiment(system, ps, trials, seed, grid=2048):
     part = system.gram.partition
     xs = cell_centers(system, grid)
 
-    rule = bspline.QuadratureRule.for_partition(part, k + 6)
+    rule = bspline.QuadratureRule.over_spans(part.knots, k + 6)
     Bq = bspline.basis_matrix(part, rule.flat_nodes)
     wq = rule.flat_weights
     A = np.empty((trials, size))
@@ -181,7 +181,7 @@ def tail_decay_audit(system, p, gamma_fit):
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
-    rule = bspline.QuadratureRule.for_partition(system.gram.partition, k + 6)
+    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     vals = system.value_matrix(rule.flat_nodes)
     n_spans = len(rule.intervals)
     pieces = np.einsum(

@@ -131,11 +131,7 @@ class QuadratureRule:
     weights: np.ndarray  # (S, q)
 
     @classmethod
-    def for_partition(cls, partition, q):
-        return cls._over_spans(partition.knots, q)
-
-    @classmethod
-    def _over_spans(cls, knots, q):
+    def over_spans(cls, knots, q):
         """The rule on the nonzero-width spans of a run of consecutive knots."""
         if q < 1:
             raise QuadratureTooCoarse(f"need at least one node, got q={q}")
@@ -199,32 +195,29 @@ class GramSystem:
         """A x = rhs through the banded Cholesky factor."""
         return cho_solve_banded((self.factor, False), rhs)
 
-    def inverse_columns(self, trailing=False):
-        """Yield (start, cols) with cols = B[:, start:start + w], w <= 256, left to right.
+    def inverse_columns(self):
+        """Yield (start, cols) with cols = B[start:, start:start + w], w <= 256, left to right.
 
-        Each block is one banded solve against the matching identity columns,
-        so at most M x 256 entries of B exist at a time.  With ``trailing``,
-        cols is B[start:, start:start + w], the rows on and below the
-        diagonal.  Those rows solve against the trailing factor alone: the
-        forward sweep is zero above ``start`` and the backward sweep never
-        reads upward, so the entries carry the same bits as in the full
-        columns for about half the work.
+        Each block holds the rows on and below the diagonal of w columns, so
+        at most M x 256 entries of B exist at a time; B is symmetric, so the
+        rows above are the transposed rows of earlier blocks.  Each block is
+        one banded solve against the trailing factor alone: the forward sweep
+        is zero above ``start`` and the backward sweep never reads upward, so
+        the entries carry the same bits as in full columns for about half the
+        work.
         """
         M = self.M
         for start in range(0, M, _INVERSE_BLOCK):
             width = min(_INVERSE_BLOCK, M - start)
-            top = start if trailing else 0
-            rhs = np.zeros((M - top, width))
-            rhs[start - top + np.arange(width), np.arange(width)] = 1.0
-            yield start, cho_solve_banded((self.factor[:, top:], False), rhs)
+            rhs = np.zeros((M - start, width))
+            rhs[np.arange(width), np.arange(width)] = 1.0
+            yield start, cho_solve_banded((self.factor[:, start:], False), rhs)
 
     @functools.cached_property
     def inverse_diagonal(self):
         """b_ii for every i, read block by block once and kept."""
         # Copy each diagonal: a view would keep its whole block alive.
-        return np.concatenate(
-            [np.diagonal(cols).copy() for _, cols in self.inverse_columns(trailing=True)]
-        )
+        return np.concatenate([np.diagonal(cols).copy() for _, cols in self.inverse_columns()])
 
 
 def _band_columns(partition, rule, lo, hi):
@@ -267,7 +260,7 @@ def gram_matrix(partition):
     The rule uses q = k nodes per interval, which integrates the
     degree-(2k - 2) products exactly.
     """
-    rule = QuadratureRule.for_partition(partition, partition.order)
+    rule = QuadratureRule.over_spans(partition.knots, partition.order)
     return _factored(partition, _band_columns(partition, rule, 0, partition.M))
 
 
@@ -295,7 +288,7 @@ def gram_refine(G, fine, i0):
     lo, hi = max(0, p - 2 * k), min(fine.M, p + 2 * k)
     # Span s feeds columns s-k+1..s; take k spans of slack on either side.
     s0, s1 = max(0, lo - k), min(len(fine.knots) - 1, hi + 2 * k - 1)
-    rule = QuadratureRule._over_spans(fine.knots[s0 : s1 + 1], k)
+    rule = QuadratureRule.over_spans(fine.knots[s0 : s1 + 1], k)
     band[:, lo:hi] = _band_columns(fine, rule, lo, hi)
     return _factored(fine, band)
 
@@ -378,7 +371,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     k = f.partition.order
     knots = f.partition.knots
     cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
-    rule = QuadratureRule._over_spans(cuts, k + 2)
+    rule = QuadratureRule.over_spans(cuts, k + 2)
     if math.isinf(p):
         lo, hi = rule.intervals[:, 0], rule.intervals[:, 1]
         pts = _chebyshev_points(lo[:, None], hi[:, None], 8 * k)

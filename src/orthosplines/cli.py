@@ -136,22 +136,7 @@ def _emit(args, payload, rows):
 
 
 def _config_dict(args):
-    keep = (
-        "command",
-        "k",
-        "n",
-        "p",
-        "seed",
-        "trials",
-        "grid",
-        "beta",
-        "law",
-        "points",
-        "out",
-        "tol_ortho",
-        "tol_recon",
-    )
-    return {key: getattr(args, key) for key in keep if hasattr(args, key)}
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _resolve_grid(args, system):
@@ -178,10 +163,6 @@ def _load_sequence(args):
         if args.k is not None and args.k != seq.order:
             raise ValueError(f"--k {args.k} does not match order {seq.order} in {args.points}")
         return seq, hashlib.sha256(raw).hexdigest()
-    if args.k is None:
-        raise ValueError("--k is required without --points")
-    if args.n is None:
-        raise ValueError("--n is required without --points")
     seq = _draw(args)
     stamp = json.dumps(
         {"k": args.k, "law": args.law, "n": args.n, "seed": args.seed}, sort_keys=True
@@ -193,6 +174,10 @@ def _draw(args):
     """The seeded random sequence of the --n + 1 points that levels 2..--n need."""
     from . import knots
 
+    if args.k is None:
+        raise ValueError("--k is required without --points")
+    if args.n is None:
+        raise ValueError("--n is required without --points")
     knots.check_depth(args.n)
     return knots.random_admissible(args.seed, args.k, args.n + 1, args.law)
 
@@ -247,7 +232,7 @@ def _verify_suites(args, seq, N):
 
     inner = F @ G.apply(F.T)
     ortho_err = float(np.abs(inner - np.eye(system.size)).max())
-    suites.append(("orthonormality", ortho_err <= args.tol_ortho, {"max_err": ortho_err}))
+    suites.append(("orthonormality", ortho_err <= 1e-10, {"max_err": ortho_err}))
 
     check = gram.checkerboard_check(G)
     suites.append(("checkerboard", check.passed, {"first_violation": check.first_violation}))
@@ -271,7 +256,7 @@ def _verify_suites(args, seq, N):
         gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)
         worst = max(worst, float(np.abs(gap).max()))
         coarse = fine
-    suites.append(("boehm-identity", worst <= args.tol_recon, {"max_err": worst}))
+    suites.append(("boehm-identity", worst <= 1e-8, {"max_err": worst}))
 
     # At p = 2 the length normalization |J|^(1/p - 1/2) drops out, so the
     # band is just the share of unit L2 mass each function keeps on its J.
@@ -429,8 +414,6 @@ def _parser():
     sp.add_argument(
         "--grid", type=int, default=None, help="cell grid size (default: max(4096, 4 per knot))"
     )
-    sp.add_argument("--tol-ortho", type=float, default=1e-10, help="orthonormality tolerance")
-    sp.add_argument("--tol-recon", type=float, default=1e-8, help="reconstruction tolerance")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("census", help="characteristic-interval multiplicity sweep")

@@ -28,7 +28,6 @@ class CheckResult:
 
     passed: bool
     first_violation: tuple | None
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -61,21 +60,25 @@ def checkerboard_check(G):
 
     tol is 1e-12 times the largest b_ii, which is the largest inverse
     magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is slack
-    for entries that are exact zeros in exact arithmetic.  Returns the first
-    violating (i, j) in row-major order, 1-based, when the pattern fails.
+    for entries that are exact zeros in exact arithmetic.  B is symmetric, so
+    only the entries on and below the diagonal are scanned: the computed
+    entries above the diagonal of each block are not read.  Returns the
+    lexicographically smallest violating (min(i, j), max(i, j)), 1-based,
+    which is the row-major first violation of B, when the pattern fails.
     """
     tol = 1e-12 * float(G.inverse_diagonal.max())
-    first = None
     for start, cols in G.inverse_columns():
+        # Entry (r, c) of the block is b_ij at i = start + r, j = start + c.
         alt = (-1.0) ** np.arange(cols.shape[0])
         signed = cols * alt[:, None]
-        signed *= alt[start : start + cols.shape[1]]
-        bad = np.argwhere(signed < -tol)
+        signed *= alt[: cols.shape[1]]
+        # Every later block holds only larger columns, so a violation here is
+        # the answer; the transpose puts the smallest column, then row, first.
+        bad = np.argwhere(np.tril(signed < -tol).T)
         if len(bad):
-            # argwhere is row-major, so bad[0] is this block's first violation.
-            hit = (int(bad[0][0]) + 1, start + int(bad[0][1]) + 1)
-            first = hit if first is None else min(first, hit)
-    return CheckResult(passed=first is None, first_violation=first, tol=tol)
+            j, i = (start + int(x) + 1 for x in bad[0])
+            return CheckResult(passed=False, first_violation=(j, i))
+    return CheckResult(passed=True, first_violation=None)
 
 
 def diag_inverse_bound(G):
@@ -100,7 +103,7 @@ def decay_profile(G):
     knots = part.knots
     raw = np.zeros(M)
     m = np.zeros(M)
-    for start, cols in G.inverse_columns(trailing=True):
+    for start, cols in G.inverse_columns():
         for c in range(cols.shape[1]):
             j = start + c
             b = np.abs(cols[c:, c])

@@ -193,9 +193,8 @@ def check_depth(N):
 
 
 def check_level(seq, n):
-    """Level n needs n >= 2 and the n + 1 points t_0..t_n."""
-    if n < 2:
-        raise LevelOutOfRange(f"level must be at least 2, got {n}")
+    """Level n needs n >= 2 (``check_depth``) and the n + 1 points t_0..t_n."""
+    check_depth(n)
     if n > len(seq.points) - 1:
         raise LevelOutOfRange(
             f"level {n} needs {n + 1} points, sequence has {len(seq.points)}"

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import Legendre, leggauss
 from . import charint
 from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine, split_columns
 from .errors import IndexOutOfRange, NotPositiveDefinite
-from .knots import boundary_partition, check_depth, check_level, next_partition
+from .knots import boundary_partition, check_level, next_partition
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,6 @@ def levels(seq, N):
     drops what it was given runs in memory flat in N.  An N the sequence
     cannot reach fails before the first level is built.
     """
-    check_depth(N)
     check_level(seq, N)
     part = boundary_partition(seq.order)
     G = gram_matrix(part)

@@ -71,6 +71,14 @@ def dense(G):
     return a
 
 
+def streamed_inverse(G):
+    """Dense B = A^{-1} from G's trailing blocks, the upper triangle mirrored from the lower."""
+    B = np.zeros((G.M, G.M))
+    for start, cols in G.inverse_columns():
+        B[start:, start : start + cols.shape[1]] = cols
+    return np.tril(B) + np.tril(B, -1).T
+
+
 def refinement_matrix(coarse, fine, i0):
     """(M_coarse, M_fine) matrix R with tilde-N_i = sum_j R[i, j] N_j.
 
@@ -267,7 +275,7 @@ def tail_decay_loop(system, ps, gammas):
     of one float, so the maxima are the per-pair ones bit for bit.
     """
     k = system.order
-    rule = bspline.QuadratureRule.for_partition(system.gram.partition, k + 6)
+    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     vals = system.value_matrix(rule.flat_nodes)
     n_spans = len(rule.intervals)
     rights = rule.intervals[:, 1]
@@ -340,7 +348,7 @@ def expand(f, system, N=None):
     ):
         a = system.matrix @ system.gram.apply(f.coeffs)
     else:
-        rule = bspline.QuadratureRule.for_partition(part, system.order + 8)
+        rule = bspline.QuadratureRule.over_spans(part.knots, system.order + 8)
         xs = rule.flat_nodes
         fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
         moments = bspline.basis_matrix(part, xs).T @ (rule.flat_weights * fv)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import deboor_stability_ratio, dense, eval_basis, insert_event, refinement_matrix
+from oracles import (
+    deboor_stability_ratio,
+    dense,
+    eval_basis,
+    insert_event,
+    refinement_matrix,
+    streamed_inverse,
+)
+from scipy.linalg import cho_solve_banded
 
 from orthosplines import bspline, knots
 from orthosplines.errors import (
@@ -16,6 +24,15 @@ from orthosplines.errors import (
 def part(k, points, n=None):
     seq = knots.validate_admissible(k, points)
     return knots.partition_at(seq, n if n is not None else len(points) - 1)
+
+
+def full_columns(G):
+    """(start, B[:, start:start + 256]) per block, each one banded solve over all M rows."""
+    for start in range(0, G.M, 256):
+        width = min(256, G.M - start)
+        rhs = np.zeros((G.M, width))
+        rhs[start + np.arange(width), np.arange(width)] = 1.0
+        yield start, cho_solve_banded((G.factor, False), rhs)
 
 
 class TestEvalBasis:
@@ -115,7 +132,7 @@ class TestGramMatrix:
     def test_quadrature_needs_a_node(self):
         p = part(3, [0, 1, 0.5])
         with pytest.raises(QuadratureTooCoarse):
-            bspline.QuadratureRule.for_partition(p, 0)
+            bspline.QuadratureRule.over_spans(p.knots, 0)
 
     def test_solve_and_inverse_agree(self):
         p = part(2, [0, 1, 0.5, 0.25, 0.7])
@@ -123,8 +140,7 @@ class TestGramMatrix:
         B = np.linalg.inv(dense(G))
         rhs = np.arange(1.0, p.M + 1)
         assert np.allclose(B @ rhs, G.solve(rhs), atol=1e-12)
-        streamed = np.hstack([cols for _, cols in G.inverse_columns()])
-        assert np.allclose(streamed, B, atol=1e-12)
+        assert np.allclose(streamed_inverse(G), B, atol=1e-12)
 
     @pytest.mark.parametrize(
         "k, n, law",
@@ -133,8 +149,8 @@ class TestGramMatrix:
     )
     def test_trailing_blocks_are_the_lower_rows_bit_for_bit(self, k, n, law):
         G = bspline.gram_matrix(part(k, knots.random_admissible(n + k, k, n + 1, law).points))
-        full = list(G.inverse_columns())
-        trailing = list(G.inverse_columns(trailing=True))
+        full = list(full_columns(G))
+        trailing = list(G.inverse_columns())
         assert [start for start, _ in trailing] == [start for start, _ in full]
         for (start, lower), (_, cols) in zip(trailing, full):
             assert lower.shape == (G.M - start, cols.shape[1])
@@ -142,9 +158,9 @@ class TestGramMatrix:
 
     def test_trailing_blocks_under_full_multiplicity(self):
         G = bspline.gram_matrix(part(3, [0, 1, 0.5, 0.5, 0.5, 0.25, 0.75, 0.75]))
-        for (start, lower), (_, cols) in zip(G.inverse_columns(trailing=True), G.inverse_columns()):
+        for (start, lower), (_, cols) in zip(G.inverse_columns(), full_columns(G)):
             assert np.array_equal(lower, cols[start:])
-        full = np.hstack([cols for _, cols in G.inverse_columns()])
+        full = np.hstack([cols for _, cols in full_columns(G)])
         assert np.array_equal(G.inverse_diagonal, np.diagonal(full))
 
     def test_refine_rejects_a_partition_it_does_not_refine(self):
@@ -293,7 +309,7 @@ def test_spline_rejects_wrong_length():
 
 def test_quadrature_weights_integrate_one():
     p = part(3, [0, 1, 0.5, 0.25])
-    rule = bspline.QuadratureRule.for_partition(p, 5)
+    rule = bspline.QuadratureRule.over_spans(p.knots, 5)
     assert rule.flat_weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert rule.flat_nodes.min() >= 0.0
     assert rule.flat_nodes.max() <= 1.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -37,6 +38,35 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, old)
+
+
+_COMMON = {"--k", "--n", "--seed", "--law", "--out"}
+# Every long option of every subcommand; a new flag must be added here.
+OPTIONS = {
+    "gen": _COMMON,
+    "build": _COMMON | {"--points"},
+    "verify": _COMMON | {"--points", "--grid"},
+    "census": _COMMON | {"--points", "--beta"},
+    "experiment": _COMMON | {"--points", "--p", "--trials", "--grid"},
+    "decay": _COMMON | {"--points"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {opt for a in sp._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+def test_report_config_is_every_parsed_option(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run("verify", "--k", "1", "--n", "8", "--seed", "2", "--out", str(out)) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {"command", "k", "n", "seed", "law", "points", "out", "grid"}
 
 
 class TestGenAndBuild:
@@ -286,6 +316,22 @@ class TestUsageErrors:
         out = tmp_path / "r.json"
         assert run(command, "--k", "2", "--n", "1", "--seed", "1", "--out", str(out)) == 2
         assert "error: N must be at least 2, got 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment", "decay"])
+    def test_level_one_from_points_is_a_usage_error(self, tmp_path, capsys, command):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 2, "points": [0.0, 1.0, 0.5, 0.25, 0.75]}))
+        out = tmp_path / "r.json"
+        assert run(command, "--points", str(seq_file), "--n", "1", "--out", str(out)) == 2
+        assert "error: N must be at least 2, got 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+    def test_gen_without_order_names_the_flag(self, tmp_path, monkeypatch, capsys):
+        # Without --out, gen would write to a default name in the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--n", "8") == 2
+        assert "error: --k is required without --points" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment"])

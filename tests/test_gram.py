@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense
+from oracles import dense, streamed_inverse
 
 from orthosplines import bspline, gram, knots
 from orthosplines.errors import DegenerateFit
@@ -54,7 +54,7 @@ def dense_decay_profile(G, B):
 
 
 class Planted:
-    """Serves inverse columns and the diagonal of a dense B, as GramSystem does from its factor."""
+    """Serves the trailing blocks and diagonal of a dense B, as GramSystem does from its factor."""
 
     def __init__(self, B):
         self.B = B
@@ -62,7 +62,7 @@ class Planted:
 
     def inverse_columns(self):
         for start in range(0, self.B.shape[1], 256):
-            yield start, self.B[:, start : start + 256]
+            yield start, self.B[start:, start : start + 256]
 
 
 class TestCheckerboard:
@@ -160,7 +160,7 @@ class TestDecayProfile:
 def test_inverse_identity_moderate_size():
     seq = knots.random_admissible(29, 3, 150)
     G = bspline.gram_matrix(knots.partition_at(seq, 149))
-    B = np.hstack([cols for _, cols in G.inverse_columns()])
+    B = streamed_inverse(G)
     residual = dense(G) @ B - np.eye(G.M)
     assert np.max(np.abs(residual)) <= 1e-8
 
@@ -213,3 +213,15 @@ class TestStreamedInverse:
         assert not res.passed
         assert res.first_violation == (601, 602)
         assert dense_checkerboard(doctored) == (False, (601, 602))
+
+    def test_symmetric_violation_straddling_blocks_reports_the_row_major_first(
+        self, multi_block
+    ):
+        _, B = multi_block
+        doctored = B.copy()
+        # index 300 lies in the second block of 256 and 700 in the third;
+        # i + j is even, so a negative entry breaks the pattern
+        doctored[300, 700] = doctored[700, 300] = -np.diagonal(B).max()
+        res = gram.checkerboard_check(Planted(doctored))
+        assert (res.passed, res.first_violation) == (False, (301, 701))
+        assert dense_checkerboard(doctored) == (False, (301, 701))
