@@ -1,9 +1,9 @@
 """Experiments on the orthonormal system: square function, level sets, sign flips, tails.
 
-Everything here sits on top of a built OrthoSystem and works on plain
-arrays: the square function of a coefficient vector on a uniform cell grid,
-threshold level sets of it, the sign-flip unconditionality experiment, and
-the tail-decay audit.
+Everything here sits on top of a built OrthoSystem, evaluated a block of
+points at a time (``bspline.eval_blocks``): the square function on a uniform
+cell grid, threshold level sets of it, the sign-flip unconditionality
+experiment, and the tail-decay audit.
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -59,13 +59,18 @@ def cell_centers(system, G):
     return (np.arange(G) + 0.5) / G
 
 
-def square_function(coeffs, V):
-    """Pointwise l2 aggregate of the expansion terms c_n f_n.
+def square_function(system, coeffs, xs):
+    """(sum_n c_n^2 f_n(x)^2)^(1/2) at each point, over the first coeffs.shape[-1] functions.
 
-    ``V`` is ``system.value_matrix(xs)``; its first ``len(coeffs)`` rows are
-    the participating functions.  Returns one value per point of xs.
+    Leading axes of ``coeffs``, one row per expansion, are carried.
     """
-    return np.sqrt(((coeffs[:, None] * V[: len(coeffs)]) ** 2).sum(axis=0))
+    F = system.matrix[: coeffs.shape[-1]]
+    weights = coeffs**2
+    out = np.empty(coeffs.shape[:-1] + (len(xs),))
+    for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
+        V = bspline.spline_values(F, first, vals)
+        out[..., lo : lo + len(first)] = np.sqrt(weights @ V**2)
+    return out
 
 
 def level_sets(sf, lam, r):
@@ -102,7 +107,7 @@ def check_exponents(ps):
             raise DomainError(f"p={p} outside (1, inf)")
 
 
-def uncond_experiment(system, ps, trials, seed, grid=2048):
+def uncond_experiment(system, ps, trials, seed, grid):
     """Sign-flip norm ratios for random expansions, one report per p in ps.
 
     Expansions run over every function of the built system.  Per trial: a
@@ -110,42 +115,42 @@ def uncond_experiment(system, ps, trials, seed, grid=2048):
     streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is computed on the
     exact piecewise-polynomial representations (quadrature per knot
     interval, not on the sample grid).  Square-function ratios
-    ||Sf||_p / ||f||_p come from the cell grid.  Nothing but the final
-    reductions depends on p, so each value array is formed once and reduced
-    to its norms for every p before the next one is formed.
+    ||Sf||_p / ||f||_p come from the ``grid`` cells.  Nothing but the final
+    reductions depends on p, so each block of nodes or cells is evaluated
+    once, for the draws and their flips together, and reduced for every p
+    before the next one is formed.
     """
     check_exponents(ps)
     if trials < 1:
         raise DomainError(f"trials={trials} must be at least 1")
     k = system.order
     size = system.size
-    F = system.matrix
     part = system.gram.partition
     xs = cell_centers(system, grid)
 
+    A = np.array([random_coeffs(seed, t, size) for t in range(trials)])
+    S = np.array([random_signs(seed, t, size) for t in range(trials)])
+    # Level-N B-spline coefficients of each trial's expansion and of its flip.
+    C = np.stack([A, A * S]) @ system.matrix
+
     rule = bspline.QuadratureRule.over_spans(part.knots, k + 6)
-    Bq = bspline.basis_matrix(part, rule.flat_nodes)
-    wq = rule.flat_weights
-    A = np.empty((trials, size))
-    S = np.empty((trials, size))
-    for t in range(trials):
-        A[t] = random_coeffs(seed, t, size)
-        S[t] = random_signs(seed, t, size)
-
-    def lp_norms(C):
-        # ||sum_n c_n f_n||_p per row c of C, for every p.
-        mags = np.abs(Bq @ (F.T @ C.T))
-        return [(wq @ mags**p) ** (1.0 / p) for p in ps]
-
-    norm_f = lp_norms(A)
-    norm_flip = lp_norms(A * S)
-    sq = np.sqrt(A**2 @ system.value_matrix(xs) ** 2)
-    norm_sq = [(sq**p).mean(axis=1) ** (1.0 / p) for p in ps]
+    wq = rule.weights.ravel()
+    lp = np.zeros((len(ps), 2, trials))
+    for lo, first, vals in bspline.eval_blocks(part, rule.nodes.ravel()):
+        mags = np.abs(bspline.spline_values(C, first, vals))
+        for i, p in enumerate(ps):
+            lp[i] += mags**p @ wq[lo : lo + len(first)]
+    sq = np.zeros((len(ps), trials))
+    for lo in range(0, grid, bspline.EVAL_BLOCK):
+        block = square_function(system, A, xs[lo : lo + bspline.EVAL_BLOCK])
+        for i, p in enumerate(ps):
+            sq[i] += (block**p).sum(axis=1)
 
     reports = []
-    for p, nf, nflip, nsq in zip(ps, norm_f, norm_flip, norm_sq):
-        R = nflip / nf
-        sq_ratio = nsq / nf
+    for p, (f_sums, flip_sums), sq_sums in zip(ps, lp, sq):
+        nf = f_sums ** (1.0 / p)
+        R = flip_sums ** (1.0 / p) / nf
+        sq_ratio = (sq_sums / grid) ** (1.0 / p) / nf
         reports.append(
             {
                 "k": k,
@@ -162,6 +167,20 @@ def uncond_experiment(system, ps, trials, seed, grid=2048):
             }
         )
     return reports
+
+
+def span_integrals(system, rule, p):
+    """Integral of |f|^p over each span of the rule for every system function, (size, spans).
+
+    The rule's nodes are evaluated a block of whole spans at a time.
+    """
+    q, w = rule.q, rule.weights
+    pieces = np.empty((system.size, len(rule.intervals)))
+    for lo, first, vals in bspline.eval_blocks(system.gram.partition, rule.nodes.ravel(), q):
+        mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
+        spans = slice(lo // q, (lo + len(first)) // q)
+        pieces[:, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
+    return pieces
 
 
 def tail_decay_audit(system, p, gamma_fit):
@@ -182,13 +201,7 @@ def tail_decay_audit(system, p, gamma_fit):
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    vals = system.value_matrix(rule.flat_nodes)
-    n_spans = len(rule.intervals)
-    pieces = np.einsum(
-        "nsq,sq->ns",
-        np.abs(vals.reshape(system.size, n_spans, rule.q)) ** p,
-        rule.weights,
-    )
+    pieces = span_integrals(system, rule, p)
     left = np.concatenate([np.zeros((system.size, 1)), np.cumsum(pieces, axis=1)], axis=1)
     total = left[:, -1]
     rights = rule.intervals[:, 1]

@@ -3,7 +3,8 @@
 The basis is the L^inf-normalized one: the order-k B-splines N_1..N_M of a
 partition form a partition of unity.  Evaluation is right-continuous at
 interior knots and takes the left limit at x = 1, so the identity
-sum_j N_j(x) = 1 holds on the closed interval.
+sum_j N_j(x) = 1 holds on the closed interval.  Splines are evaluated only
+from the k basis values at each point (``eval_basis_many``, ``spline_values``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
 
 # Columns of the Gram inverse produced per banded solve.
 _INVERSE_BLOCK = 256
+# Points per evaluation block: values of R splines are held R x EVAL_BLOCK at a time.
+EVAL_BLOCK = 512
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,19 +85,29 @@ def eval_basis_many(partition, xs):
     return first, vals
 
 
-def basis_matrix(partition, xs):
-    """Dense design matrix of shape (len(xs), M) with entry N_j(x_i)."""
-    first, vals = eval_basis_many(partition, xs)
-    out = np.zeros((len(vals), partition.M))
-    cols = (first - 1)[:, None] + np.arange(partition.order)[None, :]
-    out[np.arange(len(vals))[:, None], cols] = vals
-    return out
+def eval_blocks(partition, xs, unit=1):
+    """Yield (lo, first, vals), ``eval_basis_many`` on blocks of xs from index lo on.
+
+    A block holds as many whole runs of ``unit`` points as fit in EVAL_BLOCK, at least one.
+    """
+    step = max(1, EVAL_BLOCK // unit) * unit
+    for lo in range(0, len(xs), step):
+        yield (lo, *eval_basis_many(partition, xs[lo : lo + step]))
 
 
 def spline_values(coeffs, first, vals):
-    """Values of the spline with these coefficients, from ``eval_basis_many`` output."""
-    cols = (first - 1)[:, None] + np.arange(vals.shape[1])[None, :]
-    return (coeffs[cols] * vals).sum(axis=1)
+    """Values, shape coeffs.shape[:-1] + (points,), at the points of ``eval_basis_many`` output.
+
+    Leading axes of ``coeffs`` (rows of the system matrix, trials) are carried.  Each
+    point reads the k coefficients its span touches, and the k terms are summed in place.
+    """
+    start = first - 1
+    out = np.take(coeffs, start, axis=-1) * vals[:, 0]
+    for j in range(1, vals.shape[1]):
+        term = np.take(coeffs, start + j, axis=-1)
+        term *= vals[:, j]
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,14 +163,6 @@ class QuadratureRule:
             nodes=nodes,
             weights=weights,
         )
-
-    @property
-    def flat_nodes(self):
-        return self.nodes.ravel()
-
-    @property
-    def flat_weights(self):
-        return self.weights.ravel()
 
 
 class GramSystem:
@@ -228,7 +233,7 @@ def _band_columns(partition, rule, lo, hi):
     carries the same bits as in the assembly of the whole band.
     """
     k = partition.order
-    first, vals = eval_basis_many(partition, rule.flat_nodes)
+    first, vals = eval_basis_many(partition, rule.nodes.ravel())
     S = rule.nodes.shape[0]
     vals = vals.reshape(S, rule.q, k)
     blocks = np.einsum("sqa,sqb,sq->sab", vals, vals, rule.weights)
@@ -349,33 +354,19 @@ def prolong(coeffs, i0, w1, w2):
     )
 
 
-def _chebyshev_points(lo, hi, count):
-    theta = np.pi * (2 * np.arange(count) + 1) / (2 * count)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-
-
 def lp_norm(f, p, interval=(0.0, 1.0)):
-    """L^p norm of a spline over a subinterval of [0, 1].
+    """L^p norm of a spline over a subinterval of [0, 1], for finite p >= 1.
 
-    Finite p integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on
-    every knot span clipped to the interval; p = inf takes the max of |f| over
-    8k Chebyshev points per clipped span plus the span endpoints.
+    Integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on every
+    knot span clipped to the interval.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a <= b <= 1.0):
         raise DomainError(f"interval [{a}, {b}] is not inside [0, 1]")
-    if not (isinstance(p, (int, float)) and (p >= 1.0)):
-        raise DomainError(f"p must be in [1, inf], got {p!r}")
-    if a == b:
-        return 0.0
-    k = f.partition.order
+    if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
     knots = f.partition.knots
     cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
-    rule = QuadratureRule.over_spans(cuts, k + 2)
-    if math.isinf(p):
-        lo, hi = rule.intervals[:, 0], rule.intervals[:, 1]
-        pts = _chebyshev_points(lo[:, None], hi[:, None], 8 * k)
-        xs = np.concatenate([pts.ravel(), lo, hi])
-        return float(np.abs(f.eval(xs)).max())
-    vals = np.abs(f.eval(rule.flat_nodes)) ** p
-    return float((rule.flat_weights * vals).sum() ** (1.0 / p))
+    rule = QuadratureRule.over_spans(cuts, f.partition.order + 2)
+    vals = np.abs(f.eval(rule.nodes.ravel())) ** p
+    return float((rule.weights.ravel() * vals).sum() ** (1.0 / p))

@@ -278,12 +278,11 @@ def _verify_suites(args, seq, N):
         )
     )
 
-    # Formed after the audit returns, so its arrays and V are never alive together.
-    V = system.value_matrix(analysis.cell_centers(system, args.grid))
+    xs = analysis.cell_centers(system, args.grid)
+    coeffs = np.array([analysis.random_coeffs(args.seed, t, system.size) for t in range(5)])
     holds = True
     worst_c = 0.0
-    for trial in range(5):
-        sf = analysis.square_function(analysis.random_coeffs(args.seed, trial, system.size), V)
+    for sf in analysis.square_function(system, coeffs, xs):
         lam = max(float(np.quantile(sf, 0.6)), 1e-9)
         sets = analysis.level_sets(sf, lam, 0.5)
         holds = holds and bool(np.all(sets.B[sets.E]))
@@ -343,7 +342,7 @@ def _cmd_experiment(args):
     analysis.check_exponents(ps)
     system = ortho.build_system(seq, args.n)
     _resolve_grid(args, system)
-    reports = analysis.uncond_experiment(system, ps, args.trials, args.seed, grid=args.grid)
+    reports = analysis.uncond_experiment(system, ps, args.trials, args.seed, args.grid)
     payload = {"config": _config_dict(args), "input_hash": digest, "reports": reports}
     rows = [
         (

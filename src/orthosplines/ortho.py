@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
-from .bspline import Spline, basis_matrix, boehm_refine, gram_matrix, gram_refine, split_columns
+from .bspline import Spline, boehm_refine, eval_basis_many, gram_matrix, gram_refine, split_columns
 from .errors import IndexOutOfRange, NotPositiveDefinite
 from .knots import boundary_partition, check_level, next_partition
 
@@ -96,9 +96,9 @@ class OrthoSystem:
     ``block`` holds the k polynomials of ``initial_block``, and each f_n lives
     on its own level in ``functions``.  ``matrix`` holds every system
     function expressed over the level-N B-spline basis (rows ordered by
-    level, the block first), which makes whole-system evaluation and Gram
-    identities single matrix products; it is formed on first use.  ``gram``
-    is the level-N Gram system; its partition is the finest one.
+    level, the block first): Gram identities are single products with it, and
+    ``bspline.spline_values`` evaluates its rows; it is formed on first use.
+    ``gram`` is the level-N Gram system; its partition is the finest one.
     """
 
     def __init__(self, seq, N, block, functions, gram):
@@ -159,10 +159,6 @@ class OrthoSystem:
             raise IndexOutOfRange(f"level {n} outside [2, {self.N}]")
         return self.functions[n - 2]
 
-    def value_matrix(self, xs):
-        """Every system function evaluated at the points, (size, len(xs))."""
-        return self.matrix @ basis_matrix(self.gram.partition, xs).T
-
 
 def export_record(of):
     """The serializable record of one constructed level n >= 2."""
@@ -180,13 +176,13 @@ def export_record(of):
 def polynomial_coeffs_over(partition, polys):
     """Coefficients of polynomials over a partition's B-spline basis.
 
-    Exact for polynomials of order <= k: interpolation at k Gauss points per
-    the square design matrix of the boundary partition.
+    Exact for polynomials of order <= k: interpolation at k Gauss points.
+    The boundary partition has one span, so every point's first index is 1
+    and the k basis values per point are the rows of the square design.
     """
-    k = partition.order
-    ref_x, _ = leggauss(k)
+    ref_x, _ = leggauss(partition.order)
     pts = 0.5 + 0.5 * ref_x
-    design = basis_matrix(partition, pts)
+    _, design = eval_basis_many(partition, pts)
     vals = np.vstack([[p(x) for x in pts] for p in polys])
     return np.linalg.solve(design, vals.T).T
 

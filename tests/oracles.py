@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
-from orthosplines import bspline, charint, knots
+from orthosplines import analysis, bspline, charint, knots
 from orthosplines.errors import DomainError, LevelOutOfRange, SplineError
 
 
@@ -58,6 +58,20 @@ def eval_basis(partition, x):
     """Single-point variant of eval_basis_many: (1-based first index, the k values)."""
     first, vals = bspline.eval_basis_many(partition, [float(x)])
     return int(first[0]), vals[0]
+
+
+def design_matrix(partition, xs):
+    """Dense design matrix of shape (len(xs), M) with entry N_j(x_i)."""
+    first, vals = bspline.eval_basis_many(partition, xs)
+    out = np.zeros((len(vals), partition.M))
+    cols = (first - 1)[:, None] + np.arange(partition.order)[None, :]
+    out[np.arange(len(vals))[:, None], cols] = vals
+    return out
+
+
+def value_matrix(system, xs):
+    """Every system function at the points, (size, len(xs)), as one dense product."""
+    return system.matrix @ design_matrix(system.gram.partition, xs).T
 
 
 def dense(G):
@@ -214,6 +228,23 @@ def deboor_stability_ratio(f, p):
     return ratio, worst
 
 
+def sup_norm(f, interval):
+    """max |f| over 8k Chebyshev points per knot span clipped to the interval, plus the span ends.
+
+    The L^inf norm that ``bspline.lp_norm`` does not take, up to the
+    sampling of each polynomial piece.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    k = f.partition.order
+    knots = f.partition.knots
+    cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+    live = np.flatnonzero(np.diff(cuts) > 0)
+    lo, hi = cuts[live], cuts[live + 1]
+    theta = np.pi * (2 * np.arange(8 * k) + 1) / (16 * k)
+    pts = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(theta)
+    return float(np.abs(f(np.concatenate([pts.ravel(), lo, hi]))).max())
+
+
 def legendre_projection(f, interval, order, q=None):
     """Orthogonal L2 projection of f onto order-k polynomials on an interval.
 
@@ -270,22 +301,17 @@ def char_multiplicity_census(system, x, y, beta):
 def tail_decay_loop(system, ps, gammas):
     """``analysis.tail_decay_audit`` for every (p, gamma), one Python iteration per (n, x) pair.
 
-    Returns {(p, gamma): report}.  Each pair makes its own ``searchsorted``
+    Returns {(p, gamma): report}.  The per-span pieces are the audit's own
+    ``analysis.span_integrals``; each pair makes its own ``searchsorted``
     and scalar ``charint.d_point`` calls, and every logarithm is a math.log
     of one float, so the maxima are the per-pair ones bit for bit.
     """
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    vals = system.value_matrix(rule.flat_nodes)
-    n_spans = len(rule.intervals)
     rights = rule.intervals[:, 1]
     lefts = {}
     for p in ps:
-        pieces = np.einsum(
-            "nsq,sq->ns",
-            np.abs(vals.reshape(system.size, n_spans, rule.q)) ** p,
-            rule.weights,
-        )
+        pieces = analysis.span_integrals(system, rule, p)
         lefts[p] = np.concatenate([np.zeros((system.size, 1)), np.cumsum(pieces, axis=1)], axis=1)
 
     max_log = {(p, g): -math.inf for p in ps for g in gammas}
@@ -349,16 +375,16 @@ def expand(f, system, N=None):
         a = system.matrix @ system.gram.apply(f.coeffs)
     else:
         rule = bspline.QuadratureRule.over_spans(part.knots, system.order + 8)
-        xs = rule.flat_nodes
+        xs = rule.nodes.ravel()
         fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-        moments = bspline.basis_matrix(part, xs).T @ (rule.flat_weights * fv)
+        moments = design_matrix(part, xs).T @ (rule.weights.ravel() * fv)
         a = system.matrix @ moments
     return a[:size]
 
 
 def expansion_values(system, coeffs, xs):
     """sum_n c_n f_n at the points, over the first len(coeffs) functions."""
-    return coeffs @ system.value_matrix(xs)[: len(coeffs)]
+    return coeffs @ value_matrix(system, xs)[: len(coeffs)]
 
 
 def reconstruction(system, coeffs):
@@ -369,7 +395,7 @@ def reconstruction(system, coeffs):
 def maximal_function(coeffs, V):
     """Largest absolute partial sum of the expansion, level by level.
 
-    ``V`` is ``system.value_matrix(xs)``; one value per point of xs.
+    ``V`` is ``value_matrix(system, xs)``; one value per point of xs.
     """
     partial = np.cumsum(coeffs[:, None] * V[: len(coeffs)], axis=0)
     return np.abs(partial).max(axis=0)

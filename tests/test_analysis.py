@@ -10,6 +10,7 @@ from oracles import (
     maximal_function,
     reconstruction,
     tail_decay_loop,
+    value_matrix,
 )
 
 from orthosplines import analysis, bspline, gram, knots, ortho
@@ -27,8 +28,13 @@ def centers(G):
 
 
 def cell_values(system, G):
-    """The system's value matrix on the centers of G cells."""
-    return system.value_matrix(analysis.cell_centers(system, G))
+    """The system's dense value matrix on the centers of G cells."""
+    return value_matrix(system, analysis.cell_centers(system, G))
+
+
+def cell_sf(system, coeffs, G):
+    """The square function on the centers of G cells."""
+    return analysis.square_function(system, coeffs, analysis.cell_centers(system, G))
 
 
 class TestExpand:
@@ -103,23 +109,34 @@ class TestSquareFunction:
     def test_single_term_is_absolute_value(self, system_k2):
         a = np.zeros(system_k2.size)
         a[5] = -2.5
-        sf = analysis.square_function(a, cell_values(system_k2, 256))
-        fn_vals = system_k2.value_matrix(centers(256))[5]
+        sf = cell_sf(system_k2, a, 256)
+        fn_vals = value_matrix(system_k2, centers(256))[5]
         assert np.allclose(sf, 2.5 * np.abs(fn_vals), atol=1e-12)
 
     def test_sign_invariance_is_exact(self, system_k2):
         c = analysis.random_coeffs(3, 0, system_k2.size)
         s = analysis.random_signs(3, 0, system_k2.size)
-        V = cell_values(system_k2, 256)
-        a = analysis.square_function(c, V)
-        b = analysis.square_function(s * c, V)
+        a = cell_sf(system_k2, c, 256)
+        b = cell_sf(system_k2, s * c, 256)
         assert np.array_equal(a, b)
 
     def test_grid_l2_matches_coefficient_norm(self, system_k2):
         c = analysis.random_coeffs(4, 1, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 8192))
+        sf = cell_sf(system_k2, c, 8192)
         grid_l2 = np.sqrt(np.mean(sf**2))
         assert grid_l2 == pytest.approx(1.0, rel=0.05)
+
+    def test_matches_the_dense_formula_in_any_blocks(self, system_k2, monkeypatch):
+        # rows of coefficients over a prefix of the functions, in blocks that
+        # split the grid unevenly
+        xs = centers(300)
+        C = np.stack([analysis.random_coeffs(5, t, 9) for t in range(3)])
+        V = value_matrix(system_k2, xs)[:9]
+        want = np.sqrt(((C[:, :, None] * V) ** 2).sum(axis=1))
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", 7)
+        got = analysis.square_function(system_k2, C, xs)
+        assert got.shape == (3, 300)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_grid_too_coarse(self, system_k2):
         with pytest.raises(DomainError):
@@ -131,7 +148,7 @@ class TestMaximalFunction:
         a = np.zeros(system_k2.size)
         a[4] = 1.5
         mf = maximal_function(a, cell_values(system_k2, 256))
-        fn_vals = system_k2.value_matrix(centers(256))[4]
+        fn_vals = value_matrix(system_k2, centers(256))[4]
         assert np.allclose(mf, 1.5 * np.abs(fn_vals), atol=1e-12)
 
     def test_dominates_final_sum(self, system_k2):
@@ -162,7 +179,7 @@ class TestHardyLittlewood:
 class TestLevelSets:
     def test_threshold_above_max_is_empty(self, system_k2):
         c = analysis.random_coeffs(9, 0, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, c, 512)
         ls = analysis.level_sets(sf, float(sf.max()) * 1.01, 0.5)
         assert ls.e_measure == 0.0
         assert ls.b_measure == 0.0
@@ -170,7 +187,7 @@ class TestLevelSets:
 
     def test_tiny_threshold_fills_interval(self, system_k2):
         c = analysis.random_coeffs(9, 1, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, c, 512)
         ls = analysis.level_sets(sf, 1e-12, 0.5)
         assert ls.e_measure == pytest.approx(1.0, abs=1e-9)
         assert ls.b_measure == 1.0
@@ -179,7 +196,7 @@ class TestLevelSets:
         # r = 1/2 keeps every partial sum of 1_E - r exact in binary, so the
         # two routes to the hull must agree bit for bit
         c = analysis.random_coeffs(9, 2, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.7))
         ls = analysis.level_sets(sf, lam, 0.5)
         hull = hl_maximal(ls.E.astype(float)) > 0.5
@@ -189,7 +206,7 @@ class TestLevelSets:
     def test_hull_brackets_threshold_at_uneven_r(self, system_k2):
         # a non-representable r may flip exact ties, but only those
         c = analysis.random_coeffs(9, 2, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.7))
         r = 0.4
         ls = analysis.level_sets(sf, lam, r)
@@ -199,7 +216,7 @@ class TestLevelSets:
 
     def test_weak_bound_recorded(self, system_k2):
         c = analysis.random_coeffs(9, 3, system_k2.size)
-        sf = analysis.square_function(c, cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.5))
         ls = analysis.level_sets(sf, lam, 0.3)
         assert ls.weak_constant is not None
@@ -207,7 +224,7 @@ class TestLevelSets:
         assert ls.b_measure <= ls.e_measure / 0.3 + 1e-12
 
     def test_parameter_validation(self, system_k2):
-        sf = analysis.square_function(np.ones(system_k2.size), cell_values(system_k2, 512))
+        sf = cell_sf(system_k2, np.ones(system_k2.size), 512)
         with pytest.raises(DomainError):
             analysis.level_sets(sf, 0.0, 0.5)
         with pytest.raises(DomainError):
@@ -217,25 +234,28 @@ class TestLevelSets:
 class TestUncondExperiment:
     def test_p_two_is_isometric(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
-        (out,) = analysis.uncond_experiment(system, [2.0], trials=20, seed=5)
+        (out,) = analysis.uncond_experiment(system, [2.0], trials=20, seed=5, grid=2048)
         assert out["ratio_max"] == pytest.approx(1.0, abs=1e-8)
         assert out["ratio_min"] == pytest.approx(1.0, abs=1e-8)
 
     def test_deterministic(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
-        a = analysis.uncond_experiment(system, [1.5], trials=10, seed=3)
-        b = analysis.uncond_experiment(system, [1.5], trials=10, seed=3)
+        a = analysis.uncond_experiment(system, [1.5], trials=10, seed=3, grid=2048)
+        b = analysis.uncond_experiment(system, [1.5], trials=10, seed=3, grid=2048)
         assert a == b
 
     def test_joint_call_matches_one_call_per_p(self):
         system = ortho.build_system(knots.random_admissible(12, 3, 9), 8)
-        joint = analysis.uncond_experiment(system, [1.2, 3.0], trials=15, seed=1)
-        alone = [analysis.uncond_experiment(system, [p], trials=15, seed=1)[0] for p in (1.2, 3.0)]
+        joint = analysis.uncond_experiment(system, [1.2, 3.0], trials=15, seed=1, grid=2048)
+        alone = [
+            analysis.uncond_experiment(system, [p], trials=15, seed=1, grid=2048)[0]
+            for p in (1.2, 3.0)
+        ]
         assert joint == alone
 
     def test_result_keys_and_sanity(self):
         system = ortho.build_system(knots.random_admissible(12, 3, 9), 8)
-        (out,) = analysis.uncond_experiment(system, [3.0], trials=15, seed=1)
+        (out,) = analysis.uncond_experiment(system, [3.0], trials=15, seed=1, grid=2048)
         assert {
             "k",
             "p",
@@ -252,12 +272,22 @@ class TestUncondExperiment:
         assert 0.0 < out["ratio_min"] <= out["ratio_max"] < 10.0
         assert out["ratio_min"] <= out["ratio_q95"] <= out["ratio_max"] + 1e-12
 
+    def test_block_size_moves_only_rounding(self, monkeypatch):
+        system = ortho.build_system(knots.random_admissible(12, 3, 17), 16)
+        whole = analysis.uncond_experiment(system, [1.2, 6.0], trials=7, seed=2, grid=256)
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", 5)
+        split = analysis.uncond_experiment(system, [1.2, 6.0], trials=7, seed=2, grid=256)
+        for a, b in zip(whole, split):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert b[key] == pytest.approx(a[key], rel=1e-13, abs=0.0)
+
     def test_parameter_validation(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(system, [1.0], trials=5, seed=0)
+            analysis.uncond_experiment(system, [1.0], trials=5, seed=0, grid=2048)
         with pytest.raises(DomainError):
-            analysis.uncond_experiment(system, [2.0], trials=0, seed=0)
+            analysis.uncond_experiment(system, [2.0], trials=0, seed=0, grid=2048)
 
 
 class TestTailDecay:
@@ -277,6 +307,16 @@ class TestTailDecay:
         assert np.isfinite(out["max_ratio"])
         with pytest.raises(DomainError):
             analysis.tail_decay_audit(system_k2, 1.5, 1.2)
+
+    @pytest.mark.parametrize("block", [1, 20, 512])
+    def test_span_integrals_match_the_dense_values(self, system_k2, monkeypatch, block):
+        # blocks of whole spans, one span even when a block holds fewer nodes
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        rule = bspline.QuadratureRule.over_spans(system_k2.gram.partition.knots, 5)
+        V = value_matrix(system_k2, rule.nodes.ravel()).reshape(system_k2.size, -1, 5)
+        want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
+        got = analysis.span_integrals(system_k2, rule, 1.5)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
     def test_underflowing_envelope_gives_no_nan(self):
         seq = knots.random_admissible(3, 3, 201)

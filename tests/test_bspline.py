@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 from oracles import (
     deboor_stability_ratio,
     dense,
+    design_matrix,
     eval_basis,
     insert_event,
     refinement_matrix,
     streamed_inverse,
+    sup_norm,
+    value_matrix,
 )
 from scipy.linalg import cho_solve_banded
 
-from orthosplines import bspline, knots
+from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
     DomainError,
     IndexOutOfRange,
@@ -87,12 +90,51 @@ class TestEvalBasis:
     def test_many_matches_scalar(self):
         p = part(3, [0, 1, 0.5, 0.25, 0.7])
         xs = np.linspace(0, 1, 101)
-        B = bspline.basis_matrix(p, xs)
+        B = design_matrix(p, xs)
         for i, x in enumerate(xs):
             first, vals = eval_basis(p, x)
             row = np.zeros(p.M)
             row[first - 1 : first - 1 + len(vals)] = vals
             assert np.allclose(B[i], row, atol=1e-15)
+
+
+class TestSplineValues:
+    @pytest.mark.parametrize("law", knots.LAWS + ("near-one", "full-multiplicity"))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_matches_the_dense_product(self, k, law):
+        # every system function at once, within 8 ulps of each row's largest value
+        rng = np.random.default_rng(k)
+        if law == "near-one":
+            head = [1.0 - 2.0**-j for j in range(1, 31)]
+            seq = knots.validate_admissible(k, [0.0, 1.0] + head + rng.random(10).tolist())
+        elif law == "full-multiplicity":
+            points = [0.0, 1.0] + [0.375] * k + rng.random(40 - k).tolist()
+            seq = knots.validate_admissible(k, points)
+        else:
+            seq = knots.random_admissible(k, k, 41, law)
+        system = ortho.build_system(seq, 40)
+        part = system.gram.partition
+        xs = np.concatenate([[0.0, 1.0], np.unique(part.knots), rng.random(200)])
+        first, vals = bspline.eval_basis_many(part, xs)
+        got = bspline.spline_values(system.matrix, first, vals)
+        want = value_matrix(system, xs)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+        # leading axes are carried, and each slice is the same contraction
+        both = bspline.spline_values(np.stack([system.matrix, -system.matrix]), first, vals)
+        assert np.array_equal(both, np.stack([got, -got]))
+
+    def test_blocks_cover_the_points_once_in_whole_runs(self, monkeypatch):
+        p = part(2, [0, 1, 0.5, 0.25])
+        xs = np.linspace(0.0, 1.0, 23)
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", 7)
+        blocks = list(bspline.eval_blocks(p, xs, unit=3))
+        assert [lo for lo, _, _ in blocks] == [0, 6, 12, 18]
+        first, vals = bspline.eval_basis_many(p, xs)
+        assert np.array_equal(np.concatenate([f for _, f, _ in blocks]), first)
+        assert np.array_equal(np.concatenate([v for _, _, v in blocks]), vals)
+        # a run longer than the block still makes progress
+        assert [lo for lo, _, _ in bspline.eval_blocks(p, xs, unit=10)] == [0, 10, 20]
 
 
 class TestGramMatrix:
@@ -251,9 +293,17 @@ class TestLpNorm:
         assert bspline.lp_norm(f, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_sup_norm_of_hat(self):
+        # the sampled sup norm is a test oracle; lp_norm takes finite p only
         p = part(2, [0, 1, 0.5])
         f = bspline.Spline(p, np.array([0.0, 1.0, 0.0]))
-        assert bspline.lp_norm(f, np.inf) == pytest.approx(1.0, abs=1e-12)
+        assert sup_norm(f, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_infinite_p_rejected(self):
+        p = part(2, [0, 1, 0.5])
+        f = bspline.Spline(p, np.array([0.0, 1.0, 0.0]))
+        for q in (np.inf, np.nan, 0.5):
+            with pytest.raises(DomainError):
+                bspline.lp_norm(f, q)
 
     def test_subinterval_restriction(self):
         p = part(1, [0, 1, 0.5])
@@ -310,6 +360,6 @@ def test_spline_rejects_wrong_length():
 def test_quadrature_weights_integrate_one():
     p = part(3, [0, 1, 0.5, 0.25])
     rule = bspline.QuadratureRule.over_spans(p.knots, 5)
-    assert rule.flat_weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert rule.flat_nodes.min() >= 0.0
-    assert rule.flat_nodes.max() <= 1.0
+    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert rule.nodes.min() >= 0.0
+    assert rule.nodes.max() <= 1.0

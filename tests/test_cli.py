@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import canonical_json
 
-from orthosplines import bspline, cli, ortho
+from orthosplines import bspline, cli, knots, ortho
 
 
 # Two knots one ulp apart next to 1 make the level-5 Gram matrix of k=3 singular.
@@ -218,27 +218,37 @@ class TestExperiment:
 
 
 class TestEvaluationCount:
-    # verify evaluates at the tail audit's quadrature nodes and on the cell
-    # grid; experiment only on the cell grid, however many --p it gets.
+    # verify evaluates the system at the tail audit's quadrature nodes and on
+    # the cell grid, experiment at its quadrature nodes and on the cell grid,
+    # each point once however many --p it gets.
     @pytest.mark.parametrize(
-        "argv, calls",
+        "argv, grid",
         [
-            (["verify"], 2),
-            (["experiment", "--p", "1.2", "--p", "1.5", "--p", "3", "--p", "6", "--trials", "8"], 1),
+            (["verify"], 4096),
+            (
+                ["experiment", "--p", "1.2", "--p", "1.5", "--p", "3", "--p", "6", "--trials", "8"],
+                2048,
+            ),
         ],
         ids=["verify", "experiment"],
     )
-    def test_value_matrix_formed_once_per_point_set(self, monkeypatch, argv, calls):
+    def test_each_point_set_evaluated_once(self, monkeypatch, argv, grid):
         seen = []
-        value_matrix = ortho.OrthoSystem.value_matrix
+        eval_basis_many = bspline.eval_basis_many
 
-        def counted(system, xs):
-            seen.append(len(xs))
-            return value_matrix(system, xs)
+        def counted(partition, xs):
+            seen.append(np.array(xs, dtype=float))
+            return eval_basis_many(partition, xs)
 
-        monkeypatch.setattr(ortho.OrthoSystem, "value_matrix", counted)
+        monkeypatch.setattr(bspline, "eval_basis_many", counted)
         assert cli.main(argv + ["--k", "2", "--n", "16", "--seed", "3"]) == 0
-        assert len(seen) == calls
+        finest = knots.partition_at(knots.random_admissible(3, 2, 17), 16)
+        nodes = bspline.QuadratureRule.over_spans(finest.knots, 2 + 6).nodes.ravel()
+        cells = (np.arange(grid) + 0.5) / grid
+        points = np.concatenate(seen)
+        for xs in (nodes, cells):
+            assert np.isin(xs, points).all()
+            assert np.isin(points, xs).sum() == len(xs)
 
     def test_boehm_identity_evaluates_each_partition_once(self, monkeypatch):
         # 1,000 points on the 16 partitions of levels 1..16, each once

@@ -12,6 +12,7 @@ from oracles import (
     legendre_projection,
     prolong_many,
     refinement_matrix,
+    value_matrix,
 )
 
 from orthosplines import bspline, knots, ortho
@@ -381,7 +382,7 @@ class TestBuildSystem:
         seq = knots.random_admissible(3, 3, 6)
         system = ortho.build_system(seq, 5)
         xs = np.linspace(0, 1, 50)
-        vals = system.value_matrix(xs)
+        vals = value_matrix(system, xs)
         block_vals = block_values(system.block, xs)
         assert np.max(np.abs(vals[: seq.order] - block_vals)) <= 1e-11
 
