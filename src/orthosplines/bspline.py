@@ -5,6 +5,12 @@ partition form a partition of unity.  Evaluation is right-continuous at
 interior knots and takes the left limit at x = 1, so the identity
 sum_j N_j(x) = 1 holds on the closed interval.  Splines are evaluated only
 from the k basis values at each point (``eval_basis_many``, ``spline_values``).
+
+Every basis value comes from one Cox-de Boor kernel on a span index s and an
+offset u = x - tau_s, which reads the knots only through differences from
+tau_s.  ``eval_basis_many`` finds the span of an absolute point; the Gram
+assembly places its Gauss nodes by offset on their own spans and never
+searches for one, so spans a few ulps wide lose no digits.
 """
 
 from __future__ import annotations
@@ -56,33 +62,46 @@ def _find_spans(partition, xs):
     return spans
 
 
-def eval_basis_many(partition, xs):
-    """Evaluate the k potentially nonzero B-splines at each point.
+def _span_basis(partition, spans, u):
+    """The k B-splines nonzero on span s, at offset u >= 0 from its left end tau_s.
 
-    Returns ``(first, values)`` where ``first`` holds the 1-based index of the
-    first evaluated basis function per point and ``values`` has shape
-    (len(xs), k) with N_first..N_{first+k-1} at that point.
+    Returns values of shape (len(u), k): N_{s-k+1}..N_s (0-based) on each span.
+    Cox-de Boor reads the knots only through their differences from tau_s,
+    exact for knots within a factor 2 of each other (Sterbenz), so narrow
+    spans lose no digits and no point is rounded onto a neighbouring span.
     """
-    xs = np.asarray(xs, dtype=float)
-    spans = _find_spans(partition, xs)
     knots = partition.knots
     k = partition.order
-    npts = len(xs)
+    npts = len(u)
+    tau = knots[spans]
     vals = np.zeros((npts, k))
     vals[:, 0] = 1.0
     left = np.empty((npts, k))
     right = np.empty((npts, k))
     for j in range(1, k):
-        left[:, j] = xs - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - xs
+        left[:, j] = u + (tau - knots[spans + 1 - j])
+        right[:, j] = (knots[spans + j] - tau) - u
         saved = np.zeros(npts)
         for r in range(j):
             temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
             vals[:, r] = saved + right[:, r + 1] * temp
             saved = left[:, j - r] * temp
         vals[:, j] = saved
-    first = spans - k + 2
-    return first, vals
+    return vals
+
+
+def eval_basis_many(partition, xs):
+    """Evaluate the k potentially nonzero B-splines at each point.
+
+    Returns ``(first, values)`` where ``first`` holds the 1-based index of the
+    first evaluated basis function per point and ``values`` has shape
+    (len(xs), k) with N_first..N_{first+k-1} at that point.  Each point is
+    found on its span s and evaluated at x - tau_s.
+    """
+    xs = np.asarray(xs, dtype=float)
+    spans = _find_spans(partition, xs)
+    vals = _span_basis(partition, spans, xs - partition.knots[spans])
+    return spans - partition.order + 2, vals
 
 
 def eval_blocks(partition, xs, unit=1):
@@ -136,32 +155,40 @@ class Spline:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Per-knot-interval Gauss-Legendre nodes, exact through degree 2q - 1."""
+    """Per-knot-interval Gauss-Legendre nodes, exact through degree 2q - 1.
+
+    Each node is kept on its span: ``spans`` indexes the nonzero-width spans
+    of the knot run, and ``offsets`` holds each node's distance
+    half (1 + x_ref) from its span's left end.  ``nodes`` are the absolute
+    points a + offset.
+    """
 
     q: int
-    intervals: np.ndarray  # (S, 2) nonzero-width spans
-    nodes: np.ndarray  # (S, q)
+    spans: np.ndarray  # (S,) indices of the nonzero-width spans in the knot run
+    intervals: np.ndarray  # (S, 2) their ends
+    offsets: np.ndarray  # (S, q)
     weights: np.ndarray  # (S, q)
+
+    @property
+    def nodes(self):
+        """Absolute nodes, (S, q)."""
+        return self.intervals[:, :1] + self.offsets
 
     @classmethod
     def over_spans(cls, knots, q):
         """The rule on the nonzero-width spans of a run of consecutive knots."""
         if q < 1:
             raise QuadratureTooCoarse(f"need at least one node, got q={q}")
-        widths = np.diff(knots)
-        live = np.flatnonzero(widths > 0)
-        a = knots[live]
-        b = knots[live + 1]
+        live = np.flatnonzero(np.diff(knots) > 0)
+        a, b = knots[live], knots[live + 1]
         ref_x, ref_w = _gauss_legendre(q)
-        mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * ref_x[None, :]
-        weights = half[:, None] * ref_w[None, :]
         return cls(
             q=q,
+            spans=live,
             intervals=np.column_stack([a, b]),
-            nodes=nodes,
-            weights=weights,
+            offsets=half[:, None] * (1.0 + ref_x),
+            weights=half[:, None] * ref_w,
         )
 
 
@@ -225,20 +252,22 @@ class GramSystem:
         return np.concatenate([np.diagonal(cols).copy() for _, cols in self.inverse_columns()])
 
 
-def _band_columns(partition, rule, lo, hi):
-    """Columns lo..hi-1 of the upper Gram band, summed from the rule's span blocks.
+def _band_columns(partition, lo, hi):
+    """Columns lo..hi-1 (0-based) of the upper Gram band, with k Gauss nodes per span.
 
-    Span blocks are added in (a, b) loop order, then in span order, however
-    many columns are asked for, so a column whose spans all lie in the rule
-    carries the same bits as in the assembly of the whole band.
+    Column c holds <N_c, N_{c-d}>, d < k, and draws on spans c..c+k-1, so
+    the rule covers exactly the knots lo..hi+k-1 and evaluates each node on
+    its own span from its offset.  Span blocks are added in (a, b) loop
+    order, then in span order, so every column carries the same bits however
+    many columns are asked for.
     """
     k = partition.order
-    first, vals = eval_basis_many(partition, rule.nodes.ravel())
-    S = rule.nodes.shape[0]
-    vals = vals.reshape(S, rule.q, k)
+    rule = QuadratureRule.over_spans(partition.knots[lo : hi + k], k)
+    spans = lo + rule.spans
+    vals = _span_basis(partition, np.repeat(spans, k), rule.offsets.ravel()).reshape(-1, k, k)
     blocks = np.einsum("sqa,sqb,sq->sab", vals, vals, rule.weights)
-    # All nodes of one span share the same first index; take it per span.
-    f0 = first.reshape(S, rule.q)[:, 0] - 1 - lo
+    # Span s carries N_{s-k+1}..N_s; entry (a, b) of its block lands in column s-k+1+b.
+    f0 = spans - k + 1 - lo
     band = np.zeros((k, hi - lo))
     for a in range(k):
         for b in range(a, k):
@@ -265,24 +294,21 @@ def gram_matrix(partition):
     The rule uses q = k nodes per interval, which integrates the
     degree-(2k - 2) products exactly.
     """
-    rule = QuadratureRule.over_spans(partition.knots, partition.order)
-    return _factored(partition, _band_columns(partition, rule, 0, partition.M))
+    return _factored(partition, _band_columns(partition, 0, partition.M))
 
 
 def gram_refine(G, fine, i0):
     """The Gram system of a one-knot refinement, from the coarse one.
 
-    ``fine`` is G's partition with tau_{i0} (1-based) inserted.  Band column
-    c (0-based) holds <N_c, N_{c-d}>, d < k, and the Cox-de Boor value of a
-    B-spline depends only on its own knots; so every column whose B-splines
-    lie on one side of the new knot, c < i0 - k - 1 or c >= i0 + k - 1, is
-    the coarse column, shifted by one past the knot.  The columns within 2k
-    of the knot are assembled afresh with k nodes per span; the extra k on
-    either side are slack for a Gauss node that rounds onto the end of a
-    span a few ulps wide and is evaluated on a later span.  The band equals
-    the one ``gram_matrix(fine)`` assembles, bit for bit, and is factored
-    again.  Raises PartitionMismatch unless ``fine`` refines G's partition
-    at tau_{i0}.
+    ``fine`` is G's partition with tau_{i0} (1-based) inserted at 0-based
+    position p = i0 - 1.  Band column c (0-based) holds <N_c, N_{c-d}>, d < k,
+    and the Cox-de Boor value of a B-spline depends only on its own knots.
+    The fine B-splines whose knots include the new one are N_{p-k}..N_p, so
+    only the 2k columns p-k..p+k-1 hold one of them; those are assembled
+    afresh, and every other column is the coarse one, shifted by one past
+    the knot.  The band equals the one ``gram_matrix(fine)`` assembles, bit
+    for bit, and is factored again.  Raises PartitionMismatch unless
+    ``fine`` refines G's partition at tau_{i0}.
     """
     _check_refinement(G.partition, fine, i0)
     k = fine.order
@@ -290,11 +316,8 @@ def gram_refine(G, fine, i0):
     band = np.empty((k, fine.M))
     band[:, :p] = G.band[:, :p]
     band[:, p + 1 :] = G.band[:, p:]
-    lo, hi = max(0, p - 2 * k), min(fine.M, p + 2 * k)
-    # Span s feeds columns s-k+1..s; take k spans of slack on either side.
-    s0, s1 = max(0, lo - k), min(len(fine.knots) - 1, hi + 2 * k - 1)
-    rule = QuadratureRule.over_spans(fine.knots[s0 : s1 + 1], k)
-    band[:, lo:hi] = _band_columns(fine, rule, lo, hi)
+    lo, hi = max(0, p - k), min(fine.M, p + k)
+    band[:, lo:hi] = _band_columns(fine, lo, hi)
     return _factored(fine, band)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, IndexOutOfRange
 
-# Relative slack when grouping near-equal coefficient magnitudes.
+# Relative tolerance when grouping near-equal coefficient magnitudes.
 TIE_REL_TOL = 1e-12
 
 

@@ -417,7 +417,7 @@ def _parser():
 
     sp = sub.add_parser("census", help="characteristic-interval multiplicity sweep")
     common(sp)
-    sp.add_argument("--beta", type=float, default=None, help="slack (default: 0 and 1/4)")
+    sp.add_argument("--beta", type=float, default=None, help="window margin (default: 0 and 1/4)")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("experiment", help="sign-flip unconditionality experiment")

@@ -59,7 +59,7 @@ def checkerboard_check(G):
     """Verify (-1)^(i+j) b_ij >= -tol over the whole inverse.
 
     tol is 1e-12 times the largest b_ii, which is the largest inverse
-    magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is slack
+    magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is a margin
     for entries that are exact zeros in exact arithmetic.  B is symmetric, so
     only the entries on and below the diagonal are scanned: the computed
     entries above the diagonal of each block are not read.  Returns the

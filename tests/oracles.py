@@ -2,15 +2,18 @@
 
 Each function recomputes a quantity that the library obtains another way
 (dense linear algebra, explicit refinement matrices, single-point
-evaluation, exhaustive window counts), or checks a lemma of the paper that
-no command runs: expansions and their maximal functions, interval
-distances, monotone subsequences.  The command line reaches none of them.
+evaluation, exhaustive window counts, exact rational arithmetic), or checks
+a lemma of the paper that no command runs: expansions and their maximal
+functions, interval distances, monotone subsequences.  The command line
+reaches none of them.
 """
 
+import functools
 import json
 import math
 import sys
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
@@ -463,3 +466,101 @@ def _longest_nondecreasing(xs):
         else:
             tails[pos] = x
     return len(tails)
+
+
+def _exact_span_basis(t, k, s, x):
+    """The k B-splines nonzero on span s, as the span's polynomial pieces at x, in Fractions."""
+    vals = [Fraction(1)]
+    for j in range(1, k):
+        saved, new = Fraction(0), []
+        for r in range(j):
+            left, right = x - t[s + 1 - j + r], t[s + 1 + r] - x
+            temp = vals[r] / (left + right)
+            new.append(saved + right * temp)
+            saved = left * temp
+        vals = new + [saved]
+    return vals
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_cotes(n):
+    """Closed Newton-Cotes nodes and weights of n + 1 points on [0, 1], exact through degree n."""
+    ts = [Fraction(i, n) for i in range(n + 1)] if n else [Fraction(0)]
+    weights = []
+    for i, ti in enumerate(ts):
+        poly = [Fraction(1)]  # Lagrange basis polynomial of node i, lowest degree first
+        for j, tj in enumerate(ts):
+            if j != i:
+                poly = [(a - tj * b) / (ti - tj) for a, b in zip([0] + poly, poly + [0])]
+        weights.append(sum(c / (m + 1) for m, c in enumerate(poly)))
+    return ts, weights
+
+
+def exact_gram_band(partition):
+    """The upper Gram band of a partition in Fractions, laid out as ``GramSystem.band``.
+
+    Every double is a dyadic rational, so each Gram entry is a rational: on
+    each nonzero-width span the products of two B-splines have degree
+    2k - 2, and the closed Newton-Cotes rule on 2k - 1 equispaced points
+    integrates them exactly.
+    """
+    k, M = partition.order, partition.M
+    t = [Fraction(x) for x in partition.knots.tolist()]
+    ts, ws = _newton_cotes(2 * k - 2)
+    band = [[Fraction(0)] * M for _ in range(k)]
+    for s in range(len(t) - 1):
+        h = t[s + 1] - t[s]
+        if h == 0:
+            continue
+        vals = [_exact_span_basis(t, k, s, t[s] + h * x) for x in ts]
+        for a in range(k):
+            for b in range(a, k):
+                band[k - 1 - b + a][s - k + 1 + b] += h * sum(w * v[a] * v[b] for w, v in zip(ws, vals))
+    return band
+
+
+def exact_solve_banded(band, rhs):
+    """x with A x = rhs for the symmetric band A, by banded elimination with no square root.
+
+    Row i of the elimination keeps A[i, i..i+k-1]; the Schur complements stay
+    symmetric, so the multiplier of row i + d is read from the upper entry.
+    """
+    k, M = len(band), len(rhs)
+    U = [[band[k - 1 - d][i + d] if i + d < M else Fraction(0) for d in range(k)] for i in range(M)]
+    y = list(rhs)
+    for i in range(M):
+        for d in range(1, min(k, M - i)):
+            f = U[i][d] / U[i][0]
+            for e in range(d, k):
+                U[i + d][e - d] -= f * U[i][e]
+            y[i + d] -= f * y[i]
+    x = [Fraction(0)] * M
+    for i in reversed(range(M)):
+        x[i] = (y[i] - sum(U[i][d] * x[i + d] for d in range(1, min(k, M - i)))) / U[i][0]
+    return x
+
+
+def exact_alpha(partition, i0):
+    """``ortho.alpha_coefficients`` in Fractions, from the exact Boehm weights."""
+    k = partition.order
+    t = [Fraction(x) for x in partition.knots.tolist()]
+    x = t[i0 - 1]
+    lo = range(i0 - k, i0)
+    w1 = [(x - t[j - 1]) / (t[j + k - 1] - t[j - 1]) for j in lo]
+    w2 = [(t[j + k] - x) / (t[j + k] - t[j]) for j in lo]
+    return [(-1) ** m * math.prod(w1[1:m] + w2[m : k - 1]) for m in range(k + 1)]
+
+
+def exact_phi(partition, i0, band):
+    """Coefficients of the level's phi_n from the exact solve A w = alpha.
+
+    ``band`` is the partition's ``exact_gram_band``.  phi = w / sqrt(alpha . w);
+    each coefficient is the rounded square root of the rounded rational
+    w_i^2 / (alpha . w), within about one ulp.
+    """
+    k = partition.order
+    rhs = [Fraction(0)] * partition.M
+    rhs[i0 - k - 1 : i0] = exact_alpha(partition, i0)
+    w = exact_solve_banded(band, rhs)
+    norm_sq = sum(r * v for r, v in zip(rhs, w))
+    return np.array([math.sqrt(v * v / norm_sq) * (1 if v >= 0 else -1) for v in w])

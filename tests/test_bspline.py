@@ -218,6 +218,27 @@ class TestGramMatrix:
             bspline.gram_refine(order_one, part(2, [0, 1, 0.5]), 3)
         assert np.array_equal(bspline.gram_refine(G, fine, 3).band, bspline.gram_matrix(fine).band)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_refine_reassembles_the_columns_touching_the_new_knot(self, monkeypatch, k):
+        # 0-based columns p-k..p+k-1 hold a B-spline whose knots include tau_{p+1}
+        seq = knots.random_admissible(k, k, 30)
+        calls = []
+        band_columns = bspline._band_columns
+
+        def recorded(partition, lo, hi):
+            calls.append((lo, hi))
+            return band_columns(partition, lo, hi)
+
+        monkeypatch.setattr(bspline, "_band_columns", recorded)
+        p_n = knots.boundary_partition(k)
+        G = bspline.gram_matrix(p_n)
+        for _ in range(2, 30):
+            p_n, i0 = knots.next_partition(seq, p_n)
+            calls.clear()
+            G = bspline.gram_refine(G, p_n, i0)
+            p = i0 - 1
+            assert calls == [(p - k, min(p_n.M, p + k))]
+
 
 def refinement(coarse, fine, i0):
     """The refinement matrix through the library kernel: prolong of the identity."""

@@ -18,8 +18,11 @@ from oracles import canonical_json
 from orthosplines import bspline, cli, knots, ortho
 
 
-# Two knots one ulp apart next to 1 make the level-5 Gram matrix of k=3 singular.
-FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 0.75]
+# A knot at the smallest normal double makes the level-5 complement function of k=3
+# infinite.
+FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-1022, 2.0**-1021]
+# Two knots one ulp apart next to 1: their spans are a few ulps wide, and still build.
+ONE_ULP_PAIR_NEAR_ONE = [0.0, 1.0, 0.5, 0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 0.75]
 
 
 def run(*argv):
@@ -116,6 +119,15 @@ class TestGenAndBuild:
         assert "error: level 5" in captured.err
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+    def test_one_ulp_pair_near_one_builds(self, tmp_path):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 3, "points": ONE_ULP_PAIR_NEAR_ONE}))
+        assert run("build", "--points", str(seq_file), "--out", str(tmp_path / "build.json")) == 0
+        seq = knots.validate_admissible(3, ONE_ULP_PAIR_NEAR_ONE)
+        system = ortho.build_system(seq, len(seq.points) - 1)
+        F = system.matrix
+        assert np.abs(F @ system.gram.apply(F.T) - np.eye(system.size)).max() <= 1e-10
 
     def test_build_streams_its_records(self, tmp_path):
         # Peak traced memory stays flat in N and below the report's own size.

@@ -64,7 +64,7 @@ def family_sequence(family, k):
         interior = [(2 * i + 1) / 32.0 for i in range(16) for _ in range(k)][: LEVELS - 1]
     else:
         tiny = 2.0**-1000
-        interior = [tiny, np.nextafter(1.0, 0.0), 2 * tiny, 0.5]
+        interior = [tiny, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 2 * tiny, 0.5]
         interior += list(np.random.default_rng(k).random(LEVELS - 1 - len(interior)))
     return knots.validate_admissible(k, [0.0, 1.0] + interior)
 
