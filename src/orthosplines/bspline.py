@@ -8,9 +8,9 @@ from the k basis values at each point (``eval_basis_many``, ``spline_values``).
 
 Every basis value comes from one Cox-de Boor kernel on a span index s and an
 offset u = x - tau_s, which reads the knots only through differences from
-tau_s.  ``eval_basis_many`` finds the span of an absolute point; the Gram
-assembly places its Gauss nodes by offset on their own spans and never
-searches for one, so spans a few ulps wide lose no digits.
+tau_s.  ``eval_basis_many`` finds the span of an absolute point; quadrature
+rules place their Gauss nodes by offset on their own spans and never search
+for one, so spans a few ulps wide lose no digits.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     DomainError,
     IndexOutOfRange,
     NotPositiveDefinite,
-    PartitionMismatch,
     QuadratureTooCoarse,
 )
 
@@ -62,16 +61,15 @@ def _find_spans(partition, xs):
     return spans
 
 
-def _span_basis(partition, spans, u):
-    """The k B-splines nonzero on span s, at offset u >= 0 from its left end tau_s.
+def _span_basis(knots, k, spans, u):
+    """The k order-k B-splines nonzero on span s of ``knots``, at offset u >= 0 from tau_s.
 
     Returns values of shape (len(u), k): N_{s-k+1}..N_s (0-based) on each span.
-    Cox-de Boor reads the knots only through their differences from tau_s,
-    exact for knots within a factor 2 of each other (Sterbenz), so narrow
-    spans lose no digits and no point is rounded onto a neighbouring span.
+    Span s reads only knots s-k+2..s+k-1.  Cox-de Boor reads them only
+    through their differences from tau_s, exact for knots within a factor 2
+    of each other (Sterbenz), so narrow spans lose no digits and no point is
+    rounded onto a neighbouring span.
     """
-    knots = partition.knots
-    k = partition.order
     npts = len(u)
     tau = knots[spans]
     vals = np.zeros((npts, k))
@@ -100,8 +98,13 @@ def eval_basis_many(partition, xs):
     """
     xs = np.asarray(xs, dtype=float)
     spans = _find_spans(partition, xs)
-    vals = _span_basis(partition, spans, xs - partition.knots[spans])
-    return spans - partition.order + 2, vals
+    return span_values(partition, spans, xs - partition.knots[spans])
+
+
+def span_values(partition, spans, u):
+    """``eval_basis_many`` output for points given as span index s and offset u from tau_s."""
+    k = partition.order
+    return spans - k + 2, _span_basis(partition.knots, k, spans, u)
 
 
 def eval_blocks(partition, xs, unit=1):
@@ -157,14 +160,13 @@ class Spline:
 class QuadratureRule:
     """Per-knot-interval Gauss-Legendre nodes, exact through degree 2q - 1.
 
-    Each node is kept on its span: ``spans`` indexes the nonzero-width spans
-    of the knot run, and ``offsets`` holds each node's distance
-    half (1 + x_ref) from its span's left end.  ``nodes`` are the absolute
-    points a + offset.
+    Each node is kept on its span: ``spans`` indexes spans of the knot array,
+    and ``offsets`` holds each node's distance half (1 + x_ref) from its
+    span's left end.  ``nodes`` are the absolute points a + offset.
     """
 
     q: int
-    spans: np.ndarray  # (S,) indices of the nonzero-width spans in the knot run
+    spans: np.ndarray  # (S,) indices of nonzero-width spans in the knot array
     intervals: np.ndarray  # (S, 2) their ends
     offsets: np.ndarray  # (S, q)
     weights: np.ndarray  # (S, q)
@@ -175,11 +177,11 @@ class QuadratureRule:
         return self.intervals[:, :1] + self.offsets
 
     @classmethod
-    def over_spans(cls, knots, q):
-        """The rule on the nonzero-width spans of a run of consecutive knots."""
+    def over_spans(cls, knots, q, spans=None):
+        """The rule on the given nonzero-width spans of a knot array, by default on all of them."""
         if q < 1:
             raise QuadratureTooCoarse(f"need at least one node, got q={q}")
-        live = np.flatnonzero(np.diff(knots) > 0)
+        live = np.flatnonzero(np.diff(knots) > 0) if spans is None else spans
         a, b = knots[live], knots[live + 1]
         ref_x, ref_w = _gauss_legendre(q)
         half = 0.5 * (b - a)
@@ -225,7 +227,7 @@ class GramSystem:
 
     def solve(self, rhs):
         """A x = rhs through the banded Cholesky factor."""
-        return cho_solve_banded((self.factor, False), rhs)
+        return dpbtrs(self.factor, rhs)[0]
 
     def inverse_columns(self):
         """Yield (start, cols) with cols = B[start:, start:start + w], w <= 256, left to right.
@@ -243,7 +245,7 @@ class GramSystem:
             width = min(_INVERSE_BLOCK, M - start)
             rhs = np.zeros((M - start, width))
             rhs[np.arange(width), np.arange(width)] = 1.0
-            yield start, cho_solve_banded((self.factor[:, start:], False), rhs)
+            yield start, dpbtrs(self.factor[:, start:], rhs)[0]
 
     @functools.cached_property
     def inverse_diagonal(self):
@@ -252,39 +254,37 @@ class GramSystem:
         return np.concatenate([np.diagonal(cols).copy() for _, cols in self.inverse_columns()])
 
 
-def _band_columns(partition, lo, hi):
-    """Columns lo..hi-1 (0-based) of the upper Gram band, with k Gauss nodes per span.
+def _band_columns(knots, k, spans, cols, width):
+    """Upper Gram band (k, width) of the order-k B-splines on the given spans of a knot array.
 
-    Column c holds <N_c, N_{c-d}>, d < k, and draws on spans c..c+k-1, so
-    the rule covers exactly the knots lo..hi+k-1 and evaluates each node on
-    its own span from its offset.  Span blocks are added in (a, b) loop
-    order, then in span order, so every column carries the same bits however
-    many columns are asked for.
+    Each span s carries N_{s-k+1}..N_s; its k x k block of <N_a, N_b> comes
+    from k Gauss nodes placed by offset on the span, and entry (a, b) is
+    added to row k-1-(b-a) of column cols + b, cols holding one column per
+    span.  Blocks are added in (a, b) loop order, then in span order, and
+    einsum reduces each block on its own, so every column carries the same
+    bits however many spans are assembled at once.
     """
-    k = partition.order
-    rule = QuadratureRule.over_spans(partition.knots[lo : hi + k], k)
-    spans = lo + rule.spans
-    vals = _span_basis(partition, np.repeat(spans, k), rule.offsets.ravel()).reshape(-1, k, k)
+    rule = QuadratureRule.over_spans(knots, k, spans)
+    vals = _span_basis(knots, k, np.repeat(spans, k), rule.offsets.ravel()).reshape(-1, k, k)
     blocks = np.einsum("sqa,sqb,sq->sab", vals, vals, rule.weights)
-    # Span s carries N_{s-k+1}..N_s; entry (a, b) of its block lands in column s-k+1+b.
-    f0 = spans - k + 1 - lo
-    band = np.zeros((k, hi - lo))
+    band = np.zeros((k, width))
     for a in range(k):
         for b in range(a, k):
-            d = b - a
-            cols = f0 + b
-            keep = (cols >= 0) & (cols < hi - lo)
-            np.add.at(band[k - 1 - d], cols[keep], blocks[keep, a, b])
+            np.add.at(band[k - 1 - b + a], cols + b, blocks[:, a, b])
     return band
 
 
-def _factored(partition, band):
-    try:
-        factor = cholesky_banded(band, lower=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        # ValueError: a band entry is inf or NaN, e.g. from knots a few
-        # subnormal ulps apart.
-        raise NotPositiveDefinite(f"level {partition.level}: {exc}") from exc
+def _factored(partition, band, fresh):
+    """The Gram system of ``band``, whose columns outside ``fresh`` were checked before.
+
+    Raises NotPositiveDefinite naming the level when a fresh entry is inf or
+    NaN (knots a few subnormal ulps apart) or a leading minor is not positive.
+    """
+    if not np.isfinite(fresh).all():
+        raise NotPositiveDefinite(f"level {partition.level}: array must not contain infs or NaNs")
+    factor, info = dpbtrf(band)
+    if info:
+        raise NotPositiveDefinite(f"level {partition.level}: {info}-th leading minor not positive definite")
     return GramSystem(partition, band, factor)
 
 
@@ -294,43 +294,69 @@ def gram_matrix(partition):
     The rule uses q = k nodes per interval, which integrates the
     degree-(2k - 2) products exactly.
     """
-    return _factored(partition, _band_columns(partition, 0, partition.M))
+    k = partition.order
+    spans = np.flatnonzero(np.diff(partition.knots) > 0)
+    band = _band_columns(partition.knots, k, spans, spans - k + 1, partition.M)
+    return _factored(partition, band, band)
 
 
-def gram_refine(G, fine, i0):
-    """The Gram system of a one-knot refinement, from the coarse one.
+def refinement_columns(windows, k, ncols):
+    """The Gram band columns a one-knot refinement changes, for a stack of refinements at once.
+
+    Row b of ``windows`` holds knots p-2k+1..p+3k-2 (0-based) of a level
+    whose new knot sits at position p.  The fine B-splines whose knots
+    include it are N_{p-k}..N_p, so only band columns p-k..p-k+ncols[b]-1,
+    ncols[b] = min(M, p+k) - p + k, hold one.  They draw on spans
+    p-k..p+ncols[b]-2, whose Cox-de Boor values read only the window.  Every
+    span of the stack goes through one ``_band_columns`` call, laid out so
+    that each level's columns sit in a row of their own; returns one
+    (k, ncols[b]) array per level, bit-equal to the same columns of a full
+    ``gram_matrix`` of that level.
+    """
+    B, W = windows.shape
+    # A span contributes to k consecutive columns, k - 1 of them possibly
+    # left of the level's first: each row has room for them on both sides.
+    R = 4 * k - 2
+    sigma = np.arange(k - 1, 4 * k - 2)  # window slots of spans p-k..p+3k-3
+    use = (sigma <= ncols[:, None] + 2 * k - 3) & (windows[:, sigma + 1] > windows[:, sigma])
+    level, slot = np.nonzero(use)
+    spans = sigma[slot]
+    band = _band_columns(windows.ravel(), k, level * W + spans, level * R + spans - k + 1, B * R)
+    band = band.reshape(k, B, R)
+    return [band[:, b, k - 1 : k - 1 + n] for b, n in enumerate(ncols.tolist())]
+
+
+def refine_gram(G, fine, i0, fresh):
+    """The Gram system of a one-knot refinement, from the coarse one and the changed columns.
 
     ``fine`` is G's partition with tau_{i0} (1-based) inserted at 0-based
-    position p = i0 - 1.  Band column c (0-based) holds <N_c, N_{c-d}>, d < k,
-    and the Cox-de Boor value of a B-spline depends only on its own knots.
-    The fine B-splines whose knots include the new one are N_{p-k}..N_p, so
-    only the 2k columns p-k..p+k-1 hold one of them; those are assembled
-    afresh, and every other column is the coarse one, shifted by one past
-    the knot.  The band equals the one ``gram_matrix(fine)`` assembles, bit
-    for bit, and is factored again.  Raises PartitionMismatch unless
-    ``fine`` refines G's partition at tau_{i0}.
+    position p = i0 - 1, and ``fresh`` holds its band columns p-k.. from
+    ``refinement_columns``.  Every other column is the coarse one, shifted
+    by one past the knot, so the band equals the one ``gram_matrix(fine)``
+    assembles, bit for bit; it is factored again.  Only the fresh columns
+    are checked for inf and NaN: the others were checked at their own level.
     """
-    _check_refinement(G.partition, fine, i0)
     k = fine.order
     p = i0 - 1
     band = np.empty((k, fine.M))
     band[:, :p] = G.band[:, :p]
     band[:, p + 1 :] = G.band[:, p:]
-    lo, hi = max(0, p - k), min(fine.M, p + k)
-    band[:, lo:hi] = _band_columns(fine, lo, hi)
-    return _factored(fine, band)
+    band[:, p - k : p - k + fresh.shape[1]] = fresh
+    return _factored(fine, band, fresh)
 
 
-def _check_refinement(coarse, fine, i0):
-    """Raise PartitionMismatch unless fine is coarse with tau_{i0} (1-based) inserted."""
-    if coarse.order != fine.order:
-        raise PartitionMismatch("orders differ")
-    if fine.level != coarse.level + 1 or len(fine.knots) != len(coarse.knots) + 1:
-        raise PartitionMismatch("fine partition is not one level above coarse")
-    if not 1 <= i0 <= len(fine.knots):
-        raise PartitionMismatch(f"insertion index {i0} outside the fine knot vector")
-    if not np.array_equal(np.delete(fine.knots, i0 - 1), coarse.knots):
-        raise PartitionMismatch("removing the inserted knot does not recover the coarse partition")
+def boehm_weights(t):
+    """Refinement weights (w1, w2), each (..., k), of stacked knot windows t of width 2k + 1.
+
+    A window holds tau_{i0-k}..tau_{i0+k} (1-based) around a new knot tau_{i0}
+    in its middle; leading axes stack insertions.  The weights are those of
+    ``boehm_refine``, term by term.
+    """
+    k = t.shape[-1] // 2
+    x = t[..., k : k + 1]
+    w1 = (x - t[..., :k]) / (t[..., k : 2 * k] - t[..., :k])
+    w2 = (t[..., k + 1 :] - x) / (t[..., k + 1 :] - t[..., 1 : k + 1])
+    return w1, w2
 
 
 def boehm_refine(fine, i0):
@@ -345,12 +371,7 @@ def boehm_refine(fine, i0):
     k = fine.order
     if not k + 1 <= i0 <= fine.M:
         raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {fine.M}]")
-    t = fine.knots
-    x = t[i0 - 1]
-    lo = np.arange(i0 - k, i0)  # 1-based two-term row indices
-    w1 = (x - t[lo - 1]) / (t[lo + k - 1] - t[lo - 1])
-    w2 = (t[lo + k] - x) / (t[lo + k] - t[lo])
-    return w1, w2
+    return boehm_weights(fine.knots[i0 - k - 1 : i0 + k])
 
 
 def split_columns(block, w1, w2):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange
+from .errors import DomainError
 
 # Relative tolerance when grouping near-equal coefficient magnitudes.
 TIE_REL_TOL = 1e-12
@@ -29,33 +29,34 @@ class CharInterval:
     level: int
 
 
-def characteristic_interval(partition, i0, alpha):
-    """Select the characteristic interval for the insertion at index i0.
+def characteristic_intervals(t, alpha, i0, levels):
+    """Select the characteristic interval of each of a stack of insertions, in array passes.
 
-    Steps: candidates j = i0-k..i0; keep those whose support length is at most
-    twice the minimum (near-minimal); among them take the largest |alpha_j|
-    (relative ties within TIE_REL_TOL grouped, smallest index wins); inside
-    the winner's support return the longest knot span, leftmost on ties.
+    Row b of ``t`` holds the knots tau_{i0-k}..tau_{i0+k} (1-based) around
+    the insertion at index i0[b] of level levels[b], and ``alpha`` its k + 1
+    insertion coefficients.  Steps: candidates j = i0-k..i0; keep those
+    whose support length is at most twice the minimum (near-minimal); among
+    them take the largest |alpha_j| (relative ties within TIE_REL_TOL
+    grouped, smallest index wins); inside the winner's support return the
+    longest knot span, leftmost on ties.  Returns one CharInterval per row.
     """
-    k = partition.order
-    if not k + 1 <= i0 <= partition.M:
-        raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {partition.M}]")
-    alpha = np.asarray(alpha, dtype=float)
-    if len(alpha) != k + 1:
-        raise IndexOutOfRange(f"alpha must have k+1={k + 1} entries, got {len(alpha)}")
-    knots = partition.knots
-    js = np.arange(i0 - k, i0 + 1)  # 1-based candidate indices
-    lengths = knots[js + k - 1] - knots[js - 1]
-    lam0 = lengths <= 2.0 * lengths.min()
+    k = alpha.shape[-1] - 1
+    rows = np.arange(len(t))[:, None]
+    # Candidate m (j = i0-k+m) has support [t[m], t[m+k]].
+    lengths = t[:, k:] - t[:, : k + 1]
+    lam0 = lengths <= 2.0 * lengths.min(axis=1, keepdims=True)
     mags = np.abs(alpha)
-    amax = mags[lam0].max()
-    lam1 = lam0 & (mags >= amax * (1.0 - TIE_REL_TOL))
-    j0 = int(js[lam1][0])
-    J0 = (float(knots[j0 - 1]), float(knots[j0 + k - 1]))
-    widths = knots[j0 : j0 + k] - knots[j0 - 1 : j0 + k - 1]
-    a = int(np.argmax(widths))
-    J = (float(knots[j0 - 1 + a]), float(knots[j0 + a]))
-    return CharInterval(j0=j0, J0=J0, J=J, level=partition.level)
+    amax = np.where(lam0, mags, -np.inf).max(axis=1, keepdims=True)
+    m = np.argmax(lam0 & (mags >= amax * (1.0 - TIE_REL_TOL)), axis=1)[:, None]
+    spans = m + np.arange(k)
+    a = np.argmax(t[rows, spans + 1] - t[rows, spans], axis=1)[:, None]
+    J0 = np.hstack([t[rows, m], t[rows, m + k]]).tolist()
+    J = np.hstack([t[rows, m + a], t[rows, m + a + 1]]).tolist()
+    j0 = (np.asarray(i0) - k + m[:, 0]).tolist()
+    return [
+        CharInterval(j0=j, J0=tuple(s0), J=tuple(s1), level=int(n))
+        for j, s0, s1, n in zip(j0, J0, J, levels)
+    ]
 
 
 def d_point(knots, J, x):

@@ -33,10 +33,6 @@ class DomainError(SplineError, ValueError):
     """Evaluation point or interval leaves [0, 1], or a parameter is out of domain."""
 
 
-class PartitionMismatch(SplineError, ValueError):
-    """Two partitions do not differ by exactly one inserted knot at the stated index."""
-
-
 class QuadratureTooCoarse(SplineError, ValueError):
     """Node count too small to integrate the target degree exactly."""
 

@@ -18,9 +18,23 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
-from .bspline import Spline, boehm_refine, eval_basis_many, gram_matrix, gram_refine, split_columns
+from .bspline import (
+    Spline,
+    boehm_refine,
+    boehm_weights,
+    eval_basis_many,
+    gram_matrix,
+    refine_gram,
+    refinement_columns,
+    split_columns,
+)
 from .errors import IndexOutOfRange, NotPositiveDefinite
-from .knots import boundary_partition, check_level, next_partition
+from .knots import boundary_partition, check_level, insertion_windows, next_partition
+
+# Levels whose local work (knot windows, fresh Gram columns, alpha, J) is
+# done in one set of array passes.  Its temporaries take O(LEVEL_BLOCK^2 + LEVEL_BLOCK k^3)
+# floats, a few hundred kB at k = 3.
+LEVEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -40,42 +54,23 @@ class OrthoFunction:
     char: charint.CharInterval
 
 
-def alpha_coefficients(partition, i0):
-    """Insertion coefficients alpha_j, j = i0-k..i0, of the new knot tau_{i0}.
+def alpha_coefficients(w1, w2):
+    """Insertion coefficients alpha_j, j = i0-k..i0, from the refinement weights of the new knot.
 
-    With (w1, w2) the refinement weights of ``boehm_refine``, the entry for
-    j = i0-k+m is (-1)^m times the product of w1[1:m] and w2[m:k-1], taken
-    in that order.  The first entry is positive, signs alternate strictly on
-    the leading nonzero block, and entries vanish once the product hits a
-    knot equal to tau_{i0}.
+    (w1, w2) are the weights of ``boehm_refine``, (..., k) each; leading axes
+    stack insertions.  The entry for j = i0-k+m is (-1)^m times the product
+    of w1[1:m] and w2[m:k-1], taken in that order.  The first entry is
+    positive, signs alternate strictly on the leading nonzero block, and
+    entries vanish once the product hits a knot equal to tau_{i0}.
     """
-    k = partition.order
-    w1, w2 = boehm_refine(partition, i0)
-    return np.array(
-        [(-1.0) ** m * math.prod(np.concatenate([w1[1:m], w2[m : k - 1]])) for m in range(k + 1)]
-    )
-
-
-def ortho_function(G, i0):
-    """Build the level-n orthonormal function from the level-n Gram system.
-
-    Solves A w = alpha (alpha scattered into R^M), so w carries the B-spline
-    coefficients of the unnormalized g; ||g||_2^2 = sum alpha_j w_j over the
-    alpha support.  The sign convention is inherited from alpha.  Raises
-    NotPositiveDefinite, naming the level, when ||g||_2 or w is not finite.
-    """
-    part = G.partition
-    k = part.order
-    alpha = alpha_coefficients(part, i0)
-    rhs = np.zeros(part.M)
-    rhs[i0 - k - 1 : i0] = alpha
-    w = G.solve(rhs)
-    norm2 = math.sqrt(float(rhs @ w))
-    if not (math.isfinite(norm2) and np.isfinite(w).all()):
-        raise NotPositiveDefinite(f"level {part.level}: complement function not finite, norm {norm2}")
-    phi = Spline(part, w / norm2)
-    char = charint.characteristic_interval(part, i0, alpha)
-    return OrthoFunction(level=part.level, i0=i0, alpha=alpha, norm2=norm2, phi=phi, char=char)
+    k = w1.shape[-1]
+    alpha = np.empty(w1.shape[:-1] + (k + 1,))
+    for m in range(k + 1):
+        prod = np.ones(w1.shape[:-1])
+        for w in [w1[..., i] for i in range(1, m)] + [w2[..., i] for i in range(m, k - 1)]:
+            prod = prod * w
+        alpha[..., m] = (-1.0) ** m * prod
+    return alpha
 
 
 def initial_block(order):
@@ -187,24 +182,59 @@ def polynomial_coeffs_over(partition, polys):
     return np.linalg.solve(design, vals.T).T
 
 
+def _local_work(base, points, k, n0):
+    """Each level's O(k) local work for the insertions of points, levels n0.., in array passes.
+
+    ``base`` is the knot vector of level n0 - 1.  Returns, per level, the
+    Gram band columns the insertion changes, alpha and the characteristic
+    interval; all of them read only knots p-2k+1..p+3k-2 around the new
+    knot's position p.
+    """
+    p, windows = insertion_windows(base, points, 2 * k - 1, 3 * k - 2)
+    M = len(base) + 1 - k + np.arange(len(points))
+    fresh = refinement_columns(windows, k, np.minimum(M, p + k) - p + k)
+    near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
+    alpha = alpha_coefficients(*boehm_weights(near))
+    chars = charint.characteristic_intervals(near, alpha, p + 1, range(n0, n0 + len(points)))
+    return fresh, alpha, chars
+
+
 def levels(seq, N):
     """Yield (G, f_n) for n = 2..N: the level-n Gram system and orthonormal function.
 
-    Walks the levels once: inserts t_n into the previous partition, updates
-    the Gram band around it, and builds the new orthonormal function on its
-    level.  A level copies the O(M k) band, reassembles O(k) columns of it,
-    and factors and solves it once: O(N^2 k^2) for the whole walk.  Nothing
-    of a level is kept once the next one is asked for, so a consumer that
-    drops what it was given runs in memory flat in N.  An N the sequence
-    cannot reach fails before the first level is built.
+    Walks the levels once, LEVEL_BLOCK at a time.  A block first does every
+    level's O(k) local work in array passes (``_local_work``): where t_n
+    lands, the 2k Gram band columns around it, alpha and J_n, all from the
+    knots next to t_n, in O(k^2) numpy calls for the whole block.  Each
+    level then only inserts t_n into the previous knot vector, shifts the
+    band past it and pastes its fresh columns, factors the band and solves
+    for the new function once: O(M k^2) per level, O(N^2 k^2) for the walk.
+    A level that fails raises when the walk reaches it, naming the level,
+    even if its block computed it earlier.  Nothing of a level is kept once
+    the next one is asked for, so a consumer that drops what it was given
+    runs in memory flat in N.  An N the sequence cannot reach fails before
+    the first level is built.
     """
     check_level(seq, N)
-    part = boundary_partition(seq.order)
+    k = seq.order
+    part = boundary_partition(k)
     G = gram_matrix(part)
-    for _ in range(2, N + 1):
-        part, i0 = next_partition(seq, part)
-        G = gram_refine(G, part, i0)
-        yield G, ortho_function(G, i0)
+    for n0 in range(2, N + 1, LEVEL_BLOCK):
+        points = np.array(seq.points[n0 : min(n0 + LEVEL_BLOCK, N + 1)])
+        fresh, alpha, chars = _local_work(part.knots, points, k, n0)
+        for cols, a, char in zip(fresh, alpha, chars):
+            part, i0 = next_partition(seq, part)
+            G = refine_gram(G, part, i0, cols)
+            rhs = np.zeros(part.M)
+            rhs[i0 - k - 1 : i0] = a
+            w = G.solve(rhs)
+            norm2 = math.sqrt(float(rhs @ w))
+            if not (math.isfinite(norm2) and np.isfinite(w).all()):
+                raise NotPositiveDefinite(
+                    f"level {part.level}: complement function not finite, norm {norm2}"
+                )
+            phi = Spline(part, w / norm2)
+            yield G, OrthoFunction(level=part.level, i0=i0, alpha=a, norm2=norm2, phi=phi, char=char)
 
 
 def build_system(seq, N):

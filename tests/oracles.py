@@ -19,8 +19,8 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
-from orthosplines import analysis, bspline, charint, knots
-from orthosplines.errors import DomainError, LevelOutOfRange, SplineError
+from orthosplines import analysis, bspline, charint, knots, ortho
+from orthosplines.errors import DomainError, LevelOutOfRange, NotPositiveDefinite, SplineError
 
 
 class EmptyInterval(SplineError, ValueError):
@@ -161,6 +161,55 @@ def alpha_loop(partition, i0):
             prod *= (tau(ell + k) - x) / (tau(ell + k) - tau(ell))
         alpha[idx] = (-1.0) ** (j - i0 + k) * prod
     return alpha
+
+
+def characteristic_interval(partition, i0, alpha):
+    """The characteristic interval of one insertion, selected level by level on the whole knot vector.
+
+    The per-level form of ``charint.characteristic_intervals``, with the
+    same steps in the same arithmetic.
+    """
+    k = partition.order
+    knots = partition.knots
+    js = np.arange(i0 - k, i0 + 1)  # 1-based candidate indices
+    lengths = knots[js + k - 1] - knots[js - 1]
+    lam0 = lengths <= 2.0 * lengths.min()
+    mags = np.abs(alpha)
+    amax = mags[lam0].max()
+    lam1 = lam0 & (mags >= amax * (1.0 - charint.TIE_REL_TOL))
+    j0 = int(js[lam1][0])
+    J0 = (float(knots[j0 - 1]), float(knots[j0 + k - 1]))
+    widths = knots[j0 : j0 + k] - knots[j0 - 1 : j0 + k - 1]
+    a = int(np.argmax(widths))
+    J = (float(knots[j0 - 1 + a]), float(knots[j0 + a]))
+    return charint.CharInterval(j0=j0, J0=J0, J=J, level=partition.level)
+
+
+def ortho_function(G, i0):
+    """The level-n orthonormal function from the level-n Gram system, one level on its own.
+
+    The per-level form of the ``ortho.levels`` walk: alpha from the
+    knot-ratio loop, A w = alpha with alpha scattered into R^M,
+    ||g||_2^2 = alpha . w, and J from the whole knot vector.  Raises
+    NotPositiveDefinite, naming the level, when ||g||_2 or w is not finite.
+    """
+    part = G.partition
+    k = part.order
+    alpha = alpha_loop(part, i0)
+    rhs = np.zeros(part.M)
+    rhs[i0 - k - 1 : i0] = alpha
+    w = G.solve(rhs)
+    norm2 = math.sqrt(float(rhs @ w))
+    if not (math.isfinite(norm2) and np.isfinite(w).all()):
+        raise NotPositiveDefinite(f"level {part.level}: complement function not finite, norm {norm2}")
+    return ortho.OrthoFunction(
+        level=part.level,
+        i0=i0,
+        alpha=alpha,
+        norm2=norm2,
+        phi=bspline.Spline(part, w / norm2),
+        char=characteristic_interval(part, i0, alpha),
+    )
 
 
 def gram_schmidt_oracle(seq, n):

@@ -21,6 +21,7 @@ from oracles import (
     insert_event,
     maximal_function,
     monotone_subsequence,
+    ortho_function,
     sup_norm,
     value_matrix,
 )
@@ -58,7 +59,7 @@ def test_criterion_02_oracle_equivalence():
         for n in range(2, 101):
             G = bspline.gram_matrix(knots.partition_at(seq, n))
             i0 = insert_event(seq, n)
-            fast = ortho.ortho_function(G, i0).phi
+            fast = ortho_function(G, i0).phi
             oracle = gram_schmidt_oracle(seq, n)
             s = 1.0 if float(fast.coeffs @ oracle.coeffs) >= 0 else -1.0
             diff = float(np.linalg.norm(fast.coeffs - s * oracle.coeffs))
@@ -180,7 +181,7 @@ def test_criterion_07_census_saturation():
     1. a <= b, where a and b are census_max at N=256 and N=512.  Functions
        and their J_n persist under refinement and windows only gain knots.
     2. b <= F(k, beta), a bound that follows from the selection rule of
-       charint.characteristic_interval alone:
+       charint.characteristic_intervals alone:
 
     Fix a window [x, y] with L = y - x and a counted level m (J_m inside
     [x, y], |J_m| >= (1 - beta) L).  By the rule, J0_m is near-minimal,

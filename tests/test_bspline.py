@@ -19,7 +19,6 @@ from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
     DomainError,
     IndexOutOfRange,
-    PartitionMismatch,
     QuadratureTooCoarse,
 )
 
@@ -205,39 +204,26 @@ class TestGramMatrix:
         full = np.hstack([cols for _, cols in full_columns(G)])
         assert np.array_equal(G.inverse_diagonal, np.diagonal(full))
 
-    def test_refine_rejects_a_partition_it_does_not_refine(self):
-        G = bspline.gram_matrix(part(2, [0, 1, 0.5], n=2))
-        fine = part(2, [0, 1, 0.5, 0.25], n=3)
-        # deleting tau_4 = 0.5 leaves (0, 0, 0.25, 1, 1), not the coarse knots
-        with pytest.raises(PartitionMismatch):
-            bspline.gram_refine(G, fine, 4)
-        with pytest.raises(PartitionMismatch):
-            bspline.gram_refine(G, part(2, [0, 1, 0.5, 0.25, 0.75], n=4), 3)
-        order_one = bspline.gram_matrix(knots.boundary_partition(1))
-        with pytest.raises(PartitionMismatch):
-            bspline.gram_refine(order_one, part(2, [0, 1, 0.5]), 3)
-        assert np.array_equal(bspline.gram_refine(G, fine, 3).band, bspline.gram_matrix(fine).band)
-
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_refine_reassembles_the_columns_touching_the_new_knot(self, monkeypatch, k):
         # 0-based columns p-k..p+k-1 hold a B-spline whose knots include tau_{p+1}
         seq = knots.random_admissible(k, k, 30)
         calls = []
-        band_columns = bspline._band_columns
+        refine_gram = bspline.refine_gram
 
-        def recorded(partition, lo, hi):
-            calls.append((lo, hi))
-            return band_columns(partition, lo, hi)
+        def recorded(G, fine, i0, fresh):
+            calls.append((i0, fine.M, fresh))
+            return refine_gram(G, fine, i0, fresh)
 
-        monkeypatch.setattr(bspline, "_band_columns", recorded)
-        p_n = knots.boundary_partition(k)
-        G = bspline.gram_matrix(p_n)
-        for _ in range(2, 30):
-            p_n, i0 = knots.next_partition(seq, p_n)
-            calls.clear()
-            G = bspline.gram_refine(G, p_n, i0)
+        monkeypatch.setattr(ortho, "refine_gram", recorded)
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
+        for _ in ortho.levels(seq, 29):
+            pass
+        assert len(calls) == 28
+        for n, (i0, M, fresh) in enumerate(calls, start=2):
             p = i0 - 1
-            assert calls == [(p - k, min(p_n.M, p + k))]
+            full = bspline.gram_matrix(knots.partition_at(seq, n))
+            assert np.array_equal(fresh, full.band[:, p - k : min(M, p + k)])
 
 
 def refinement(coarse, fine, i0):

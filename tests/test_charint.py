@@ -10,15 +10,17 @@ from oracles import (
     monotone_subsequence,
 )
 
-from orthosplines import charint, knots, ortho
-from orthosplines.errors import DomainError, IndexOutOfRange
+from orthosplines import bspline, charint, knots, ortho
+from orthosplines.errors import DomainError
 
 
 def char_for(seq, n):
     part = knots.partition_at(seq, n)
     i0 = insert_event(seq, n)
-    alpha = ortho.alpha_coefficients(part, i0)
-    return part, charint.characteristic_interval(part, i0, alpha)
+    alpha = ortho.alpha_coefficients(*bspline.boehm_refine(part, i0))
+    k = seq.order
+    window = part.knots[None, i0 - k - 1 : i0 + k]
+    return part, charint.characteristic_intervals(window, alpha[None], [i0], [n])[0]
 
 
 class TestCharacteristicInterval:
@@ -56,18 +58,6 @@ class TestCharacteristicInterval:
     def test_deterministic(self):
         seq = knots.random_admissible(6, 3, 9)
         assert char_for(seq, 8)[1] == char_for(seq, 8)[1]
-
-    def test_bad_alpha_length(self):
-        seq = knots.validate_admissible(2, [0, 1, 0.5])
-        part = knots.partition_at(seq, 2)
-        with pytest.raises(IndexOutOfRange):
-            charint.characteristic_interval(part, 3, np.array([1.0, -1.0]))
-
-    def test_bad_index(self):
-        seq = knots.validate_admissible(2, [0, 1, 0.5])
-        part = knots.partition_at(seq, 2)
-        with pytest.raises(IndexOutOfRange):
-            charint.characteristic_interval(part, 1, np.array([1.0, -1.0, 1.0]))
 
 
 def quarter():

@@ -362,19 +362,25 @@ class TestUsageErrors:
     ):
         seq_file = tmp_path / "seq.json"
         seq_file.write_text(json.dumps({"k": 2, "points": [0.0, 1.0, 0.5, 0.25, 0.75]}))
+        # The walk starts with the level-1 Gram system and refines it once per level.
         built = []
-        ortho_function = ortho.ortho_function
-
-        def counted(G, i0):
-            built.append(i0)
-            return ortho_function(G, i0)
-
-        monkeypatch.setattr(ortho, "ortho_function", counted)
+        for name in ("gram_matrix", "refine_gram"):
+            monkeypatch.setattr(ortho, name, counted_calls(getattr(ortho, name), built))
         out = tmp_path / "r.json"
         assert run(command, "--points", str(seq_file), "--n", "5", "--out", str(out)) == 2
         assert "error: level 5 needs 6 points, sequence has 5" in capsys.readouterr().err
         assert built == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.json"]
+
+
+def counted_calls(fn, calls):
+    """fn, recording each call's arguments in calls."""
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
 
 
 class AsIterator(list):

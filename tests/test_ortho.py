@@ -10,6 +10,7 @@ from oracles import (
     gram_schmidt_oracle,
     insert_event,
     legendre_projection,
+    ortho_function,
     prolong_many,
     refinement_matrix,
     value_matrix,
@@ -25,6 +26,10 @@ from orthosplines.errors import (
 
 def level_gram(seq, n):
     return bspline.gram_matrix(knots.partition_at(seq, n))
+
+
+def alpha_of(part, i0):
+    return ortho.alpha_coefficients(*bspline.boehm_refine(part, i0))
 
 
 def cubic_build(seq, N):
@@ -43,7 +48,7 @@ def cubic_build(seq, N):
         fine = knots.partition_at(seq, n)
         i0 = insert_event(seq, n)
         F = prolong_many(F, part, fine, i0)
-        of = ortho.ortho_function(bspline.gram_matrix(fine), i0)
+        of = ortho_function(bspline.gram_matrix(fine), i0)
         F = np.vstack([F, of.phi.coeffs[None, :]])
         functions.append(of)
         part = fine
@@ -73,13 +78,13 @@ class TestAlphaCoefficients:
     def test_order_one(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5])
         part = knots.partition_at(seq, 2)
-        alpha = ortho.alpha_coefficients(part, 2)
+        alpha = alpha_of(part, 2)
         assert np.allclose(alpha, [1.0, -1.0], atol=1e-15)
 
     def test_order_two_uniform(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5])
         part = knots.partition_at(seq, 2)
-        alpha = ortho.alpha_coefficients(part, 3)
+        alpha = alpha_of(part, 3)
         assert np.allclose(alpha, [0.5, -1.0, 0.5], atol=1e-15)
 
     def test_annihilates_coarse_rows(self):
@@ -91,7 +96,7 @@ class TestAlphaCoefficients:
                 fine = knots.partition_at(seq, n)
                 i0 = insert_event(seq, n)
                 R = refinement_matrix(coarse, fine, i0)
-                alpha = ortho.alpha_coefficients(fine, i0)
+                alpha = alpha_of(fine, i0)
                 ext = np.zeros(fine.M)
                 ext[i0 - k - 1 : i0] = alpha
                 assert np.max(np.abs(R @ ext)) <= 1e-12
@@ -108,7 +113,7 @@ class TestAlphaCoefficients:
             part = knots.boundary_partition(k)
             for _ in range(2, len(seq.points)):
                 part, i0 = knots.next_partition(seq, part)
-                got = ortho.alpha_coefficients(part, i0)
+                got = alpha_of(part, i0)
                 assert got.tobytes() == alpha_loop(part, i0).tobytes()
 
     def test_alternation_and_bound(self):
@@ -118,7 +123,7 @@ class TestAlphaCoefficients:
             for n in range(2, 10):
                 part = knots.partition_at(seq, n)
                 i0 = insert_event(seq, n)
-                alpha = ortho.alpha_coefficients(part, i0)
+                alpha = alpha_of(part, i0)
                 assert np.max(np.abs(alpha)) <= 1.0 + 1e-14
                 signs = np.sign(alpha)
                 assert np.all(signs != 0.0)
@@ -131,7 +136,7 @@ class TestOrthoFunction:
     def test_order_one_closed_form(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5])
         G = level_gram(seq, 2)
-        of = ortho.ortho_function(G, 2)
+        of = ortho_function(G, 2)
         assert np.allclose(of.norm2 * of.phi.coeffs, [2.0, -2.0], atol=1e-14)
         assert of.norm2 == pytest.approx(2.0, abs=1e-14)
         assert np.allclose(of.phi.coeffs, [1.0, -1.0], atol=1e-14)
@@ -142,7 +147,7 @@ class TestOrthoFunction:
             for n in range(2, 8):
                 G = level_gram(seq, n)
                 i0 = insert_event(seq, n)
-                of = ortho.ortho_function(G, i0)
+                of = ortho_function(G, i0)
                 assert np.sign(of.norm2 * of.phi.coeffs[i0 - 1]) == (-1.0) ** k
 
     def test_products_share_sign_per_column(self):
@@ -151,7 +156,7 @@ class TestOrthoFunction:
         n = 11
         G = level_gram(seq, n)
         i0 = insert_event(seq, n)
-        of = ortho.ortho_function(G, i0)
+        of = ortho_function(G, i0)
         w = of.norm2 * of.phi.coeffs
         B = np.linalg.inv(dense(G))
         k = seq.order
@@ -168,7 +173,7 @@ class TestOrthoFunction:
         for n in range(3, 9):
             G = level_gram(seq, n)
             i0 = insert_event(seq, n)
-            of = ortho.ortho_function(G, i0)
+            of = ortho_function(G, i0)
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
             R = refinement_matrix(coarse, fine, i0)
@@ -256,7 +261,7 @@ class TestOracleAgreement:
             for n in range(2, 8):
                 G = level_gram(seq, n)
                 i0 = insert_event(seq, n)
-                fast = ortho.ortho_function(G, i0).phi
+                fast = ortho_function(G, i0).phi
                 oracle = gram_schmidt_oracle(seq, n)
                 s = np.sign(fast.coeffs @ oracle.coeffs)
                 assert np.linalg.norm(fast.coeffs - s * oracle.coeffs) <= 1e-8
@@ -266,7 +271,7 @@ class TestOracleAgreement:
         for n in range(2, 7):
             G = level_gram(seq, n)
             i0 = insert_event(seq, n)
-            fast = ortho.ortho_function(G, i0).phi
+            fast = ortho_function(G, i0).phi
             oracle = gram_schmidt_oracle(seq, n)
             inner = float(fast.coeffs @ G.apply(oracle.coeffs))
             assert abs(inner) == pytest.approx(1.0, abs=1e-9)
@@ -277,7 +282,7 @@ class TestEstwjRatio:
         seq = knots.validate_admissible(1, [0, 1, 0.5, 0.25])
         G = level_gram(seq, 3)
         i0 = insert_event(seq, 3)
-        of = ortho.ortho_function(G, i0)
+        of = ortho_function(G, i0)
         assert estwj_ratio(of, G) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_away_from_zero(self):
@@ -288,7 +293,7 @@ class TestEstwjRatio:
             for n in range(2, 12):
                 G = level_gram(seq, n)
                 i0 = insert_event(seq, n)
-                of = ortho.ortho_function(G, i0)
+                of = ortho_function(G, i0)
                 low = min(low, estwj_ratio(of, G))
             lows.append(low)
         assert min(lows) > 0.0
@@ -297,31 +302,70 @@ class TestEstwjRatio:
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 class TestIncrementalBuild:
-    def test_matches_cubic_oracle(self, k, family):
+    # Blocks of one level, of a few levels, and the walk's own block size,
+    # which puts all 39 levels in one block.
+    @pytest.mark.parametrize("block", [1, 2, 7, ortho.LEVEL_BLOCK])
+    def test_matches_cubic_oracle(self, monkeypatch, k, family, block):
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
         seq = family_sequence(family, k)
         N = len(seq.points) - 1
         functions, F = cubic_build(seq, N)
         system = ortho.build_system(seq, N)
-        assert len(system.functions) == len(functions)
-        for mine, ref in zip(system.functions, functions):
-            assert mine.phi.coeffs.tobytes() == ref.phi.coeffs.tobytes()
-            assert mine.i0 == ref.i0
-            assert mine.char == ref.char
-            assert mine.norm2 == ref.norm2
+        assert_same_functions(system.functions, functions)
         assert np.array_equal(system.matrix, F)
 
-    def test_local_band_equals_full_assembly(self, k, family):
+    def test_local_band_equals_full_assembly(self, monkeypatch, k, family):
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
         seq = family_sequence(family, k)
-        part = knots.boundary_partition(k)
-        G = bspline.gram_matrix(part)
-        for n in range(2, len(seq.points)):
-            part, i0 = knots.next_partition(seq, part)
-            G = bspline.gram_refine(G, part, i0)
+        for n, (G, of) in enumerate(ortho.levels(seq, len(seq.points) - 1), start=2):
             full = bspline.gram_matrix(knots.partition_at(seq, n))
-            assert part == full.partition
-            assert i0 == insert_event(seq, n)
+            assert G.partition == full.partition
+            assert of.i0 == insert_event(seq, n)
             assert np.array_equal(G.band, full.band)
             assert np.array_equal(G.factor, full.factor)
+
+
+def assert_same_functions(mine, ref):
+    assert len(mine) == len(ref)
+    for got, want in zip(mine, ref):
+        assert got.level == want.level
+        assert got.phi.coeffs.tobytes() == want.phi.coeffs.tobytes()
+        assert got.phi.partition == want.phi.partition
+        assert got.i0 == want.i0
+        assert got.char == want.char
+        assert got.norm2 == want.norm2
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_edges_match_the_cubic_oracle(offset):
+    # N = B - 1, B, B + 1: levels 2..N fill one block short of full, one
+    # block exactly less one level, and a full block.
+    N = ortho.LEVEL_BLOCK + offset
+    seq = knots.random_admissible(N, 3, N + 1, "dyadic-shuffled")
+    functions, F = cubic_build(seq, N)
+    system = ortho.build_system(seq, N)
+    assert_same_functions(system.functions, functions)
+    assert np.array_equal(system.matrix, F)
+
+
+def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
+    # One Cox-de Boor call for the level-1 Gram matrix, then one per block of
+    # levels: fresh columns are never assembled level by level.
+    calls = []
+    span_basis = bspline._span_basis
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return span_basis(*args)
+
+    monkeypatch.setattr(bspline, "_span_basis", counted)
+    seq = knots.random_admissible(3, 3, 300)
+    N = 299
+    for _ in ortho.levels(seq, N):
+        pass
+    blocks = -(-(N - 1) // ortho.LEVEL_BLOCK)
+    assert len(calls) == 1 + blocks < N - 1
 
 
 # Knots a few subnormal or smallest-normal ulps from 0: the first gives an
@@ -340,6 +384,38 @@ class TestNonFiniteLevels:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotPositiveDefinite, match="level 2"):
                 ortho.build_system(seq, len(seq.points) - 1)
+
+    @pytest.mark.parametrize("block", [1, ortho.LEVEL_BLOCK])
+    @pytest.mark.parametrize("family", sorted(NON_FINITE))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_walk_fails_as_the_cubic_oracle(self, monkeypatch, k, family, block):
+        # The same exception and message, whether the failing level was
+        # computed in a block ahead of the walk or on its own.
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+        seq = knots.validate_admissible(k, NON_FINITE[family])
+        N = len(seq.points) - 1
+        want = NON_FINITE_ERRORS[family](k)
+        with np.errstate(all="ignore"):
+            for build in (cubic_build, ortho.build_system):
+                if want is None:
+                    build(seq, N)
+                    continue
+                with pytest.raises(NotPositiveDefinite) as got:
+                    build(seq, N)
+                assert str(got.value) == want
+
+
+# The message each family fails with at order k, as the per-level walk gave it.
+NON_FINITE_ERRORS = {
+    "smallest-normals": lambda k: (
+        None if k < 3 else "level 2: complement function not finite, norm inf"
+    ),
+    "next-to-zero": lambda k: (
+        "level 2: 1-th leading minor not positive definite"
+        if k == 1
+        else "level 2: array must not contain infs or NaNs"
+    ),
+}
 
 
 class TestBuildSystem:
