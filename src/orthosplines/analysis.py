@@ -1,9 +1,10 @@
 """Experiments on the orthonormal system: square function, level sets, sign flips, tails.
 
 Everything here sits on top of a built OrthoSystem, evaluated a block of
-points at a time (``bspline.eval_blocks``): the square function on a uniform
-cell grid, threshold level sets of it, the sign-flip unconditionality
-experiment, and the tail-decay audit.
+points at a time: the square function on a uniform cell grid
+(``bspline.eval_blocks``), threshold level sets of it, the sign-flip
+unconditionality experiment, and the tail-decay audit, whose quadrature
+nodes are evaluated on their own spans (``bspline.rule_blocks``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -136,7 +137,7 @@ def uncond_experiment(system, ps, trials, seed, grid):
     rule = bspline.QuadratureRule.over_spans(part.knots, k + 6)
     wq = rule.weights.ravel()
     lp = np.zeros((len(ps), 2, trials))
-    for lo, first, vals in bspline.eval_blocks(part, rule.nodes.ravel()):
+    for lo, first, vals in bspline.rule_blocks(part, rule):
         mags = np.abs(bspline.spline_values(C, first, vals))
         for i, p in enumerate(ps):
             lp[i] += mags**p @ wq[lo : lo + len(first)]
@@ -172,11 +173,12 @@ def uncond_experiment(system, ps, trials, seed, grid):
 def span_integrals(system, rule, p):
     """Integral of |f|^p over each span of the rule for every system function, (size, spans).
 
-    The rule's nodes are evaluated a block of whole spans at a time.
+    The rule is over the finest partition's knots; its nodes are evaluated
+    on their own spans, a block of whole spans at a time.
     """
     q, w = rule.q, rule.weights
     pieces = np.empty((system.size, len(rule.intervals)))
-    for lo, first, vals in bspline.eval_blocks(system.gram.partition, rule.nodes.ravel(), q):
+    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
         mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
         spans = slice(lo // q, (lo + len(first)) // q)
         pieces[:, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])

@@ -107,14 +107,24 @@ def span_values(partition, spans, u):
     return spans - k + 2, _span_basis(partition.knots, k, spans, u)
 
 
-def eval_blocks(partition, xs, unit=1):
-    """Yield (lo, first, vals), ``eval_basis_many`` on blocks of xs from index lo on.
+def eval_blocks(partition, xs):
+    """Yield (lo, first, vals), ``eval_basis_many`` on blocks of EVAL_BLOCK points from index lo on."""
+    for lo in range(0, len(xs), EVAL_BLOCK):
+        yield (lo, *eval_basis_many(partition, xs[lo : lo + EVAL_BLOCK]))
 
-    A block holds as many whole runs of ``unit`` points as fit in EVAL_BLOCK, at least one.
+
+def rule_blocks(partition, rule):
+    """Yield (lo, first, vals) for the nodes of a rule over the partition's own knots.
+
+    Each node is evaluated on its span from its offset, with no span search;
+    a block holds as many whole spans of nodes as fit in EVAL_BLOCK, at
+    least one, and lo indexes the flattened nodes.
     """
-    step = max(1, EVAL_BLOCK // unit) * unit
-    for lo in range(0, len(xs), step):
-        yield (lo, *eval_basis_many(partition, xs[lo : lo + step]))
+    q = rule.q
+    step = max(1, EVAL_BLOCK // q)
+    for s in range(0, len(rule.spans), step):
+        spans = np.repeat(rule.spans[s : s + step], q)
+        yield (s * q, *span_values(partition, spans, rule.offsets[s : s + step].ravel()))
 
 
 def spline_values(coeffs, first, vals):
@@ -162,7 +172,7 @@ class QuadratureRule:
 
     Each node is kept on its span: ``spans`` indexes spans of the knot array,
     and ``offsets`` holds each node's distance half (1 + x_ref) from its
-    span's left end.  ``nodes`` are the absolute points a + offset.
+    span's left end.
     """
 
     q: int
@@ -170,11 +180,6 @@ class QuadratureRule:
     intervals: np.ndarray  # (S, 2) their ends
     offsets: np.ndarray  # (S, q)
     weights: np.ndarray  # (S, q)
-
-    @property
-    def nodes(self):
-        """Absolute nodes, (S, q)."""
-        return self.intervals[:, :1] + self.offsets
 
     @classmethod
     def over_spans(cls, knots, q, spans=None):
@@ -402,7 +407,9 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     """L^p norm of a spline over a subinterval of [0, 1], for finite p >= 1.
 
     Integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on every
-    knot span clipped to the interval.
+    knot span clipped to the interval.  Each node is evaluated on its knot
+    span from its offset to the span's left end, so narrow spans lose no
+    digits.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a <= b <= 1.0):
@@ -412,5 +419,10 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     knots = f.partition.knots
     cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
     rule = QuadratureRule.over_spans(cuts, f.partition.order + 2)
-    vals = np.abs(f.eval(rule.nodes.ravel())) ** p
+    # A cut span's left end is a knot, or a inside the first span.
+    left = rule.intervals[:, 0]
+    spans = _find_spans(f.partition, left)
+    u = (left - knots[spans])[:, None] + rule.offsets
+    first, vals = span_values(f.partition, np.repeat(spans, rule.q), u.ravel())
+    vals = np.abs(spline_values(f.coeffs, first, vals)) ** p
     return float((rule.weights.ravel() * vals).sum() ** (1.0 / p))

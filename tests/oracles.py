@@ -63,6 +63,11 @@ def eval_basis(partition, x):
     return int(first[0]), vals[0]
 
 
+def rule_nodes(rule):
+    """Absolute nodes of a quadrature rule, (S, q): each span's left end plus the node offsets."""
+    return rule.intervals[:, :1] + rule.offsets
+
+
 def design_matrix(partition, xs):
     """Dense design matrix of shape (len(xs), M) with entry N_j(x_i)."""
     first, vals = bspline.eval_basis_many(partition, xs)
@@ -427,7 +432,7 @@ def expand(f, system, N=None):
         a = system.matrix @ system.gram.apply(f.coeffs)
     else:
         rule = bspline.QuadratureRule.over_spans(part.knots, system.order + 8)
-        xs = rule.nodes.ravel()
+        xs = rule_nodes(rule).ravel()
         fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
         moments = design_matrix(part, xs).T @ (rule.weights.ravel() * fv)
         a = system.matrix @ moments

@@ -9,6 +9,7 @@ from oracles import (
     hl_maximal,
     maximal_function,
     reconstruction,
+    rule_nodes,
     tail_decay_loop,
     value_matrix,
 )
@@ -313,10 +314,22 @@ class TestTailDecay:
         # blocks of whole spans, one span even when a block holds fewer nodes
         monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
         rule = bspline.QuadratureRule.over_spans(system_k2.gram.partition.knots, 5)
-        V = value_matrix(system_k2, rule.nodes.ravel()).reshape(system_k2.size, -1, 5)
+        V = value_matrix(system_k2, rule_nodes(rule).ravel()).reshape(system_k2.size, -1, 5)
         want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
         got = analysis.span_integrals(system_k2, rule, 1.5)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+
+    def test_pieces_hold_unit_mass_next_to_one(self):
+        # spans 2^-49 wide at 1: each node is evaluated on its own span from
+        # its offset, so the L2 pieces of every unit-norm function sum to 1,
+        # and lp_norm gives each phi_n norm 1
+        seq = knots.validate_admissible(3, [0.0, 1.0] + [1.0 - 2.0**-j for j in range(1, 50)])
+        system = ortho.build_system(seq, 50)
+        rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
+        mass = analysis.span_integrals(system, rule, 2.0).sum(axis=1)
+        assert np.abs(mass - 1.0).max() <= 1e-12
+        norms = np.array([bspline.lp_norm(of.phi, 2.0) for of in system.functions])
+        assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_underflowing_envelope_gives_no_nan(self):
         seq = knots.random_admissible(3, 3, 201)

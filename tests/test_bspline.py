@@ -9,6 +9,7 @@ from oracles import (
     eval_basis,
     insert_event,
     refinement_matrix,
+    rule_nodes,
     streamed_inverse,
     sup_norm,
     value_matrix,
@@ -127,13 +128,21 @@ class TestSplineValues:
         p = part(2, [0, 1, 0.5, 0.25])
         xs = np.linspace(0.0, 1.0, 23)
         monkeypatch.setattr(bspline, "EVAL_BLOCK", 7)
-        blocks = list(bspline.eval_blocks(p, xs, unit=3))
-        assert [lo for lo, _, _ in blocks] == [0, 6, 12, 18]
+        blocks = list(bspline.eval_blocks(p, xs))
+        assert [lo for lo, _, _ in blocks] == [0, 7, 14, 21]
         first, vals = bspline.eval_basis_many(p, xs)
         assert np.array_equal(np.concatenate([f for _, f, _ in blocks]), first)
         assert np.array_equal(np.concatenate([v for _, _, v in blocks]), vals)
-        # a run longer than the block still makes progress
-        assert [lo for lo, _, _ in bspline.eval_blocks(p, xs, unit=10)] == [0, 10, 20]
+        # a rule's nodes come in whole spans, each node on its own span
+        rule = bspline.QuadratureRule.over_spans(p.knots, 3)
+        blocks = list(bspline.rule_blocks(p, rule))
+        assert [lo for lo, _, _ in blocks] == [0, 6]
+        first, vals = bspline.eval_basis_many(p, rule_nodes(rule).ravel())
+        assert np.array_equal(np.concatenate([f for _, f, _ in blocks]), first)
+        assert np.allclose(np.concatenate([v for _, _, v in blocks]), vals, rtol=0, atol=1e-15)
+        # a span longer than the block still makes progress
+        rule = bspline.QuadratureRule.over_spans(p.knots, 10)
+        assert [lo for lo, _, _ in bspline.rule_blocks(p, rule)] == [0, 10, 20]
 
 
 class TestGramMatrix:
@@ -368,5 +377,5 @@ def test_quadrature_weights_integrate_one():
     p = part(3, [0, 1, 0.5, 0.25])
     rule = bspline.QuadratureRule.over_spans(p.knots, 5)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert rule.nodes.min() >= 0.0
-    assert rule.nodes.max() <= 1.0
+    assert rule_nodes(rule).min() >= 0.0
+    assert rule_nodes(rule).max() <= 1.0

@@ -192,6 +192,17 @@ class TestVerify:
         } <= names
         assert all(r["passed"] for r in suites)
 
+    def test_flush_leaves_the_orthonormality_error(self, tmp_path):
+        # at this depth F holds thousands of nonzero entries below 1e-100
+        out = tmp_path / "verify.json"
+        assert run("verify", "--k", "2", "--n", "300", "--seed", "1", "--out", str(out)) == 0
+        suites = json.loads(out.read_text())["suites"]
+        [measured] = [r["measured"] for r in suites if r["name"] == "orthonormality"]
+        system = ortho.build_system(knots.random_admissible(1, 2, 301), 300)
+        F, G = system.matrix, system.gram
+        assert ((F != 0.0) & (np.abs(F) < 1e-100)).sum() > 1000
+        assert measured["max_err"] == float(np.abs(F @ G.apply(F.T) - np.eye(system.size)).max())
+
 
 class TestExperiment:
     @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment", "decay"])
@@ -245,22 +256,30 @@ class TestEvaluationCount:
         ids=["verify", "experiment"],
     )
     def test_each_point_set_evaluated_once(self, monkeypatch, argv, grid):
-        seen = []
-        eval_basis_many = bspline.eval_basis_many
+        seen, rules = [], []
+        eval_basis_many, rule_blocks = bspline.eval_basis_many, bspline.rule_blocks
 
         def counted(partition, xs):
             seen.append(np.array(xs, dtype=float))
             return eval_basis_many(partition, xs)
 
+        def counted_rule(partition, rule):
+            rules.append(rule)
+            return rule_blocks(partition, rule)
+
         monkeypatch.setattr(bspline, "eval_basis_many", counted)
+        monkeypatch.setattr(bspline, "rule_blocks", counted_rule)
         assert cli.main(argv + ["--k", "2", "--n", "16", "--seed", "3"]) == 0
+        # the quadrature nodes: one rule over the finest knots, each node on its span
         finest = knots.partition_at(knots.random_admissible(3, 2, 17), 16)
-        nodes = bspline.QuadratureRule.over_spans(finest.knots, 2 + 6).nodes.ravel()
+        want = bspline.QuadratureRule.over_spans(finest.knots, 2 + 6)
+        [rule] = rules
+        assert np.array_equal(rule.spans, want.spans)
+        assert np.array_equal(rule.offsets, want.offsets)
         cells = (np.arange(grid) + 0.5) / grid
         points = np.concatenate(seen)
-        for xs in (nodes, cells):
-            assert np.isin(xs, points).all()
-            assert np.isin(points, xs).sum() == len(xs)
+        assert np.isin(cells, points).all()
+        assert np.isin(points, cells).sum() == len(cells)
 
     def test_boehm_identity_evaluates_each_partition_once(self, monkeypatch):
         # 1,000 points on the 16 partitions of levels 1..16, each once

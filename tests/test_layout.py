@@ -1,9 +1,10 @@
-"""Nothing in src/orthosplines exists for the tests alone.
+"""Nothing in src/orthosplines exists for the tests alone, and scipy has one owner.
 
 Every public top-level function and class, and every non-dunder method, must
 be named somewhere in the package outside its own definition, as a Name, an
 Attribute or an import alias.  A helper only tests call belongs in
-tests/oracles.py.
+tests/oracles.py.  Only bspline imports scipy, and only the LAPACK band
+routines, so one module owns the cost of importing scipy.linalg.
 """
 
 import ast
@@ -63,3 +64,26 @@ def test_the_check_sees_an_unreached_helper(tmp_path):
         "Box()\nused()\n"
     )
     assert unreached(tmp_path) == ["Box.spare", "helper"]
+
+
+def scipy_imports(package):
+    """(module file, imported module, names) for every import of scipy in the package."""
+    out = []
+    for path in sorted(Path(package).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                out += [(path.name, a.name, None) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                out.append((path.name, node.module, sorted(a.name for a in node.names)))
+    return out
+
+
+def test_only_bspline_imports_scipy_and_only_lapack_band_routines():
+    imports = scipy_imports(Path(orthosplines.__file__).parent)
+    assert imports == [("bspline.py", "scipy.linalg.lapack", ["dpbtrf", "dpbtrs"])]
+
+
+def test_the_scipy_check_sees_every_form_of_import(tmp_path):
+    (tmp_path / "a.py").write_text("import scipy.linalg\n")
+    (tmp_path / "b.py").write_text("def f():\n    from scipy import sparse\n")
+    assert scipy_imports(tmp_path) == [("a.py", "scipy.linalg", None), ("b.py", "scipy", ["sparse"])]
