@@ -302,17 +302,23 @@ class TestEstwjRatio:
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 class TestIncrementalBuild:
-    # Blocks of one level, of a few levels, and the walk's own block size,
-    # which puts all 39 levels in one block.
-    @pytest.mark.parametrize("block", [1, 2, 7, ortho.LEVEL_BLOCK])
-    def test_matches_cubic_oracle(self, monkeypatch, k, family, block):
-        monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+    def test_matches_cubic_oracle(self, k, family):
+        # the walk's own block size puts all 39 levels in one block
         seq = family_sequence(family, k)
         N = len(seq.points) - 1
         functions, F = cubic_build(seq, N)
         system = ortho.build_system(seq, N)
         assert_same_functions(system.functions, functions)
         assert np.array_equal(system.matrix, F)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_blocks_match_the_cubic_oracle(self, monkeypatch, k, family, block):
+        # blocks of one level and of a few, so that levels cross block edges
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+        seq = family_sequence(family, k)
+        N = len(seq.points) - 1
+        functions, _ = cubic_build(seq, N)
+        assert_same_functions(ortho.build_system(seq, N).functions, functions)
 
     def test_local_band_equals_full_assembly(self, monkeypatch, k, family):
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
@@ -337,10 +343,10 @@ def assert_same_functions(mine, ref):
         assert got.alpha.tobytes() == want.alpha.tobytes()
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
 def test_block_edges_match_the_cubic_oracle(offset):
-    # N = B - 1, B, B + 1: levels 2..N fill one block short of full, one
-    # block exactly less one level, and a full block.
+    # N = B - 1 .. B + 2: the N - 1 levels 2..N fill one block short by two
+    # and by one, one whole block, and one whole block plus one level.
     N = ortho.LEVEL_BLOCK + offset
     seq = knots.random_admissible(N, 3, N + 1, "dyadic-shuffled")
     functions, F = cubic_build(seq, N)
@@ -356,7 +362,7 @@ def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
     span_basis = bspline._span_basis
 
     def counted(*args):
-        calls.append(len(args[3]))
+        calls.append(args)
         return span_basis(*args)
 
     monkeypatch.setattr(bspline, "_span_basis", counted)
