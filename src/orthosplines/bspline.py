@@ -322,7 +322,7 @@ def refinement_columns(windows, k, ncols):
     # A span contributes to k consecutive columns, k - 1 of them possibly
     # left of the level's first: each row has room for them on both sides.
     R = 4 * k - 2
-    sigma = np.arange(k - 1, 4 * k - 2)  # window slots of spans p-k..p+3k-3
+    sigma = np.arange(k - 1, 4 * k - 2)  # window slots of spans p-k..p+2k-2
     use = (sigma <= ncols[:, None] + 2 * k - 3) & (windows[:, sigma + 1] > windows[:, sigma])
     level, slot = np.nonzero(use)
     spans = sigma[slot]

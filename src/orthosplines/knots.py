@@ -144,40 +144,6 @@ def next_partition(seq, partition):
     return fine, pos + 1
 
 
-def insertion_windows(base, points, before, after):
-    """Where each of a run of insertions lands, and the knots next to it, with no level formed.
-
-    ``base`` is a sorted knot vector and ``points`` the values inserted
-    after it in turn: level b holds base and points[:b + 1], each point
-    after the knots equal to it, as ``next_partition`` places it.  Returns
-    (p, win): p[b] is the 0-based position of points[b] at level b, and
-    win[b] that level's knots p[b] - before .. p[b] + after, read as 0
-    before the vector and 1 past it.  The knots on either side merge the
-    nearest knots of base with the nearest earlier points: O(B^2 log B)
-    work and O(B^2) memory for B points.
-    """
-    B = len(points)
-    order = np.argsort(points, kind="stable")  # by value, ties in insertion order
-    ranked = points[order]
-    rank = np.argsort(order)
-    # Point j in rank order is in level b, and sorts below or above points[b].
-    live = order <= np.arange(B)[:, None]
-    below = live & (np.arange(B) < rank[:, None])
-    above = live & (np.arange(B) > rank[:, None])
-    q = np.searchsorted(base, points, side="right")
-    p = q + below.sum(axis=1)
-    padded = np.concatenate([np.zeros(before), base, np.ones(after)])
-    # base[q - before .. q + after - 1], at padded[q .. q + before + after - 1]
-    near = padded[q[:, None] + np.arange(before + after)]
-    left = np.hstack([near[:, :before], np.where(below, ranked, -np.inf)])
-    right = np.hstack([near[:, before:], np.where(above, ranked, np.inf)])
-    return p, np.hstack([
-        np.sort(left, axis=1)[:, left.shape[1] - before :],
-        points[:, None],
-        np.sort(right, axis=1)[:, :after],
-    ])
-
-
 def random_admissible(seed, order, n_points, law="uniform-iid"):
     """Deterministic random admissible sequence of ``n_points`` total points.
 

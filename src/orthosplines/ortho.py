@@ -29,11 +29,12 @@ from .bspline import (
     split_columns,
 )
 from .errors import IndexOutOfRange, NotPositiveDefinite
-from .knots import boundary_partition, check_level, insertion_windows, next_partition
+from .knots import boundary_partition, check_level, next_partition
 
 # Levels whose local work (knot windows, fresh Gram columns, alpha, J) is
-# done in one set of array passes.  Its temporaries take O(LEVEL_BLOCK^2 + LEVEL_BLOCK k^3)
-# floats, a few hundred kB at k = 3.
+# done in one set of array passes.  A block holds its levels' knot vectors,
+# O(LEVEL_BLOCK M) floats, and temporaries of O(LEVEL_BLOCK k^3) floats:
+# about 0.5 MB at k = 3, M = 1024.
 LEVEL_BLOCK = 64
 
 
@@ -182,59 +183,70 @@ def polynomial_coeffs_over(partition, polys):
     return np.linalg.solve(design, vals.T).T
 
 
-def _local_work(base, points, k, n0):
-    """Each level's O(k) local work for the insertions of points, levels n0.., in array passes.
+def _local_work(block, n0):
+    """Each level's O(k) local work for a block of levels n0.., in array passes.
 
-    ``base`` is the knot vector of level n0 - 1.  Returns, per level, the
-    Gram band columns the insertion changes, alpha and the characteristic
-    interval; all of them read only knots p-2k+1..p+3k-2 around the new
-    knot's position p.
+    ``block`` holds each level's (partition, i0) from ``next_partition``.
+    Returns, per level, the Gram band columns the insertion changes, alpha
+    and the characteristic interval.  They read only knots near the new
+    knot's 0-based position p: the fresh columns' spans p-k..p+2k-2 read
+    p-k..p+2k-1 for their ends and p-2k+2..p+3k-3 in Cox-de Boor, alpha and
+    J read p-k..p+k.  Each level's window holds its knots p-2k+1..p+3k-2,
+    one more on each side than Cox-de Boor reads, so that it holds
+    p-1..p+1 at k = 1 too; past either end it repeats the boundary knot,
+    0 or 1.
     """
-    p, windows = insertion_windows(base, points, 2 * k - 1, 3 * k - 2)
-    M = len(base) + 1 - k + np.arange(len(points))
+    k = block[0][0].order
+    p = np.array([i0 - 1 for _, i0 in block])
+    M = np.array([part.M for part, _ in block])
+    at = np.arange(-(2 * k - 1), 3 * k - 1)
+    windows = np.stack([part.knots.take(i0 - 1 + at, mode="clip") for part, i0 in block])
     fresh = refinement_columns(windows, k, np.minimum(M, p + k) - p + k)
     near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
     alpha = alpha_coefficients(*boehm_weights(near))
-    chars = charint.characteristic_intervals(near, alpha, p + 1, range(n0, n0 + len(points)))
+    chars = charint.characteristic_intervals(near, alpha, p + 1, range(n0, n0 + len(block)))
     return fresh, alpha, chars
 
 
 def levels(seq, N):
     """Yield (G, f_n) for n = 2..N: the level-n Gram system and orthonormal function.
 
-    Walks the levels once, LEVEL_BLOCK at a time.  A block first does every
-    level's O(k) local work in array passes (``_local_work``): where t_n
-    lands, the 2k Gram band columns around it, alpha and J_n, all from the
-    knots next to t_n, in O(k^2) numpy calls for the whole block.  Each
-    level then only inserts t_n into the previous knot vector, shifts the
-    band past it and pastes its fresh columns, factors the band and solves
-    for the new function once: O(M k^2) per level, O(N^2 k^2) for the walk.
-    A level that fails raises when the walk reaches it, naming the level,
-    even if its block computed it earlier.  Nothing of a level is kept once
-    the next one is asked for, so a consumer that drops what it was given
-    runs in memory flat in N.  An N the sequence cannot reach fails before
-    the first level is built.
+    Walks the levels once, LEVEL_BLOCK at a time.  A block first inserts
+    each of its points in turn (``next_partition``), then does every
+    level's O(k) local work in array passes (``_local_work``): the 2k Gram
+    band columns around t_n, alpha and J_n, all from the knots next to t_n,
+    in O(k^2) numpy calls for the whole block.  Each level then only shifts
+    the band past t_n and pastes its fresh columns, factors the band and
+    solves for the new function once: O(M k^2) per level, O(N^2 k^2) for
+    the walk.  A level that fails raises when the walk reaches it, naming
+    the level, even if its block computed it earlier.  The walk keeps the
+    knot vectors of one block and nothing of a level once its block is
+    done, so a consumer that drops what it was given runs in memory
+    O(LEVEL_BLOCK N).  An N the sequence cannot reach fails before the
+    first level is built.
     """
     check_level(seq, N)
     k = seq.order
     part = boundary_partition(k)
     G = gram_matrix(part)
     for n0 in range(2, N + 1, LEVEL_BLOCK):
-        points = np.array(seq.points[n0 : min(n0 + LEVEL_BLOCK, N + 1)])
-        fresh, alpha, chars = _local_work(part.knots, points, k, n0)
-        for cols, a, char in zip(fresh, alpha, chars):
+        block = []
+        for _ in range(min(LEVEL_BLOCK, N + 1 - n0)):
             part, i0 = next_partition(seq, part)
-            G = refine_gram(G, part, i0, cols)
-            rhs = np.zeros(part.M)
+            block.append((part, i0))
+        fresh, alpha, chars = _local_work(block, n0)
+        for (fine, i0), cols, a, char in zip(block, fresh, alpha, chars):
+            G = refine_gram(G, fine, i0, cols)
+            rhs = np.zeros(fine.M)
             rhs[i0 - k - 1 : i0] = a
             w = G.solve(rhs)
             norm2 = math.sqrt(float(rhs @ w))
             if not (math.isfinite(norm2) and np.isfinite(w).all()):
                 raise NotPositiveDefinite(
-                    f"level {part.level}: complement function not finite, norm {norm2}"
+                    f"level {fine.level}: complement function not finite, norm {norm2}"
                 )
-            phi = Spline(part, w / norm2)
-            yield G, OrthoFunction(level=part.level, i0=i0, alpha=a, norm2=norm2, phi=phi, char=char)
+            phi = Spline(fine, w / norm2)
+            yield G, OrthoFunction(level=fine.level, i0=i0, alpha=a, norm2=norm2, phi=phi, char=char)
 
 
 def build_system(seq, N):

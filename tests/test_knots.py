@@ -120,27 +120,6 @@ class TestInsertEvent:
         with pytest.raises(LevelOutOfRange):
             knots.next_partition(seq, part)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("start", [2, 9])
-    def test_windows_read_each_level_as_next_partition_builds_it(self, k, start):
-        # ties, full multiplicity and knots next to both ends, from a partition
-        # of level start - 1 on
-        rng = np.random.default_rng(k)
-        values = [0.5, 0.25, 0.75, 0.125, 2.0**-40, 1.0 - 2.0**-40]
-        interior = [values[i] for i in rng.permutation(np.repeat(np.arange(len(values)), k))]
-        interior += rng.random(12).tolist()
-        seq = knots.validate_admissible(k, [0.0, 1.0] + interior)
-        part = knots.boundary_partition(k) if start == 2 else knots.partition_at(seq, start - 1)
-        before, after = 2 * k - 1, 3 * k - 2
-        p, win = knots.insertion_windows(part.knots, np.array(seq.points[start:]), before, after)
-        for b in range(len(seq.points) - start):
-            part, i0 = knots.next_partition(seq, part)
-            assert p[b] == i0 - 1
-            at = i0 - 1 + np.arange(-before, after + 1)
-            want = np.where(at < 0, 0.0, part.knots[np.clip(at, 0, len(part.knots) - 1)])
-            want[at >= len(part.knots)] = 1.0
-            assert np.array_equal(win[b], want)
-
     def test_removal_recovers_previous_level(self):
         seq = knots.random_admissible(9, 2, 10)
         for n in range(3, 10):
