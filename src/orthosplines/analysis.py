@@ -185,6 +185,21 @@ def span_integrals(system, rule, p):
     return pieces
 
 
+def tail_sums(pieces):
+    """(left, right), each (rows, S + 1): the sums of pieces[:, :c] and of pieces[:, c:] at column c.
+
+    Each is summed from its far end inward, so a tail keeps its own digits
+    however small it is next to the whole row; a right tail formed as the
+    row total less a left sum would carry only the rounding of the total.
+    """
+    rows, S = pieces.shape
+    left = np.zeros((rows, S + 1))
+    right = np.zeros((rows, S + 1))
+    np.cumsum(pieces, axis=1, out=left[:, 1:])
+    np.cumsum(pieces[:, ::-1], axis=1, out=right[:, -2::-1])
+    return left, right
+
+
 def tail_decay_audit(system, p, gamma_fit):
     """Largest tail norm of any phi_n against its geometric envelope.
 
@@ -203,9 +218,7 @@ def tail_decay_audit(system, p, gamma_fit):
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    pieces = span_integrals(system, rule, p)
-    left = np.concatenate([np.zeros((system.size, 1)), np.cumsum(pieces, axis=1)], axis=1)
-    total = left[:, -1]
+    left, right = tail_sums(span_integrals(system, rule, p))
     rights = rule.intervals[:, 1]
 
     log_gamma = math.log(gamma_fit)
@@ -221,17 +234,16 @@ def tail_decay_audit(system, p, gamma_fit):
         count += len(xs)
         below = xs <= c
         cut = np.searchsorted(rights, xs, side="right")
-        tail_p = np.where(below, left[row, cut], total[row] - left[row, cut])
+        tail_p = np.where(below, left[row, cut], right[row, cut])
         dist = np.where(below, c - xs, xs - d)
         dn = charint.d_point(level_knots, fn.char.J, xs)
         live = tail_p > 0.0
-        # math.log, not np.log: the two differ in the last bit on some inputs.
         log_envelope = (
             dn[live] * log_gamma
             + 0.5 * math.log(d - c)
-            - (1.0 - 1.0 / p) * np.array(list(map(math.log, d - c + dist[live])))
+            - (1.0 - 1.0 / p) * np.log(d - c + dist[live])
         )
-        log_ratio = np.array(list(map(math.log, tail_p[live]))) / p - log_envelope
+        log_ratio = np.log(tail_p[live]) / p - log_envelope
         max_log = float(log_ratio.max(initial=max_log))
     max_ratio = math.exp(max_log) if max_log <= _LOG_FLOAT_MAX else math.inf
     return {"k": k, "p": p, "N": system.N, "gamma": gamma_fit, "max_ratio": max_ratio, "tails": count}

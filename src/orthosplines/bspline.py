@@ -11,16 +11,23 @@ offset u = x - tau_s, which reads the knots only through differences from
 tau_s.  ``eval_basis_many`` finds the span of an absolute point; quadrature
 rules place their Gauss nodes by offset on their own spans and never search
 for one, so spans a few ulps wide lose no digits.
+
+The banded Cholesky factor and solve are LAPACK's ``dpbtrf`` and ``dpbtrs``,
+taken from scipy's compiled LAPACK extension ``scipy/linalg/_flapack``, the
+object ``scipy.linalg.lapack`` re-exports.  It is loaded by file, without
+the ``scipy.linalg`` package, whose import costs about 0.3 s per process.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     DomainError,
@@ -28,6 +35,26 @@ from .errors import (
     NotPositiveDefinite,
     QuadratureTooCoarse,
 )
+
+
+def _lapack_band_routines():
+    """``dpbtrf`` and ``dpbtrs`` from scipy's LAPACK extension, with no scipy package imported.
+
+    ``PathFinder`` looks for the extension file in scipy's ``linalg``
+    directory without running any package ``__init__``; a missing file
+    fails the import of this module, naming where it was looked for.
+    """
+    scipy = importlib.machinery.PathFinder.find_spec("scipy")
+    where = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", where)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where or 'any scipy install'}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dpbtrf, flapack.dpbtrs
+
+
+dpbtrf, dpbtrs = _lapack_band_routines()
 
 # Columns of the Gram inverse produced per banded solve.
 _INVERSE_BLOCK = 256

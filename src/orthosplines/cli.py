@@ -37,8 +37,9 @@ def _canonical(payload):
     """Chunks of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, streamed.
 
     An iterator is encoded as a list while it is consumed, so a report can be
-    written as its records are made.  A list of finite plain floats is
-    written in one call (``_float_items``).  Dict keys are strings.
+    written as its records are made.  A numpy array is encoded as its list;
+    one of finite float64 values is written in one call (``_float_items``).
+    Dict keys are strings.
     """
     yield from _encode(payload, "\n")
     yield "\n"
@@ -58,42 +59,56 @@ def _encode(obj, newline):
             sep = "," + inner
         yield newline + "}"
     elif isinstance(obj, (list, tuple, Iterator)):
-        if isinstance(obj, list) and obj and all(type(x) is float for x in obj):
-            items = _float_items(obj, "," + inner)
-            if items is not None:
-                yield "[" + inner + items + newline + "]"
-                return
         sep = "[" + inner
         for item in obj:
             yield sep
             yield from _encode(item, inner)
             sep = "," + inner
         yield "[]" if sep == "[" + inner else newline + "]"
+    elif _is_array(obj):
+        items = _float_items(obj, "," + inner)
+        if items is None:
+            yield from _encode(obj.tolist(), newline)
+        else:
+            yield "[" + inner + items + newline + "]"
     else:
         yield json.dumps(obj)
 
 
-def _float_items(values, sep):
-    """The reprs of a list of floats joined by sep, or None if one is not finite.
+def _is_array(obj):
+    # No array exists before numpy is imported, and this module never imports it first.
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
-    orjson writes the shortest round-trip digits, as ``repr`` does, about 25
-    times faster.  Its text differs from repr's only for 1e-9 <= |x| < 1e-4
-    ("0.00001", "1e-9" where repr writes "1e-05", "1e-09") and for
-    |x| >= 1e16 ("1e16" for "1e+16"), so those values are written by repr.
-    It writes NaN and infinities as null; those lists are left to the caller.
-    Imported here, so importing this module loads neither numpy nor orjson
-    and ``_cap_threads`` still runs first.
+
+def _float_items(values, sep):
+    """The reprs of a non-empty 1-D float64 array joined by sep, else None.
+
+    None also when a value is not finite.  orjson writes the shortest
+    round-trip digits, as ``repr`` does, about 25 times faster.  Its text
+    differs from repr's only for 1e-9 <= |x| < 1e-4 ("0.00001", "1e-9"
+    where repr writes "1e-05", "1e-09") and for |x| >= 1e16 ("1e16" for
+    "1e+16"), so those values are written as NaN, which orjson writes as
+    null, and each null is replaced by the value's repr.  No item holds a
+    comma, so the layout is one replace of the commas.  Imported here, so
+    importing this module loads neither numpy nor orjson and
+    ``_cap_threads`` still runs first.
     """
     import numpy as np
     import orjson
 
-    size = np.abs(np.array(values))
+    if values.ndim != 1 or values.dtype != np.float64 or not values.size:
+        return None
+    size = np.abs(values)
     if not np.isfinite(size).all():
         return None
-    items = orjson.dumps(values).decode()[1:-1].split(",")
-    for i in np.flatnonzero(((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16)).tolist():
-        items[i] = repr(values[i])
-    return sep.join(items)
+    odd = np.flatnonzero(((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16))
+    marked = np.array(values)  # a C-contiguous copy, as orjson needs
+    marked[odd] = np.nan
+    parts = orjson.dumps(marked, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split("null")
+    reprs = map(repr, values[odd].tolist())
+    text = "".join([part + item for part, item in zip(parts, reprs)]) + parts[-1]
+    return text.replace(",", sep)
 
 
 def _atomic_write(path, chunks):

@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateFit
 
+# Columns of the Gram inverse per array pass of offset_maxima.
+_STRIP = 32
 # Offsets whose weighted envelope sits below this times the diagonal value
 # are machine noise and excluded from the decay fit.
 NOISE_FLOOR = 1e-13
@@ -87,6 +90,41 @@ def diag_inverse_bound(G):
     return float(np.max(1.0 / (a_diag * G.inverse_diagonal)))
 
 
+def offset_maxima(G):
+    """(raw, m): raw[d] and m[d] are the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d.
+
+    Each block of the inverse is read along its diagonals in array passes
+    over strips of _STRIP columns, whose temporaries stay in cache.  Row c
+    of ``mags`` holds |column j0 + c| from its diagonal entry down, followed
+    by zeros, so the R entries from entry c of row c are b_{j+d, j},
+    j = j0 + c, for d = 0..R-1 (zeros past the last row), and the maxima
+    per offset are maxima over rows.  The gap weights are laid out alike
+    from the knots, padded with ones so that the padded products are zeros.
+    A max is exact and each product is the one the entry's own formula
+    forms, so the maxima do not depend on how the entries are grouped.
+    """
+    part = G.partition
+    k, M = part.order, part.M
+    knots = part.knots
+    padded = np.concatenate([knots, np.ones(_STRIP)])
+    raw = np.zeros(M)
+    m = np.zeros(M)
+    for start, block in G.inverse_columns():
+        for c0 in range(0, block.shape[1], _STRIP):
+            j0 = start + c0
+            cols = block[c0:, c0 : c0 + _STRIP]
+            R, w = cols.shape
+            mags = np.empty((w, R + w))
+            np.abs(cols.T, out=mags[:, :R])
+            mags[:, R:] = 0.0
+            diagonals = sliding_window_view(mags.ravel(), R)[:: R + w + 1]
+            weighted = sliding_window_view(padded[j0 + k :], R)[:w] - knots[j0 : j0 + w, None]
+            weighted *= diagonals
+            np.maximum(raw[:R], diagonals.max(axis=0), out=raw[:R])
+            np.maximum(m[:R], weighted.max(axis=0), out=m[:R])
+    return raw, m
+
+
 def decay_profile(G):
     """Fit the geometric decay of the gap-weighted Gram inverse.
 
@@ -98,17 +136,8 @@ def decay_profile(G):
     geometric rate.  C_hat is then inflated until C_hat gamma_hat^d dominates
     every fitted m_d.
     """
-    part = G.partition
-    k, M = part.order, part.M
-    knots = part.knots
-    raw = np.zeros(M)
-    m = np.zeros(M)
-    for start, cols in G.inverse_columns():
-        for c in range(cols.shape[1]):
-            j = start + c
-            b = np.abs(cols[c:, c])
-            np.maximum(raw[: M - j], b, out=raw[: M - j])
-            np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
+    raw, m = offset_maxima(G)
+    M, k = G.partition.M, G.partition.order
     keep = np.flatnonzero(m > NOISE_FLOOR * m[0])
     if len(keep) == 1 and keep[0] == 0:
         # Diagonal to machine precision; decay faster than any geometric rate.

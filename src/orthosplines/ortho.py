@@ -163,7 +163,7 @@ def export_record(of):
         "level": of.level,
         "i0": of.i0,
         "knots-hash": digest.hexdigest(),
-        "coeffs": of.phi.coeffs.tolist(),
+        "coeffs": of.phi.coeffs,
         "J": [float(of.char.J[0]), float(of.char.J[1])],
         "norm2": float(of.norm2),
     }

@@ -9,6 +9,7 @@ reaches none of them.
 """
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -91,6 +92,22 @@ def dense(G):
         a[np.arange(M - d), np.arange(d, M)] = diag
         a[np.arange(d, M), np.arange(M - d)] = diag
     return a
+
+
+def offset_maxima_loop(G):
+    """``gram.offset_maxima`` one column of each inverse block at a time."""
+    part = G.partition
+    k, M = part.order, part.M
+    knots = part.knots
+    raw = np.zeros(M)
+    m = np.zeros(M)
+    for start, cols in G.inverse_columns():
+        for c in range(cols.shape[1]):
+            j = start + c
+            b = np.abs(cols[c:, c])
+            np.maximum(raw[: M - j], b, out=raw[: M - j])
+            np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
+    return raw, m
 
 
 def streamed_inverse(G):
@@ -355,21 +372,33 @@ def char_multiplicity_census(system, x, y, beta):
     return count
 
 
+def exact_right_tails(pieces):
+    """sum(pieces[r, c:]) for every row r and column c <= S, each correctly rounded, as math.fsum gives.
+
+    Each double is an integer multiple of 2^-1074, so the sums are exact in
+    integers, and int / int rounds correctly.
+    """
+    unit = 2**1074
+    out = []
+    for row in pieces.tolist():
+        ints = [n * (unit // d) for n, d in map(float.as_integer_ratio, reversed(row))]
+        out.append([total / unit for total in itertools.accumulate(ints)][::-1] + [0.0])
+    return np.array(out)
+
+
 def tail_decay_loop(system, ps, gammas):
     """``analysis.tail_decay_audit`` for every (p, gamma), one Python iteration per (n, x) pair.
 
     Returns {(p, gamma): report}.  The per-span pieces are the audit's own
     ``analysis.span_integrals``; each pair makes its own ``searchsorted``
-    and scalar ``charint.d_point`` calls, and every logarithm is a math.log
-    of one float, so the maxima are the per-pair ones bit for bit.
+    and scalar ``charint.d_point`` calls, and every logarithm is of one
+    float (``np.log`` for the two per-pair terms, as in the audit), so the
+    maxima are the per-pair ones bit for bit.
     """
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     rights = rule.intervals[:, 1]
-    lefts = {}
-    for p in ps:
-        pieces = analysis.span_integrals(system, rule, p)
-        lefts[p] = np.concatenate([np.zeros((system.size, 1)), np.cumsum(pieces, axis=1)], axis=1)
+    pieces = {p: analysis.span_integrals(system, rule, p) for p in ps}
 
     max_log = {(p, g): -math.inf for p in ps for g in gammas}
     count = 0
@@ -385,17 +414,20 @@ def tail_decay_loop(system, ps, gammas):
             dist = c - x if x <= c else x - d
             dn = int(charint.d_point(level_knots, fn.char.J, x))
             for p in ps:
-                left = lefts[p]
-                tail_p = left[row, cut] if x <= c else left[row, -1] - left[row, cut]
+                # One piece at a time, from the far end of the tail inward.
+                run = pieces[p][row, :cut] if x <= c else pieces[p][row, cut:][::-1]
+                tail_p = 0.0
+                for piece in run.tolist():
+                    tail_p += piece
                 if not tail_p > 0.0:
                     continue
                 for g in gammas:
                     log_envelope = (
                         dn * math.log(g)
                         + 0.5 * math.log(d - c)
-                        - (1.0 - 1.0 / p) * math.log(d - c + dist)
+                        - (1.0 - 1.0 / p) * float(np.log(d - c + dist))
                     )
-                    max_log[p, g] = max(max_log[p, g], math.log(tail_p) / p - log_envelope)
+                    max_log[p, g] = max(max_log[p, g], float(np.log(tail_p)) / p - log_envelope)
             count += 1
     log_float_max = math.log(sys.float_info.max)
     return {

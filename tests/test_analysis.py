@@ -1,9 +1,13 @@
+import importlib.util
 import math
 import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import (
+    exact_right_tails,
     expand,
     expansion_values,
     hl_maximal,
@@ -22,6 +26,16 @@ from orthosplines.errors import DomainError, LevelOutOfRange
 def system_k2():
     seq = knots.random_admissible(7, 2, 13)
     return ortho.build_system(seq, 12)
+
+
+def benchmark_sequence(law, seed, k, n):
+    """The knot sequence the benchmark draws for (law, k, n) from its seed (perfbench/inputs.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return knots.sequence_from_dict(inputs.points(law, seed, k, n, zlib.crc32(f"{law}/{k}/{n}".encode())))
 
 
 def centers(G):
@@ -301,6 +315,23 @@ class TestTailDecay:
         xs = np.linspace(0.51, 1.0, 50)
         assert np.max(np.abs(f3.phi(xs))) == 0.0
         assert out["max_ratio"] >= 0.0
+
+    def test_right_tails_keep_their_digits(self):
+        # Summed from the far end inward, every right tail of the dyadic
+        # seed-1 benchmark input is within S ulps of the exact sum of its
+        # pieces, however small; the row total less the left sum is not.
+        system = ortho.build_system(benchmark_sequence("dyadic-shuffled", 1, 3, 512), 512)
+        rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
+        pieces = analysis.span_integrals(system, rule, 2.0)
+        left, right = analysis.tail_sums(pieces)
+        exact = exact_right_tails(pieces)
+        for r in range(0, len(pieces), 32):
+            assert exact[r].tolist() == [math.fsum(pieces[r, c:]) for c in range(pieces.shape[1] + 1)]
+        ulps = (pieces.shape[1] + 1) * 2.0**-53
+        assert np.all(np.abs(right - exact) <= ulps * exact)
+        assert not np.all(np.abs(left[:, -1:] - left - exact) <= ulps * exact)
+        # the left tails are the running sums, bit for bit
+        assert np.array_equal(left[:, 1:], np.cumsum(pieces, axis=1))
 
     def test_keys_and_gamma_validation(self, system_k2):
         out = analysis.tail_decay_audit(system_k2, 1.5, 0.4)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -379,3 +384,19 @@ def test_quadrature_weights_integrate_one():
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert rule_nodes(rule).min() >= 0.0
     assert rule_nodes(rule).max() <= 1.0
+
+
+def test_a_missing_lapack_extension_fails_the_import_naming_it(tmp_path):
+    # A scipy without linalg/_flapack first on the path: importing bspline
+    # fails at once and names the file and the directory it looked in.
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = Path(bspline.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import orthosplines.bspline"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:") and "_flapack" in last
+    assert str(tmp_path / "scipy" / "linalg") in last

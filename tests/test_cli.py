@@ -477,6 +477,23 @@ class TestCanonicalWriter:
         assert len(payload["values"]) == 100_000
         assert "".join(cli._canonical(payload)) == canonical_json(payload)
 
+    @pytest.mark.parametrize("values", [EDGE_FLOATS, FINITE_EDGE_FLOATS, [-x for x in FINITE_EDGE_FLOATS]])
+    def test_arrays_are_written_as_their_lists(self, values):
+        # NaN and the infinities are written item by item, as in a list.
+        payload = {"values": np.array(values), "empty": np.array([]), "one": np.array([1e-5])}
+        want = {"values": values, "empty": [], "one": [1e-5]}
+        assert "".join(cli._canonical(payload)) == canonical_json(want)
+
+    def test_random_double_arrays_match_the_standard_encoder(self):
+        bits = np.random.default_rng(9).integers(0, 2**64, size=101_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:100_000]
+        assert len(values) == 100_000
+        # a strided view as well as a contiguous array
+        payload = {"values": values, "every-other": values[::2]}
+        want = {"values": values.tolist(), "every-other": values[::2].tolist()}
+        assert "".join(cli._canonical(payload)) == canonical_json(want)
+
     def test_import_loads_neither_numpy_nor_orjson(self):
         # _cap_threads must run before numpy is imported; the writer imports
         # numpy and orjson only when it is called.
@@ -486,3 +503,33 @@ class TestCanonicalWriter:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+
+def test_no_subcommand_imports_scipy_linalg(tmp_path):
+    # Only scipy's LAPACK extension is loaded, and it is the object
+    # scipy.linalg.lapack re-exports once that package is imported.
+    seq_file = tmp_path / "seq.json"
+    argvs = [
+        ["gen", "--k", "2", "--n", "16", "--seed", "1", "--out", str(seq_file)],
+        ["build", "--points", str(seq_file), "--out", str(tmp_path / "build.json")],
+        ["verify", "--k", "2", "--n", "16", "--seed", "1"],
+        ["census", "--k", "2", "--n", "16", "--seed", "1"],
+        ["experiment", "--k", "2", "--n", "16", "--seed", "1", "--trials", "5"],
+        ["decay", "--k", "2", "--n", "16", "--seed", "1"],
+    ]
+    code = (
+        "import sys\n"
+        "from orthosplines import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "import scipy.linalg.lapack\n"
+        "from orthosplines import bspline\n"
+        "print(bspline.dpbtrf is scipy.linalg.lapack.dpbtrf, bspline.dpbtrs is scipy.linalg.lapack.dpbtrs)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    lines = done.stdout.strip().splitlines()
+    assert lines[-2] == "[0, 0, 0, 0, 0, 0] ['scipy.linalg._flapack']"
+    assert lines[-1] == "True True"

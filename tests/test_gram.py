@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense, streamed_inverse
+from oracles import dense, offset_maxima_loop, streamed_inverse
 
 from orthosplines import bspline, gram, knots
 from orthosplines.errors import DegenerateFit
@@ -195,6 +195,20 @@ class TestStreamedInverse:
         assert prof.gamma_hat == pytest.approx(gamma, rel=1e-12)
         assert prof.C_hat == pytest.approx(C, rel=1e-12)
         assert prof.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
+    def test_offset_maxima_match_the_column_loop(self, multi_block):
+        # several blocks of 256 columns and a narrow last one, bit for bit
+        G, _ = multi_block
+        raw, m = gram.offset_maxima(G)
+        want_raw, want_m = offset_maxima_loop(G)
+        assert np.array_equal(raw, want_raw) and np.array_equal(m, want_m)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_offset_maxima_of_one_block(self, k):
+        G = random_gram(k, k, 40)
+        raw, m = gram.offset_maxima(G)
+        want_raw, want_m = offset_maxima_loop(G)
+        assert np.array_equal(raw, want_raw) and np.array_equal(m, want_m)
 
     def test_checks_match_dense_oracle(self, multi_block):
         G, B = multi_block

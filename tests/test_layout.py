@@ -3,11 +3,13 @@
 Every public top-level function and class, and every non-dunder method, must
 be named somewhere in the package outside its own definition, as a Name, an
 Attribute or an import alias.  A helper only tests call belongs in
-tests/oracles.py.  Only bspline imports scipy, and only the LAPACK band
-routines, so one module owns the cost of importing scipy.linalg.
+tests/oracles.py.  Only bspline imports from scipy, and only the LAPACK band
+routines, which it loads from scipy's LAPACK extension without importing
+scipy.linalg.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import orthosplines
@@ -67,7 +69,11 @@ def test_the_check_sees_an_unreached_helper(tmp_path):
 
 
 def scipy_imports(package):
-    """(module file, imported module, names) for every import of scipy in the package."""
+    """(module file, module, names) for every import of scipy in the package.
+
+    An import is an import statement, or a ``find_spec`` call given the
+    module's name as a string; names are the ones an import statement takes.
+    """
     out = []
     for path in sorted(Path(package).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -75,15 +81,35 @@ def scipy_imports(package):
                 out += [(path.name, a.name, None) for a in node.names if a.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
                 out.append((path.name, node.module, sorted(a.name for a in node.names)))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "find_spec"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and str(node.args[0].value).split(".")[0] == "scipy"
+            ):
+                out.append((path.name, node.args[0].value, None))
     return out
 
 
 def test_only_bspline_imports_scipy_and_only_lapack_band_routines():
+    # bspline finds scipy and loads its LAPACK extension by file, and no
+    # module of the package holds any compiled LAPACK routine but its two.
     imports = scipy_imports(Path(orthosplines.__file__).parent)
-    assert imports == [("bspline.py", "scipy.linalg.lapack", ["dpbtrf", "dpbtrs"])]
+    assert imports == [("bspline.py", "scipy", None), ("bspline.py", "scipy.linalg._flapack", None)]
+    modules = [importlib.import_module(f"orthosplines.{path.stem}")
+               for path in sorted(Path(orthosplines.__file__).parent.glob("*.py"))]
+    routines = [(module.__name__, name) for module in modules
+                for name, value in vars(module).items() if type(value).__name__ == "fortran"]
+    assert routines == [("orthosplines.bspline", "dpbtrf"), ("orthosplines.bspline", "dpbtrs")]
 
 
 def test_the_scipy_check_sees_every_form_of_import(tmp_path):
     (tmp_path / "a.py").write_text("import scipy.linalg\n")
     (tmp_path / "b.py").write_text("def f():\n    from scipy import sparse\n")
-    assert scipy_imports(tmp_path) == [("a.py", "scipy.linalg", None), ("b.py", "scipy", ["sparse"])]
+    (tmp_path / "c.py").write_text("import importlib.util\nimportlib.util.find_spec('scipy.sparse')\n")
+    assert scipy_imports(tmp_path) == [
+        ("a.py", "scipy.linalg", None),
+        ("b.py", "scipy", ["sparse"]),
+        ("c.py", "scipy.sparse", None),
+    ]

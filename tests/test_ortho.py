@@ -498,3 +498,19 @@ class TestBuildSystem:
         a = ortho.build_system(seq, 7)
         b = ortho.build_system(seq, 7)
         assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_mirrored_dyadic_sequence_mirrors_every_function(k):
+    # 1 - t is exact for a dyadic t, so the mirrored sequence's system is the
+    # mirror image: |phi'_n(x)| = |phi_n(1 - x)| for every function, the
+    # first k polynomials included.  The 39 interior knots have denominators
+    # up to 2^6; the centers of 2^8 cells are none of them, and 1 - x is
+    # exact for each center.
+    seq = knots.random_admissible(1, k, 41, "dyadic-shuffled")
+    mirror = knots.validate_admissible(k, [0.0, 1.0] + [1.0 - t for t in seq.points[2:]])
+    xs = (np.arange(2**8) + 0.5) / 2**8
+    assert np.array_equal(1.0 - (1.0 - xs), xs)
+    phi = value_matrix(ortho.build_system(seq, 40), 1.0 - xs)
+    phi_mirror = value_matrix(ortho.build_system(mirror, 40), xs)
+    assert np.abs(np.abs(phi_mirror) - np.abs(phi)).max() <= 1e-13 * np.abs(phi).max()
