@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bspline, charint
+from . import bspline, charint, knots
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -229,7 +229,7 @@ def tail_decay_audit(system, p, gamma_fit):
         row = system.row_of_level(n)
         c, d = fn.char.J
         level_knots = fn.phi.partition.knots
-        values = np.unique(level_knots)
+        values = knots.distinct(level_knots)
         xs = values[(values <= c) | (values >= d)]
         count += len(xs)
         below = xs <= c

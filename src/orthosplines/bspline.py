@@ -16,6 +16,8 @@ The banded Cholesky factor and solve are LAPACK's ``dpbtrf`` and ``dpbtrs``,
 taken from scipy's compiled LAPACK extension ``scipy/linalg/_flapack``, the
 object ``scipy.linalg.lapack`` re-exports.  It is loaded by file, without
 the ``scipy.linalg`` package, whose import costs about 0.3 s per process.
+``dpbtrs`` serves ``GramSystem.solve`` only: the Gram inverse is read from
+the factor by a recurrence, with no solve.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _lapack_band_routines():
 
 dpbtrf, dpbtrs = _lapack_band_routines()
 
-# Columns of the Gram inverse produced per banded solve.
+# Columns of the Gram inverse per block of ``GramSystem.inverse_columns``.
 _INVERSE_BLOCK = 256
 # Points per evaluation block: values of R splines are held R x EVAL_BLOCK at a time.
 EVAL_BLOCK = 512
@@ -230,9 +232,9 @@ class GramSystem:
     """Banded Gram matrix a_ij = <N_i, N_j> with its Cholesky factorization.
 
     The band has width k - 1 (supports of N_i and N_j are disjoint once
-    |i - j| >= k).  The inverse B = A^{-1} is dense; it is read a block of
-    columns at a time through the factor and never held whole, and its
-    diagonal is kept after the first read.
+    |i - j| >= k).  The inverse B = A^{-1} is dense; it is read from the
+    factor a block of columns at a time and never held whole, and its
+    diagonal, read from the band of B alone, is kept.
     """
 
     def __init__(self, partition, band, factor):
@@ -262,28 +264,97 @@ class GramSystem:
         return dpbtrs(self.factor, rhs)[0]
 
     def inverse_columns(self):
-        """Yield (start, cols) with cols = B[start:, start:start + w], w <= 256, left to right.
+        """Yield (start, rows), rows[c, d] = b_{j+d, j} at j = start + c, block by block right to left.
 
-        Each block holds the rows on and below the diagonal of w columns, so
-        at most M x 256 entries of B exist at a time; B is symmetric, so the
-        rows above are the transposed rows of earlier blocks.  Each block is
-        one banded solve against the trailing factor alone: the forward sweep
-        is zero above ``start`` and the backward sweep never reads upward, so
-        the entries carry the same bits as in full columns for about half the
-        work.
+        Row c is column j of B = A^{-1} from its diagonal entry down, as one
+        contiguous row of M - start entries, zeros past the column's end; a
+        block holds w <= 256 columns, so at most 256 x M entries of B exist
+        at a time.  B is symmetric, so these lower parts are all of it.  The
+        rows are a view of one buffer that the next block overwrites.
+
+        The entries come from the recurrence on the Cholesky factor A = U^T U
+        of Takahashi, Fagan and Chin (1973), column by column from the last:
+        U B = U^{-T} is lower triangular with diagonal 1/u_jj, so with
+        kd = k - 1
+
+            b_ij = -(sum_{l=kd..1} u_{j,j+l} b_{i,j+l}) / u_jj,  i > j,
+            b_jj = (1/u_jj - sum_{l=kd..1} u_{j,j+l} b_{j+l,j}) / u_jj.
+
+        Each block carries the kd columns right of it from the block before.
         """
-        M = self.M
-        for start in range(0, M, _INVERSE_BLOCK):
+        kd, M = self.partition.order - 1, self.M
+        upper = _upper_diagonals(self.factor)
+        buf = np.zeros((_INVERSE_BLOCK + kd, M + kd))
+        for start in reversed(range(0, M, _INVERSE_BLOCK)):
             width = min(_INVERSE_BLOCK, M - start)
-            rhs = np.zeros((M - start, width))
-            rhs[np.arange(width), np.arange(width)] = 1.0
-            yield start, dpbtrs(self.factor[:, start:], rhs)[0]
+            _inverse_sweep(upper, buf[: width + kd], start)
+            yield start, buf[:width, kd : kd + M - start]
+            buf[_INVERSE_BLOCK:] = buf[:kd]
 
     @functools.cached_property
     def inverse_diagonal(self):
-        """b_ii for every i, read block by block once and kept."""
-        # Copy each diagonal: a view would keep its whole block alive.
-        return np.concatenate([np.diagonal(cols).copy() for _, cols in self.inverse_columns()])
+        """b_ii for every i, kept: the recurrence of ``inverse_columns`` on the band |i - j| <= kd alone.
+
+        Each entry in the band reads only entries in the band, so this
+        selected inversion costs O(M k^2) and gives the diagonal of
+        ``inverse_columns`` bit for bit.
+        """
+        kd = self.partition.order - 1
+        rows = np.zeros((self.M + kd, 2 * kd + 1))
+        _inverse_sweep(_upper_diagonals(self.factor), rows, 0)
+        return rows[: self.M, kd].copy()
+
+
+def _upper_diagonals(factor):
+    """Lists u[l][j] = u_{j, j+l}, l = 0..kd, of the upper Cholesky factor in LAPACK band storage."""
+    kd = factor.shape[0] - 1
+    return [factor[kd - l, l:].tolist() for l in range(kd + 1)]
+
+
+def _inverse_sweep(upper, rows, first):
+    """Fill rows[r] with column j = first + r of the Gram inverse, for r from the last down to 0.
+
+    ``upper`` comes from ``_upper_diagonals``.  Row r holds b_{j+d, j} at
+    position kd + d, for 0 <= d <= min(n, M - 1 - j), n = rows.shape[1] - kd - 1;
+    positions kd - m, m = 1..kd - 1, hold b_{j-m, j} = b_{j, j-m}, copied
+    from row r - m once that column is done.  The last kd rows are the
+    columns right of the block, done before (or past M, and never read).
+
+    Each entry is formed by elementwise multiplies and subtracts in the
+    order l = kd..1, never by a dot product, so its bits depend on its own
+    operands alone and not on how many entries a row holds.
+    """
+    kd = len(upper) - 1
+    M = len(upper[0])
+    R, S = rows.shape
+    n = S - kd - 1
+    # Flat index of row r + l, position p - l is that of row r, position p plus l * step.
+    flat = rows.reshape(-1)
+    step = S - 1
+    tmp = np.empty(n)
+    for r in range(R - kd - 1, -1, -1):
+        j = first + r
+        m = min(n, M - 1 - j)
+        lmax = min(kd, m)
+        u_jj = upper[0][j]
+        diag = 1.0 / u_jj
+        at = r * S + kd
+        if lmax:
+            below = flat[at + 1 : at + 1 + m]
+            part = tmp[:m]
+            src = at + 1 + lmax * step
+            np.multiply(flat[src : src + m], -upper[lmax][j], out=below)
+            for l in range(lmax - 1, 0, -1):
+                src = at + 1 + l * step
+                np.multiply(flat[src : src + m], upper[l][j], out=part)
+                np.subtract(below, part, out=below)
+            np.divide(below, u_jj, out=below)
+            head = below[:lmax].tolist()
+            for l in range(lmax, 0, -1):
+                diag -= upper[l][j] * head[l - 1]
+            # b_{j+l, j} to position kd - l of row r + l, l < kd, for the columns left of j.
+            flat[at + step : at + min(lmax, kd - 1) * step + 1 : step] = below[: kd - 1]
+        flat[at] = diag / u_jj
 
 
 def _band_columns(knots, k, spans, cols, width):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .knots import distinct
 
 # Relative tolerance when grouping near-equal coefficient magnitudes.
 TIE_REL_TOL = 1e-12
@@ -92,7 +93,7 @@ def census_max(system, beta):
     """
     if not 0.0 <= beta <= 0.5:
         raise DomainError(f"beta={beta} outside [0, 1/2]")
-    values = np.unique(system.seq.points[: system.N + 1])
+    values = distinct(np.sort(system.seq.points[: system.N + 1]))
     counts = {}
     for of in system.functions:
         c, d = of.char.J

@@ -4,8 +4,9 @@ The inverse of the banded B-spline Gram matrix has three verifiable traits:
 its sign pattern is a checkerboard, each diagonal entry dominates the
 reciprocal of the matching Gram diagonal, and its entries decay
 geometrically away from the diagonal once weighted by the local knot gap.
-Each check reads the inverse a block of columns at a time through the Gram
-system's banded solves, so no dense M x M array is formed.
+Each check reads the inverse a block of columns at a time from the Gram
+system's Cholesky factor (``GramSystem.inverse_columns``), and the diagonal
+from the band of the inverse alone, so no dense M x M array is formed.
 """
 
 from __future__ import annotations
@@ -64,24 +65,22 @@ def checkerboard_check(G):
     tol is 1e-12 times the largest b_ii, which is the largest inverse
     magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is a margin
     for entries that are exact zeros in exact arithmetic.  B is symmetric, so
-    only the entries on and below the diagonal are scanned: the computed
-    entries above the diagonal of each block are not read.  Returns the
+    only the entries on and below the diagonal are scanned.  Returns the
     lexicographically smallest violating (min(i, j), max(i, j)), 1-based,
     which is the row-major first violation of B, when the pattern fails.
     """
     tol = 1e-12 * float(G.inverse_diagonal.max())
-    for start, cols in G.inverse_columns():
-        # Entry (r, c) of the block is b_ij at i = start + r, j = start + c.
-        alt = (-1.0) ** np.arange(cols.shape[0])
-        signed = cols * alt[:, None]
-        signed *= alt[: cols.shape[1]]
-        # Every later block holds only larger columns, so a violation here is
-        # the answer; the transpose puts the smallest column, then row, first.
-        bad = np.argwhere(np.tril(signed < -tol).T)
+    first = None
+    for start, rows in G.inverse_columns():
+        # Entry (c, d) of the block is b_ij at j = start + c, i = j + d, so
+        # (-1)^(i+j) = (-1)^d.  Blocks come right to left, so the last block
+        # with a violation holds the smallest column; argwhere is row-major,
+        # so its first hit has the smallest column, then row.
+        bad = np.argwhere(rows * (-1.0) ** np.arange(rows.shape[1]) < -tol)
         if len(bad):
-            j, i = (start + int(x) + 1 for x in bad[0])
-            return CheckResult(passed=False, first_violation=(j, i))
-    return CheckResult(passed=True, first_violation=None)
+            c, d = (int(x) for x in bad[0])
+            first = (start + c + 1, start + c + d + 1)
+    return CheckResult(passed=first is None, first_violation=first)
 
 
 def diag_inverse_bound(G):
@@ -93,15 +92,14 @@ def diag_inverse_bound(G):
 def offset_maxima(G):
     """(raw, m): raw[d] and m[d] are the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d.
 
-    Each block of the inverse is read along its diagonals in array passes
-    over strips of _STRIP columns, whose temporaries stay in cache.  Row c
-    of ``mags`` holds |column j0 + c| from its diagonal entry down, followed
-    by zeros, so the R entries from entry c of row c are b_{j+d, j},
-    j = j0 + c, for d = 0..R-1 (zeros past the last row), and the maxima
-    per offset are maxima over rows.  The gap weights are laid out alike
-    from the knots, padded with ones so that the padded products are zeros.
-    A max is exact and each product is the one the entry's own formula
-    forms, so the maxima do not depend on how the entries are grouped.
+    Each block of the inverse holds column j's entries b_{j+d, j} at
+    offset d of its row, so the maxima per offset are maxima over rows.
+    They are taken in array passes over strips of _STRIP rows, whose
+    temporaries stay in cache.  The gap weights are laid out alike from the
+    knots, padded with ones so that the products past a column's end are
+    zeros.  A max is exact and each product is the one the entry's own
+    formula forms, so the maxima do not depend on how the entries are
+    grouped.
     """
     part = G.partition
     k, M = part.order, part.M
@@ -110,17 +108,14 @@ def offset_maxima(G):
     raw = np.zeros(M)
     m = np.zeros(M)
     for start, block in G.inverse_columns():
-        for c0 in range(0, block.shape[1], _STRIP):
+        for c0 in range(0, block.shape[0], _STRIP):
             j0 = start + c0
-            cols = block[c0:, c0 : c0 + _STRIP]
-            R, w = cols.shape
-            mags = np.empty((w, R + w))
-            np.abs(cols.T, out=mags[:, :R])
-            mags[:, R:] = 0.0
-            diagonals = sliding_window_view(mags.ravel(), R)[:: R + w + 1]
+            R = M - j0
+            mags = np.abs(block[c0 : c0 + _STRIP, :R])
+            w = len(mags)
             weighted = sliding_window_view(padded[j0 + k :], R)[:w] - knots[j0 : j0 + w, None]
-            weighted *= diagonals
-            np.maximum(raw[:R], diagonals.max(axis=0), out=raw[:R])
+            weighted *= mags
+            np.maximum(raw[:R], mags.max(axis=0), out=raw[:R])
             np.maximum(m[:R], weighted.max(axis=0), out=m[:R])
     return raw, m
 

@@ -108,6 +108,14 @@ def sequence_from_dict(obj):
     return validate_admissible(obj["k"], obj["points"])
 
 
+def distinct(values):
+    """The values of a sorted array with repeats dropped, as ``np.unique`` gives them, without its sort."""
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def boundary_partition(order):
     """The level-1 partition: boundary knots only, spanning the order-k polynomials."""
     knots = np.concatenate([np.zeros(order), np.ones(order)])

@@ -101,21 +101,76 @@ def offset_maxima_loop(G):
     knots = part.knots
     raw = np.zeros(M)
     m = np.zeros(M)
-    for start, cols in G.inverse_columns():
-        for c in range(cols.shape[1]):
+    for start, rows in G.inverse_columns():
+        for c in range(rows.shape[0]):
             j = start + c
-            b = np.abs(cols[c:, c])
+            b = np.abs(rows[c, : M - j])
             np.maximum(raw[: M - j], b, out=raw[: M - j])
             np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
     return raw, m
 
 
 def streamed_inverse(G):
-    """Dense B = A^{-1} from G's trailing blocks, the upper triangle mirrored from the lower."""
+    """Dense B = A^{-1} from G's blocks of lower columns, the upper triangle mirrored from the lower."""
     B = np.zeros((G.M, G.M))
-    for start, cols in G.inverse_columns():
-        B[start:, start : start + cols.shape[1]] = cols
+    for start, rows in G.inverse_columns():
+        for c in range(rows.shape[0]):
+            j = start + c
+            B[j:, j] = rows[c, : G.M - j]
     return np.tril(B) + np.tril(B, -1).T
+
+
+def trailing_solve_columns(G):
+    """Yield (start, B[start:, start:start + w]), w <= 256, left to right, one banded solve per block.
+
+    The reader ``GramSystem.inverse_columns`` replaced: each block is LAPACK's
+    ``dpbtrs`` against the trailing factor alone and unit vectors, since the
+    forward sweep is zero above ``start``.
+    """
+    M = G.M
+    for start in range(0, M, 256):
+        width = min(256, M - start)
+        rhs = np.zeros((M - start, width))
+        rhs[np.arange(width), np.arange(width)] = 1.0
+        yield start, bspline.dpbtrs(G.factor[:, start:], rhs)[0]
+
+
+def recurrence_inverse(G):
+    """Dense B = A^{-1} by the recurrence of ``GramSystem.inverse_columns`` on whole columns.
+
+    Column j, from the last to the first, is formed from the full columns
+    j + 1..j + kd of a dense array with the reader's operations in its
+    order, and mirrored into row j; no blocks and no band storage.
+    """
+    kd, M = G.partition.order - 1, G.M
+
+    def u(j, l):
+        return G.factor[kd - l, j + l]  # u_{j, j+l}
+
+    B = np.zeros((M, M))
+    for j in range(M - 1, -1, -1):
+        lmax = min(kd, M - 1 - j)
+        diag = 1.0 / u(j, 0)
+        if lmax:
+            col = B[j + 1 :, j + lmax] * -u(j, lmax)
+            for l in range(lmax - 1, 0, -1):
+                col = col - B[j + 1 :, j + l] * u(j, l)
+            B[j + 1 :, j] = B[j, j + 1 :] = col / u(j, 0)
+            for l in range(lmax, 0, -1):
+                diag = diag - u(j, l) * B[j + l, j]
+        B[j, j] = diag / u(j, 0)
+    return B
+
+
+def exact_inverse(band):
+    """Columns of A^{-1} in Fractions for the band of A given as floats (``GramSystem.band``).
+
+    Each column is ``exact_solve_banded`` against a unit vector; the result
+    is the exact inverse of the stored doubles, not of the exact Gram matrix.
+    """
+    exact = [[Fraction(x) for x in row] for row in band.tolist()]
+    M = len(exact[0])
+    return [exact_solve_banded(exact, [Fraction(int(i == j)) for i in range(M)]) for j in range(M)]
 
 
 def refinement_matrix(coarse, fine, i0):

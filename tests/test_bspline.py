@@ -14,12 +14,12 @@ from oracles import (
     eval_basis,
     insert_event,
     refinement_matrix,
+    recurrence_inverse,
     rule_nodes,
     streamed_inverse,
     sup_norm,
     value_matrix,
 )
-from scipy.linalg import cho_solve_banded
 
 from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
@@ -32,15 +32,6 @@ from orthosplines.errors import (
 def part(k, points, n=None):
     seq = knots.validate_admissible(k, points)
     return knots.partition_at(seq, n if n is not None else len(points) - 1)
-
-
-def full_columns(G):
-    """(start, B[:, start:start + 256]) per block, each one banded solve over all M rows."""
-    for start in range(0, G.M, 256):
-        width = min(256, G.M - start)
-        rhs = np.zeros((G.M, width))
-        rhs[start + np.arange(width), np.arange(width)] = 1.0
-        yield start, cho_solve_banded((G.factor, False), rhs)
 
 
 class TestEvalBasis:
@@ -197,26 +188,23 @@ class TestGramMatrix:
         assert np.allclose(B @ rhs, G.solve(rhs), atol=1e-12)
         assert np.allclose(streamed_inverse(G), B, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "k, n, law",
-        [(1, 30, "uniform-iid"), (2, 300, "dyadic-shuffled"), (3, 600, "uniform-iid"),
-         (4, 520, "uniform-iid"), (6, 270, "dyadic-shuffled")],
-    )
-    def test_trailing_blocks_are_the_lower_rows_bit_for_bit(self, k, n, law):
-        G = bspline.gram_matrix(part(k, knots.random_admissible(n + k, k, n + 1, law).points))
-        full = list(full_columns(G))
-        trailing = list(G.inverse_columns())
-        assert [start for start, _ in trailing] == [start for start, _ in full]
-        for (start, lower), (_, cols) in zip(trailing, full):
-            assert lower.shape == (G.M - start, cols.shape[1])
-            assert np.array_equal(lower, cols[start:])
-
-    def test_trailing_blocks_under_full_multiplicity(self):
-        G = bspline.gram_matrix(part(3, [0, 1, 0.5, 0.5, 0.5, 0.25, 0.75, 0.75]))
-        for (start, lower), (_, cols) in zip(G.inverse_columns(), full_columns(G)):
-            assert np.array_equal(lower, cols[start:])
-        full = np.hstack([cols for _, cols in full_columns(G)])
-        assert np.array_equal(G.inverse_diagonal, np.diagonal(full))
+    @pytest.mark.parametrize("M", [255, 256, 257, 513])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_inverse_blocks_are_the_dense_recurrence_bit_for_bit(self, k, M):
+        # Blocks of 256 columns from the right: one block of 255 or 256, a
+        # one-column block carrying kd columns into the next, or three blocks.
+        G = bspline.gram_matrix(part(k, knots.random_admissible(M, k, M - k + 2).points))
+        assert G.M == M
+        B = recurrence_inverse(G)
+        starts = []
+        for start, rows in G.inverse_columns():
+            starts.append(start)
+            assert rows.shape == (min(256, M - start), M - start)
+            for c, row in enumerate(rows):
+                j = start + c
+                assert np.array_equal(row, np.concatenate([B[j:, j], np.zeros(c)])), f"column {j}"
+        assert starts == list(range(0, M, 256))[::-1]
+        assert np.array_equal(G.inverse_diagonal, np.diagonal(B))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_refine_reassembles_the_columns_touching_the_new_knot(self, monkeypatch, k):

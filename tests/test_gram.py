@@ -54,15 +54,19 @@ def dense_decay_profile(G, B):
 
 
 class Planted:
-    """Serves the trailing blocks and diagonal of a dense B, as GramSystem does from its factor."""
+    """Serves the lower columns and diagonal of a dense B in GramSystem's layout, right to left."""
 
     def __init__(self, B):
         self.B = B
         self.inverse_diagonal = np.diagonal(B).copy()
 
     def inverse_columns(self):
-        for start in range(0, self.B.shape[1], 256):
-            yield start, self.B[start:, start : start + 256]
+        M = self.B.shape[0]
+        for start in reversed(range(0, M, 256)):
+            rows = np.zeros((min(256, M - start), M - start))
+            for c, row in enumerate(rows):
+                row[: M - start - c] = self.B[start + c :, start + c]
+            yield start, rows
 
 
 class TestCheckerboard:
@@ -239,3 +243,13 @@ class TestStreamedInverse:
         res = gram.checkerboard_check(Planted(doctored))
         assert (res.passed, res.first_violation) == (False, (301, 701))
         assert dense_checkerboard(doctored) == (False, (301, 701))
+
+    def test_violations_in_several_blocks_report_the_smallest_column(self, multi_block):
+        _, B = multi_block
+        doctored = B.copy()
+        # blocks come right to left: the violation in the fifth block is seen
+        # first, and the one in the second block must replace it
+        for i, j in ((1100, 1030), (700, 300), (300, 701)):
+            doctored[i, j] = doctored[j, i] = -np.diagonal(B).max() * (-1.0) ** (i + j)
+        res = gram.checkerboard_check(Planted(doctored))
+        assert (res.passed, res.first_violation) == dense_checkerboard(doctored) == (False, (301, 701))

@@ -180,3 +180,15 @@ def test_partition_nesting_is_monotone():
         coarse = sorted(knots.partition_at(seq, n - 1).knots.tolist())
         for value in set(coarse):
             assert fine.count(value) >= coarse.count(value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_distinct_is_unique_on_sorted_knots(k):
+    # boundary blocks of k copies, interior knots of full multiplicity k,
+    # one-ulp neighbours and signed zeros: np.unique's values, bit for bit
+    near = float(np.nextafter(1.0, 0.0))
+    points = [0.0, 1.0] + [x for x in (0.5, 0.25, near, 0.75) for _ in range(k)] + [0.125]
+    part = knots.partition_at(knots.validate_admissible(k, points), len(points) - 1)
+    for values in (part.knots, np.array([-0.0, 0.0, 0.0, 1.0]), np.array([0.5]), np.array([])):
+        got = knots.distinct(values)
+        assert got.tobytes() == np.unique(values).tobytes()
