@@ -4,7 +4,10 @@ Everything here sits on top of a built OrthoSystem, evaluated a block of
 points at a time: the square function on a uniform cell grid
 (``bspline.eval_blocks``), threshold level sets of it, the sign-flip
 unconditionality experiment, and the tail-decay audit, whose quadrature
-nodes are evaluated on their own spans (``bspline.rule_blocks``).
+nodes are evaluated on their own spans (``bspline.rule_blocks``).  The
+per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
+on J_n, the tail audit's scores) work a block of ``ortho.LEVEL_BLOCK``
+levels at a time in array passes, from windows of each level's knots.
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bspline, charint, knots
+from . import bspline, charint, knots, ortho
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -50,6 +53,31 @@ def random_coeffs(seed, trial, size):
 def random_signs(seed, trial, size):
     rng = np.random.default_rng((seed, trial, 1))
     return rng.integers(0, 2, size) * 2.0 - 1.0
+
+
+def quantile(values, q):
+    """``np.quantile(values, q)`` of a 1-D float array by numpy's default linear method, bit for bit.
+
+    The two order statistics around the virtual index (n - 1) q come from
+    ``np.partition``, and are blended as numpy's ``_lerp`` blends them; a
+    NaN anywhere gives NaN, as numpy's does.  ``np.quantile`` goes through
+    ``np.unique``, whose first call imports ``numpy.ma`` (about 19 ms).
+    """
+    n = len(values)
+    index = (n - 1) * q
+    lo = math.floor(index)
+    if index >= n - 1:
+        lo = hi = n - 1
+        gamma = index - (-1.0)  # numpy marks the last index -1 and takes gamma from it
+    else:
+        hi = lo + 1
+        gamma = index - lo
+    part = np.partition(values, sorted({0, lo, hi, n - 1}))
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b = float(part[lo]), float(part[hi])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def cell_centers(system, G):
@@ -161,7 +189,7 @@ def uncond_experiment(system, ps, trials, seed, grid):
                 "seed": seed,
                 "ratio_max": float(R.max()),
                 "ratio_min": float(R.min()),
-                "ratio_q95": float(np.quantile(R, 0.95)),
+                "ratio_q95": quantile(R, 0.95),
                 "sq_ratio_max": float(sq_ratio.max()),
                 "sq_ratio_min": float(sq_ratio.min()),
                 "grid": len(xs),
@@ -200,6 +228,123 @@ def tail_sums(pieces):
     return left, right
 
 
+def level_blocks(system):
+    """The functions f_2..f_N of a system in consecutive blocks of ``ortho.LEVEL_BLOCK`` levels."""
+    fs, step = system.functions, ortho.LEVEL_BLOCK
+    return [fs[lo : lo + step] for lo in range(0, len(fs), step)]
+
+
+def basis_blocks(system, xs):
+    """Yield (functions, first, vals): every level's B-spline values at the points xs, a block of levels at a time.
+
+    For a block of levels n0..n0+B-1, ``first`` is (B + 1, len(xs)) and
+    ``vals`` (B + 1, len(xs), k); row 0 holds level n0 - 1 and row 1 + b
+    level n0 + b, each ``eval_basis_many`` of that level's partition at
+    xs, bit for bit.  Only level 1 is evaluated whole.  Inserting t_n at
+    position p moves every point with x >= t_n one span to the right, and
+    changes the values only of points on the fine spans p-k+1..p+k-2,
+    whose Cox-de Boor values read the new knot; spans further left keep
+    their knots, and spans further right keep them shifted by one.  So each
+    level takes the values of the level before, and the changed points of
+    a whole block are evaluated in one ``bspline.window_basis`` call on
+    windows of their levels' knots around p.  A block holds
+    O(LEVEL_BLOCK len(xs) k) floats.
+    """
+    k = system.order
+    P = len(xs)
+    first, vals = bspline.eval_basis_many(knots.boundary_partition(k), xs)
+    spans = first + k - 2  # level 1: every point on span k - 1
+    at = np.arange(-2 * k, 2 * k)
+    for fs in level_blocks(system):
+        B = len(fs)
+        t = np.array([system.seq.points[of.level] for of in fs])
+        p = np.array([of.i0 - 1 for of in fs])
+        S = spans + np.cumsum(xs >= t[:, None], axis=0)
+        changed = (S >= p[:, None] - k + 1) & (S <= p[:, None] + k - 2)
+        b, i = np.nonzero(changed)
+        windows = np.stack([of.phi.partition.knots.take(at + of.i0 - 1, mode="clip") for of in fs])
+        col = S[b, i] - p[b] + 2 * k
+        table = np.empty((B + 1, P, k))
+        table[0] = vals
+        table[b + 1, i] = bspline.window_basis(windows, k, b, col, xs[i] - windows[b, col])
+        # Each point reads the last row at or before its level whose values changed.
+        src = np.zeros((B + 1, P), dtype=np.intp)
+        src[1:][changed] = b + 1
+        np.maximum.accumulate(src, axis=0, out=src)
+        src *= P
+        src += np.arange(P)
+        vals = table.reshape(-1, k).take(src.ravel(), axis=0).reshape(B + 1, P, k)
+        first = np.vstack([first[None], S - k + 2])
+        yield fs, first, vals
+        spans, first, vals = S[-1], first[-1], vals[-1]
+
+
+def boehm_identity_error(system, seed, xs):
+    """Largest |s_{n-1}(x) - s_n(x)| over n = 2..N and the points xs, for random coarse splines.
+
+    s_{n-1} has coefficients drawn from ``default_rng(seed)`` on level n - 1,
+    level after level, and s_n is it prolonged to level n by the Boehm
+    weights of t_n (``bspline.prolong``); the two are the same spline, so
+    the gap is rounding.  Basis values come from ``basis_blocks``, and
+    each block's coefficients are drawn in one ``standard_normal`` call,
+    which continues the stream exactly as one call per level would.  Both
+    splines are evaluated at every point by ``bspline.spline_values``, each
+    level's coefficients laid in a row of their own.  A NaN gap is
+    returned, not dropped.
+    """
+    k = system.order
+    rng = np.random.default_rng(seed)
+    maxima = []
+    for fs, first, vals in basis_blocks(system, xs):
+        B = len(fs)
+        M = np.array([of.phi.partition.M for of in fs])
+        coarse = np.zeros((B, M[-1] - 1))
+        coarse[np.arange(M[-1] - 1) < M[:, None] - 1] = rng.standard_normal(int(M.sum()) - B)
+        fine = np.zeros((B, M[-1]))
+        near = np.stack([of.phi.partition.knots[of.i0 - k - 1 : of.i0 + k] for of in fs])
+        w1, w2 = bspline.boehm_weights(near)
+        for row, of in enumerate(fs):
+            fine[row, : M[row]] = bspline.prolong(coarse[row, : M[row] - 1], of.i0, w1[row], w2[row])
+        rows = np.arange(B)[:, None]
+        fine_first = (first[1:] + rows * fine.shape[1]).ravel()
+        coarse_first = (first[:-1] + rows * coarse.shape[1]).ravel()
+        gap = bspline.spline_values(fine.ravel(), fine_first, vals[1:].reshape(-1, k))
+        gap -= bspline.spline_values(coarse.ravel(), coarse_first, vals[:-1].reshape(-1, k))
+        maxima.append(np.abs(gap, out=gap).max())
+    return float(np.max(maxima))
+
+
+def char_norms(system, p):
+    """||phi_n||_{L^p(J_n)} for n = 2..N, as an array, a block of levels at a time.
+
+    J_n = [c, d] is one knot span of level n, so each norm is one
+    Gauss-Legendre rule of k + 2 nodes on it.  The span is the last copy of
+    c among the k + 1 knots of J0 = [tau_j0, tau_{j0+k}], which holds J_n.
+    The nodes of a block are evaluated in one ``bspline.window_basis`` call
+    on windows of their levels' knots around j0, and each level's sum is
+    reduced on its own before its own power 1/p.
+    """
+    k = system.order
+    q = k + 2
+    at = np.arange(-k, 2 * k)  # knots j0-1-k..j0+2k-2 (0-based) around J0
+    near = np.arange(1 - k, k)  # coefficients j0-k..j0+k-2 (0-based), the k on J's span among them
+    norms = []
+    for fs in level_blocks(system):
+        B = len(fs)
+        J = np.array([of.char.J for of in fs])
+        rule = bspline.QuadratureRule.over_spans(J.ravel(), q, np.arange(0, 2 * B, 2))
+        windows = np.stack([of.phi.partition.knots.take(at + of.char.j0 - 1, mode="clip") for of in fs])
+        coeffs = np.stack([of.phi.coeffs.take(near + of.char.j0 - 1, mode="clip") for of in fs])
+        a = (windows[:, k : 2 * k + 1] <= J[:, :1]).sum(axis=1) - 1  # J's span is j0 - 1 + a
+        rows = np.repeat(np.arange(B), q)
+        vals = bspline.window_basis(windows, k, rows, np.repeat(k + a, q), rule.offsets.ravel())
+        first = np.repeat(np.arange(B) * coeffs.shape[1] + a + 1, q)
+        mags = np.abs(bspline.spline_values(coeffs.ravel(), first, vals)) ** p
+        sums = (rule.weights * mags.reshape(B, q)).sum(axis=1)
+        norms.extend(float(total ** (1.0 / p)) for total in sums)
+    return np.array(norms)
+
+
 def tail_decay_audit(system, p, gamma_fit):
     """Largest tail norm of any phi_n against its geometric envelope.
 
@@ -207,10 +352,12 @@ def tail_decay_audit(system, p, gamma_fit):
     the characteristic interval J, the envelope is
     gamma^d(x) |J|^(1/2) / (|J| + dist(x, J))^(1 - 1/p) and the audited
     quantity is the L^p norm of phi on the far side of x.  Reports the
-    maximum ratio over all (n, x), scoring each level's knot values in one
-    array pass.  Each ratio is formed from logarithms,
-    since gamma^d underflows on deep tails; a zero tail has ratio 0, and a
-    maximum past the float range is reported as inf.
+    maximum ratio over all (n, x), scoring the knot values of a block of
+    levels in one array pass, with d from ``charint.knot_distances`` and
+    the tails of the block's rows alone from ``tail_sums``.  Each
+    ratio is formed from logarithms, since gamma^d underflows on deep tails;
+    a zero tail has ratio 0, and a maximum past the float range is reported
+    as inf.  log |J| is taken by ``math.log``, one level at a time.
     """
     if not 0.0 < gamma_fit < 1.0:
         raise DomainError(f"gamma_fit={gamma_fit} outside (0, 1)")
@@ -218,30 +365,29 @@ def tail_decay_audit(system, p, gamma_fit):
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    left, right = tail_sums(span_integrals(system, rule, p))
+    pieces = span_integrals(system, rule, p)
     rights = rule.intervals[:, 1]
 
     log_gamma = math.log(gamma_fit)
     max_log = -math.inf
     count = 0
-    for n in range(2, system.N + 1):
-        fn = system.function(n)
-        row = system.row_of_level(n)
-        c, d = fn.char.J
-        level_knots = fn.phi.partition.knots
-        values = knots.distinct(level_knots)
-        xs = values[(values <= c) | (values >= d)]
+    for fs in level_blocks(system):
+        row = system.row_of_level(fs[0].level)
+        left, right = tail_sums(pieces[row : row + len(fs)])
+        level, xs, dn = charint.knot_distances(fs)
         count += len(xs)
+        J = np.array([of.char.J for of in fs])
+        half_log = np.array([0.5 * math.log(d - c) for c, d in J.tolist()])
+        c, d = J[level, 0], J[level, 1]
         below = xs <= c
         cut = np.searchsorted(rights, xs, side="right")
-        tail_p = np.where(below, left[row, cut], right[row, cut])
+        tail_p = np.where(below, left[level, cut], right[level, cut])
         dist = np.where(below, c - xs, xs - d)
-        dn = charint.d_point(level_knots, fn.char.J, xs)
         live = tail_p > 0.0
         log_envelope = (
             dn[live] * log_gamma
-            + 0.5 * math.log(d - c)
-            - (1.0 - 1.0 / p) * np.log(d - c + dist[live])
+            + half_log[level[live]]
+            - (1.0 - 1.0 / p) * np.log((d - c)[live] + dist[live])
         )
         log_ratio = np.log(tail_p[live]) / p - log_envelope
         max_log = float(log_ratio.max(initial=max_log))

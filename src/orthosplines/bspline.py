@@ -1,4 +1,4 @@
-"""B-spline basis evaluation, Gram assembly, one-knot refinement, and L^p norms.
+"""B-spline basis evaluation, Gram assembly and one-knot refinement.
 
 The basis is the L^inf-normalized one: the order-k B-splines N_1..N_M of a
 partition form a partition of unity.  Evaluation is right-continuous at
@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import os
 from dataclasses import dataclass
 
@@ -134,6 +133,17 @@ def span_values(partition, spans, u):
     """``eval_basis_many`` output for points given as span index s and offset u from tau_s."""
     k = partition.order
     return spans - k + 2, _span_basis(partition.knots, k, spans, u)
+
+
+def window_basis(windows, k, rows, spans, u):
+    """Basis values, (len(u), k), of points on spans of a stack of knot windows.
+
+    Point i lies on span spans[i] of window rows[i], at offset u[i] from its
+    left knot; each window is a run of one level's knots.  The values are
+    those ``span_values`` gives on the level's own knot vector, bit for bit,
+    when the window holds the knots the span reads.
+    """
+    return _span_basis(windows.ravel(), k, rows * windows.shape[1] + spans, u)
 
 
 def eval_blocks(partition, xs):
@@ -499,28 +509,3 @@ def prolong(coeffs, i0, w1, w2):
     return np.concatenate(
         [coeffs[..., :a], split_columns(coeffs[..., a:b], w1, w2), coeffs[..., b:]], axis=-1
     )
-
-
-def lp_norm(f, p, interval=(0.0, 1.0)):
-    """L^p norm of a spline over a subinterval of [0, 1], for finite p >= 1.
-
-    Integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on every
-    knot span clipped to the interval.  Each node is evaluated on its knot
-    span from its offset to the span's left end, so narrow spans lose no
-    digits.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.0 <= a <= b <= 1.0):
-        raise DomainError(f"interval [{a}, {b}] is not inside [0, 1]")
-    if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
-        raise DomainError(f"p must be finite and >= 1, got {p!r}")
-    knots = f.partition.knots
-    cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
-    rule = QuadratureRule.over_spans(cuts, f.partition.order + 2)
-    # A cut span's left end is a knot, or a inside the first span.
-    left = rule.intervals[:, 0]
-    spans = _find_spans(f.partition, left)
-    u = (left - knots[spans])[:, None] + rule.offsets
-    first, vals = span_values(f.partition, np.repeat(spans, rule.q), u.ravel())
-    vals = np.abs(spline_values(f.coeffs, first, vals)) ** p
-    return float((rule.weights.ravel() * vals).sum() ** (1.0 / p))

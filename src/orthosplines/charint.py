@@ -60,22 +60,43 @@ def characteristic_intervals(t, alpha, i0, levels):
     ]
 
 
-def d_point(knots, J, x):
-    """Knots between x and the characteristic interval J, endpoint included.
+def knot_distances(functions):
+    """Every knot value of each level outside its J, with its knot-count distance d to J.
 
-    ``knots`` is the level's sorted knot vector and ``x`` a point or an
-    array of points; the counts have the shape of x.  Counts knots with
-    multiplicity strictly between x and the nearer endpoint of J, plus that
-    endpoint once; 0 when x lies in J.
+    ``functions`` is a block of OrthoFunctions.  Returns flat arrays
+    (level, x, d) over every pair: level indexes ``functions``, x runs over
+    the distinct knot values of that level with x <= c or x >= d for
+    J = (c, d), and d counts the level's knots with multiplicity strictly
+    between x and the nearer endpoint of J, plus that endpoint once; 0 at
+    x = c and x = d.  The counts come from the starts and ends of the runs
+    of equal knots: for x < c it is (knots below c) - (knots up to x) + 1,
+    for x > d (knots below x) - (knots up to d) + 1, and c and d are knot
+    values of the level.
     """
-    x = np.asarray(x, dtype=float)
-    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN included
-    if outside.any():
-        raise DomainError(f"x={float(x[outside].flat[0])} outside [0, 1]")
-    c, d = J
-    left = np.searchsorted(knots, c, "left") - np.searchsorted(knots, x, "right") + 1
-    right = np.searchsorted(knots, x, "left") - np.searchsorted(knots, d, "right") + 1
-    return np.where(x < c, left, np.where(x > d, right, 0))
+    rows = [of.phi.partition.knots for of in functions]
+    lengths = np.array([len(row) for row in rows])
+    offsets = np.cumsum(lengths) - lengths
+    flat = np.concatenate(rows)
+    # Runs of equal knots, none crossing from one level into the next.
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[offsets] = True
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(flat))
+    level = np.repeat(np.arange(len(rows)), lengths)[starts]
+    x = flat[starts]
+    below = starts - offsets[level]  # knots of the level below x
+    upto = ends - offsets[level]  # knots of the level up to x
+    J = np.array([of.char.J for of in functions])
+    c, d = J[level, 0], J[level, 1]
+    below_c = np.empty(len(rows), dtype=below.dtype)
+    below_c[level[x == c]] = below[x == c]
+    upto_d = np.empty(len(rows), dtype=upto.dtype)
+    upto_d[level[x == d]] = upto[x == d]
+    dist = np.where(x < c, below_c[level] - upto + 1, np.where(x > d, below - upto_d[level] + 1, 0))
+    out = (x <= c) | (x >= d)
+    return level[out], x[out], dist[out]
 
 
 def census_max(system, beta):

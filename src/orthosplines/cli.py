@@ -254,7 +254,7 @@ def _orthonormality_error(F, G):
 def _verify_suites(args, seq, N):
     import numpy as np
 
-    from . import analysis, bspline, gram, knots, ortho
+    from . import analysis, gram, ortho
 
     system = ortho.build_system(seq, N)
     _resolve_grid(args, system)
@@ -265,40 +265,24 @@ def _verify_suites(args, seq, N):
     ortho_err = _orthonormality_error(F, G)
     suites.append(("orthonormality", ortho_err <= 1e-10, {"max_err": ortho_err}))
 
-    check = gram.checkerboard_check(G)
+    # One walk of the inverse feeds the sign check and the decay fit.
+    maxima = gram.OffsetMaxima(G)
+    check = gram.checkerboard_check(G, maxima)
     suites.append(("checkerboard", check.passed, {"first_violation": check.first_violation}))
 
     diag = gram.diag_inverse_bound(G)
     suites.append(("diag-bound", diag <= 1.0 + 1e-12, {"max_ratio": diag}))
 
-    # Level n's coarse spline lives on level n - 1's partition, so each
-    # partition's basis values at xs are formed once and used twice.
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    xs = np.linspace(0.0, 1.0, 1000)
-    coarse = bspline.eval_basis_many(knots.boundary_partition(seq.order), xs)
-    for n in range(2, N + 1):
-        of = system.function(n)
-        part = of.phi.partition
-        fine = bspline.eval_basis_many(part, xs)
-        w1, w2 = bspline.boehm_refine(part, of.i0)
-        c = rng.standard_normal(part.M - 1)
-        fine_c = bspline.prolong(c, of.i0, w1, w2)
-        gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)
-        worst = max(worst, float(np.abs(gap).max()))
-        coarse = fine
+    worst = analysis.boehm_identity_error(system, args.seed, np.linspace(0.0, 1.0, 1000))
     suites.append(("boehm-identity", worst <= 1e-8, {"max_err": worst}))
 
     # At p = 2 the length normalization |J|^(1/p - 1/2) drops out, so the
     # band is just the share of unit L2 mass each function keeps on its J.
-    ratios = []
-    for n in range(2, N + 1):
-        fn = system.function(n)
-        ratios.append(bspline.lp_norm(fn.phi, 2.0, fn.char.J))
-    lo, hi = float(min(ratios)), float(max(ratios))
+    ratios = analysis.char_norms(system, 2.0)
+    lo, hi = float(ratios.min()), float(ratios.max())
     suites.append(("norm-equivalence", 0.0 < lo <= hi < 1.001, {"band_min": lo, "band_max": hi}))
 
-    profile = gram.decay_profile(G)
+    profile = gram.decay_profile(G, maxima)
     gamma = profile.gamma_hat if 0.0 < profile.gamma_hat < 1.0 else 0.5
     audit = analysis.tail_decay_audit(system, 2.0, gamma)
     suites.append(
@@ -314,7 +298,7 @@ def _verify_suites(args, seq, N):
     holds = True
     worst_c = 0.0
     for sf in analysis.square_function(system, coeffs, xs):
-        lam = max(float(np.quantile(sf, 0.6)), 1e-9)
+        lam = max(analysis.quantile(sf, 0.6), 1e-9)
         sets = analysis.level_sets(sf, lam, 0.5)
         holds = holds and bool(np.all(sets.B[sets.E]))
         if sets.weak_constant is not None:

@@ -7,6 +7,8 @@ geometrically away from the diagonal once weighted by the local knot gap.
 Each check reads the inverse a block of columns at a time from the Gram
 system's Cholesky factor (``GramSystem.inverse_columns``), and the diagonal
 from the band of the inverse alone, so no dense M x M array is formed.
+The sign check can feed each block to an ``OffsetMaxima`` as well, so that
+``verify`` reads the inverse once for both the signs and the decay fit.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class DecayProfile:
         }
 
 
-def checkerboard_check(G):
+def checkerboard_check(G, maxima=None):
     """Verify (-1)^(i+j) b_ij >= -tol over the whole inverse.
 
     tol is 1e-12 times the largest b_ii, which is the largest inverse
@@ -68,6 +70,8 @@ def checkerboard_check(G):
     only the entries on and below the diagonal are scanned.  Returns the
     lexicographically smallest violating (min(i, j), max(i, j)), 1-based,
     which is the row-major first violation of B, when the pattern fails.
+    An ``OffsetMaxima`` given as ``maxima`` is fed each block of the same
+    walk, so that both checks read the inverse once.
     """
     tol = 1e-12 * float(G.inverse_diagonal.max())
     first = None
@@ -80,6 +84,8 @@ def checkerboard_check(G):
         if len(bad):
             c, d = (int(x) for x in bad[0])
             first = (start + c + 1, start + c + d + 1)
+        if maxima is not None:
+            maxima.add(start, rows)
     return CheckResult(passed=first is None, first_violation=first)
 
 
@@ -89,38 +95,50 @@ def diag_inverse_bound(G):
     return float(np.max(1.0 / (a_diag * G.inverse_diagonal)))
 
 
-def offset_maxima(G):
-    """(raw, m): raw[d] and m[d] are the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d.
+class OffsetMaxima:
+    """raw[d] and m[d], the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d, block by block.
 
     Each block of the inverse holds column j's entries b_{j+d, j} at
     offset d of its row, so the maxima per offset are maxima over rows.
-    They are taken in array passes over strips of _STRIP rows, whose
+    ``add`` takes them in array passes over strips of _STRIP rows, whose
     temporaries stay in cache.  The gap weights are laid out alike from the
     knots, padded with ones so that the products past a column's end are
     zeros.  A max is exact and each product is the one the entry's own
     formula forms, so the maxima do not depend on how the entries are
     grouped.
     """
-    part = G.partition
-    k, M = part.order, part.M
-    knots = part.knots
-    padded = np.concatenate([knots, np.ones(_STRIP)])
-    raw = np.zeros(M)
-    m = np.zeros(M)
-    for start, block in G.inverse_columns():
+
+    def __init__(self, G):
+        part = G.partition
+        self.k, self.M = part.order, part.M
+        self.knots = part.knots
+        self.padded = np.concatenate([part.knots, np.ones(_STRIP)])
+        self.raw = np.zeros(self.M)
+        self.m = np.zeros(self.M)
+
+    def add(self, start, block):
+        """Fold in one block (start, rows) of ``GramSystem.inverse_columns``."""
+        raw, m, knots = self.raw, self.m, self.knots
         for c0 in range(0, block.shape[0], _STRIP):
             j0 = start + c0
-            R = M - j0
+            R = self.M - j0
             mags = np.abs(block[c0 : c0 + _STRIP, :R])
             w = len(mags)
-            weighted = sliding_window_view(padded[j0 + k :], R)[:w] - knots[j0 : j0 + w, None]
+            weighted = sliding_window_view(self.padded[j0 + self.k :], R)[:w] - knots[j0 : j0 + w, None]
             weighted *= mags
             np.maximum(raw[:R], mags.max(axis=0), out=raw[:R])
             np.maximum(m[:R], weighted.max(axis=0), out=m[:R])
-    return raw, m
 
 
-def decay_profile(G):
+def offset_maxima(G):
+    """(raw, m) of ``OffsetMaxima`` over every block of the inverse."""
+    maxima = OffsetMaxima(G)
+    for start, block in G.inverse_columns():
+        maxima.add(start, block)
+    return maxima.raw, maxima.m
+
+
+def decay_profile(G, maxima=None):
     """Fit the geometric decay of the gap-weighted Gram inverse.
 
     m_d is the max of |b_ij| (tau_{i+k} - tau_j) over i - j = d, read from
@@ -129,9 +147,10 @@ def decay_profile(G):
     |b_ij| maxima per offset: the gap weight grows with d (by roughly d knot
     spacings), so fitting the weighted envelope directly would overshoot the
     geometric rate.  C_hat is then inflated until C_hat gamma_hat^d dominates
-    every fitted m_d.
+    every fitted m_d.  ``maxima``, an ``OffsetMaxima`` already fed every
+    block, spares a walk of the inverse.
     """
-    raw, m = offset_maxima(G)
+    raw, m = offset_maxima(G) if maxima is None else (maxima.raw, maxima.m)
     M, k = G.partition.M, G.partition.order
     keep = np.flatnonzero(m > NOISE_FLOOR * m[0])
     if len(keep) == 1 and keep[0] == 0:

@@ -149,12 +149,6 @@ class OrthoSystem:
             raise IndexOutOfRange(f"level {n} outside [{-k + 2}, {self.N}]")
         return n + k - 2
 
-    def function(self, n):
-        """The OrthoFunction of level n >= 2."""
-        if not 2 <= n <= self.N:
-            raise IndexOutOfRange(f"level {n} outside [2, {self.N}]")
-        return self.functions[n - 2]
-
 
 def export_record(of):
     """The serializable record of one constructed level n >= 2."""

@@ -343,7 +343,7 @@ def deboor_stability_ratio(f, p):
     kn = part.knots
     nu = kn[k : k + part.M] - kn[: part.M]
     seq_norm = float((np.abs(f.coeffs) ** p @ nu) ** (1.0 / p))
-    ratio = bspline.lp_norm(f, p) / seq_norm
+    ratio = lp_norm(f, p) / seq_norm
     worst = 0.0
     for j in range(part.M):
         if f.coeffs[j] == 0.0:
@@ -351,16 +351,88 @@ def deboor_stability_ratio(f, p):
         widths = kn[j + 1 : j + k + 1] - kn[j : j + k]
         s = int(np.argmax(widths))
         jj = (float(kn[j + s]), float(kn[j + s + 1]))
-        local = bspline.lp_norm(f, p, jj)
+        local = lp_norm(f, p, jj)
         quot = abs(f.coeffs[j]) * (jj[1] - jj[0]) ** (1.0 / p) / local
         worst = max(worst, quot)
     return ratio, worst
 
 
+def lp_norm(f, p, interval=(0.0, 1.0)):
+    """L^p norm of a spline over a subinterval of [0, 1], for finite p >= 1.
+
+    Integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on every
+    knot span clipped to the interval.  Each node is evaluated on its knot
+    span from its offset to the span's left end, so narrow spans lose no
+    digits.  On J_n it is the norm that ``analysis.char_norms`` takes for
+    a whole block of levels.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not (0.0 <= a <= b <= 1.0):
+        raise DomainError(f"interval [{a}, {b}] is not inside [0, 1]")
+    if not (isinstance(p, (int, float)) and 1.0 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+    knots_ = f.partition.knots
+    cuts = np.concatenate([[a], knots_[(knots_ > a) & (knots_ < b)], [b]])
+    rule = bspline.QuadratureRule.over_spans(cuts, f.partition.order + 2)
+    # A cut span's left end is a knot, or a inside the first span; it is below 1.
+    left = rule.intervals[:, 0]
+    spans = np.searchsorted(knots_, left, side="right") - 1
+    u = (left - knots_[spans])[:, None] + rule.offsets
+    first, vals = bspline.span_values(f.partition, np.repeat(spans, rule.q), u.ravel())
+    vals = np.abs(bspline.spline_values(f.coeffs, first, vals)) ** p
+    return float((rule.weights.ravel() * vals).sum() ** (1.0 / p))
+
+
+def char_norms_loop(system, p):
+    """``analysis.char_norms`` one level at a time: ``lp_norm`` of each phi_n on its J_n."""
+    return np.array([lp_norm(of.phi, p, of.char.J) for of in system.functions])
+
+
+def boehm_identity_loop(system, seed, xs):
+    """``analysis.boehm_identity_error`` one level at a time, as ``verify`` once ran it.
+
+    Each level's partition is evaluated whole at xs, its coarse coefficients
+    drawn in a call of their own, and the level's largest gap is folded in
+    with the builtin ``max``.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    coarse = bspline.eval_basis_many(knots.boundary_partition(system.order), xs)
+    for of in system.functions:
+        part = of.phi.partition
+        fine = bspline.eval_basis_many(part, xs)
+        w1, w2 = bspline.boehm_refine(part, of.i0)
+        c = rng.standard_normal(part.M - 1)
+        fine_c = bspline.prolong(c, of.i0, w1, w2)
+        gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)
+        worst = max(worst, float(np.abs(gap).max()))
+        coarse = fine
+    return worst
+
+
+def d_point(knots_, J, x):
+    """Knots between x and the characteristic interval J, endpoint included, by binary search.
+
+    ``knots_`` is the level's sorted knot vector and ``x`` a point or an
+    array of points; the counts have the shape of x.  Counts knots with
+    multiplicity strictly between x and the nearer endpoint of J, plus that
+    endpoint once; 0 when x lies in J.  The per-level form of
+    ``charint.knot_distances``.
+    """
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN included
+    if outside.any():
+        raise DomainError(f"x={float(x[outside].flat[0])} outside [0, 1]")
+    c, d = J
+    left = np.searchsorted(knots_, c, "left") - np.searchsorted(knots_, x, "right") + 1
+    right = np.searchsorted(knots_, x, "left") - np.searchsorted(knots_, d, "right") + 1
+    return np.where(x < c, left, np.where(x > d, right, 0))
+
+
 def sup_norm(f, interval):
     """max |f| over 8k Chebyshev points per knot span clipped to the interval, plus the span ends.
 
-    The L^inf norm that ``bspline.lp_norm`` does not take, up to the
+    The L^inf norm that ``lp_norm`` does not take, up to the
     sampling of each polynomial piece.
     """
     a, b = float(interval[0]), float(interval[1])
@@ -446,7 +518,7 @@ def tail_decay_loop(system, ps, gammas):
 
     Returns {(p, gamma): report}.  The per-span pieces are the audit's own
     ``analysis.span_integrals``; each pair makes its own ``searchsorted``
-    and scalar ``charint.d_point`` calls, and every logarithm is of one
+    and scalar ``d_point`` calls, and every logarithm is of one
     float (``np.log`` for the two per-pair terms, as in the audit), so the
     maxima are the per-pair ones bit for bit.
     """
@@ -458,7 +530,7 @@ def tail_decay_loop(system, ps, gammas):
     max_log = {(p, g): -math.inf for p in ps for g in gammas}
     count = 0
     for n in range(2, system.N + 1):
-        fn = system.function(n)
+        fn = system.functions[n - 2]
         row = system.row_of_level(n)
         c, d = fn.char.J
         level_knots = fn.phi.partition.knots
@@ -467,7 +539,7 @@ def tail_decay_loop(system, ps, gammas):
                 continue
             cut = int(np.searchsorted(rights, x, side="right"))
             dist = c - x if x <= c else x - d
-            dn = int(charint.d_point(level_knots, fn.char.J, x))
+            dn = int(d_point(level_knots, fn.char.J, x))
             for p in ps:
                 # One piece at a time, from the far end of the tail inward.
                 run = pieces[p][row, :cut] if x <= c else pieces[p][row, cut:][::-1]

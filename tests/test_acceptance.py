@@ -19,6 +19,7 @@ from oracles import (
     gram_schmidt_oracle,
     hl_maximal,
     insert_event,
+    lp_norm,
     maximal_function,
     monotone_subsequence,
     ortho_function,
@@ -143,12 +144,12 @@ def test_criterion_06_norm_equivalence_band():
             inv_p = 0.0 if np.isinf(p) else 1.0 / p
             ratios = []
             for n in range(2, 257):
-                fn = system.function(n)
+                fn = system.functions[n - 2]
                 a, b = fn.char.J
                 if np.isinf(p):
                     norm = sup_norm(fn.phi, (a, b))
                 else:
-                    norm = bspline.lp_norm(fn.phi, p, (a, b))
+                    norm = lp_norm(fn.phi, p, (a, b))
                 ratios.append(norm / (b - a) ** (inv_p - 0.5))
             ratios = np.array(ratios)
             band_half = ratios[:127].max() / ratios[:127].min()

@@ -7,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    boehm_identity_loop,
+    char_norms_loop,
+    d_point,
     exact_right_tails,
     expand,
     expansion_values,
     hl_maximal,
+    lp_norm,
     maximal_function,
     reconstruction,
     rule_nodes,
@@ -18,7 +22,7 @@ from oracles import (
     value_matrix,
 )
 
-from orthosplines import analysis, bspline, gram, knots, ortho
+from orthosplines import analysis, bspline, charint, gram, knots, ortho
 from orthosplines.errors import DomainError, LevelOutOfRange
 
 
@@ -54,7 +58,7 @@ def cell_sf(system, coeffs, G):
 
 class TestExpand:
     def test_recovers_single_function(self, system_k2):
-        f = system_k2.function(12).phi  # lives on the finest partition
+        f = system_k2.functions[-1].phi  # lives on the finest partition
         a = expand(f, system_k2)
         row = system_k2.row_of_level(12)
         assert a[row] == pytest.approx(1.0, abs=1e-10)
@@ -78,7 +82,7 @@ class TestExpand:
         f = bspline.Spline(system_k2.gram.partition, c)
         a = expand(f, system_k2)
         assert float(a @ a) == pytest.approx(
-            bspline.lp_norm(f, 2.0) ** 2, abs=1e-8
+            lp_norm(f, 2.0) ** 2, abs=1e-8
         )
 
     def test_reconstruction_roundtrip(self, system_k2):
@@ -118,6 +122,119 @@ class TestRandomDraws:
         s = analysis.random_signs(2, 7, 50)
         assert set(np.unique(s)) <= {-1.0, 1.0}
         assert np.array_equal(s, analysis.random_signs(2, 7, 50))
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("q", [0.0, 0.6, 0.95, 1.0, 0.5, 1 / 3])
+    def test_bit_equal_to_numpy(self, q):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 7, 20, 4096):
+            draws = [rng.standard_normal(n), rng.random(n) * 1e-300, np.exp(rng.standard_normal(n) * 30)]
+            # ties: few distinct values, and all values equal
+            draws += [rng.integers(0, 3, n).astype(float), np.full(n, 0.1)]
+            for values in draws:
+                want = np.quantile(values, q)
+                got = analysis.quantile(values.copy(), q)
+                assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_leaves_its_input_alone(self):
+        values = np.random.default_rng(5).random(100)
+        kept = values.copy()
+        analysis.quantile(values, 0.6)
+        assert np.array_equal(values, kept)
+
+    def test_nan_and_inf_as_numpy(self):
+        for values in ([1.0, np.nan, 3.0], [1.0, np.inf, 2.0], [np.inf, np.inf], [-np.inf, 0.0, np.inf]):
+            for q in (0.0, 0.6, 0.95, 1.0):
+                with np.errstate(invalid="ignore"):
+                    want = np.quantile(np.array(values), q)
+                got = analysis.quantile(np.array(values), q)
+                assert np.float64(got).tobytes() == want.tobytes()
+
+
+def family_sequence(family, k, n_points):
+    """A sequence of n_points points of one knot family, for order k.
+
+    The laws of ``knots.LAWS``; knots 1 - 2^-j and their mirror 2^-j;
+    every value k times; knots next to 0 and 1.  Short families are filled
+    up with uniform draws.
+    """
+    m = n_points - 2
+    if family in knots.LAWS:
+        return knots.random_admissible(30 + k, k, n_points, family)
+    if family == "near-one":
+        interior = [1.0 - 2.0**-j for j in range(1, 51)]
+    elif family == "mirror":
+        interior = [2.0**-j for j in range(1, m + 1)]
+    elif family == "full-multiplicity":
+        interior = [(2 * i + 1) / 256.0 for i in range(128) for _ in range(k)]
+    else:
+        tiny = 2.0**-1000
+        interior = [tiny, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 2 * tiny, 0.5]
+    interior = (interior + np.random.default_rng(k).random(m).tolist())[:m]
+    return knots.validate_admissible(k, [0.0, 1.0] + interior)
+
+
+FAMILIES = knots.LAWS + ("near-one", "mirror", "full-multiplicity", "next-to-ends")
+BLOCKS = (1, 7, 64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(1, 7))
+class TestLevelPasses:
+    """The block passes of verify against their level-by-level oracles, bit for bit.
+
+    N = 63..66, one N per order, puts the N - 1 levels one and two short of
+    a block of 64, at one block, and one past it; blocks of 1 and 7 cross
+    block edges.
+    """
+
+    @pytest.fixture
+    def system(self, family, k):
+        N = 63 + (k - 1) % 4
+        return ortho.build_system(family_sequence(family, k, N + 1), N)
+
+    def test_passes_match_the_level_loops(self, monkeypatch, system):
+        xs = np.linspace(0.0, 1.0, 1000)
+        boehm = boehm_identity_loop(system, 3, xs)
+        norms = char_norms_loop(system, 2.0)
+        tails = tail_decay_loop(system, (2.0,), (0.5,))[2.0, 0.5]
+        for block in BLOCKS:
+            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+            assert analysis.boehm_identity_error(system, 3, xs) == boehm
+            assert analysis.char_norms(system, 2.0).tobytes() == norms.tobytes()
+            assert analysis.tail_decay_audit(system, 2.0, 0.5) == tails
+
+    def test_knot_distances_match_d_point(self, monkeypatch, system):
+        for block in BLOCKS:
+            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+            for fs in analysis.level_blocks(system):
+                level, xs, dn = charint.knot_distances(fs)
+                for b, of in enumerate(fs):
+                    c, d = of.char.J
+                    values = knots.distinct(of.phi.partition.knots)
+                    want = values[(values <= c) | (values >= d)]
+                    assert np.array_equal(xs[level == b], want)
+                    assert np.array_equal(dn[level == b], d_point(of.phi.partition.knots, of.char.J, want))
+
+    def test_reused_basis_values_equal_a_fresh_evaluation(self, monkeypatch, system):
+        # the grid, every knot value of the finest level and its neighbours, unsorted
+        finest = knots.distinct(system.gram.partition.knots)
+        near = np.concatenate([finest, np.nextafter(finest[1:], 0.0), np.nextafter(finest[:-1], 1.0)])
+        xs = np.concatenate([np.linspace(0.0, 1.0, 200), near])
+        xs = xs[np.random.default_rng(1).permutation(len(xs))]
+        levels = [knots.boundary_partition(system.order)] + [of.phi.partition for of in system.functions]
+        fresh = [bspline.eval_basis_many(part, xs) for part in levels]
+        for block in BLOCKS:
+            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+            n = 0  # the level before the block, from level 1
+            for fs, first, vals in analysis.basis_blocks(system, xs):
+                assert len(first) == len(vals) == len(fs) + 1
+                for row_first, row_vals, (want_first, want_vals) in zip(first, vals, fresh[n:]):
+                    assert np.array_equal(row_first, want_first)
+                    assert row_vals.tobytes() == want_vals.tobytes()
+                n += len(fs)
+            assert n == len(system.functions)
 
 
 class TestSquareFunction:
@@ -311,7 +428,7 @@ class TestTailDecay:
         system = ortho.build_system(seq, 3)
         out = analysis.tail_decay_audit(system, 2.0, 0.5)
         # order-one functions live on two cells; every remote tail is zero
-        f3 = system.function(3)
+        f3 = system.functions[1]
         xs = np.linspace(0.51, 1.0, 50)
         assert np.max(np.abs(f3.phi(xs))) == 0.0
         assert out["max_ratio"] >= 0.0
@@ -359,7 +476,7 @@ class TestTailDecay:
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
         mass = analysis.span_integrals(system, rule, 2.0).sum(axis=1)
         assert np.abs(mass - 1.0).max() <= 1e-12
-        norms = np.array([bspline.lp_norm(of.phi, 2.0) for of in system.functions])
+        norms = np.array([lp_norm(of.phi, 2.0) for of in system.functions])
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_underflowing_envelope_gives_no_nan(self):

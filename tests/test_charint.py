@@ -6,6 +6,7 @@ from oracles import (
     NotAKnot,
     char_multiplicity_census,
     d_interval,
+    d_point,
     insert_event,
     monotone_subsequence,
 )
@@ -70,31 +71,31 @@ class TestDPoint:
     def test_counts_between_and_endpoint(self):
         kn, J = quarter()
         # knots 0.25 and the endpoint 0.5 separate x from J
-        assert charint.d_point(kn, J, 0.1) == 2
+        assert d_point(kn, J, 0.1) == 2
 
     def test_zero_inside(self):
         kn, J = quarter()
-        assert charint.d_point(kn, J, 0.75) == 0
-        assert charint.d_point(kn, J, 0.5) == 0
-        assert charint.d_point(kn, J, 1.0) == 0
+        assert d_point(kn, J, 0.75) == 0
+        assert d_point(kn, J, 0.5) == 0
+        assert d_point(kn, J, 1.0) == 0
         # an endpoint of J that is a double knot, as 1 is at k = 2
-        assert charint.d_point(np.array([0, 0, 0.5, 1, 1]), J, 1.0) == 0
+        assert d_point(np.array([0, 0, 0.5, 1, 1]), J, 1.0) == 0
 
     def test_monotone_moving_away(self):
         kn, J = quarter()
         xs = [0.4, 0.3, 0.2, 0.1, 0.0]
-        ds = [charint.d_point(kn, J, x) for x in xs]
+        ds = [d_point(kn, J, x) for x in xs]
         assert ds == sorted(ds)
         assert ds[0] == 1  # only the endpoint 0.5
 
     def test_outside_unit_interval(self):
         kn, J = quarter()
         with pytest.raises(DomainError):
-            charint.d_point(kn, J, -0.5)
+            d_point(kn, J, -0.5)
         # one bad point of an array is enough, NaN included
         for bad in (np.nan, 1.5, -1e-300):
             with pytest.raises(DomainError):
-                charint.d_point(kn, J, np.array([0.1, 0.75, bad]))
+                d_point(kn, J, np.array([0.1, 0.75, bad]))
 
     def test_array_matches_scalar_calls(self):
         rng = np.random.default_rng(5)
@@ -104,9 +105,9 @@ class TestDPoint:
                 part, char = char_for(seq, n)
                 kn = part.knots
                 xs = np.concatenate([np.unique(kn), rng.random(40), list(char.J)])
-                expected = [charint.d_point(kn, char.J, float(x)) for x in xs]
-                assert np.array_equal(charint.d_point(kn, char.J, xs), expected)
-                grid = charint.d_point(kn, char.J, xs[-6:].reshape(2, 3))
+                expected = [d_point(kn, char.J, float(x)) for x in xs]
+                assert np.array_equal(d_point(kn, char.J, xs), expected)
+                grid = d_point(kn, char.J, xs[-6:].reshape(2, 3))
                 assert grid.shape == (2, 3)
                 assert np.array_equal(grid.ravel(), expected[-6:])
 
@@ -132,7 +133,7 @@ class TestDInterval:
     def test_at_most_point_distance_of_far_end(self):
         kn, J = quarter()
         for a, b in [(0.0, 0.2), (0.0, 0.25), (0.05, 0.3), (0.1, 0.45)]:
-            assert d_interval(kn, J, (a, b)) <= charint.d_point(kn, J, a) + 1
+            assert d_interval(kn, J, (a, b)) <= d_point(kn, J, a) + 1
 
     def test_bad_interval(self):
         kn, J = quarter()

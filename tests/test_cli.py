@@ -281,19 +281,34 @@ class TestEvaluationCount:
         assert np.isin(cells, points).all()
         assert np.isin(points, cells).sum() == len(cells)
 
-    def test_boehm_identity_evaluates_each_partition_once(self, monkeypatch):
-        # 1,000 points on the 16 partitions of levels 1..16, each once
-        seen = []
-        eval_basis_many = bspline.eval_basis_many
+    def test_boehm_identity_evaluates_level_one_whole_then_changed_spans(self, monkeypatch):
+        # The 1,000 points are evaluated whole on the level-1 partition only.
+        # Each block of levels then evaluates, in one window_basis call, the
+        # points on the 2k - 2 spans next to each of its new knots; at k = 2
+        # those two spans are the coarse span the knot splits, so the 15
+        # levels of N = 16 evaluate far fewer than 15,000 points.
+        seen, fresh = [], []
+        eval_basis_many, window_basis = bspline.eval_basis_many, bspline.window_basis
 
         def counted(partition, xs):
             if len(xs) == 1000:
                 seen.append(partition.level)
             return eval_basis_many(partition, xs)
 
+        def counted_window(windows, k, rows, spans, u):
+            fresh.append(len(u))
+            return window_basis(windows, k, rows, spans, u)
+
         monkeypatch.setattr(bspline, "eval_basis_many", counted)
+        monkeypatch.setattr(bspline, "window_basis", counted_window)
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", 4)
         assert cli.main(["verify", "--k", "2", "--n", "16", "--seed", "3"]) == 0
-        assert seen == list(range(1, 17))
+        assert seen == [1]
+        # four blocks in the Boehm identity, then four in norm-equivalence,
+        # whose calls take k + 2 nodes per level
+        assert len(fresh) == 8
+        assert sum(fresh[:4]) < 15_000 / 3
+        assert fresh[4:] == [4 * 4, 4 * 4, 4 * 4, 3 * 4]
 
 
 class TestCensusAndDecay:
@@ -503,6 +518,24 @@ class TestCanonicalWriter:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+
+def test_verify_and_experiment_do_not_import_numpy_ma():
+    # np.quantile imports numpy.ma through np.unique (about 19 ms per process);
+    # analysis.quantile takes the same order statistics with np.partition.
+    argvs = [
+        ["verify", "--k", "2", "--n", "16", "--seed", "1"],
+        ["experiment", "--k", "2", "--n", "16", "--seed", "1", "--trials", "5"],
+    ]
+    code = (
+        "import sys\n"
+        "from orthosplines import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
 def test_no_subcommand_imports_scipy_linalg(tmp_path):

@@ -214,6 +214,30 @@ class TestStreamedInverse:
         want_raw, want_m = offset_maxima_loop(G)
         assert np.array_equal(raw, want_raw) and np.array_equal(m, want_m)
 
+    def test_one_walk_feeds_both_checks(self, multi_block):
+        # verify's single read of the inverse gives each check's own result, bit for bit
+        G, _ = multi_block
+        maxima = gram.OffsetMaxima(G)
+        assert gram.checkerboard_check(G, maxima) == gram.checkerboard_check(G)
+        raw, m = gram.offset_maxima(G)
+        assert np.array_equal(maxima.raw, raw) and np.array_equal(maxima.m, m)
+        assert gram.decay_profile(G, maxima) == gram.decay_profile(G)
+
+    def test_one_walk_reads_the_inverse_once(self, monkeypatch, multi_block):
+        G, _ = multi_block
+        walks = []
+        inverse_columns = G.inverse_columns
+
+        def counted():
+            walks.append(1)
+            return inverse_columns()
+
+        monkeypatch.setattr(G, "inverse_columns", counted)
+        maxima = gram.OffsetMaxima(G)
+        gram.checkerboard_check(G, maxima)
+        gram.decay_profile(G, maxima)
+        assert len(walks) == 1
+
     def test_checks_match_dense_oracle(self, multi_block):
         G, B = multi_block
         res = gram.checkerboard_check(G)

@@ -432,11 +432,9 @@ class TestBuildSystem:
         assert system.order == 3
         assert system.row_of_level(-1) == 0
         assert system.row_of_level(9) == system.size - 1
-        assert system.function(2).level == 2
+        assert system.functions[0].level == 2
         with pytest.raises(IndexOutOfRange):
             system.row_of_level(10)
-        with pytest.raises(IndexOutOfRange):
-            system.function(1)
 
     def test_collects_the_levels_walk(self):
         seq = knots.random_admissible(6, 3, 12)
