@@ -4,7 +4,11 @@ Everything here sits on top of a built OrthoSystem, evaluated a block of
 points at a time: the square function on a uniform cell grid
 (``bspline.eval_blocks``), threshold level sets of it, the sign-flip
 unconditionality experiment, and the tail-decay audit, whose quadrature
-nodes are evaluated on their own spans (``bspline.rule_blocks``).  The
+nodes are evaluated on their own spans (``bspline.rule_blocks``).  Within
+a block, the values of many splines are formed and reduced a tile of rows
+at a time (``bspline.row_tiles``), so no rows x EVAL_BLOCK temporary is
+made; a BLAS product over a block stays whole, so that every value keeps
+its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
 on J_n, the tail audit's scores) work a block of ``ortho.LEVEL_BLOCK``
 levels at a time in array passes, from windows of each level's knots.
@@ -88,17 +92,40 @@ def cell_centers(system, G):
     return (np.arange(G) + 0.5) / G
 
 
+def _leading(buf, shape):
+    """The C-contiguous array of the given shape on the leading entries of a flat buffer."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def squared_values(system, rows, xs):
+    """Yield (lo, sq): f_n(x)^2 for the first ``rows`` system functions on each block of the points xs.
+
+    A block is ``bspline.eval_blocks``' EVAL_BLOCK points from index lo on,
+    and ``sq`` is (rows, points), a C-contiguous view of one buffer of
+    rows x EVAL_BLOCK floats that every block reuses: it is filled a tile
+    of rows at a time (``bspline.row_tiles``) and holds a block only until
+    the next one is formed.
+    """
+    F = system.matrix[:rows]
+    buf = np.empty(rows * bspline.EVAL_BLOCK)
+    for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
+        sq = _leading(buf, (rows, len(first)))
+        for tile in bspline.row_tiles(rows, len(first)):
+            np.square(bspline.spline_values(F[tile], first, vals), out=sq[tile])
+        yield lo, sq
+
+
 def square_function(system, coeffs, xs):
     """(sum_n c_n^2 f_n(x)^2)^(1/2) at each point, over the first coeffs.shape[-1] functions.
 
-    Leading axes of ``coeffs``, one row per expansion, are carried.
+    Leading axes of ``coeffs``, one row per expansion, are carried.  Each
+    block of points is one product of the squared coefficients with
+    ``squared_values``.
     """
-    F = system.matrix[: coeffs.shape[-1]]
     weights = coeffs**2
     out = np.empty(coeffs.shape[:-1] + (len(xs),))
-    for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
-        V = bspline.spline_values(F, first, vals)
-        out[..., lo : lo + len(first)] = np.sqrt(weights @ V**2)
+    for lo, sq in squared_values(system, coeffs.shape[-1], xs):
+        out[..., lo : lo + sq.shape[1]] = np.sqrt(weights @ sq)
     return out
 
 
@@ -147,33 +174,21 @@ def uncond_experiment(system, ps, trials, seed, grid):
     ||Sf||_p / ||f||_p come from the ``grid`` cells.  Nothing but the final
     reductions depends on p, so each block of nodes or cells is evaluated
     once, for the draws and their flips together, and reduced for every p
-    before the next one is formed.
+    before the next one is formed (``_lp_sums``, ``_grid_sums``), a tile
+    of trials at a time.
     """
     check_exponents(ps)
     if trials < 1:
         raise DomainError(f"trials={trials} must be at least 1")
     k = system.order
     size = system.size
-    part = system.gram.partition
     xs = cell_centers(system, grid)
 
     A = np.array([random_coeffs(seed, t, size) for t in range(trials)])
     S = np.array([random_signs(seed, t, size) for t in range(trials)])
     # Level-N B-spline coefficients of each trial's expansion and of its flip.
-    C = np.stack([A, A * S]) @ system.matrix
-
-    rule = bspline.QuadratureRule.over_spans(part.knots, k + 6)
-    wq = rule.weights.ravel()
-    lp = np.zeros((len(ps), 2, trials))
-    for lo, first, vals in bspline.rule_blocks(part, rule):
-        mags = np.abs(bspline.spline_values(C, first, vals))
-        for i, p in enumerate(ps):
-            lp[i] += mags**p @ wq[lo : lo + len(first)]
-    sq = np.zeros((len(ps), trials))
-    for lo in range(0, grid, bspline.EVAL_BLOCK):
-        block = square_function(system, A, xs[lo : lo + bspline.EVAL_BLOCK])
-        for i, p in enumerate(ps):
-            sq[i] += (block**p).sum(axis=1)
+    lp = _lp_sums(system, np.stack([A, A * S]) @ system.matrix, ps)
+    sq = _grid_sums(system, A**2, xs, ps)
 
     reports = []
     for p, (f_sums, flip_sums), sq_sums in zip(ps, lp, sq):
@@ -198,18 +213,71 @@ def uncond_experiment(system, ps, trials, seed, grid):
     return reports
 
 
+def _lp_sums(system, C, ps):
+    """Integrals of |s|^p, (len(ps), 2, trials), for the level-N coefficients C of each trial's pair of splines.
+
+    A block's magnitudes and their p-th powers are formed a tile of trials
+    at a time, into buffers that every block reuses.  Its products with the
+    weights stay whole: BLAS may sum a row in an order that depends on the
+    rows around it.
+    """
+    trials = C.shape[1]
+    rows = C.reshape(2 * trials, -1)  # contiguous rows: a tile of them is read with no copy
+    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
+    wq = rule.weights.ravel()
+    lp = np.zeros((len(ps), 2, trials))
+    nodes = max(bspline.EVAL_BLOCK, rule.q)  # a block holds at least one span's q nodes
+    mags, powers = np.empty(2 * trials * nodes), np.empty(2 * trials * nodes)
+    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
+        shape = (2 * trials, len(first))
+        m, pw = _leading(mags, shape), _leading(powers, shape)
+        tiles = bspline.row_tiles(2 * trials, len(first))
+        for tile in tiles:
+            np.abs(bspline.spline_values(rows[tile], first, vals), out=m[tile])
+        for i, p in enumerate(ps):
+            for tile in tiles:
+                pw[tile] = m[tile] ** p
+            lp[i] += pw.reshape(2, trials, -1) @ wq[lo : lo + len(first)]
+    return lp
+
+
+def _grid_sums(system, weights, xs, ps):
+    """Sums over the points xs of Sf^p, (len(ps), trials), for squared coefficients ``weights``, (trials, size).
+
+    Each block's product with ``squared_values`` is whole, as in
+    ``square_function``, into a buffer every block reuses; its square
+    roots, their p-th powers and their sums are taken a tile of trials at a
+    time.
+    """
+    trials = len(weights)
+    sq = np.zeros((len(ps), trials))
+    sums = np.empty(trials * bspline.EVAL_BLOCK)
+    for _, values in squared_values(system, weights.shape[1], xs):
+        block = np.matmul(weights, values, out=_leading(sums, (trials, values.shape[1])))
+        np.sqrt(block, out=block)
+        for tile in bspline.row_tiles(trials, values.shape[1]):
+            for i, p in enumerate(ps):
+                sq[i, tile] += (block[tile] ** p).sum(axis=1)
+    return sq
+
+
 def span_integrals(system, rule, p):
     """Integral of |f|^p over each span of the rule for every system function, (size, spans).
 
     The rule is over the finest partition's knots; its nodes are evaluated
-    on their own spans, a block of whole spans at a time.
+    on their own spans, a block of whole spans at a time, and each block is
+    reduced a tile of rows at a time (``bspline.row_tiles``).
     """
     q, w = rule.q, rule.weights
+    F = system.matrix
     pieces = np.empty((system.size, len(rule.intervals)))
     for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
-        mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
         spans = slice(lo // q, (lo + len(first)) // q)
-        pieces[:, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
+        for tile in bspline.row_tiles(len(F), len(first)):
+            mags = bspline.spline_values(F[tile], first, vals)
+            np.abs(mags, out=mags)
+            mags **= p
+            pieces[tile, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
     return pieces
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    IndexOutOfRange,
     NotPositiveDefinite,
     QuadratureTooCoarse,
 )
@@ -59,8 +58,13 @@ dpbtrf, dpbtrs = _lapack_band_routines()
 
 # Columns of the Gram inverse per block of ``GramSystem.inverse_columns``.
 _INVERSE_BLOCK = 256
-# Points per evaluation block: values of R splines are held R x EVAL_BLOCK at a time.
+# Points per evaluation block.  Readers of many splines form their values on
+# a block one tile of rows at a time (``row_tiles``), not R x EVAL_BLOCK at once.
 EVAL_BLOCK = 512
+# Floats per tile of spline values, 128 KB: a tile is reduced while it is in
+# cache, and temporaries this small are reused by the allocator instead of
+# being mapped, and page-faulted, afresh on every allocation.
+TILE = 16384
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,6 +154,12 @@ def eval_blocks(partition, xs):
     """Yield (lo, first, vals), ``eval_basis_many`` on blocks of EVAL_BLOCK points from index lo on."""
     for lo in range(0, len(xs), EVAL_BLOCK):
         yield (lo, *eval_basis_many(partition, xs[lo : lo + EVAL_BLOCK]))
+
+
+def row_tiles(rows, points):
+    """Slices of range(rows), each of at most TILE // points rows and at least one row."""
+    step = max(1, TILE // max(1, points))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def rule_blocks(partition, rule):
@@ -461,30 +471,18 @@ def refine_gram(G, fine, i0, fresh):
 def boehm_weights(t):
     """Refinement weights (w1, w2), each (..., k), of stacked knot windows t of width 2k + 1.
 
-    A window holds tau_{i0-k}..tau_{i0+k} (1-based) around a new knot tau_{i0}
-    in its middle; leading axes stack insertions.  The weights are those of
-    ``boehm_refine``, term by term.
+    A window holds tau_{i0-k}..tau_{i0+k} (1-based) of the fine partition
+    around a new knot tau_{i0} in its middle; leading axes stack
+    insertions.  The coarse partition is the fine one without tau_{i0}, so
+    the fine knots alone fix the weights: coarse B-splines i0-k..i0-1
+    (1-based) become w1 N_i + w2 N_{i+1} over the fine basis, those before
+    are unchanged and those after shift by one.
     """
     k = t.shape[-1] // 2
     x = t[..., k : k + 1]
     w1 = (x - t[..., :k]) / (t[..., k : 2 * k] - t[..., :k])
     w2 = (t[..., k + 1 :] - x) / (t[..., k + 1 :] - t[..., 1 : k + 1])
     return w1, w2
-
-
-def boehm_refine(fine, i0):
-    """Weights (w1, w2) of the coarse B-splines that the knot tau_{i0} splits.
-
-    The coarse partition is ``fine`` without tau_{i0} (1-based), so the fine
-    knots alone fix the weights.  Coarse B-splines i0-k..i0-1 (1-based)
-    become w1 N_i + w2 N_{i+1} over the fine basis; those before are
-    unchanged and those after shift by one.  Raises IndexOutOfRange unless
-    k + 1 <= i0 <= M.
-    """
-    k = fine.order
-    if not k + 1 <= i0 <= fine.M:
-        raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {fine.M}]")
-    return boehm_weights(fine.knots[i0 - k - 1 : i0 + k])
 
 
 def split_columns(block, w1, w2):
@@ -502,8 +500,8 @@ def split_columns(block, w1, w2):
 def prolong(coeffs, i0, w1, w2):
     """Coefficients over the fine basis of splines given over the coarse one.
 
-    ``coeffs`` holds coarse coefficients along its last axis; (w1, w2) come
-    from ``boehm_refine`` for the insertion at tau_{i0} (1-based).
+    ``coeffs`` holds coarse coefficients along its last axis; (w1, w2) are
+    the ``boehm_weights`` of the insertion at tau_{i0} (1-based).
     """
     a, b = i0 - len(w1) - 1, i0 - 1
     return np.concatenate(

@@ -13,6 +13,7 @@ failing invariant is named), 2 usage or input errors.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,42 +38,69 @@ def _canonical(payload):
     """Chunks of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, streamed.
 
     An iterator is encoded as a list while it is consumed, so a report can be
-    written as its records are made.  A numpy array is encoded as its list;
-    one of finite float64 values is written in one call (``_float_items``).
-    Dict keys are strings.
+    written as its records are made: each of its items, and every other
+    value, is encoded in one string (``_text``).  A numpy array is encoded as
+    its list; one of finite float64 values is written in one call
+    (``_float_items``).  Dict keys are strings.
     """
-    yield from _encode(payload, "\n")
+    yield from _chunks(payload, "\n")
     yield "\n"
 
 
-def _encode(obj, newline):
-    """Chunks of one value in the indent=2 layout; ``newline`` opens its inner lines."""
+def _chunks(obj, newline):
+    """Chunks of one value in the indent=2 layout; ``newline`` opens its inner lines.
+
+    An iterator, and a dict that holds one among its values, yield a chunk
+    per item; any other value is one chunk.
+    """
     inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            yield sep + json.dumps(key) + ": "
-            yield from _encode(value, inner)
-            sep = "," + inner
-        yield newline + "}"
-    elif isinstance(obj, (list, tuple, Iterator)):
+    if isinstance(obj, Iterator):
         sep = "[" + inner
         for item in obj:
             yield sep
-            yield from _encode(item, inner)
+            yield from _chunks(item, inner)
             sep = "," + inner
         yield "[]" if sep == "[" + inner else newline + "]"
-    elif _is_array(obj):
-        items = _float_items(obj, "," + inner)
-        if items is None:
-            yield from _encode(obj.tolist(), newline)
-        else:
-            yield "[" + inner + items + newline + "]"
+    elif isinstance(obj, dict) and any(isinstance(value, Iterator) for value in obj.values()):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + _string(key) + ": "
+            yield from _chunks(value, inner)
+            sep = "," + inner
+        yield newline + "}"
     else:
-        yield json.dumps(obj)
+        yield _text(obj, newline)
+
+
+def _text(obj, newline):
+    """One value in the indent=2 layout, as one string; an iterator in it is consumed as a list."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [_string(key) + ": " + _text(value, inner) for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple, Iterator)):
+        items = [_text(item, inner) for item in obj]
+    elif _is_array(obj):
+        text = _float_items(obj, "," + inner)
+        return _text(obj.tolist(), newline) if text is None else "[" + inner + text + newline + "]"
+    else:
+        return json.dumps(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _float_text(value):
+    # json writes a finite float as its repr, and NaN and the infinities by name.
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+_string = json.encoder.encode_basestring_ascii
+# ``json.dumps`` of a value of exactly these types, without its dispatch.
+_SCALARS = {str: _string, int: int.__repr__, float: _float_text}
 
 
 def _is_array(obj):

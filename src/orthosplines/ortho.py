@@ -20,13 +20,11 @@ from numpy.polynomial.legendre import Legendre, leggauss
 from . import charint
 from .bspline import (
     Spline,
-    boehm_refine,
     boehm_weights,
     eval_basis_many,
     gram_matrix,
     refine_gram,
     refinement_columns,
-    split_columns,
 )
 from .errors import IndexOutOfRange, NotPositiveDefinite
 from .knots import boundary_partition, check_level, next_partition
@@ -58,7 +56,7 @@ class OrthoFunction:
 def alpha_coefficients(w1, w2):
     """Insertion coefficients alpha_j, j = i0-k..i0, from the refinement weights of the new knot.
 
-    (w1, w2) are the weights of ``boehm_refine``, (..., k) each; leading axes
+    (w1, w2) are the weights of ``boehm_weights``, (..., k) each; leading axes
     stack insertions.  The entry for j = i0-k+m is (-1)^m times the product
     of w1[1:m] and w2[m:k-1], taken in that order.  The first entry is
     positive, signs alternate strictly on the leading nonzero block, and
@@ -109,28 +107,37 @@ class OrthoSystem:
         """Every system function over the level-N basis, shape (size, size).
 
         One sweep over the levels prolongs the earlier functions through each
-        single-knot refinement with ``split_columns``, then adds the level's
-        own function.
-        Each column stands for one level-N B-spline from the start, labelled
-        by the level-N position of its first knot; labels never move, so an
-        insertion rewrites only the k + 1 columns around it, and the array
-        is filled in place with no second M x M copy.
+        single-knot refinement, as ``split_columns`` maps coarse columns to
+        fine ones (Boehm weights of every level from one ``boehm_weights``
+        call), then adds the level's own function.  Each level-N B-spline is
+        labelled from the start by the level-N position of its first knot;
+        labels never move, so an insertion rewrites only the k + 1 labels
+        around it.  The sweep fills the array label-major, one row per
+        B-spline, so an insertion reads and writes k + 1 contiguous rows;
+        one blocked transpose in place then leaves a C-contiguous array of
+        one row per function, with no second M x M copy.
         """
         k, M = self.order, self.size
         # Level-N position of t_n: k plus its rank among t_2..t_N, ties in
         # insertion order, as next_partition places equal knots.
         rank = np.empty(self.N - 1, dtype=np.intp)
         rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
+        near = [of.phi.partition.knots[of.i0 - k - 1 : of.i0 + k] for of in self.functions]
+        W1, W2 = boehm_weights(np.array(near).reshape(-1, 2 * k + 1))
         labels = np.arange(k)
         F = np.zeros((M, M))
-        F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.block)
-        for row, of in enumerate(self.functions, start=k):
-            w1, w2 = boehm_refine(of.phi.partition, of.i0)
+        F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.block).T
+        for row, of, w1, w2 in zip(range(k, M), self.functions, W1[:, :, None], W2[:, :, None]):
             p = of.i0 - 1
-            labels = np.insert(labels, p, k + rank[of.level - 2])
+            labels = np.concatenate((labels[:p], [k + rank[of.level - 2]], labels[p:]))
             cols = labels[p - k : p + 1]
-            F[:row, cols] = split_columns(F[:row, cols[:-1]], w1, w2)
-            F[row, labels] = of.phi.coeffs
+            old = F[cols[:-1], :row]
+            new = np.zeros((k + 1, row))
+            new[:-1] += old * w1
+            new[1:] += old * w2
+            F[cols, :row] = new
+            F[labels, row] = of.phi.coeffs
+        _transpose_in_place(F)
         return F
 
     @property
@@ -148,6 +155,19 @@ class OrthoSystem:
         if not -k + 2 <= n <= self.N:
             raise IndexOutOfRange(f"level {n} outside [{-k + 2}, {self.N}]")
         return n + k - 2
+
+
+def _transpose_in_place(F, tile=64):
+    """Transpose a square array in place, swapping tile x tile blocks across the diagonal."""
+    M = len(F)
+    for i in range(0, M, tile):
+        I = slice(i, i + tile)
+        F[I, I] = F[I, I].T.copy()
+        for j in range(i + tile, M, tile):
+            J = slice(j, j + tile)
+            upper = F[I, J].copy()
+            F[I, J] = F[J, I].T
+            F[J, I] = upper.T
 
 
 def export_record(of):

@@ -21,7 +21,13 @@ from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
 from orthosplines import analysis, bspline, charint, knots, ortho
-from orthosplines.errors import DomainError, LevelOutOfRange, NotPositiveDefinite, SplineError
+from orthosplines.errors import (
+    DomainError,
+    IndexOutOfRange,
+    LevelOutOfRange,
+    NotPositiveDefinite,
+    SplineError,
+)
 
 
 class EmptyInterval(SplineError, ValueError):
@@ -173,6 +179,17 @@ def exact_inverse(band):
     return [exact_solve_banded(exact, [Fraction(int(i == j)) for i in range(M)]) for j in range(M)]
 
 
+def boehm_refine(fine, i0):
+    """``bspline.boehm_weights`` of the insertion of tau_{i0} (1-based) into a fine partition.
+
+    Raises IndexOutOfRange unless k + 1 <= i0 <= M.
+    """
+    k = fine.order
+    if not k + 1 <= i0 <= fine.M:
+        raise IndexOutOfRange(f"i0={i0} outside [k+1, M]=[{k + 1}, {fine.M}]")
+    return bspline.boehm_weights(fine.knots[i0 - k - 1 : i0 + k])
+
+
 def refinement_matrix(coarse, fine, i0):
     """(M_coarse, M_fine) matrix R with tilde-N_i = sum_j R[i, j] N_j.
 
@@ -181,7 +198,7 @@ def refinement_matrix(coarse, fine, i0):
     i0 - k <= i <= i0 - 1, index shift from i0 on.
     """
     assert np.array_equal(np.delete(fine.knots, i0 - 1), coarse.knots)
-    w1, w2 = bspline.boehm_refine(fine, i0)
+    w1, w2 = boehm_refine(fine, i0)
     k = coarse.order
     R = np.zeros((coarse.M, fine.M))
     for i in range(1, coarse.M + 1):
@@ -203,7 +220,7 @@ def prolong_many(F, coarse, fine, i0):
     Identity block, two-term block and shifted block written out separately,
     apart from the library's split kernel.
     """
-    w1, w2 = bspline.boehm_refine(fine, i0)
+    w1, w2 = boehm_refine(fine, i0)
     F = np.asarray(F, dtype=float)
     k = coarse.order
     T = F.shape[0]
@@ -214,6 +231,52 @@ def prolong_many(F, coarse, fine, i0):
     out[:, a:b] += F[:, a:b] * w1[None, :]
     out[:, a + 1 : b + 1] += F[:, a:b] * w2[None, :]
     out[:, b + 1 :] += F[:, b:]
+    return out
+
+
+def matrix_row_major(system):
+    """``OrthoSystem.matrix`` by the row-major sweep: each insertion rewrites k + 1 strided columns.
+
+    Each column stands for one level-N B-spline from the start, labelled by
+    the level-N position of its first knot, and each level prolongs the
+    rows before it with ``split_columns`` and the weights of
+    ``boehm_refine``.
+    """
+    k, M, N = system.order, system.size, system.N
+    rank = np.empty(N - 1, dtype=np.intp)
+    rank[np.argsort(system.seq.points[2 : N + 1], kind="stable")] = np.arange(N - 1)
+    labels = np.arange(k)
+    F = np.zeros((M, M))
+    F[:k, :k] = ortho.polynomial_coeffs_over(knots.boundary_partition(k), system.block)
+    for row, of in enumerate(system.functions, start=k):
+        w1, w2 = boehm_refine(of.phi.partition, of.i0)
+        p = of.i0 - 1
+        labels = np.insert(labels, p, k + rank[of.level - 2])
+        cols = labels[p - k : p + 1]
+        F[:row, cols] = bspline.split_columns(F[:row, cols[:-1]], w1, w2)
+        F[row, labels] = of.phi.coeffs
+    return F
+
+
+def span_integrals_whole(system, rule, p):
+    """``analysis.span_integrals`` with each block's values formed for every row at once."""
+    q, w = rule.q, rule.weights
+    pieces = np.empty((system.size, len(rule.intervals)))
+    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
+        mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
+        spans = slice(lo // q, (lo + len(first)) // q)
+        pieces[:, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
+    return pieces
+
+
+def square_function_whole(system, coeffs, xs):
+    """``analysis.square_function`` with each block's values formed for every row at once."""
+    F = system.matrix[: coeffs.shape[-1]]
+    weights = coeffs**2
+    out = np.empty(coeffs.shape[:-1] + (len(xs),))
+    for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
+        V = bspline.spline_values(F, first, vals)
+        out[..., lo : lo + len(first)] = np.sqrt(weights @ V**2)
     return out
 
 
@@ -401,7 +464,7 @@ def boehm_identity_loop(system, seed, xs):
     for of in system.functions:
         part = of.phi.partition
         fine = bspline.eval_basis_many(part, xs)
-        w1, w2 = bspline.boehm_refine(part, of.i0)
+        w1, w2 = boehm_refine(part, of.i0)
         c = rng.standard_normal(part.M - 1)
         fine_c = bspline.prolong(c, of.i0, w1, w2)
         gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    boehm_refine,
     expansion_values,
     gram_schmidt_oracle,
     hl_maximal,
@@ -79,7 +80,7 @@ def test_criterion_03_refinement_identity():
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
             i0 = insert_event(seq, n)
-            w1, w2 = bspline.boehm_refine(fine, i0)
+            w1, w2 = boehm_refine(fine, i0)
             c = rng.standard_normal(coarse.M)
             f = bspline.Spline(coarse, c)
             g = bspline.Spline(fine, bspline.prolong(c, i0, w1, w2))

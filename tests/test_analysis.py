@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -15,9 +16,12 @@ from oracles import (
     expansion_values,
     hl_maximal,
     lp_norm,
+    matrix_row_major,
     maximal_function,
     reconstruction,
     rule_nodes,
+    span_integrals_whole,
+    square_function_whole,
     tail_decay_loop,
     value_matrix,
 )
@@ -235,6 +239,117 @@ class TestLevelPasses:
                     assert row_vals.tobytes() == want_vals.tobytes()
                 n += len(fs)
             assert n == len(system.functions)
+
+
+TILES = (1, 37, 10**9)  # one row, a few rows, every row of a block in one tile
+
+
+@pytest.mark.parametrize("family", ("uniform-iid", "near-one", "full-multiplicity"))
+@pytest.mark.parametrize("k", (1, 2, 3))
+class TestRowTiles:
+    """Readers of the system matrix give the same bits in any tile of rows.
+
+    N = 130 puts M past two 64 x 64 tiles of the in-place transpose.  Blocks
+    of 10 points as well as 512 give tiles of several rows at TILE = 37.
+    """
+
+    @pytest.fixture
+    def system(self, family, k):
+        return ortho.build_system(family_sequence(family, k, 131), 130)
+
+    def test_matrix_equals_the_row_major_sweep(self, system):
+        F = system.matrix
+        assert F.flags.c_contiguous and F.shape == (system.size, system.size)
+        assert np.array_equal(F, matrix_row_major(system))
+
+    @pytest.mark.parametrize("block", (10, 512))
+    def test_span_integrals(self, monkeypatch, system, block):
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
+        want = {p: span_integrals_whole(system, rule, p) for p in (1.5, 2.0)}
+        for tile in TILES:
+            monkeypatch.setattr(bspline, "TILE", tile)
+            for p in want:
+                assert np.array_equal(analysis.span_integrals(system, rule, p), want[p])
+
+    @pytest.mark.parametrize("block", (10, 512))
+    def test_square_function(self, monkeypatch, system, block):
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        xs = analysis.cell_centers(system, 1100)
+        draws = np.array([analysis.random_coeffs(4, t, system.size) for t in range(1000)])
+        cases = [draws[0], draws[:1], draws[:5], draws, draws[:5, :40]]
+        want = [square_function_whole(system, coeffs, xs) for coeffs in cases]
+        for tile in TILES:
+            monkeypatch.setattr(bspline, "TILE", tile)
+            for coeffs, values in zip(cases, want):
+                assert np.array_equal(analysis.square_function(system, coeffs, xs), values)
+
+    @pytest.mark.parametrize("block", (10, 512))
+    def test_uncond_experiment(self, monkeypatch, system, block):
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        args = ([1.2, 2.0, 6.0], 9, 3, 1100)
+        monkeypatch.setattr(bspline, "TILE", TILES[-1])
+        want = analysis.uncond_experiment(system, *args)
+        for tile in TILES[:-1]:
+            monkeypatch.setattr(bspline, "TILE", tile)
+            got = analysis.uncond_experiment(system, *args)
+            assert [r.keys() for r in got] == [r.keys() for r in want]
+            for a, b in zip(got, want):
+                for key in a:
+                    assert np.array_equal(a[key], b[key]), key
+
+
+def test_row_tiles_cover_the_rows(monkeypatch):
+    for tile, rows, points, step in [(16384, 514, 512, 32), (16384, 5, 504, 5), (37, 10, 9, 4), (1, 3, 512, 1)]:
+        monkeypatch.setattr(bspline, "TILE", tile)
+        tiles = bspline.row_tiles(rows, points)
+        assert [t.start for t in tiles] == list(range(0, rows, step))
+        assert np.array_equal(np.concatenate([np.arange(rows)[t] for t in tiles]), np.arange(rows))
+    assert bspline.row_tiles(0, 512) == []
+
+
+@pytest.mark.parametrize("M", (1, 63, 64, 65, 200))
+def test_transpose_in_place(M):
+    F = np.random.default_rng(M).random((M, M))
+    want = F.T.copy()
+    ortho._transpose_in_place(F)
+    assert np.array_equal(F, want)
+
+
+def traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak beyond what was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTiledMemory:
+    """Readers of the system matrix hold a few tiles of values, not rows x EVAL_BLOCK of them."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        system = ortho.build_system(benchmark_sequence("uniform-iid", 1, 3, 512), 512)
+        system.matrix  # formed once, before any tracing
+        return system
+
+    def test_span_integrals(self, system):
+        rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 9)
+        pieces = 8 * system.size * len(rule.spans)
+        peak = traced_peak(lambda: analysis.span_integrals(system, rule, 2.0))
+        assert peak < pieces + 6 * 8 * bspline.TILE, f"peaked {peak - pieces} B beyond the pieces"
+
+    def test_uncond_experiment(self, system):
+        # Beyond the coefficient arrays A, S and C (4 trials x size floats),
+        # the L^p pass holds two buffers of 2 trials x EVAL_BLOCK floats,
+        # which keep its BLAS products whole; the grid pass holds less.
+        trials = 200
+        held = 8 * 4 * trials * (system.size + bspline.EVAL_BLOCK)
+        peak = traced_peak(lambda: analysis.uncond_experiment(system, [1.5, 3.0], trials, 1, 4096))
+        assert peak < held + 6 * 8 * bspline.TILE, f"peaked {peak - held} B beyond the arrays it holds"
 
 
 class TestSquareFunction:

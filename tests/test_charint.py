@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
     NotAKnot,
+    boehm_refine,
     char_multiplicity_census,
     d_interval,
     d_point,
@@ -18,7 +19,7 @@ from orthosplines.errors import DomainError
 def char_for(seq, n):
     part = knots.partition_at(seq, n)
     i0 = insert_event(seq, n)
-    alpha = ortho.alpha_coefficients(*bspline.boehm_refine(part, i0))
+    alpha = ortho.alpha_coefficients(*boehm_refine(part, i0))
     k = seq.order
     window = part.knots[None, i0 - k - 1 : i0 + k]
     return part, charint.characteristic_intervals(window, alpha[None], [i0], [n])[0]

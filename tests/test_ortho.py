@@ -5,6 +5,7 @@ from oracles import (
     alpha_loop,
     block_levels,
     block_values,
+    boehm_refine,
     dense,
     estwj_ratio,
     gram_schmidt_oracle,
@@ -29,7 +30,7 @@ def level_gram(seq, n):
 
 
 def alpha_of(part, i0):
-    return ortho.alpha_coefficients(*bspline.boehm_refine(part, i0))
+    return ortho.alpha_coefficients(*boehm_refine(part, i0))
 
 
 def cubic_build(seq, N):
