@@ -11,7 +11,9 @@ made; a BLAS product over a block stays whole, so that every value keeps
 its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
 on J_n, the tail audit's scores) work a block of ``ortho.LEVEL_BLOCK``
-levels at a time in array passes, from windows of each level's knots.
+levels at a time in array passes, from the knot window each f_n keeps
+(``ortho.OrthoFunction``); the tail audit's distances take each level's
+knots from the level-N ones (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -314,15 +316,15 @@ def basis_blocks(system, xs):
     whose Cox-de Boor values read the new knot; spans further left keep
     their knots, and spans further right keep them shifted by one.  So each
     level takes the values of the level before, and the changed points of
-    a whole block are evaluated in one ``bspline.window_basis`` call on
-    windows of their levels' knots around p.  A block holds
-    O(LEVEL_BLOCK len(xs) k) floats.
+    a whole block are evaluated in one ``bspline.window_basis`` call on the
+    knot windows of their levels, which hold knots p-2k+1..p+3k-2; these
+    spans read p-2k+3..p+2k-3.  A block holds O(LEVEL_BLOCK len(xs) k)
+    floats.
     """
     k = system.order
     P = len(xs)
     first, vals = bspline.eval_basis_many(knots.boundary_partition(k), xs)
     spans = first + k - 2  # level 1: every point on span k - 1
-    at = np.arange(-2 * k, 2 * k)
     for fs in level_blocks(system):
         B = len(fs)
         t = np.array([system.seq.points[of.level] for of in fs])
@@ -330,8 +332,8 @@ def basis_blocks(system, xs):
         S = spans + np.cumsum(xs >= t[:, None], axis=0)
         changed = (S >= p[:, None] - k + 1) & (S <= p[:, None] + k - 2)
         b, i = np.nonzero(changed)
-        windows = np.stack([of.phi.partition.knots.take(at + of.i0 - 1, mode="clip") for of in fs])
-        col = S[b, i] - p[b] + 2 * k
+        windows = np.stack([of.window for of in fs])
+        col = S[b, i] - p[b] + 2 * k - 1  # window slot of span S
         table = np.empty((B + 1, P, k))
         table[0] = vals
         table[b + 1, i] = bspline.window_basis(windows, k, b, col, xs[i] - windows[b, col])
@@ -365,11 +367,11 @@ def boehm_identity_error(system, seed, xs):
     maxima = []
     for fs, first, vals in basis_blocks(system, xs):
         B = len(fs)
-        M = np.array([of.phi.partition.M for of in fs])
+        M = np.array([len(of.coeffs) for of in fs])
         coarse = np.zeros((B, M[-1] - 1))
         coarse[np.arange(M[-1] - 1) < M[:, None] - 1] = rng.standard_normal(int(M.sum()) - B)
         fine = np.zeros((B, M[-1]))
-        near = np.stack([of.phi.partition.knots[of.i0 - k - 1 : of.i0 + k] for of in fs])
+        near = np.stack([of.window[k - 1 : 3 * k] for of in fs])  # tau_{i0-k}..tau_{i0+k}
         w1, w2 = bspline.boehm_weights(near)
         for row, of in enumerate(fs):
             fine[row, : M[row]] = bspline.prolong(coarse[row, : M[row] - 1], of.i0, w1[row], w2[row])
@@ -387,25 +389,29 @@ def char_norms(system, p):
 
     J_n = [c, d] is one knot span of level n, so each norm is one
     Gauss-Legendre rule of k + 2 nodes on it.  The span is the last copy of
-    c among the k + 1 knots of J0 = [tau_j0, tau_{j0+k}], which holds J_n.
-    The nodes of a block are evaluated in one ``bspline.window_basis`` call
-    on windows of their levels' knots around j0, and each level's sum is
-    reduced on its own before its own power 1/p.
+    c among the k + 1 knots of the support [tau_j0, tau_{j0+k}], which holds
+    J_n.  The nodes of a block are evaluated in one ``bspline.window_basis``
+    call on their levels' knot windows.  The span is j0 - 1 + a (0-based),
+    a < k, and reads knots j0+1-k..j0+2k-3; j0 - 1 lies in p-k..p, so these
+    lie inside the window p-2k+1..p+3k-2.  Each level's sum is reduced on
+    its own before its own power 1/p.
     """
     k = system.order
     q = k + 2
-    at = np.arange(-k, 2 * k)  # knots j0-1-k..j0+2k-2 (0-based) around J0
     near = np.arange(1 - k, k)  # coefficients j0-k..j0+k-2 (0-based), the k on J's span among them
     norms = []
     for fs in level_blocks(system):
         B = len(fs)
         J = np.array([of.char.J for of in fs])
         rule = bspline.QuadratureRule.over_spans(J.ravel(), q, np.arange(0, 2 * B, 2))
-        windows = np.stack([of.phi.partition.knots.take(at + of.char.j0 - 1, mode="clip") for of in fs])
-        coeffs = np.stack([of.phi.coeffs.take(near + of.char.j0 - 1, mode="clip") for of in fs])
-        a = (windows[:, k : 2 * k + 1] <= J[:, :1]).sum(axis=1) - 1  # J's span is j0 - 1 + a
+        windows = np.stack([of.window for of in fs])
+        coeffs = np.stack([of.coeffs.take(near + of.char.j0 - 1, mode="clip") for of in fs])
+        # Window slot of tau_{j0}, knot j0 - 1 (0-based); the window starts at p - 2k + 1.
+        s0 = np.array([of.char.j0 - of.i0 + 2 * k - 1 for of in fs])
+        support = np.take_along_axis(windows, s0[:, None] + np.arange(k + 1), axis=1)
+        a = (support <= J[:, :1]).sum(axis=1) - 1  # J's span is j0 - 1 + a
         rows = np.repeat(np.arange(B), q)
-        vals = bspline.window_basis(windows, k, rows, np.repeat(k + a, q), rule.offsets.ravel())
+        vals = bspline.window_basis(windows, k, rows, np.repeat(s0 + a, q), rule.offsets.ravel())
         first = np.repeat(np.arange(B) * coeffs.shape[1] + a + 1, q)
         mags = np.abs(bspline.spline_values(coeffs.ravel(), first, vals)) ** p
         sums = (rule.weights * mags.reshape(B, q)).sum(axis=1)
@@ -442,7 +448,7 @@ def tail_decay_audit(system, p, gamma_fit):
     for fs in level_blocks(system):
         row = system.row_of_level(fs[0].level)
         left, right = tail_sums(pieces[row : row + len(fs)])
-        level, xs, dn = charint.knot_distances(fs)
+        level, xs, dn = charint.knot_distances(system, fs)
         count += len(xs)
         J = np.array([of.char.J for of in fs])
         half_log = np.array([0.5 * math.log(d - c) for c, d in J.tolist()])

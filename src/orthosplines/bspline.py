@@ -192,30 +192,6 @@ def spline_values(coeffs, first, vals):
 
 
 @dataclass(frozen=True)
-class Spline:
-    """Coefficient vector over a partition's B-spline basis."""
-
-    partition: object
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if len(c) != self.partition.M:
-            raise ValueError(
-                f"need {self.partition.M} coefficients, got {len(c)}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def eval(self, xs):
-        scalar = np.isscalar(xs)
-        out = spline_values(self.coeffs, *eval_basis_many(self.partition, np.atleast_1d(xs)))
-        return float(out[0]) if scalar else out
-
-    __call__ = eval
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Per-knot-interval Gauss-Legendre nodes, exact through degree 2q - 1.
 

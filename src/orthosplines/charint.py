@@ -22,19 +22,17 @@ TIE_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CharInterval:
-    """Selected index j0, its support J0 = [tau_j0, tau_{j0+k}], and the span J."""
+    """Selected index j0 and the span J, the longest knot span in the support [tau_j0, tau_{j0+k}]."""
 
     j0: int
-    J0: tuple
     J: tuple
-    level: int
 
 
-def characteristic_intervals(t, alpha, i0, levels):
+def characteristic_intervals(t, alpha, i0):
     """Select the characteristic interval of each of a stack of insertions, in array passes.
 
     Row b of ``t`` holds the knots tau_{i0-k}..tau_{i0+k} (1-based) around
-    the insertion at index i0[b] of level levels[b], and ``alpha`` its k + 1
+    the insertion at index i0[b] of its level, and ``alpha`` its k + 1
     insertion coefficients.  Steps: candidates j = i0-k..i0; keep those
     whose support length is at most twice the minimum (near-minimal); among
     them take the largest |alpha_j| (relative ties within TIE_REL_TOL
@@ -51,19 +49,17 @@ def characteristic_intervals(t, alpha, i0, levels):
     m = np.argmax(lam0 & (mags >= amax * (1.0 - TIE_REL_TOL)), axis=1)[:, None]
     spans = m + np.arange(k)
     a = np.argmax(t[rows, spans + 1] - t[rows, spans], axis=1)[:, None]
-    J0 = np.hstack([t[rows, m], t[rows, m + k]]).tolist()
     J = np.hstack([t[rows, m + a], t[rows, m + a + 1]]).tolist()
     j0 = (np.asarray(i0) - k + m[:, 0]).tolist()
-    return [
-        CharInterval(j0=j, J0=tuple(s0), J=tuple(s1), level=int(n))
-        for j, s0, s1, n in zip(j0, J0, J, levels)
-    ]
+    return [CharInterval(j0=j, J=tuple(s)) for j, s in zip(j0, J)]
 
 
-def knot_distances(functions):
+def knot_distances(system, functions):
     """Every knot value of each level outside its J, with its knot-count distance d to J.
 
-    ``functions`` is a block of OrthoFunctions.  Returns flat arrays
+    ``functions`` is a block of the system's OrthoFunctions.  Each level's
+    knots are the level-N ones inserted by then: the boundary knots and t_m,
+    m <= n, at their level-N ``positions``.  Returns flat arrays
     (level, x, d) over every pair: level indexes ``functions``, x runs over
     the distinct knot values of that level with x <= c or x >= d for
     J = (c, d), and d counts the level's knots with multiplicity strictly
@@ -73,7 +69,10 @@ def knot_distances(functions):
     for x > d (knots below x) - (knots up to d) + 1, and c and d are knot
     values of the level.
     """
-    rows = [of.phi.partition.knots for of in functions]
+    finest = system.gram.partition.knots
+    inserted = np.ones(len(finest), dtype=np.intp)  # the level each knot comes in at; 1 at the boundary
+    inserted[system.positions] = np.arange(2, system.N + 1)
+    rows = [finest[inserted <= of.level] for of in functions]
     lengths = np.array([len(row) for row in rows])
     offsets = np.cumsum(lengths) - lengths
     flat = np.concatenate(rows)

@@ -252,7 +252,7 @@ def _cmd_build(args):
     payload = {
         "config": _config_dict(args),
         "input_hash": digest,
-        "records": (ortho.export_record(of) for _, of in stream),
+        "records": (ortho.export_record(G, of) for G, of in stream),
     }
     rows = [
         ("order", seq.order),

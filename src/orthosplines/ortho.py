@@ -19,7 +19,6 @@ from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
 from .bspline import (
-    Spline,
     boehm_weights,
     eval_basis_many,
     gram_matrix,
@@ -38,18 +37,22 @@ LEVEL_BLOCK = 64
 
 @dataclass(frozen=True)
 class OrthoFunction:
-    """One orthonormal spline function with its construction data.
+    """One orthonormal spline function f_n with its construction data.
 
     ``alpha`` holds the k + 1 insertion coefficients for j = i0-k..i0,
-    ``norm2`` the L2 norm of the unnormalized complement function g, ``phi``
-    the normalized spline g / norm2, and ``char`` the characteristic interval.
+    ``norm2`` the L2 norm of the unnormalized complement function g,
+    ``coeffs`` the coefficients of f_n = g / norm2 over the level-n
+    B-spline basis, and ``char`` the characteristic interval.  ``window``
+    holds the knots of ``_local_work``, every level-n knot that the level's
+    local work and ``verify``'s per-level checks read.
     """
 
     level: int
     i0: int
     alpha: np.ndarray
     norm2: float
-    phi: Spline
+    window: np.ndarray
+    coeffs: np.ndarray
     char: charint.CharInterval
 
 
@@ -88,11 +91,13 @@ class OrthoSystem:
     """The assembled system: initial block plus f_2..f_N on one sequence.
 
     ``block`` holds the k polynomials of ``initial_block``, and each f_n lives
-    on its own level in ``functions``.  ``matrix`` holds every system
+    on its own level in ``functions``, with its knot window and its
+    coefficients over the level-n basis.  ``matrix`` holds every system
     function expressed over the level-N B-spline basis (rows ordered by
     level, the block first): Gram identities are single products with it, and
     ``bspline.spline_values`` evaluates its rows; it is formed on first use.
-    ``gram`` is the level-N Gram system; its partition is the finest one.
+    ``gram`` is the level-N Gram system; its partition is the finest one, and
+    ``positions`` places each t_n in it, which fixes every level's knots.
     """
 
     def __init__(self, seq, N, block, functions, gram):
@@ -118,27 +123,34 @@ class OrthoSystem:
         one row per function, with no second M x M copy.
         """
         k, M = self.order, self.size
-        # Level-N position of t_n: k plus its rank among t_2..t_N, ties in
-        # insertion order, as next_partition places equal knots.
-        rank = np.empty(self.N - 1, dtype=np.intp)
-        rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
-        near = [of.phi.partition.knots[of.i0 - k - 1 : of.i0 + k] for of in self.functions]
-        W1, W2 = boehm_weights(np.array(near).reshape(-1, 2 * k + 1))
+        near = [of.window[k - 1 : 3 * k] for of in self.functions]  # tau_{i0-k}..tau_{i0+k}
+        W1, W2 = boehm_weights(np.array(near))
         labels = np.arange(k)
         F = np.zeros((M, M))
         F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.block).T
         for row, of, w1, w2 in zip(range(k, M), self.functions, W1[:, :, None], W2[:, :, None]):
             p = of.i0 - 1
-            labels = np.concatenate((labels[:p], [k + rank[of.level - 2]], labels[p:]))
+            labels = np.concatenate((labels[:p], [self.positions[of.level - 2]], labels[p:]))
             cols = labels[p - k : p + 1]
             old = F[cols[:-1], :row]
             new = np.zeros((k + 1, row))
             new[:-1] += old * w1
             new[1:] += old * w2
             F[cols, :row] = new
-            F[labels, row] = of.phi.coeffs
+            F[labels, row] = of.coeffs
         _transpose_in_place(F)
         return F
+
+    @functools.cached_property
+    def positions(self):
+        """0-based position of each t_n, n = 2..N, in the level-N knot vector, as an array.
+
+        k plus the rank of t_n among t_2..t_N, ties in insertion order, as
+        ``next_partition`` places equal knots.
+        """
+        rank = np.empty(self.N - 1, dtype=np.intp)
+        rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
+        return self.order + rank
 
     @property
     def order(self):
@@ -170,14 +182,14 @@ def _transpose_in_place(F, tile=64):
             F[J, I] = upper.T
 
 
-def export_record(of):
-    """The serializable record of one constructed level n >= 2."""
-    digest = hashlib.sha256(np.ascontiguousarray(of.phi.partition.knots).tobytes())
+def export_record(G, of):
+    """The serializable record of one constructed level n >= 2, from a (G, f_n) pair of ``levels``."""
+    digest = hashlib.sha256(np.ascontiguousarray(G.partition.knots).tobytes())
     return {
         "level": of.level,
         "i0": of.i0,
         "knots-hash": digest.hexdigest(),
-        "coeffs": of.phi.coeffs,
+        "coeffs": of.coeffs,
         "J": [float(of.char.J[0]), float(of.char.J[1])],
         "norm2": float(of.norm2),
     }
@@ -197,18 +209,18 @@ def polynomial_coeffs_over(partition, polys):
     return np.linalg.solve(design, vals.T).T
 
 
-def _local_work(block, n0):
-    """Each level's O(k) local work for a block of levels n0.., in array passes.
+def _local_work(block):
+    """Each level's O(k) local work for a block of levels, in array passes.
 
     ``block`` holds each level's (partition, i0) from ``next_partition``.
-    Returns, per level, the Gram band columns the insertion changes, alpha
-    and the characteristic interval.  They read only knots near the new
-    knot's 0-based position p: the fresh columns' spans p-k..p+2k-2 read
-    p-k..p+2k-1 for their ends and p-2k+2..p+3k-3 in Cox-de Boor, alpha and
-    J read p-k..p+k.  Each level's window holds its knots p-2k+1..p+3k-2,
-    one more on each side than Cox-de Boor reads, so that it holds
-    p-1..p+1 at k = 1 too; past either end it repeats the boundary knot,
-    0 or 1.
+    Returns, per level, its knot window, the Gram band columns the
+    insertion changes, alpha and the characteristic interval.  They read
+    only knots near the new knot's 0-based position p: the fresh columns'
+    spans p-k..p+2k-2 read p-k..p+2k-1 for their ends and p-2k+2..p+3k-3 in
+    Cox-de Boor, alpha and J read p-k..p+k.  Each level's window holds its
+    knots p-2k+1..p+3k-2, one more on each side than Cox-de Boor reads, so
+    that it holds p-1..p+1 at k = 1 too; past either end it repeats the
+    boundary knot, 0 or 1.
     """
     k = block[0][0].order
     p = np.array([i0 - 1 for _, i0 in block])
@@ -218,8 +230,8 @@ def _local_work(block, n0):
     fresh = refinement_columns(windows, k, np.minimum(M, p + k) - p + k)
     near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
     alpha = alpha_coefficients(*boehm_weights(near))
-    chars = charint.characteristic_intervals(near, alpha, p + 1, range(n0, n0 + len(block)))
-    return fresh, alpha, chars
+    chars = charint.characteristic_intervals(near, alpha, p + 1)
+    return windows, fresh, alpha, chars
 
 
 def levels(seq, N):
@@ -235,7 +247,8 @@ def levels(seq, N):
     the walk.  A level that fails raises when the walk reaches it, naming
     the level, even if its block computed it earlier.  The walk keeps the
     knot vectors of one block and nothing of a level once its block is
-    done, so a consumer that drops what it was given runs in memory
+    done; f_n keeps the level's knot window, not its knot vector, which
+    only G holds.  A consumer that drops what it was given runs in memory
     O(LEVEL_BLOCK N).  An N the sequence cannot reach fails before the
     first level is built.
     """
@@ -248,8 +261,8 @@ def levels(seq, N):
         for _ in range(min(LEVEL_BLOCK, N + 1 - n0)):
             part, i0 = next_partition(seq, part)
             block.append((part, i0))
-        fresh, alpha, chars = _local_work(block, n0)
-        for (fine, i0), cols, a, char in zip(block, fresh, alpha, chars):
+        windows, fresh, alpha, chars = _local_work(block)
+        for (fine, i0), window, cols, a, char in zip(block, windows, fresh, alpha, chars):
             G = refine_gram(G, fine, i0, cols)
             rhs = np.zeros(fine.M)
             rhs[i0 - k - 1 : i0] = a
@@ -259,8 +272,9 @@ def levels(seq, N):
                 raise NotPositiveDefinite(
                     f"level {fine.level}: complement function not finite, norm {norm2}"
                 )
-            phi = Spline(fine, w / norm2)
-            yield G, OrthoFunction(level=fine.level, i0=i0, alpha=a, norm2=norm2, phi=phi, char=char)
+            yield G, OrthoFunction(
+                level=fine.level, i0=i0, alpha=a, norm2=norm2, window=window, coeffs=w / norm2, char=char
+            )
 
 
 def build_system(seq, N):

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,35 @@ class EmptyInterval(SplineError, ValueError):
 
 class NotAKnot(SplineError, ValueError):
     """A census window endpoint is not a value of the knot sequence."""
+
+
+@dataclass(frozen=True)
+class Spline:
+    """Coefficient vector over a partition's B-spline basis, evaluated at points by a call."""
+
+    partition: object
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=float)
+        if len(c) != self.partition.M:
+            raise ValueError(
+                f"need {self.partition.M} coefficients, got {len(c)}"
+            )
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    def eval(self, xs):
+        scalar = np.isscalar(xs)
+        out = bspline.spline_values(self.coeffs, *bspline.eval_basis_many(self.partition, np.atleast_1d(xs)))
+        return float(out[0]) if scalar else out
+
+    __call__ = eval
+
+
+def level_spline(seq, of):
+    """phi_n of an ``ortho.OrthoFunction`` as a Spline on its own level's partition of the sequence."""
+    return Spline(knots.partition_at(seq, of.level), of.coeffs)
 
 
 def canonical_json(payload):
@@ -249,12 +279,12 @@ def matrix_row_major(system):
     F = np.zeros((M, M))
     F[:k, :k] = ortho.polynomial_coeffs_over(knots.boundary_partition(k), system.block)
     for row, of in enumerate(system.functions, start=k):
-        w1, w2 = boehm_refine(of.phi.partition, of.i0)
+        w1, w2 = boehm_refine(knots.partition_at(system.seq, of.level), of.i0)
         p = of.i0 - 1
         labels = np.insert(labels, p, k + rank[of.level - 2])
         cols = labels[p - k : p + 1]
         F[:row, cols] = bspline.split_columns(F[:row, cols[:-1]], w1, w2)
-        F[row, labels] = of.phi.coeffs
+        F[row, labels] = of.coeffs
     return F
 
 
@@ -318,11 +348,10 @@ def characteristic_interval(partition, i0, alpha):
     amax = mags[lam0].max()
     lam1 = lam0 & (mags >= amax * (1.0 - charint.TIE_REL_TOL))
     j0 = int(js[lam1][0])
-    J0 = (float(knots[j0 - 1]), float(knots[j0 + k - 1]))
     widths = knots[j0 : j0 + k] - knots[j0 - 1 : j0 + k - 1]
     a = int(np.argmax(widths))
     J = (float(knots[j0 - 1 + a]), float(knots[j0 + a]))
-    return charint.CharInterval(j0=j0, J0=J0, J=J, level=partition.level)
+    return charint.CharInterval(j0=j0, J=J)
 
 
 def ortho_function(G, i0):
@@ -330,7 +359,8 @@ def ortho_function(G, i0):
 
     The per-level form of the ``ortho.levels`` walk: alpha from the
     knot-ratio loop, A w = alpha with alpha scattered into R^M,
-    ||g||_2^2 = alpha . w, and J from the whole knot vector.  Raises
+    ||g||_2^2 = alpha . w, J from the whole knot vector, and the knot
+    window p-2k+1..p+3k-2 around p = i0 - 1 cut from it.  Raises
     NotPositiveDefinite, naming the level, when ||g||_2 or w is not finite.
     """
     part = G.partition
@@ -347,7 +377,8 @@ def ortho_function(G, i0):
         i0=i0,
         alpha=alpha,
         norm2=norm2,
-        phi=bspline.Spline(part, w / norm2),
+        window=part.knots.take(i0 - 1 + np.arange(1 - 2 * k, 3 * k - 1), mode="clip"),
+        coeffs=w / norm2,
         char=characteristic_interval(part, i0, alpha),
     )
 
@@ -376,18 +407,18 @@ def gram_schmidt_oracle(seq, n):
     phi = r / nrm
     if phi[i0 - 1] * (-1.0) ** k < 0:
         phi = -phi
-    return bspline.Spline(fine, phi)
+    return Spline(fine, phi)
 
 
 def estwj_ratio(of, G):
     """|w_{j0}| over the diagonal Gram-inverse entry at the selected index.
 
-    w = norm2 * phi are the coefficients of the unnormalized complement g.
+    w = norm2 * coeffs are the coefficients of the unnormalized complement g.
     """
     j0 = of.char.j0
     e = np.zeros(G.M)
     e[j0 - 1] = 1.0
-    w = of.norm2 * of.phi.coeffs
+    w = of.norm2 * of.coeffs
     return abs(float(w[j0 - 1])) / float(G.solve(e)[j0 - 1])
 
 
@@ -448,7 +479,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
 
 def char_norms_loop(system, p):
     """``analysis.char_norms`` one level at a time: ``lp_norm`` of each phi_n on its J_n."""
-    return np.array([lp_norm(of.phi, p, of.char.J) for of in system.functions])
+    return np.array([lp_norm(level_spline(system.seq, of), p, of.char.J) for of in system.functions])
 
 
 def boehm_identity_loop(system, seed, xs):
@@ -462,7 +493,7 @@ def boehm_identity_loop(system, seed, xs):
     worst = 0.0
     coarse = bspline.eval_basis_many(knots.boundary_partition(system.order), xs)
     for of in system.functions:
-        part = of.phi.partition
+        part = knots.partition_at(system.seq, of.level)
         fine = bspline.eval_basis_many(part, xs)
         w1, w2 = boehm_refine(part, of.i0)
         c = rng.standard_normal(part.M - 1)
@@ -596,7 +627,7 @@ def tail_decay_loop(system, ps, gammas):
         fn = system.functions[n - 2]
         row = system.row_of_level(n)
         c, d = fn.char.J
-        level_knots = fn.phi.partition.knots
+        level_knots = knots.partition_at(system.seq, n).knots
         for x in np.unique(level_knots):
             if c < x < d:
                 continue
@@ -648,7 +679,7 @@ def expand(f, system, N=None):
     if size < 1:
         raise LevelOutOfRange(f"truncation level {N} leaves no functions")
     part = system.gram.partition
-    if isinstance(f, bspline.Spline) and f.partition.order == part.order and np.array_equal(
+    if isinstance(f, Spline) and f.partition.order == part.order and np.array_equal(
         f.partition.knots, part.knots
     ):
         a = system.matrix @ system.gram.apply(f.coeffs)
@@ -668,7 +699,7 @@ def expansion_values(system, coeffs, xs):
 
 def reconstruction(system, coeffs):
     """The expansion as a spline on the finest partition."""
-    return bspline.Spline(system.gram.partition, system.matrix[: len(coeffs)].T @ coeffs)
+    return Spline(system.gram.partition, system.matrix[: len(coeffs)].T @ coeffs)
 
 
 def maximal_function(coeffs, V):

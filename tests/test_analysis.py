@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    Spline,
     boehm_identity_loop,
     char_norms_loop,
     d_point,
@@ -15,6 +16,7 @@ from oracles import (
     expand,
     expansion_values,
     hl_maximal,
+    level_spline,
     lp_norm,
     matrix_row_major,
     maximal_function,
@@ -62,7 +64,7 @@ def cell_sf(system, coeffs, G):
 
 class TestExpand:
     def test_recovers_single_function(self, system_k2):
-        f = system_k2.functions[-1].phi  # lives on the finest partition
+        f = level_spline(system_k2.seq, system_k2.functions[-1])  # lives on the finest partition
         a = expand(f, system_k2)
         row = system_k2.row_of_level(12)
         assert a[row] == pytest.approx(1.0, abs=1e-10)
@@ -76,14 +78,14 @@ class TestExpand:
 
     def test_callable_path_matches_spline_path(self, system_k2):
         c = np.random.default_rng(0).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.gram.partition, c)
+        f = Spline(system_k2.gram.partition, c)
         exact = expand(f, system_k2)
         quad = expand(lambda xs: f(xs), system_k2)
         assert np.max(np.abs(exact - quad)) <= 1e-10
 
     def test_parseval(self, system_k2):
         c = np.random.default_rng(1).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.gram.partition, c)
+        f = Spline(system_k2.gram.partition, c)
         a = expand(f, system_k2)
         assert float(a @ a) == pytest.approx(
             lp_norm(f, 2.0) ** 2, abs=1e-8
@@ -91,7 +93,7 @@ class TestExpand:
 
     def test_reconstruction_roundtrip(self, system_k2):
         c = np.random.default_rng(2).standard_normal(system_k2.size)
-        f = bspline.Spline(system_k2.gram.partition, c)
+        f = Spline(system_k2.gram.partition, c)
         g = reconstruction(system_k2, expand(f, system_k2))
         xs = np.linspace(0, 1, 500)
         assert np.max(np.abs(f(xs) - g(xs))) <= 1e-9
@@ -213,13 +215,14 @@ class TestLevelPasses:
         for block in BLOCKS:
             monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
             for fs in analysis.level_blocks(system):
-                level, xs, dn = charint.knot_distances(fs)
+                level, xs, dn = charint.knot_distances(system, fs)
                 for b, of in enumerate(fs):
                     c, d = of.char.J
-                    values = knots.distinct(of.phi.partition.knots)
+                    level_knots = knots.partition_at(system.seq, of.level).knots
+                    values = knots.distinct(level_knots)
                     want = values[(values <= c) | (values >= d)]
                     assert np.array_equal(xs[level == b], want)
-                    assert np.array_equal(dn[level == b], d_point(of.phi.partition.knots, of.char.J, want))
+                    assert np.array_equal(dn[level == b], d_point(level_knots, of.char.J, want))
 
     def test_reused_basis_values_equal_a_fresh_evaluation(self, monkeypatch, system):
         # the grid, every knot value of the finest level and its neighbours, unsorted
@@ -227,7 +230,8 @@ class TestLevelPasses:
         near = np.concatenate([finest, np.nextafter(finest[1:], 0.0), np.nextafter(finest[:-1], 1.0)])
         xs = np.concatenate([np.linspace(0.0, 1.0, 200), near])
         xs = xs[np.random.default_rng(1).permutation(len(xs))]
-        levels = [knots.boundary_partition(system.order)] + [of.phi.partition for of in system.functions]
+        levels = [knots.boundary_partition(system.order)]
+        levels += [knots.partition_at(system.seq, of.level) for of in system.functions]
         fresh = [bspline.eval_basis_many(part, xs) for part in levels]
         for block in BLOCKS:
             monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
@@ -545,7 +549,7 @@ class TestTailDecay:
         # order-one functions live on two cells; every remote tail is zero
         f3 = system.functions[1]
         xs = np.linspace(0.51, 1.0, 50)
-        assert np.max(np.abs(f3.phi(xs))) == 0.0
+        assert np.max(np.abs(level_spline(seq, f3)(xs))) == 0.0
         assert out["max_ratio"] >= 0.0
 
     def test_right_tails_keep_their_digits(self):
@@ -591,7 +595,7 @@ class TestTailDecay:
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
         mass = analysis.span_integrals(system, rule, 2.0).sum(axis=1)
         assert np.abs(mass - 1.0).max() <= 1e-12
-        norms = np.array([lp_norm(of.phi, 2.0) for of in system.functions])
+        norms = np.array([lp_norm(level_spline(seq, of), 2.0) for of in system.functions])
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_underflowing_envelope_gives_no_nan(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
+    Spline,
     boehm_refine,
     deboor_stability_ratio,
     dense,
@@ -173,7 +174,7 @@ class TestGramMatrix:
         G = bspline.gram_matrix(p)
         rng = np.random.default_rng(0)
         c = rng.standard_normal(p.M)
-        f = bspline.Spline(p, c)
+        f = Spline(p, c)
         n2 = lp_norm(f, 2.0) ** 2
         assert n2 == pytest.approx(float(c @ G.apply(c)), abs=1e-10)
 
@@ -275,8 +276,8 @@ class TestBoehmRefine:
             i0 = insert_event(seq, n)
             w1, w2 = boehm_refine(fine, i0)
             c = rng.standard_normal(coarse.M)
-            f = bspline.Spline(coarse, c)
-            g = bspline.Spline(fine, bspline.prolong(c, i0, w1, w2))
+            f = Spline(coarse, c)
+            g = Spline(fine, bspline.prolong(c, i0, w1, w2))
             assert np.max(np.abs(f(xs) - g(xs))) <= 1e-12
 
     def test_prolong_many_stacks(self):
@@ -295,36 +296,36 @@ class TestBoehmRefine:
 class TestLpNorm:
     def test_constant_one(self):
         p = part(1, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([1.0, 1.0]))
+        f = Spline(p, np.array([1.0, 1.0]))
         assert lp_norm(f, 2.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_hat_area(self):
         p = part(2, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([0.0, 1.0, 0.0]))
+        f = Spline(p, np.array([0.0, 1.0, 0.0]))
         assert lp_norm(f, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_sup_norm_of_hat(self):
         # the sampled sup norm is a test oracle; lp_norm takes finite p only
         p = part(2, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([0.0, 1.0, 0.0]))
+        f = Spline(p, np.array([0.0, 1.0, 0.0]))
         assert sup_norm(f, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_infinite_p_rejected(self):
         p = part(2, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([0.0, 1.0, 0.0]))
+        f = Spline(p, np.array([0.0, 1.0, 0.0]))
         for q in (np.inf, np.nan, 0.5):
             with pytest.raises(DomainError):
                 lp_norm(f, q)
 
     def test_subinterval_restriction(self):
         p = part(1, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([1.0, 3.0]))
+        f = Spline(p, np.array([1.0, 3.0]))
         assert lp_norm(f, 1.0, (0.5, 1.0)) == pytest.approx(1.5, abs=1e-14)
         assert lp_norm(f, 1.0, (0.25, 0.75)) == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_interval_rejected(self):
         p = part(1, [0, 1, 0.5])
-        f = bspline.Spline(p, np.array([1.0, 1.0]))
+        f = Spline(p, np.array([1.0, 1.0]))
         with pytest.raises(Exception):
             lp_norm(f, 1.0, (0.7, 0.2))
 
@@ -332,7 +333,7 @@ class TestLpNorm:
         # on a probability space the L^p norms are nondecreasing in p
         seq = knots.random_admissible(8, 2, 8)
         pn = knots.partition_at(seq, 7)
-        f = bspline.Spline(pn, np.random.default_rng(5).standard_normal(pn.M))
+        f = Spline(pn, np.random.default_rng(5).standard_normal(pn.M))
         norms = [lp_norm(f, q) for q in (1.0, 4 / 3, 2.0, 3.0)]
         assert all(a <= b + 1e-9 for a, b in zip(norms, norms[1:]))
 
@@ -340,7 +341,7 @@ class TestLpNorm:
 class TestDeboorStability:
     def test_order_one_is_exact(self):
         p = part(1, [0, 1, 0.5, 0.25])
-        f = bspline.Spline(p, np.array([2.0, -1.0, 0.5]))
+        f = Spline(p, np.array([2.0, -1.0, 0.5]))
         ratio, worst = deboor_stability_ratio(f, 1.0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
         assert worst == pytest.approx(1.0, abs=1e-12)
@@ -349,8 +350,8 @@ class TestDeboorStability:
         seq = knots.random_admissible(13, 3, 9)
         pn = knots.partition_at(seq, 8)
         c = np.random.default_rng(2).standard_normal(pn.M)
-        r1, _ = deboor_stability_ratio(bspline.Spline(pn, c), 2.0)
-        r2, _ = deboor_stability_ratio(bspline.Spline(pn, 100.0 * c), 2.0)
+        r1, _ = deboor_stability_ratio(Spline(pn, c), 2.0)
+        r2, _ = deboor_stability_ratio(Spline(pn, 100.0 * c), 2.0)
         assert r1 == pytest.approx(r2, rel=1e-10)
 
     def test_ratio_bounded_below(self):
@@ -358,14 +359,14 @@ class TestDeboorStability:
             seq = knots.random_admissible(sd, 2, 10)
             pn = knots.partition_at(seq, 9)
             c = np.random.default_rng(sd).standard_normal(pn.M)
-            ratio, _ = deboor_stability_ratio(bspline.Spline(pn, c), 1.5)
+            ratio, _ = deboor_stability_ratio(Spline(pn, c), 1.5)
             assert 0.0 < ratio <= 1.0 + 1e-12
 
 
 def test_spline_rejects_wrong_length():
     p = part(2, [0, 1, 0.5])
     with pytest.raises(ValueError, match="3 coefficients"):
-        bspline.Spline(p, np.array([1.0, 2.0]))
+        Spline(p, np.array([1.0, 2.0]))
 
 
 def test_quadrature_weights_integrate_one():

@@ -22,7 +22,12 @@ def char_for(seq, n):
     alpha = ortho.alpha_coefficients(*boehm_refine(part, i0))
     k = seq.order
     window = part.knots[None, i0 - k - 1 : i0 + k]
-    return part, charint.characteristic_intervals(window, alpha[None], [i0], [n])[0]
+    return part, charint.characteristic_intervals(window, alpha[None], [i0])[0]
+
+
+def support(part, char):
+    """The support [tau_j0, tau_{j0+k}] of the selected B-spline, from the level's knots."""
+    return float(part.knots[char.j0 - 1]), float(part.knots[char.j0 + part.order - 1])
 
 
 class TestCharacteristicInterval:
@@ -30,9 +35,9 @@ class TestCharacteristicInterval:
         seq = knots.validate_admissible(2, [0, 1, 0.5])
         part, char = char_for(seq, 2)
         assert char.j0 == 2
-        assert char.J0 == (0.0, 1.0)
+        assert support(part, char) == (0.0, 1.0)
         assert char.J == (0.0, 0.5)
-        assert char.level == 2
+        assert part.knots.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
     def test_order_one_takes_left_neighbor(self):
         seq = knots.validate_admissible(1, [0, 1, 0.5, 0.25, 0.75])
@@ -44,8 +49,9 @@ class TestCharacteristicInterval:
         for sd, k in [(0, 2), (1, 3), (2, 4), (3, 5)]:
             seq = knots.random_admissible(sd, k, 12)
             for n in range(2, 12):
-                _, char = char_for(seq, n)
-                assert char.J[1] - char.J[0] >= (char.J0[1] - char.J0[0]) / k - 1e-15
+                part, char = char_for(seq, n)
+                lo, hi = support(part, char)
+                assert char.J[1] - char.J[0] >= (hi - lo) / k - 1e-15
 
     def test_span_stays_near_insert(self):
         for sd, k in [(4, 2), (5, 3)]:

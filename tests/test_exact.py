@@ -57,7 +57,7 @@ def test_band_and_phi_match_exact_arithmetic(k, case):
         exact = np.array(band, dtype=float)
         assert np.all(np.abs(G.band - exact) <= 32 * U * np.abs(exact)), f"level {n}"
         phi = exact_phi(G.partition, of.i0, band)
-        assert np.abs(of.phi.coeffs - phi).max() <= 64 * U * np.abs(phi).max(), f"level {n}"
+        assert np.abs(of.coeffs - phi).max() <= 64 * U * np.abs(phi).max(), f"level {n}"
         checked.append(n)
     assert checked == sorted({2, N // 2, N})
 

@@ -2,7 +2,9 @@
 
 Every public top-level function and class, and every non-dunder method, must
 be named somewhere in the package outside its own definition, as a Name, an
-Attribute or an import alias.  A helper only tests call belongs in
+Attribute or an import alias.  A method's own definition includes the
+statements of its class body outside every method, so an alias there
+(``__call__ = eval``) does not reach it.  A helper only tests call belongs in
 tests/oracles.py.  Only bspline imports from scipy, and only the LAPACK band
 routines, which it loads from scipy's LAPACK extension without importing
 scipy.linalg.
@@ -17,16 +19,22 @@ import orthosplines
 ALLOWED = set()  # definitions exempt from the check
 
 
+def _lines(node):
+    return set(range(node.lineno, node.end_lineno + 1))
+
+
 def _definitions(tree):
+    """(qualified name, its own lines) of every covered definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, _lines(node)
         if isinstance(node, ast.ClassDef):
+            body = set().union(*(_lines(s) for s in node.body if not isinstance(s, ast.FunctionDef)))
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not (
                     member.name.startswith("__") and member.name.endswith("__")
                 ):
-                    yield f"{node.name}.{member.name}", member
+                    yield f"{node.name}.{member.name}", _lines(member) | body
 
 
 def _mentions(tree):
@@ -45,8 +53,8 @@ def unreached(package):
     mentions = [(name, path, line) for path, tree in trees.items() for name, line in _mentions(tree)]
     out = []
     for path, tree in trees.items():
-        for qualname, node in _definitions(tree):
-            name, own = qualname.rsplit(".", 1)[-1], range(node.lineno, node.end_lineno + 1)
+        for qualname, own in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
             if not any(m == name and not (p == path and ln in own) for m, p, ln in mentions):
                 out.append(qualname)
     return sorted(out)
@@ -62,10 +70,14 @@ def test_the_check_sees_an_unreached_helper(tmp_path):
         "def helper():\n    return helper()\n\n\n"
         "def twin():\n    return 1\n\n\n"
         "class Box:\n    def spare(self):\n        return self.spare()\n\n"
-        "    def __len__(self):\n        return 0\n\n\n"
-        "Box()\nused()\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def eval(self):\n        return self.size()\n\n"
+        "    __call__ = eval\n\n"
+        "    def size(self):\n        return 0\n\n\n"
+        "Box()()\nused()\n"
     )
-    assert unreached(tmp_path) == ["Box.spare", "helper"]
+    # eval is named only by the alias in its own class body; size by eval
+    assert unreached(tmp_path) == ["Box.eval", "Box.spare", "helper"]
 
 
 def scipy_imports(package):

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import (
     EmptyInterval,
+    Spline,
     alpha_loop,
     block_levels,
     block_values,
@@ -50,7 +54,7 @@ def cubic_build(seq, N):
         i0 = insert_event(seq, n)
         F = prolong_many(F, part, fine, i0)
         of = ortho_function(bspline.gram_matrix(fine), i0)
-        F = np.vstack([F, of.phi.coeffs[None, :]])
+        F = np.vstack([F, of.coeffs[None, :]])
         functions.append(of)
         part = fine
     return functions, F
@@ -138,9 +142,9 @@ class TestOrthoFunction:
         seq = knots.validate_admissible(1, [0, 1, 0.5])
         G = level_gram(seq, 2)
         of = ortho_function(G, 2)
-        assert np.allclose(of.norm2 * of.phi.coeffs, [2.0, -2.0], atol=1e-14)
+        assert np.allclose(of.norm2 * of.coeffs, [2.0, -2.0], atol=1e-14)
         assert of.norm2 == pytest.approx(2.0, abs=1e-14)
-        assert np.allclose(of.phi.coeffs, [1.0, -1.0], atol=1e-14)
+        assert np.allclose(of.coeffs, [1.0, -1.0], atol=1e-14)
 
     def test_unnormalized_sign_at_insert(self):
         for sd, k in [(5, 1), (6, 2), (7, 3), (8, 4)]:
@@ -149,7 +153,7 @@ class TestOrthoFunction:
                 G = level_gram(seq, n)
                 i0 = insert_event(seq, n)
                 of = ortho_function(G, i0)
-                assert np.sign(of.norm2 * of.phi.coeffs[i0 - 1]) == (-1.0) ** k
+                assert np.sign(of.norm2 * of.coeffs[i0 - 1]) == (-1.0) ** k
 
     def test_products_share_sign_per_column(self):
         # each w_l is a sum of alpha_j b_jl terms that all carry one sign
@@ -158,7 +162,7 @@ class TestOrthoFunction:
         G = level_gram(seq, n)
         i0 = insert_event(seq, n)
         of = ortho_function(G, i0)
-        w = of.norm2 * of.phi.coeffs
+        w = of.norm2 * of.coeffs
         B = np.linalg.inv(dense(G))
         k = seq.order
         js = np.arange(i0 - k - 1, i0)
@@ -179,7 +183,7 @@ class TestOrthoFunction:
             fine = knots.partition_at(seq, n)
             R = refinement_matrix(coarse, fine, i0)
             # inner products with every coarse B-spline via the fine gram
-            inner = R @ G.apply(of.phi.coeffs)
+            inner = R @ G.apply(of.coeffs)
             assert np.max(np.abs(inner)) <= 1e-10
 
 
@@ -262,7 +266,7 @@ class TestOracleAgreement:
             for n in range(2, 8):
                 G = level_gram(seq, n)
                 i0 = insert_event(seq, n)
-                fast = ortho_function(G, i0).phi
+                fast = ortho_function(G, i0)
                 oracle = gram_schmidt_oracle(seq, n)
                 s = np.sign(fast.coeffs @ oracle.coeffs)
                 assert np.linalg.norm(fast.coeffs - s * oracle.coeffs) <= 1e-8
@@ -272,7 +276,7 @@ class TestOracleAgreement:
         for n in range(2, 7):
             G = level_gram(seq, n)
             i0 = insert_event(seq, n)
-            fast = ortho_function(G, i0).phi
+            fast = ortho_function(G, i0)
             oracle = gram_schmidt_oracle(seq, n)
             inner = float(fast.coeffs @ G.apply(oracle.coeffs))
             assert abs(inner) == pytest.approx(1.0, abs=1e-9)
@@ -321,6 +325,19 @@ class TestIncrementalBuild:
         functions, _ = cubic_build(seq, N)
         assert_same_functions(ortho.build_system(seq, N).functions, functions)
 
+    def test_positions_give_every_level_its_knots(self, k, family):
+        # level n's knots are the level-N ones at the boundary and at the
+        # positions of t_2..t_n, byte for byte
+        seq = family_sequence(family, k)
+        N = len(seq.points) - 1
+        system = ortho.build_system(seq, N)
+        finest = system.gram.partition.knots
+        assert np.array_equal(finest[system.positions], seq.points[2:])
+        inserted = np.ones(len(finest), dtype=np.intp)
+        inserted[system.positions] = np.arange(2, N + 1)
+        for n in range(2, N + 1):
+            assert finest[inserted <= n].tobytes() == knots.partition_at(seq, n).knots.tobytes()
+
     def test_local_band_equals_full_assembly(self, monkeypatch, k, family):
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
         seq = family_sequence(family, k)
@@ -336,8 +353,8 @@ def assert_same_functions(mine, ref):
     assert len(mine) == len(ref)
     for got, want in zip(mine, ref):
         assert got.level == want.level
-        assert got.phi.coeffs.tobytes() == want.phi.coeffs.tobytes()
-        assert got.phi.partition == want.phi.partition
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.window.tobytes() == want.window.tobytes()
         assert got.i0 == want.i0
         assert got.char == want.char
         assert got.norm2 == want.norm2
@@ -443,9 +460,22 @@ class TestBuildSystem:
         walked = list(ortho.levels(seq, 11))
         assert [of.level for _, of in walked] == list(range(2, 12))
         for (G, of), kept in zip(walked, system.functions):
-            assert G.partition == of.phi.partition
-            assert np.array_equal(of.phi.coeffs, kept.phi.coeffs)
+            assert G.partition == knots.partition_at(seq, of.level)
+            assert np.array_equal(of.coeffs, kept.coeffs)
         assert np.array_equal(walked[-1][0].band, system.gram.band)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_function_holds_order_k_numbers_besides_its_coeffs(self, k):
+        seq = knots.random_admissible(8, k, 301)
+        for of in ortho.build_system(seq, 300).functions:
+            assert of.coeffs.shape == (of.level + k - 1,)
+            for field in dataclasses.fields(of):
+                value = getattr(of, field.name)
+                assert not isinstance(value, (knots.Partition, Spline)), field.name
+                if isinstance(value, np.ndarray) and field.name != "coeffs":
+                    assert value.size <= 5 * k, field.name
+            assert of.window.size == 5 * k - 2
+            assert all(np.size(value) <= 2 for value in dataclasses.astuple(of.char))
 
     def test_level_below_two_is_a_level_error(self):
         seq = knots.random_admissible(6, 3, 12)
@@ -469,18 +499,17 @@ class TestBuildSystem:
 
     def test_export_records_shape(self):
         seq = knots.random_admissible(4, 2, 6)
-        system = ortho.build_system(seq, 5)
-        recs = [ortho.export_record(of) for of in system.functions]
+        recs = [ortho.export_record(G, of) for G, of in ortho.levels(seq, 5)]
         assert [r["level"] for r in recs] == [2, 3, 4, 5]
-        for r in recs:
+        for n, r in enumerate(recs, start=2):
             assert set(r) == {"level", "i0", "knots-hash", "coeffs", "J", "norm2"}
             assert r["norm2"] > 0.0
-            assert len(r["knots-hash"]) == 64
+            assert r["knots-hash"] == hashlib.sha256(knots.partition_at(seq, n).knots.tobytes()).hexdigest()
 
     def test_export_does_not_form_the_matrix(self):
         seq = knots.random_admissible(4, 3, 30)
         system = ortho.build_system(seq, 29)
-        [ortho.export_record(of) for of in system.functions]
+        ortho.export_record(system.gram, system.functions[-1])  # the level-N pair
         assert system.size == system.gram.partition.M
         assert "matrix" not in system.__dict__
         F = system.matrix
