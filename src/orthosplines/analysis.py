@@ -10,10 +10,10 @@ at a time (``bspline.row_tiles``), so no rows x EVAL_BLOCK temporary is
 made; a BLAS product over a block stays whole, so that every value keeps
 its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
-on J_n, the tail audit's scores) work a block of ``ortho.LEVEL_BLOCK``
-levels at a time in array passes, from the knot window each f_n keeps
-(``ortho.OrthoFunction``); the tail audit's distances take each level's
-knots from the level-N ones (``charint.knot_distances``).
+on J_n, the tail audit's scores) work one block of levels at a time in
+array passes, reading the rows of the system's ``ortho.KnotBlock``
+records; the tail audit's distances take each level's knots from the
+level-N ones (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bspline, charint, knots, ortho
+from . import bspline, charint, knots
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -263,17 +263,19 @@ def _grid_sums(system, weights, xs, ps):
     return sq
 
 
-def span_integrals(system, rule, p):
-    """Integral of |f|^p over each span of the rule for every system function, (size, spans).
+def span_integrals(F, rule, nodes, p):
+    """Integral of |f|^p over each span of the rule for each row of F, (rows, spans).
 
-    The rule is over the finest partition's knots; its nodes are evaluated
-    on their own spans, a block of whole spans at a time, and each block is
-    reduced a tile of rows at a time (``bspline.row_tiles``).
+    The rows of F are splines over the finest basis, and the rule is over
+    the finest partition's knots.  ``nodes`` holds the rule's nodes
+    evaluated on their own spans, a block of whole spans at a time
+    (``bspline.rule_blocks``); each block is reduced a tile of rows at a
+    time (``bspline.row_tiles``).  A row's integrals keep their bits
+    whichever rows come with it.
     """
     q, w = rule.q, rule.weights
-    F = system.matrix
-    pieces = np.empty((system.size, len(rule.intervals)))
-    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
+    pieces = np.empty((len(F), len(rule.intervals)))
+    for lo, first, vals in nodes:
         spans = slice(lo // q, (lo + len(first)) // q)
         for tile in bspline.row_tiles(len(F), len(first)):
             mags = bspline.spline_values(F[tile], first, vals)
@@ -298,14 +300,8 @@ def tail_sums(pieces):
     return left, right
 
 
-def level_blocks(system):
-    """The functions f_2..f_N of a system in consecutive blocks of ``ortho.LEVEL_BLOCK`` levels."""
-    fs, step = system.functions, ortho.LEVEL_BLOCK
-    return [fs[lo : lo + step] for lo in range(0, len(fs), step)]
-
-
 def basis_blocks(system, xs):
-    """Yield (functions, first, vals): every level's B-spline values at the points xs, a block of levels at a time.
+    """Yield (block, first, vals): every level's B-spline values at the points xs, one KnotBlock at a time.
 
     For a block of levels n0..n0+B-1, ``first`` is (B + 1, len(xs)) and
     ``vals`` (B + 1, len(xs), k); row 0 holds level n0 - 1 and row 1 + b
@@ -325,14 +321,14 @@ def basis_blocks(system, xs):
     P = len(xs)
     first, vals = bspline.eval_basis_many(knots.boundary_partition(k), xs)
     spans = first + k - 2  # level 1: every point on span k - 1
-    for fs in level_blocks(system):
-        B = len(fs)
-        t = np.array([system.seq.points[of.level] for of in fs])
-        p = np.array([of.i0 - 1 for of in fs])
+    for block in system.blocks:
+        B = len(block.i0)
+        t = np.array(system.seq.points[block.first : block.first + B])
+        p = block.i0 - 1
         S = spans + np.cumsum(xs >= t[:, None], axis=0)
         changed = (S >= p[:, None] - k + 1) & (S <= p[:, None] + k - 2)
         b, i = np.nonzero(changed)
-        windows = np.stack([of.window for of in fs])
+        windows = block.windows
         col = S[b, i] - p[b] + 2 * k - 1  # window slot of span S
         table = np.empty((B + 1, P, k))
         table[0] = vals
@@ -345,7 +341,7 @@ def basis_blocks(system, xs):
         src += np.arange(P)
         vals = table.reshape(-1, k).take(src.ravel(), axis=0).reshape(B + 1, P, k)
         first = np.vstack([first[None], S - k + 2])
-        yield fs, first, vals
+        yield block, first, vals
         spans, first, vals = S[-1], first[-1], vals[-1]
 
 
@@ -365,16 +361,15 @@ def boehm_identity_error(system, seed, xs):
     k = system.order
     rng = np.random.default_rng(seed)
     maxima = []
-    for fs, first, vals in basis_blocks(system, xs):
-        B = len(fs)
-        M = np.array([len(of.coeffs) for of in fs])
+    for block, first, vals in basis_blocks(system, xs):
+        B = len(block.i0)
+        M = block.first + np.arange(B) + k - 1
         coarse = np.zeros((B, M[-1] - 1))
         coarse[np.arange(M[-1] - 1) < M[:, None] - 1] = rng.standard_normal(int(M.sum()) - B)
         fine = np.zeros((B, M[-1]))
-        near = np.stack([of.window[k - 1 : 3 * k] for of in fs])  # tau_{i0-k}..tau_{i0+k}
-        w1, w2 = bspline.boehm_weights(near)
-        for row, of in enumerate(fs):
-            fine[row, : M[row]] = bspline.prolong(coarse[row, : M[row] - 1], of.i0, w1[row], w2[row])
+        w1, w2 = bspline.boehm_weights(block.windows[:, k - 1 : 3 * k])  # tau_{i0-k}..tau_{i0+k}
+        for row, (m, i0) in enumerate(zip(M.tolist(), block.i0.tolist())):
+            fine[row, :m] = bspline.prolong(coarse[row, : m - 1], i0, w1[row], w2[row])
         rows = np.arange(B)[:, None]
         fine_first = (first[1:] + rows * fine.shape[1]).ravel()
         coarse_first = (first[:-1] + rows * coarse.shape[1]).ravel()
@@ -400,18 +395,17 @@ def char_norms(system, p):
     q = k + 2
     near = np.arange(1 - k, k)  # coefficients j0-k..j0+k-2 (0-based), the k on J's span among them
     norms = []
-    for fs in level_blocks(system):
-        B = len(fs)
-        J = np.array([of.char.J for of in fs])
+    for block in system.blocks:
+        B, J = len(block.J), block.J
         rule = bspline.QuadratureRule.over_spans(J.ravel(), q, np.arange(0, 2 * B, 2))
-        windows = np.stack([of.window for of in fs])
-        coeffs = np.stack([of.coeffs.take(near + of.char.j0 - 1, mode="clip") for of in fs])
+        kept = system.coeffs[block.first - 2 : block.first - 2 + B]
+        coeffs = np.stack([c.take(near + j0 - 1, mode="clip") for c, j0 in zip(kept, block.j0.tolist())])
         # Window slot of tau_{j0}, knot j0 - 1 (0-based); the window starts at p - 2k + 1.
-        s0 = np.array([of.char.j0 - of.i0 + 2 * k - 1 for of in fs])
-        support = np.take_along_axis(windows, s0[:, None] + np.arange(k + 1), axis=1)
+        s0 = block.j0 - block.i0 + 2 * k - 1
+        support = np.take_along_axis(block.windows, s0[:, None] + np.arange(k + 1), axis=1)
         a = (support <= J[:, :1]).sum(axis=1) - 1  # J's span is j0 - 1 + a
         rows = np.repeat(np.arange(B), q)
-        vals = bspline.window_basis(windows, k, rows, np.repeat(s0 + a, q), rule.offsets.ravel())
+        vals = bspline.window_basis(block.windows, k, rows, np.repeat(s0 + a, q), rule.offsets.ravel())
         first = np.repeat(np.arange(B) * coeffs.shape[1] + a + 1, q)
         mags = np.abs(bspline.spline_values(coeffs.ravel(), first, vals)) ** p
         sums = (rule.weights * mags.reshape(B, q)).sum(axis=1)
@@ -428,7 +422,9 @@ def tail_decay_audit(system, p, gamma_fit):
     quantity is the L^p norm of phi on the far side of x.  Reports the
     maximum ratio over all (n, x), scoring the knot values of a block of
     levels in one array pass, with d from ``charint.knot_distances`` and
-    the tails of the block's rows alone from ``tail_sums``.  Each
+    the tails from ``tail_sums`` of the block's own rows of
+    ``span_integrals``, so no more than a block's rows of pieces are held
+    at once; the rule's nodes are evaluated once for every block.  Each
     ratio is formed from logarithms, since gamma^d underflows on deep tails;
     a zero tail has ratio 0, and a maximum past the float range is reported
     as inf.  log |J| is taken by ``math.log``, one level at a time.
@@ -439,18 +435,18 @@ def tail_decay_audit(system, p, gamma_fit):
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    pieces = span_integrals(system, rule, p)
+    nodes = list(bspline.rule_blocks(system.gram.partition, rule))
     rights = rule.intervals[:, 1]
 
     log_gamma = math.log(gamma_fit)
     max_log = -math.inf
     count = 0
-    for fs in level_blocks(system):
-        row = system.row_of_level(fs[0].level)
-        left, right = tail_sums(pieces[row : row + len(fs)])
-        level, xs, dn = charint.knot_distances(system, fs)
+    for block in system.blocks:
+        row = block.first + k - 2
+        left, right = tail_sums(span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, p))
+        level, xs, dn = charint.knot_distances(system, block)
         count += len(xs)
-        J = np.array([of.char.J for of in fs])
+        J = block.J
         half_log = np.array([0.5 * math.log(d - c) for c, d in J.tolist()])
         c, d = J[level, 0], J[level, 1]
         below = xs <= c

@@ -9,8 +9,6 @@ carries a fixed fraction of its norm there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -18,14 +16,6 @@ from .knots import distinct
 
 # Relative tolerance when grouping near-equal coefficient magnitudes.
 TIE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CharInterval:
-    """Selected index j0 and the span J, the longest knot span in the support [tau_j0, tau_{j0+k}]."""
-
-    j0: int
-    J: tuple
 
 
 def characteristic_intervals(t, alpha, i0):
@@ -37,7 +27,9 @@ def characteristic_intervals(t, alpha, i0):
     whose support length is at most twice the minimum (near-minimal); among
     them take the largest |alpha_j| (relative ties within TIE_REL_TOL
     grouped, smallest index wins); inside the winner's support return the
-    longest knot span, leftmost on ties.  Returns one CharInterval per row.
+    longest knot span, leftmost on ties.  Returns (j0, J): the selected
+    index of each row, and J, (rows, 2), the ends of the longest knot span
+    of the support [tau_j0, tau_{j0+k}].
     """
     k = alpha.shape[-1] - 1
     rows = np.arange(len(t))[:, None]
@@ -49,18 +41,16 @@ def characteristic_intervals(t, alpha, i0):
     m = np.argmax(lam0 & (mags >= amax * (1.0 - TIE_REL_TOL)), axis=1)[:, None]
     spans = m + np.arange(k)
     a = np.argmax(t[rows, spans + 1] - t[rows, spans], axis=1)[:, None]
-    J = np.hstack([t[rows, m + a], t[rows, m + a + 1]]).tolist()
-    j0 = (np.asarray(i0) - k + m[:, 0]).tolist()
-    return [CharInterval(j0=j, J=tuple(s)) for j, s in zip(j0, J)]
+    return np.asarray(i0) - k + m[:, 0], np.hstack([t[rows, m + a], t[rows, m + a + 1]])
 
 
-def knot_distances(system, functions):
+def knot_distances(system, block):
     """Every knot value of each level outside its J, with its knot-count distance d to J.
 
-    ``functions`` is a block of the system's OrthoFunctions.  Each level's
-    knots are the level-N ones inserted by then: the boundary knots and t_m,
-    m <= n, at their level-N ``positions``.  Returns flat arrays
-    (level, x, d) over every pair: level indexes ``functions``, x runs over
+    ``block`` is one of the system's ``ortho.KnotBlock`` records.  Each
+    level's knots are the level-N ones inserted by then: the boundary knots
+    and t_m, m <= n, at their level-N ``positions``.  Returns flat arrays
+    (level, x, d) over every pair: level indexes the block's rows, x runs over
     the distinct knot values of that level with x <= c or x >= d for
     J = (c, d), and d counts the level's knots with multiplicity strictly
     between x and the nearer endpoint of J, plus that endpoint once; 0 at
@@ -72,7 +62,7 @@ def knot_distances(system, functions):
     finest = system.gram.partition.knots
     inserted = np.ones(len(finest), dtype=np.intp)  # the level each knot comes in at; 1 at the boundary
     inserted[system.positions] = np.arange(2, system.N + 1)
-    rows = [finest[inserted <= of.level] for of in functions]
+    rows = [finest[inserted <= n] for n in range(block.first, block.first + len(block.J))]
     lengths = np.array([len(row) for row in rows])
     offsets = np.cumsum(lengths) - lengths
     flat = np.concatenate(rows)
@@ -87,8 +77,7 @@ def knot_distances(system, functions):
     x = flat[starts]
     below = starts - offsets[level]  # knots of the level below x
     upto = ends - offsets[level]  # knots of the level up to x
-    J = np.array([of.char.J for of in functions])
-    c, d = J[level, 0], J[level, 1]
+    c, d = block.J[level, 0], block.J[level, 1]
     below_c = np.empty(len(rows), dtype=below.dtype)
     below_c[level[x == c]] = below[x == c]
     upto_d = np.empty(len(rows), dtype=upto.dtype)
@@ -98,13 +87,17 @@ def knot_distances(system, functions):
     return level[out], x[out], dist[out]
 
 
-def census_max(system, beta):
+def census_max(points, J, beta):
     """Max census count over every knot-value window, with its argmax window.
 
-    A window [x, y] with both ends knot values counts level n when J_n lies
-    inside it and |J_n| >= (1 - beta) (y - x).  Enumerates, per level, only
-    the windows that can count it: containment plus the length floor cap the
-    window width at |J_n| / (1 - beta).
+    ``points`` are the sequence's points t_0..t_N, and row n - 2 of J,
+    (N - 1, 2), holds the characteristic interval J_n: the census needs
+    the knots alone.  A window [x, y] with both ends values of the points
+    counts level n when J_n lies inside it and |J_n| >= (1 - beta) (y - x).
+    Enumerates, per level, only the windows that can count it: containment
+    plus the length floor cap the window width at |J_n| / (1 - beta).  The
+    counts are kept in one dict keyed by window, which sets the census's
+    time and memory.
 
     The maximum never decreases as N grows: every J_n persists and the set
     of windows only gains knots.  It is bounded by a constant depending only
@@ -113,10 +106,9 @@ def census_max(system, beta):
     """
     if not 0.0 <= beta <= 0.5:
         raise DomainError(f"beta={beta} outside [0, 1/2]")
-    values = distinct(np.sort(system.seq.points[: system.N + 1]))
+    values = distinct(np.sort(points))
     counts = {}
-    for of in system.functions:
-        c, d = of.char.J
+    for c, d in J.tolist():
         width = d - c
         cap = width / (1.0 - beta)
         xlo = int(np.searchsorted(values, d - cap, "left"))

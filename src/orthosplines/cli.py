@@ -252,7 +252,7 @@ def _cmd_build(args):
     payload = {
         "config": _config_dict(args),
         "input_hash": digest,
-        "records": (ortho.export_record(G, of) for G, of in stream),
+        "records": (ortho.export_record(*level) for level in stream),
     }
     rows = [
         ("order", seq.order),
@@ -360,15 +360,18 @@ def _cmd_verify(args):
 
 
 def _cmd_census(args):
+    """The census of the characteristic intervals, from the knot pass alone: no Gram system is built."""
+    import numpy as np
+
     from . import charint, ortho
 
     seq, digest = _load_sequence(args)
-    system = ortho.build_system(seq, args.n)
+    J = np.concatenate([block.J for _, block in ortho.knot_blocks(seq, args.n)])
     betas = [args.beta] if args.beta is not None else [0.0, 0.25]
     results = []
     rows = []
     for beta in betas:
-        count, window = charint.census_max(system, beta)
+        count, window = charint.census_max(seq.points[: args.n + 1], J, beta)
         results.append({"beta": beta, "max_count": count, "window": window})
         where = f"window=({window[0]:.6g}, {window[1]:.6g})" if window else "window=none"
         rows.append((f"beta={beta}", f"max_count={count}  {where}"))

@@ -44,7 +44,3 @@ class NotPositiveDefinite(SplineError, ValueError):
 class DegenerateFit(SplineError, ValueError):
     """Too few usable offsets to fit a geometric decay envelope."""
 
-
-class IndexOutOfRange(SplineError, IndexError):
-    """A 1-based basis or insertion index is outside its valid range."""
-

@@ -5,6 +5,11 @@ complement of the previous spline space inside the current one.  Its B-spline
 coefficients come from the alpha products of the inserted knot and one banded
 solve against the Gram matrix.  Levels n <= 1 are the initial block of
 orthonormal polynomials.
+
+The walk has two passes, split where the paper splits them.  The knot pass
+(``knot_blocks``) gives each level's alpha, its characteristic interval and
+its knot window from the knots alone; the Gram pass (``levels``) adds the
+Gram system and f_n.
 """
 
 from __future__ import annotations
@@ -25,35 +30,34 @@ from .bspline import (
     refine_gram,
     refinement_columns,
 )
-from .errors import IndexOutOfRange, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .knots import boundary_partition, check_level, next_partition
 
-# Levels whose local work (knot windows, fresh Gram columns, alpha, J) is
-# done in one set of array passes.  A block holds its levels' knot vectors,
+# Levels whose knot data (knot windows, alpha, J) and fresh Gram columns are
+# made in one set of array passes.  A block holds its levels' knot vectors,
 # O(LEVEL_BLOCK M) floats, and temporaries of O(LEVEL_BLOCK k^3) floats:
 # about 0.5 MB at k = 3, M = 1024.
 LEVEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class OrthoFunction:
-    """One orthonormal spline function f_n with its construction data.
+class KnotBlock:
+    """The knot data of consecutive levels first, first + 1, ..., one row per level.
 
-    ``alpha`` holds the k + 1 insertion coefficients for j = i0-k..i0,
-    ``norm2`` the L2 norm of the unnormalized complement function g,
-    ``coeffs`` the coefficients of f_n = g / norm2 over the level-n
-    B-spline basis, and ``char`` the characteristic interval.  ``window``
-    holds the knots of ``_local_work``, every level-n knot that the level's
-    local work and ``verify``'s per-level checks read.
+    ``i0`` holds the 1-based index of each level's new knot, at 0-based
+    position p = i0 - 1; ``windows`` the level's knots p-2k+1..p+3k-2,
+    the boundary knot 0 or 1 repeated past either end; ``alpha`` the k + 1
+    insertion coefficients for j = i0-k..i0; ``j0`` and ``J`` the
+    characteristic interval, J = (c, d) the longest knot span of the
+    support [tau_j0, tau_{j0+k}].  Level n has M = n + k - 1 B-splines.
     """
 
-    level: int
-    i0: int
+    first: int
+    i0: np.ndarray
+    windows: np.ndarray
     alpha: np.ndarray
-    norm2: float
-    window: np.ndarray
-    coeffs: np.ndarray
-    char: charint.CharInterval
+    j0: np.ndarray
+    J: np.ndarray
 
 
 def alpha_coefficients(w1, w2):
@@ -88,23 +92,25 @@ def initial_block(order):
 
 
 class OrthoSystem:
-    """The assembled system: initial block plus f_2..f_N on one sequence.
+    """The assembled system: initial polynomials plus f_2..f_N on one sequence.
 
-    ``block`` holds the k polynomials of ``initial_block``, and each f_n lives
-    on its own level in ``functions``, with its knot window and its
-    coefficients over the level-n basis.  ``matrix`` holds every system
-    function expressed over the level-N B-spline basis (rows ordered by
-    level, the block first): Gram identities are single products with it, and
+    ``polynomials`` holds the k polynomials of ``initial_block``,
+    ``blocks`` the walk's ``KnotBlock`` records in level order, and
+    ``coeffs[n - 2]`` the coefficients of f_n over the level-n basis.
+    ``matrix`` holds every system function expressed over the level-N
+    B-spline basis (rows ordered by level, the polynomials first, so level n
+    is row n + k - 2): Gram identities are single products with it, and
     ``bspline.spline_values`` evaluates its rows; it is formed on first use.
-    ``gram`` is the level-N Gram system; its partition is the finest one, and
-    ``positions`` places each t_n in it, which fixes every level's knots.
+    ``gram`` is the level-N Gram system; its partition is the finest one,
+    and ``positions`` places each t_n in it, which fixes every level's knots.
     """
 
-    def __init__(self, seq, N, block, functions, gram):
+    def __init__(self, seq, N, polynomials, blocks, coeffs, gram):
         self.seq = seq
         self.N = N
-        self.block = block
-        self.functions = functions
+        self.polynomials = polynomials
+        self.blocks = blocks
+        self.coeffs = coeffs
         self.gram = gram
 
     @functools.cached_property
@@ -113,31 +119,33 @@ class OrthoSystem:
 
         One sweep over the levels prolongs the earlier functions through each
         single-knot refinement, as ``split_columns`` maps coarse columns to
-        fine ones (Boehm weights of every level from one ``boehm_weights``
-        call), then adds the level's own function.  Each level-N B-spline is
-        labelled from the start by the level-N position of its first knot;
-        labels never move, so an insertion rewrites only the k + 1 labels
-        around it.  The sweep fills the array label-major, one row per
-        B-spline, so an insertion reads and writes k + 1 contiguous rows;
-        one blocked transpose in place then leaves a C-contiguous array of
-        one row per function, with no second M x M copy.
+        fine ones (Boehm weights of a block of levels from one
+        ``boehm_weights`` call), then adds the level's own function.  Each
+        level-N B-spline is labelled from the start by the level-N position
+        of its first knot; labels never move, so an insertion rewrites only
+        the k + 1 labels around it.  The sweep fills the array label-major,
+        one row per B-spline, so an insertion reads and writes k + 1
+        contiguous rows; one blocked transpose in place then leaves a
+        C-contiguous array of one row per function, with no second M x M
+        copy.
         """
         k, M = self.order, self.size
-        near = [of.window[k - 1 : 3 * k] for of in self.functions]  # tau_{i0-k}..tau_{i0+k}
-        W1, W2 = boehm_weights(np.array(near))
         labels = np.arange(k)
         F = np.zeros((M, M))
-        F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.block).T
-        for row, of, w1, w2 in zip(range(k, M), self.functions, W1[:, :, None], W2[:, :, None]):
-            p = of.i0 - 1
-            labels = np.concatenate((labels[:p], [self.positions[of.level - 2]], labels[p:]))
-            cols = labels[p - k : p + 1]
-            old = F[cols[:-1], :row]
-            new = np.zeros((k + 1, row))
-            new[:-1] += old * w1
-            new[1:] += old * w2
-            F[cols, :row] = new
-            F[labels, row] = of.coeffs
+        F[:k, :k] = polynomial_coeffs_over(boundary_partition(k), self.polynomials).T
+        for block in self.blocks:
+            W1, W2 = boehm_weights(block.windows[:, k - 1 : 3 * k])  # tau_{i0-k}..tau_{i0+k}
+            weights = zip(block.i0.tolist(), W1[:, :, None], W2[:, :, None])
+            for n, (i0, w1, w2) in enumerate(weights, start=block.first):
+                row, p = n + k - 2, i0 - 1
+                labels = np.concatenate((labels[:p], [self.positions[n - 2]], labels[p:]))
+                cols = labels[p - k : p + 1]
+                old = F[cols[:-1], :row]
+                new = np.zeros((k + 1, row))
+                new[:-1] += old * w1
+                new[1:] += old * w2
+                F[cols, :row] = new
+                F[labels, row] = self.coeffs[n - 2]
         _transpose_in_place(F)
         return F
 
@@ -161,16 +169,10 @@ class OrthoSystem:
         """Number of system functions, equal to the finest-level M."""
         return self.gram.M
 
-    def row_of_level(self, n):
-        """Row index of level n in the system matrix; block levels included."""
-        k = self.seq.order
-        if not -k + 2 <= n <= self.N:
-            raise IndexOutOfRange(f"level {n} outside [{-k + 2}, {self.N}]")
-        return n + k - 2
 
-
-def _transpose_in_place(F, tile=64):
-    """Transpose a square array in place, swapping tile x tile blocks across the diagonal."""
+def _transpose_in_place(F):
+    """Transpose a square array in place, swapping 64 x 64 tiles across the diagonal."""
+    tile = 64
     M = len(F)
     for i in range(0, M, tile):
         I = slice(i, i + tile)
@@ -182,16 +184,16 @@ def _transpose_in_place(F, tile=64):
             F[J, I] = upper.T
 
 
-def export_record(G, of):
-    """The serializable record of one constructed level n >= 2, from a (G, f_n) pair of ``levels``."""
+def export_record(G, block, b, coeffs, norm2):
+    """The serializable record of one constructed level n >= 2, from one tuple of ``levels``."""
     digest = hashlib.sha256(np.ascontiguousarray(G.partition.knots).tobytes())
     return {
-        "level": of.level,
-        "i0": of.i0,
+        "level": block.first + b,
+        "i0": int(block.i0[b]),
         "knots-hash": digest.hexdigest(),
-        "coeffs": of.coeffs,
-        "J": [float(of.char.J[0]), float(of.char.J[1])],
-        "norm2": float(of.norm2),
+        "coeffs": coeffs,
+        "J": block.J[b].tolist(),
+        "norm2": norm2,
     }
 
 
@@ -209,81 +211,85 @@ def polynomial_coeffs_over(partition, polys):
     return np.linalg.solve(design, vals.T).T
 
 
-def _local_work(block):
-    """Each level's O(k) local work for a block of levels, in array passes.
+def knot_blocks(seq, N):
+    """Yield (partitions, KnotBlock) for levels 2..N, LEVEL_BLOCK levels at a time.
 
-    ``block`` holds each level's (partition, i0) from ``next_partition``.
-    Returns, per level, its knot window, the Gram band columns the
-    insertion changes, alpha and the characteristic interval.  They read
-    only knots near the new knot's 0-based position p: the fresh columns'
-    spans p-k..p+2k-2 read p-k..p+2k-1 for their ends and p-2k+2..p+3k-3 in
-    Cox-de Boor, alpha and J read p-k..p+k.  Each level's window holds its
-    knots p-2k+1..p+3k-2, one more on each side than Cox-de Boor reads, so
-    that it holds p-1..p+1 at k = 1 too; past either end it repeats the
-    boundary knot, 0 or 1.
-    """
-    k = block[0][0].order
-    p = np.array([i0 - 1 for _, i0 in block])
-    M = np.array([part.M for part, _ in block])
-    at = np.arange(-(2 * k - 1), 3 * k - 1)
-    windows = np.stack([part.knots.take(i0 - 1 + at, mode="clip") for part, i0 in block])
-    fresh = refinement_columns(windows, k, np.minimum(M, p + k) - p + k)
-    near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
-    alpha = alpha_coefficients(*boehm_weights(near))
-    chars = charint.characteristic_intervals(near, alpha, p + 1)
-    return windows, fresh, alpha, chars
-
-
-def levels(seq, N):
-    """Yield (G, f_n) for n = 2..N: the level-n Gram system and orthonormal function.
-
-    Walks the levels once, LEVEL_BLOCK at a time.  A block first inserts
-    each of its points in turn (``next_partition``), then does every
-    level's O(k) local work in array passes (``_local_work``): the 2k Gram
-    band columns around t_n, alpha and J_n, all from the knots next to t_n,
-    in O(k^2) numpy calls for the whole block.  Each level then only shifts
-    the band past t_n and pastes its fresh columns, factors the band and
-    solves for the new function once: O(M k^2) per level, O(N^2 k^2) for
-    the walk.  A level that fails raises when the walk reaches it, naming
-    the level, even if its block computed it earlier.  The walk keeps the
-    knot vectors of one block and nothing of a level once its block is
-    done; f_n keeps the level's knot window, not its knot vector, which
-    only G holds.  A consumer that drops what it was given runs in memory
-    O(LEVEL_BLOCK N).  An N the sequence cannot reach fails before the
-    first level is built.
+    The knot pass: a block inserts each of its points in turn
+    (``next_partition``), then cuts each level's knot window around its new
+    knot and forms alpha (``boehm_weights``) and J_n
+    (``charint.characteristic_intervals``) for the whole block in array
+    passes.  They read only knots near the new knot's 0-based position p:
+    alpha and J read p-k..p+k, and the Gram pass's fresh columns read
+    p-k..p+2k-1 for their span ends and p-2k+2..p+3k-3 in Cox-de Boor.
+    The window holds p-2k+1..p+3k-2, one more on each side, so that it
+    holds p-1..p+1 at k = 1 too.  ``partitions`` holds the block's knot
+    vectors, which only the Gram pass reads.  An N the sequence cannot
+    reach fails before the first level.
     """
     check_level(seq, N)
     k = seq.order
     part = boundary_partition(k)
-    G = gram_matrix(part)
-    for n0 in range(2, N + 1, LEVEL_BLOCK):
-        block = []
-        for _ in range(min(LEVEL_BLOCK, N + 1 - n0)):
-            part, i0 = next_partition(seq, part)
-            block.append((part, i0))
-        windows, fresh, alpha, chars = _local_work(block)
-        for (fine, i0), window, cols, a, char in zip(block, windows, fresh, alpha, chars):
+    at = np.arange(1 - 2 * k, 3 * k - 1)
+    for first in range(2, N + 1, LEVEL_BLOCK):
+        parts, i0 = [], []
+        for _ in range(min(LEVEL_BLOCK, N + 1 - first)):
+            part, i = next_partition(seq, part)
+            parts.append(part)
+            i0.append(i)
+        i0 = np.array(i0)
+        windows = np.stack([part.knots.take(i - 1 + at, mode="clip") for part, i in zip(parts, i0)])
+        near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
+        alpha = alpha_coefficients(*boehm_weights(near))
+        j0, J = charint.characteristic_intervals(near, alpha, i0)
+        yield parts, KnotBlock(first=first, i0=i0, windows=windows, alpha=alpha, j0=j0, J=J)
+
+
+def levels(seq, N):
+    """Yield (G, block, b, coeffs, norm2) for n = 2..N, one level at a time.
+
+    The Gram pass over ``knot_blocks``: level n is row b of its KnotBlock,
+    G its Gram system, ``coeffs`` the coefficients of f_n over the level-n
+    basis and ``norm2`` the L2 norm of the unnormalized complement function
+    g = norm2 f_n.  Per block one ``refinement_columns`` call assembles the
+    2k fresh Gram band columns around each t_n.  Each level then only shifts
+    the band past t_n and pastes its fresh columns, factors the band and
+    solves for the new function once: O(M k^2) per level, O(N^2 k^2) for
+    the walk.  A level that fails raises when the walk reaches it, naming
+    the level.  The walk keeps the knot vectors of one block; a consumer
+    that drops what it was given runs in memory O(LEVEL_BLOCK N).  An N
+    the sequence cannot reach fails before the level-1 Gram system is
+    assembled.
+    """
+    check_level(seq, N)
+    k = seq.order
+    G = gram_matrix(boundary_partition(k))
+    for parts, block in knot_blocks(seq, N):
+        p = block.i0 - 1
+        M = block.first + np.arange(len(p)) + k - 1
+        fresh = refinement_columns(block.windows, k, np.minimum(M, p + k) - p + k)
+        for b, (fine, cols) in enumerate(zip(parts, fresh)):
+            i0 = int(block.i0[b])
             G = refine_gram(G, fine, i0, cols)
             rhs = np.zeros(fine.M)
-            rhs[i0 - k - 1 : i0] = a
+            rhs[i0 - k - 1 : i0] = block.alpha[b]
             w = G.solve(rhs)
             norm2 = math.sqrt(float(rhs @ w))
             if not (math.isfinite(norm2) and np.isfinite(w).all()):
                 raise NotPositiveDefinite(
                     f"level {fine.level}: complement function not finite, norm {norm2}"
                 )
-            yield G, OrthoFunction(
-                level=fine.level, i0=i0, alpha=a, norm2=norm2, window=window, coeffs=w / norm2, char=char
-            )
+            yield G, block, b, w / norm2, norm2
 
 
 def build_system(seq, N):
     """Assemble the orthonormal system of a sequence up to level N.
 
-    Collects the functions of ``levels`` and keeps the level-N Gram system.
-    The level-N matrix is formed only when asked for.
+    Collects the knot records and coefficients of ``levels`` and keeps the
+    level-N Gram system.  The level-N matrix is formed only when asked for.
     """
-    functions = []
-    for G, of in levels(seq, N):
-        functions.append(of)
-    return OrthoSystem(seq=seq, N=N, block=initial_block(seq.order), functions=functions, gram=G)
+    blocks, coeffs = [], []
+    for G, block, b, c, _ in levels(seq, N):
+        if b == 0:
+            blocks.append(block)
+        coeffs.append(c)
+    return OrthoSystem(seq, N, initial_block(seq.order), blocks, coeffs, G)

@@ -16,6 +16,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
@@ -24,11 +25,14 @@ from scipy.linalg import solve as dense_solve
 from orthosplines import analysis, bspline, charint, knots, ortho
 from orthosplines.errors import (
     DomainError,
-    IndexOutOfRange,
     LevelOutOfRange,
     NotPositiveDefinite,
     SplineError,
 )
+
+
+class IndexOutOfRange(SplineError, IndexError):
+    """A 1-based basis or insertion index is outside its valid range."""
 
 
 class EmptyInterval(SplineError, ValueError):
@@ -63,9 +67,33 @@ class Spline:
     __call__ = eval
 
 
-def level_spline(seq, of):
-    """phi_n of an ``ortho.OrthoFunction`` as a Spline on its own level's partition of the sequence."""
-    return Spline(knots.partition_at(seq, of.level), of.coeffs)
+def level_records(system):
+    """One record per level n = 2..N of a built system, gathered from its block arrays.
+
+    Record n - 2 holds level n's ``level``, ``i0``, knot ``window``,
+    ``alpha``, ``j0``, ``J`` as a pair of floats, and ``coeffs`` over the
+    level-n basis.
+    """
+    out = []
+    for block in system.blocks:
+        for b, n in enumerate(range(block.first, block.first + len(block.i0))):
+            out.append(
+                SimpleNamespace(
+                    level=n,
+                    i0=int(block.i0[b]),
+                    window=block.windows[b],
+                    alpha=block.alpha[b],
+                    j0=int(block.j0[b]),
+                    J=tuple(block.J[b].tolist()),
+                    coeffs=system.coeffs[n - 2],
+                )
+            )
+    return out
+
+
+def level_spline(seq, rec):
+    """phi_n of a level record as a Spline on its own level's partition of the sequence."""
+    return Spline(knots.partition_at(seq, rec.level), rec.coeffs)
 
 
 def canonical_json(payload):
@@ -277,8 +305,8 @@ def matrix_row_major(system):
     rank[np.argsort(system.seq.points[2 : N + 1], kind="stable")] = np.arange(N - 1)
     labels = np.arange(k)
     F = np.zeros((M, M))
-    F[:k, :k] = ortho.polynomial_coeffs_over(knots.boundary_partition(k), system.block)
-    for row, of in enumerate(system.functions, start=k):
+    F[:k, :k] = ortho.polynomial_coeffs_over(knots.boundary_partition(k), system.polynomials)
+    for row, of in enumerate(level_records(system), start=k):
         w1, w2 = boehm_refine(knots.partition_at(system.seq, of.level), of.i0)
         p = of.i0 - 1
         labels = np.insert(labels, p, k + rank[of.level - 2])
@@ -337,7 +365,7 @@ def characteristic_interval(partition, i0, alpha):
     """The characteristic interval of one insertion, selected level by level on the whole knot vector.
 
     The per-level form of ``charint.characteristic_intervals``, with the
-    same steps in the same arithmetic.
+    same steps in the same arithmetic.  Returns (j0, J), J a pair of floats.
     """
     k = partition.order
     knots = partition.knots
@@ -350,8 +378,7 @@ def characteristic_interval(partition, i0, alpha):
     j0 = int(js[lam1][0])
     widths = knots[j0 : j0 + k] - knots[j0 - 1 : j0 + k - 1]
     a = int(np.argmax(widths))
-    J = (float(knots[j0 - 1 + a]), float(knots[j0 + a]))
-    return charint.CharInterval(j0=j0, J=J)
+    return j0, (float(knots[j0 - 1 + a]), float(knots[j0 + a]))
 
 
 def ortho_function(G, i0):
@@ -360,7 +387,8 @@ def ortho_function(G, i0):
     The per-level form of the ``ortho.levels`` walk: alpha from the
     knot-ratio loop, A w = alpha with alpha scattered into R^M,
     ||g||_2^2 = alpha . w, J from the whole knot vector, and the knot
-    window p-2k+1..p+3k-2 around p = i0 - 1 cut from it.  Raises
+    window p-2k+1..p+3k-2 around p = i0 - 1 cut from it.  Returns a record
+    with the fields of ``level_records`` and ``norm2``.  Raises
     NotPositiveDefinite, naming the level, when ||g||_2 or w is not finite.
     """
     part = G.partition
@@ -372,14 +400,16 @@ def ortho_function(G, i0):
     norm2 = math.sqrt(float(rhs @ w))
     if not (math.isfinite(norm2) and np.isfinite(w).all()):
         raise NotPositiveDefinite(f"level {part.level}: complement function not finite, norm {norm2}")
-    return ortho.OrthoFunction(
+    j0, J = characteristic_interval(part, i0, alpha)
+    return SimpleNamespace(
         level=part.level,
         i0=i0,
-        alpha=alpha,
-        norm2=norm2,
         window=part.knots.take(i0 - 1 + np.arange(1 - 2 * k, 3 * k - 1), mode="clip"),
+        alpha=alpha,
+        j0=j0,
+        J=J,
         coeffs=w / norm2,
-        char=characteristic_interval(part, i0, alpha),
+        norm2=norm2,
     )
 
 
@@ -413,9 +443,10 @@ def gram_schmidt_oracle(seq, n):
 def estwj_ratio(of, G):
     """|w_{j0}| over the diagonal Gram-inverse entry at the selected index.
 
-    w = norm2 * coeffs are the coefficients of the unnormalized complement g.
+    ``of`` is a record of ``ortho_function``; w = norm2 * coeffs are the
+    coefficients of the unnormalized complement g.
     """
-    j0 = of.char.j0
+    j0 = of.j0
     e = np.zeros(G.M)
     e[j0 - 1] = 1.0
     w = of.norm2 * of.coeffs
@@ -479,7 +510,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
 
 def char_norms_loop(system, p):
     """``analysis.char_norms`` one level at a time: ``lp_norm`` of each phi_n on its J_n."""
-    return np.array([lp_norm(level_spline(system.seq, of), p, of.char.J) for of in system.functions])
+    return np.array([lp_norm(level_spline(system.seq, rec), p, rec.J) for rec in level_records(system)])
 
 
 def boehm_identity_loop(system, seed, xs):
@@ -492,7 +523,7 @@ def boehm_identity_loop(system, seed, xs):
     rng = np.random.default_rng(seed)
     worst = 0.0
     coarse = bspline.eval_basis_many(knots.boundary_partition(system.order), xs)
-    for of in system.functions:
+    for of in level_records(system):
         part = knots.partition_at(system.seq, of.level)
         fine = bspline.eval_basis_many(part, xs)
         w1, w2 = boehm_refine(part, of.i0)
@@ -586,8 +617,8 @@ def char_multiplicity_census(system, x, y, beta):
         raise NotAKnot(f"{y!r} is not a knot value of the sequence")
     floor = (1.0 - beta) * (y - x)
     count = 0
-    for of in system.functions:
-        c, d = of.char.J
+    for rec in level_records(system):
+        c, d = rec.J
         if c >= x and d <= y and (d - c) >= floor:
             count += 1
     return count
@@ -619,21 +650,23 @@ def tail_decay_loop(system, ps, gammas):
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     rights = rule.intervals[:, 1]
-    pieces = {p: analysis.span_integrals(system, rule, p) for p in ps}
+    nodes = list(bspline.rule_blocks(system.gram.partition, rule))
+    pieces = {p: analysis.span_integrals(system.matrix, rule, nodes, p) for p in ps}
+    records = level_records(system)
 
     max_log = {(p, g): -math.inf for p in ps for g in gammas}
     count = 0
     for n in range(2, system.N + 1):
-        fn = system.functions[n - 2]
-        row = system.row_of_level(n)
-        c, d = fn.char.J
+        fn = records[n - 2]
+        row = n + k - 2
+        c, d = fn.J
         level_knots = knots.partition_at(system.seq, n).knots
         for x in np.unique(level_knots):
             if c < x < d:
                 continue
             cut = int(np.searchsorted(rights, x, side="right"))
             dist = c - x if x <= c else x - d
-            dn = int(d_point(level_knots, fn.char.J, x))
+            dn = int(d_point(level_knots, fn.J, x))
             for p in ps:
                 # One piece at a time, from the far end of the tail inward.
                 run = pieces[p][row, :cut] if x <= c else pieces[p][row, cut:][::-1]

@@ -9,7 +9,6 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from oracles import (
     gram_schmidt_oracle,
     hl_maximal,
     insert_event,
+    level_records,
     level_spline,
     lp_norm,
     maximal_function,
@@ -143,13 +143,13 @@ def test_criterion_06_norm_equivalence_band():
     for k in (1, 2, 3, 4):
         seq = knots.random_admissible(900 + k, k, 257, "dyadic-shuffled")
         system = ortho.build_system(seq, 256)
-        phis = [level_spline(seq, fn) for fn in system.functions]
+        records = level_records(system)
+        phis = [level_spline(seq, rec) for rec in records]
         for p in (1.0, 4 / 3, 2.0, 3.0, np.inf):
             inv_p = 0.0 if np.isinf(p) else 1.0 / p
             ratios = []
             for n in range(2, 257):
-                fn = system.functions[n - 2]
-                a, b = fn.char.J
+                a, b = records[n - 2].J
                 if np.isinf(p):
                     norm = sup_norm(phis[n - 2], (a, b))
                 else:
@@ -215,13 +215,12 @@ def test_criterion_07_census_saturation():
     failures = []
 
     def check(label, k, seq, exact):
-        s512 = ortho.build_system(seq, 512)
-        # The build is incremental, so the first 255 functions are those of
-        # a fresh N=256 build, and census_max reads nothing else.
-        s256 = SimpleNamespace(seq=seq, N=256, functions=s512.functions[:255])
+        # The knot pass is incremental, so the first 255 intervals are those
+        # of a fresh N=256 pass, and census_max reads nothing else.
+        J = np.concatenate([block.J for _, block in ortho.knot_blocks(seq, 512)])
         for beta in (0.0, 0.25):
-            a, _ = charint.census_max(s256, beta)
-            b, _ = charint.census_max(s512, beta)
+            a, _ = charint.census_max(seq.points[:257], J[:255], beta)
+            b, _ = charint.census_max(seq.points[:513], J, beta)
             cap = _census_bound(k, beta)
             tag = f"{label} k={k} beta={beta}"
             _report(f"criterion 7 census {tag}: {a} -> {b} (F = {cap})")

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from oracles import (
     Spline,
+    alpha_loop,
     boehm_identity_loop,
     char_norms_loop,
+    characteristic_interval,
     d_point,
     exact_right_tails,
     expand,
     expansion_values,
     hl_maximal,
+    level_records,
     level_spline,
     lp_norm,
     matrix_row_major,
@@ -48,6 +51,11 @@ def benchmark_sequence(law, seed, k, n):
     return knots.sequence_from_dict(inputs.points(law, seed, k, n, zlib.crc32(f"{law}/{k}/{n}".encode())))
 
 
+def span_integrals(system, rule, p):
+    """``analysis.span_integrals`` of every system function, on the rule's nodes."""
+    return analysis.span_integrals(system.matrix, rule, bspline.rule_blocks(system.gram.partition, rule), p)
+
+
 def centers(G):
     return (np.arange(G) + 0.5) / G
 
@@ -64,9 +72,9 @@ def cell_sf(system, coeffs, G):
 
 class TestExpand:
     def test_recovers_single_function(self, system_k2):
-        f = level_spline(system_k2.seq, system_k2.functions[-1])  # lives on the finest partition
+        f = level_spline(system_k2.seq, level_records(system_k2)[-1])  # lives on the finest partition
         a = expand(f, system_k2)
-        row = system_k2.row_of_level(12)
+        row = 12 + system_k2.order - 2
         assert a[row] == pytest.approx(1.0, abs=1e-10)
         others = np.delete(a, row)
         assert np.max(np.abs(others)) <= 1e-10
@@ -192,57 +200,88 @@ class TestLevelPasses:
 
     N = 63..66, one N per order, puts the N - 1 levels one and two short of
     a block of 64, at one block, and one past it; blocks of 1 and 7 cross
-    block edges.
+    block edges.  A system keeps the blocks it was built in, so each block
+    size gets a build of its own.
     """
 
     @pytest.fixture
-    def system(self, family, k):
+    def sequence(self, family, k):
         N = 63 + (k - 1) % 4
-        return ortho.build_system(family_sequence(family, k, N + 1), N)
+        return family_sequence(family, k, N + 1), N
 
-    def test_passes_match_the_level_loops(self, monkeypatch, system):
-        xs = np.linspace(0.0, 1.0, 1000)
-        boehm = boehm_identity_loop(system, 3, xs)
-        norms = char_norms_loop(system, 2.0)
-        tails = tail_decay_loop(system, (2.0,), (0.5,))[2.0, 0.5]
+    def systems(self, monkeypatch, sequence):
+        """Yield the system of the sequence built in blocks of each size of BLOCKS."""
         for block in BLOCKS:
             monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+            yield ortho.build_system(*sequence)
+
+    def test_knot_blocks_match_the_level_oracles(self, monkeypatch, sequence):
+        seq, N = sequence
+        k = seq.order
+        for block in (1, 7):
+            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+            n = 2
+            for parts, kb in ortho.knot_blocks(seq, N):
+                assert kb.first == n and len(parts) == len(kb.i0) <= block
+                for b, part in enumerate(parts):
+                    want = knots.partition_at(seq, n + b)
+                    assert part == want
+                    i0 = int(kb.i0[b])
+                    alpha = alpha_loop(want, i0)
+                    j0, J = characteristic_interval(want, i0, alpha)
+                    window = want.knots.take(i0 - 1 + np.arange(1 - 2 * k, 3 * k - 1), mode="clip")
+                    assert kb.alpha[b].tobytes() == alpha.tobytes()
+                    assert (int(kb.j0[b]), tuple(kb.J[b].tolist())) == (j0, J)
+                    assert kb.windows[b].tobytes() == window.tobytes()
+                n += len(parts)
+            assert n == N + 1
+
+    def test_passes_match_the_level_loops(self, monkeypatch, sequence):
+        xs = np.linspace(0.0, 1.0, 1000)
+        want = None
+        for system in self.systems(monkeypatch, sequence):
+            if want is None:
+                want = (
+                    boehm_identity_loop(system, 3, xs),
+                    char_norms_loop(system, 2.0),
+                    tail_decay_loop(system, (2.0,), (0.5,))[2.0, 0.5],
+                )
+            boehm, norms, tails = want
             assert analysis.boehm_identity_error(system, 3, xs) == boehm
             assert analysis.char_norms(system, 2.0).tobytes() == norms.tobytes()
             assert analysis.tail_decay_audit(system, 2.0, 0.5) == tails
 
-    def test_knot_distances_match_d_point(self, monkeypatch, system):
-        for block in BLOCKS:
-            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
-            for fs in analysis.level_blocks(system):
-                level, xs, dn = charint.knot_distances(system, fs)
-                for b, of in enumerate(fs):
-                    c, d = of.char.J
-                    level_knots = knots.partition_at(system.seq, of.level).knots
+    def test_knot_distances_match_d_point(self, monkeypatch, sequence):
+        for system in self.systems(monkeypatch, sequence):
+            for block in system.blocks:
+                level, xs, dn = charint.knot_distances(system, block)
+                for b, (c, d) in enumerate(block.J.tolist()):
+                    level_knots = knots.partition_at(system.seq, block.first + b).knots
                     values = knots.distinct(level_knots)
                     want = values[(values <= c) | (values >= d)]
                     assert np.array_equal(xs[level == b], want)
-                    assert np.array_equal(dn[level == b], d_point(level_knots, of.char.J, want))
+                    assert np.array_equal(dn[level == b], d_point(level_knots, (c, d), want))
 
-    def test_reused_basis_values_equal_a_fresh_evaluation(self, monkeypatch, system):
+    def test_reused_basis_values_equal_a_fresh_evaluation(self, monkeypatch, sequence):
+        seq, N = sequence
         # the grid, every knot value of the finest level and its neighbours, unsorted
-        finest = knots.distinct(system.gram.partition.knots)
+        finest = knots.distinct(knots.partition_at(seq, N).knots)
         near = np.concatenate([finest, np.nextafter(finest[1:], 0.0), np.nextafter(finest[:-1], 1.0)])
         xs = np.concatenate([np.linspace(0.0, 1.0, 200), near])
         xs = xs[np.random.default_rng(1).permutation(len(xs))]
-        levels = [knots.boundary_partition(system.order)]
-        levels += [knots.partition_at(system.seq, of.level) for of in system.functions]
+        levels = [knots.boundary_partition(seq.order)]
+        levels += [knots.partition_at(seq, n) for n in range(2, N + 1)]
         fresh = [bspline.eval_basis_many(part, xs) for part in levels]
-        for block in BLOCKS:
-            monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+        for system in self.systems(monkeypatch, sequence):
             n = 0  # the level before the block, from level 1
-            for fs, first, vals in analysis.basis_blocks(system, xs):
-                assert len(first) == len(vals) == len(fs) + 1
+            for block, first, vals in analysis.basis_blocks(system, xs):
+                assert block.first == n + 2
+                assert len(first) == len(vals) == len(block.i0) + 1
                 for row_first, row_vals, (want_first, want_vals) in zip(first, vals, fresh[n:]):
                     assert np.array_equal(row_first, want_first)
                     assert row_vals.tobytes() == want_vals.tobytes()
-                n += len(fs)
-            assert n == len(system.functions)
+                n += len(block.i0)
+            assert n == N - 1
 
 
 TILES = (1, 37, 10**9)  # one row, a few rows, every row of a block in one tile
@@ -274,7 +313,12 @@ class TestRowTiles:
         for tile in TILES:
             monkeypatch.setattr(bspline, "TILE", tile)
             for p in want:
-                assert np.array_equal(analysis.span_integrals(system, rule, p), want[p])
+                assert np.array_equal(span_integrals(system, rule, p), want[p])
+        # a slice of rows, as the tail audit asks for a block of levels, on nodes evaluated once
+        nodes = list(bspline.rule_blocks(system.gram.partition, rule))
+        for rows in (slice(0, 1), slice(5, 17), slice(system.order, None)):
+            got = analysis.span_integrals(system.matrix[rows], rule, nodes, 2.0)
+            assert np.array_equal(got, want[2.0][rows])
 
     @pytest.mark.parametrize("block", (10, 512))
     def test_square_function(self, monkeypatch, system, block):
@@ -343,8 +387,19 @@ class TestTiledMemory:
     def test_span_integrals(self, system):
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 9)
         pieces = 8 * system.size * len(rule.spans)
-        peak = traced_peak(lambda: analysis.span_integrals(system, rule, 2.0))
+        peak = traced_peak(lambda: span_integrals(system, rule, 2.0))
         assert peak < pieces + 6 * 8 * bspline.TILE, f"peaked {peak - pieces} B beyond the pieces"
+
+    def test_tail_audit_holds_one_block_of_pieces(self, monkeypatch):
+        # The audit forms the pieces of one block of levels at a time, never
+        # the size x S of them; blocks of 4 levels keep its other per-block
+        # arrays small next to them.
+        monkeypatch.setattr(ortho, "LEVEL_BLOCK", 4)
+        system = ortho.build_system(benchmark_sequence("uniform-iid", 1, 3, 512), 512)
+        system.matrix
+        pieces = 8 * system.size * (system.size + 1)  # the finest partition has M + 1 spans
+        peak = traced_peak(lambda: analysis.tail_decay_audit(system, 2.0, 0.5))
+        assert peak < pieces / 3, f"peaked at {peak} B against {pieces} B of pieces"
 
     def test_uncond_experiment(self, system):
         # Beyond the coefficient arrays A, S and C (4 trials x size floats),
@@ -547,7 +602,7 @@ class TestTailDecay:
         system = ortho.build_system(seq, 3)
         out = analysis.tail_decay_audit(system, 2.0, 0.5)
         # order-one functions live on two cells; every remote tail is zero
-        f3 = system.functions[1]
+        f3 = level_records(system)[1]
         xs = np.linspace(0.51, 1.0, 50)
         assert np.max(np.abs(level_spline(seq, f3)(xs))) == 0.0
         assert out["max_ratio"] >= 0.0
@@ -558,7 +613,7 @@ class TestTailDecay:
         # pieces, however small; the row total less the left sum is not.
         system = ortho.build_system(benchmark_sequence("dyadic-shuffled", 1, 3, 512), 512)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
-        pieces = analysis.span_integrals(system, rule, 2.0)
+        pieces = span_integrals(system, rule, 2.0)
         left, right = analysis.tail_sums(pieces)
         exact = exact_right_tails(pieces)
         for r in range(0, len(pieces), 32):
@@ -583,7 +638,7 @@ class TestTailDecay:
         rule = bspline.QuadratureRule.over_spans(system_k2.gram.partition.knots, 5)
         V = value_matrix(system_k2, rule_nodes(rule).ravel()).reshape(system_k2.size, -1, 5)
         want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
-        got = analysis.span_integrals(system_k2, rule, 1.5)
+        got = span_integrals(system_k2, rule, 1.5)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
     def test_pieces_hold_unit_mass_next_to_one(self):
@@ -593,9 +648,9 @@ class TestTailDecay:
         seq = knots.validate_admissible(3, [0.0, 1.0] + [1.0 - 2.0**-j for j in range(1, 50)])
         system = ortho.build_system(seq, 50)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
-        mass = analysis.span_integrals(system, rule, 2.0).sum(axis=1)
+        mass = span_integrals(system, rule, 2.0).sum(axis=1)
         assert np.abs(mass - 1.0).max() <= 1e-12
-        norms = np.array([lp_norm(level_spline(seq, of), 2.0) for of in system.functions])
+        norms = np.array([lp_norm(level_spline(seq, rec), 2.0) for rec in level_records(system)])
         assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_underflowing_envelope_gives_no_nan(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
+    IndexOutOfRange,
     Spline,
     boehm_refine,
     deboor_stability_ratio,
@@ -27,7 +28,6 @@ from oracles import (
 from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
     DomainError,
-    IndexOutOfRange,
     QuadratureTooCoarse,
 )
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +11,7 @@ from oracles import (
     d_interval,
     d_point,
     insert_event,
+    level_records,
     monotone_subsequence,
 )
 
@@ -17,12 +20,20 @@ from orthosplines.errors import DomainError
 
 
 def char_for(seq, n):
+    """Level n's partition and its characteristic interval, as (j0, J) with J a pair of floats."""
     part = knots.partition_at(seq, n)
     i0 = insert_event(seq, n)
     alpha = ortho.alpha_coefficients(*boehm_refine(part, i0))
     k = seq.order
     window = part.knots[None, i0 - k - 1 : i0 + k]
-    return part, charint.characteristic_intervals(window, alpha[None], [i0])[0]
+    j0, J = charint.characteristic_intervals(window, alpha[None], [i0])
+    return part, SimpleNamespace(j0=int(j0[0]), J=tuple(J[0].tolist()))
+
+
+def census(system, beta):
+    """census_max of a built system, from its points t_0..t_N and its J_n."""
+    J = np.concatenate([block.J for block in system.blocks])
+    return charint.census_max(system.seq.points[: system.N + 1], J, beta)
 
 
 def support(part, char):
@@ -200,14 +211,14 @@ class TestCensus:
     def test_window_without_spans(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5, 0.25, 0.75])
         system = ortho.build_system(seq, 4)
-        spans = {of.char.J for of in system.functions}
+        spans = {rec.J for rec in level_records(system)}
         assert (0.75, 1.0) not in spans
         assert char_multiplicity_census(system, 0.75, 1.0, 0.0) == 0
 
     def test_beta_zero_needs_exact_match(self):
         seq = knots.validate_admissible(2, [0, 1, 0.5])
         system = ortho.build_system(seq, 2)
-        assert system.functions[0].char.J == (0.0, 0.5)
+        assert level_records(system)[0].J == (0.0, 0.5)
         assert char_multiplicity_census(system, 0.0, 0.5, 0.0) == 1
         assert char_multiplicity_census(system, 0.0, 1.0, 0.0) == 0
         assert char_multiplicity_census(system, 0.0, 1.0, 0.5) == 1
@@ -226,7 +237,7 @@ class TestCensus:
         seq = knots.random_admissible(9, 2, 24)
         system = ortho.build_system(seq, 23)
         for beta in (0.0, 0.25):
-            count, window = charint.census_max(system, beta)
+            count, window = census(system, beta)
             assert window is not None
             x, y = window
             assert char_multiplicity_census(system, x, y, beta) == count
@@ -242,6 +253,6 @@ class TestCensus:
     def test_census_monotone_in_beta(self):
         seq = knots.random_admissible(15, 3, 20)
         system = ortho.build_system(seq, 19)
-        c0, _ = charint.census_max(system, 0.0)
-        c1, _ = charint.census_max(system, 0.25)
+        c0, _ = census(system, 0.0)
+        c1, _ = census(system, 0.25)
         assert c1 >= c0

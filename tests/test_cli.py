@@ -320,6 +320,29 @@ class TestCensusAndDecay:
         assert betas == [0.0, 0.25]
         assert all(c["max_count"] >= 0 for c in payload["census"])
 
+    def test_census_builds_no_gram_system(self, monkeypatch):
+        # J_n comes from the knots alone: no Gram assembly, no factorization
+        calls = []
+        for name in ("gram_matrix", "refinement_columns", "refine_gram"):
+            monkeypatch.setattr(ortho, name, counted_calls(getattr(ortho, name), calls))
+        assert run("census", "--k", "3", "--n", "200", "--seed", "1") == 0
+        assert calls == []
+        # the same counters see every step of build's walk: the level-1 Gram
+        # system, one column assembly per block of levels, one refinement per level
+        assert run("build", "--k", "3", "--n", "200", "--seed", "1") == 0
+        assert len(calls) == 1 + -(-199 // ortho.LEVEL_BLOCK) + 199
+
+    def test_census_runs_where_the_build_fails(self, tmp_path, capsys):
+        # knots 2^-1022 and 2^-1021 make the level-5 function of k = 3 not
+        # finite; the census reads no function
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 3, "points": FAILS_AT_LEVEL_5}))
+        out = tmp_path / "census.json"
+        assert run("census", "--points", str(seq_file), "--n", "6", "--out", str(out)) == 0
+        assert [c["max_count"] for c in json.loads(out.read_text())["census"]] == [2, 2]
+        assert run("build", "--points", str(seq_file), "--n", "6") == 2
+        assert "error: level 5" in capsys.readouterr().err
+
     def test_decay_reports_two_levels(self, tmp_path):
         out = tmp_path / "decay.json"
         assert run("decay", "--k", "2", "--n", "40", "--seed", "6", "--out", str(out)) == 0

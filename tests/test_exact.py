@@ -49,15 +49,15 @@ def test_band_and_phi_match_exact_arithmetic(k, case):
     seq = hard_sequence(case, k)
     N = len(seq.points) - 1
     checked = []
-    for G, of in ortho.levels(seq, N):
+    for G, block, b, coeffs, _ in ortho.levels(seq, N):
         n = G.partition.level
         if n not in (2, N // 2, N):
             continue
         band = exact_gram_band(G.partition)
         exact = np.array(band, dtype=float)
         assert np.all(np.abs(G.band - exact) <= 32 * U * np.abs(exact)), f"level {n}"
-        phi = exact_phi(G.partition, of.i0, band)
-        assert np.abs(of.coeffs - phi).max() <= 64 * U * np.abs(phi).max(), f"level {n}"
+        phi = exact_phi(G.partition, int(block.i0[b]), band)
+        assert np.abs(coeffs - phi).max() <= 64 * U * np.abs(phi).max(), f"level {n}"
         checked.append(n)
     assert checked == sorted({2, N // 2, N})
 

@@ -1,11 +1,9 @@
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 from oracles import (
     EmptyInterval,
-    Spline,
     alpha_loop,
     block_levels,
     block_values,
@@ -15,6 +13,7 @@ from oracles import (
     gram_schmidt_oracle,
     insert_event,
     legendre_projection,
+    level_records,
     ortho_function,
     prolong_many,
     refinement_matrix,
@@ -23,7 +22,6 @@ from oracles import (
 
 from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
-    IndexOutOfRange,
     LevelOutOfRange,
     NotPositiveDefinite,
 )
@@ -313,7 +311,7 @@ class TestIncrementalBuild:
         N = len(seq.points) - 1
         functions, F = cubic_build(seq, N)
         system = ortho.build_system(seq, N)
-        assert_same_functions(system.functions, functions)
+        assert_same_functions(level_records(system), functions)
         assert np.array_equal(system.matrix, F)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
@@ -323,7 +321,7 @@ class TestIncrementalBuild:
         seq = family_sequence(family, k)
         N = len(seq.points) - 1
         functions, _ = cubic_build(seq, N)
-        assert_same_functions(ortho.build_system(seq, N).functions, functions)
+        assert_same_functions(level_records(ortho.build_system(seq, N)), functions)
 
     def test_positions_give_every_level_its_knots(self, k, family):
         # level n's knots are the level-N ones at the boundary and at the
@@ -341,12 +339,17 @@ class TestIncrementalBuild:
     def test_local_band_equals_full_assembly(self, monkeypatch, k, family):
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
         seq = family_sequence(family, k)
-        for n, (G, of) in enumerate(ortho.levels(seq, len(seq.points) - 1), start=2):
+        for n, (G, block, b, coeffs, norm2) in enumerate(ortho.levels(seq, len(seq.points) - 1), start=2):
             full = bspline.gram_matrix(knots.partition_at(seq, n))
             assert G.partition == full.partition
-            assert of.i0 == insert_event(seq, n)
+            assert block.first + b == n
+            assert block.i0[b] == insert_event(seq, n)
             assert np.array_equal(G.band, full.band)
             assert np.array_equal(G.factor, full.factor)
+            # the walk's norm of g, which the system does not keep, is the per-level one
+            want = ortho_function(full, insert_event(seq, n))
+            assert norm2 == want.norm2
+            assert coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def assert_same_functions(mine, ref):
@@ -356,8 +359,7 @@ def assert_same_functions(mine, ref):
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
         assert got.window.tobytes() == want.window.tobytes()
         assert got.i0 == want.i0
-        assert got.char == want.char
-        assert got.norm2 == want.norm2
+        assert (got.j0, got.J) == (want.j0, want.J)
         assert got.alpha.tobytes() == want.alpha.tobytes()
 
 
@@ -369,7 +371,7 @@ def test_block_edges_match_the_cubic_oracle(offset):
     seq = knots.random_admissible(N, 3, N + 1, "dyadic-shuffled")
     functions, F = cubic_build(seq, N)
     system = ortho.build_system(seq, N)
-    assert_same_functions(system.functions, functions)
+    assert_same_functions(level_records(system), functions)
     assert np.array_equal(system.matrix, F)
 
 
@@ -448,34 +450,37 @@ class TestBuildSystem:
         system = ortho.build_system(seq, 9)
         assert system.size == system.gram.partition.M
         assert system.order == 3
-        assert system.row_of_level(-1) == 0
-        assert system.row_of_level(9) == system.size - 1
-        assert system.functions[0].level == 2
-        with pytest.raises(IndexOutOfRange):
-            system.row_of_level(10)
+        records = level_records(system)
+        assert [rec.level for rec in records] == list(range(2, 10))
+        # the polynomials take rows 0..k-1, level n row n + k - 2: level N the last
+        assert len(system.polynomials) == 3
+        assert np.array_equal(system.matrix[-1], records[-1].coeffs)
 
     def test_collects_the_levels_walk(self):
         seq = knots.random_admissible(6, 3, 12)
         system = ortho.build_system(seq, 11)
         walked = list(ortho.levels(seq, 11))
-        assert [of.level for _, of in walked] == list(range(2, 12))
-        for (G, of), kept in zip(walked, system.functions):
-            assert G.partition == knots.partition_at(seq, of.level)
-            assert np.array_equal(of.coeffs, kept.coeffs)
+        assert [block.first + b for _, block, b, _, _ in walked] == list(range(2, 12))
+        for (G, block, b, coeffs, _), kept in zip(walked, level_records(system)):
+            assert G.partition == knots.partition_at(seq, block.first + b)
+            assert np.array_equal(coeffs, kept.coeffs)
         assert np.array_equal(walked[-1][0].band, system.gram.band)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_a_function_holds_order_k_numbers_besides_its_coeffs(self, k):
         seq = knots.random_admissible(8, k, 301)
-        for of in ortho.build_system(seq, 300).functions:
-            assert of.coeffs.shape == (of.level + k - 1,)
-            for field in dataclasses.fields(of):
-                value = getattr(of, field.name)
-                assert not isinstance(value, (knots.Partition, Spline)), field.name
-                if isinstance(value, np.ndarray) and field.name != "coeffs":
-                    assert value.size <= 5 * k, field.name
-            assert of.window.size == 5 * k - 2
-            assert all(np.size(value) <= 2 for value in dataclasses.astuple(of.char))
+        system = ortho.build_system(seq, 300)
+        assert [len(c) for c in system.coeffs] == [n + k - 1 for n in range(2, 301)]
+        assert [block.first for block in system.blocks] == list(range(2, 301, ortho.LEVEL_BLOCK))
+        for block in system.blocks:
+            B = len(block.i0)
+            for name, value in vars(block).items():
+                assert not isinstance(value, knots.Partition), name
+                if isinstance(value, np.ndarray):
+                    assert len(value) == B and value.size <= 5 * k * B, name
+            assert block.windows.shape == (B, 5 * k - 2)
+            assert block.alpha.shape == (B, k + 1)
+            assert block.j0.shape == (B,) and block.J.shape == (B, 2)
 
     def test_level_below_two_is_a_level_error(self):
         seq = knots.random_admissible(6, 3, 12)
@@ -494,22 +499,26 @@ class TestBuildSystem:
         system = ortho.build_system(seq, 5)
         xs = np.linspace(0, 1, 50)
         vals = value_matrix(system, xs)
-        block_vals = block_values(system.block, xs)
+        block_vals = block_values(system.polynomials, xs)
         assert np.max(np.abs(vals[: seq.order] - block_vals)) <= 1e-11
 
     def test_export_records_shape(self):
         seq = knots.random_admissible(4, 2, 6)
-        recs = [ortho.export_record(G, of) for G, of in ortho.levels(seq, 5)]
+        recs = [ortho.export_record(*level) for level in ortho.levels(seq, 5)]
         assert [r["level"] for r in recs] == [2, 3, 4, 5]
         for n, r in enumerate(recs, start=2):
             assert set(r) == {"level", "i0", "knots-hash", "coeffs", "J", "norm2"}
             assert r["norm2"] > 0.0
+            # exact Python types: the report writer dispatches on them
+            assert [type(r[key]) for key in ("level", "i0", "norm2")] == [int, int, float]
+            assert [type(x) for x in r["J"]] == [float, float]
             assert r["knots-hash"] == hashlib.sha256(knots.partition_at(seq, n).knots.tobytes()).hexdigest()
 
     def test_export_does_not_form_the_matrix(self):
         seq = knots.random_admissible(4, 3, 30)
         system = ortho.build_system(seq, 29)
-        ortho.export_record(system.gram, system.functions[-1])  # the level-N pair
+        for level in ortho.levels(seq, 29):
+            ortho.export_record(*level)
         assert system.size == system.gram.partition.M
         assert "matrix" not in system.__dict__
         F = system.matrix
