@@ -12,8 +12,10 @@ its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
 on J_n, the tail audit's scores) work one block of levels at a time in
 array passes, reading the rows of the system's ``ortho.KnotBlock``
-records; the tail audit's distances take each level's knots from the
-level-N ones (``charint.knot_distances``).
+records.  The Boehm identity evaluates only the points on the 2k - 2
+spans around each new knot, from its level's knot window, since the gap
+is exactly 0.0 at every other point; the tail audit's distances take
+each level's knots from the level-N ones (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  Interval averages and set measures are
@@ -178,6 +180,11 @@ def uncond_experiment(system, ps, trials, seed, grid):
     once, for the draws and their flips together, and reduced for every p
     before the next one is formed (``_lp_sums``, ``_grid_sums``), a tile
     of trials at a time.
+
+    A trial's draws do not depend on the trial count, but its ratios can
+    differ by an ulp between runs with different counts: the products over
+    all trials are single BLAS calls, which may sum a row in an order that
+    depends on its place among the rows.
     """
     check_exponents(ps)
     if trials < 1:
@@ -300,83 +307,67 @@ def tail_sums(pieces):
     return left, right
 
 
-def basis_blocks(system, xs):
-    """Yield (block, first, vals): every level's B-spline values at the points xs, one KnotBlock at a time.
+def boehm_identity_error(system, seed, xs):
+    """Largest |s_{n-1}(x) - s_n(x)| over n = 2..N and the points xs, for random coarse splines.
 
-    For a block of levels n0..n0+B-1, ``first`` is (B + 1, len(xs)) and
-    ``vals`` (B + 1, len(xs), k); row 0 holds level n0 - 1 and row 1 + b
-    level n0 + b, each ``eval_basis_many`` of that level's partition at
-    xs, bit for bit.  Only level 1 is evaluated whole.  Inserting t_n at
-    position p moves every point with x >= t_n one span to the right, and
-    changes the values only of points on the fine spans p-k+1..p+k-2,
-    whose Cox-de Boor values read the new knot; spans further left keep
-    their knots, and spans further right keep them shifted by one.  So each
-    level takes the values of the level before, and the changed points of
-    a whole block are evaluated in one ``bspline.window_basis`` call on the
-    knot windows of their levels, which hold knots p-2k+1..p+3k-2; these
-    spans read p-2k+3..p+2k-3.  A block holds O(LEVEL_BLOCK len(xs) k)
-    floats.
+    s_{n-1} has coefficients drawn from ``default_rng(seed)`` on level n - 1,
+    a block of levels per ``standard_normal`` call, the stream of one call
+    per level, and s_n is it prolonged to level n by the Boehm weights of
+    t_n; the two are the same spline, so the gap is rounding.  A NaN gap is
+    returned, not dropped; a NaN point or one outside [0, 1] raises
+    DomainError (``bspline.find_spans``).
+
+    Only the points on fine spans p-k+1..p+k-2 are evaluated, p the 0-based
+    position of t_n.  A point's span is k - 1 plus the count of t_2..t_n at
+    or below it; its fine values come from ``bspline.window_basis`` on the
+    level's knot window (knots p-2k+1..p+3k-2), its coarse values from the
+    window without t_n, which holds the level-(n-1) knots; these spans read
+    knots p-2k+3..p+2k-3.  Only the k coefficients t_n splits are prolonged
+    (``bspline.split_columns``).
+
+    Every other point gives 0.0.  On fine span S < p-k+1 it lies on coarse
+    span S, on S > p+k-2 on coarse span S - 1, and either reads fine knots
+    S-k+2..S+k-1, none of them t_n, so its basis values are bit-equal at
+    both levels.  Its coefficients are the coarse ones, shifted past t_n,
+    but for the end splits p-k and p, which equal coarse p-k and p-1
+    exactly: the middle knot of the weights' window is t_n itself, so
+    w1[0] = (x - tau)/(x - tau) = 1 and w2[k-1] = 1.  Both sums take the
+    same numbers in the same order, so the maximum is unchanged bit for
+    bit.  At k = 1 no span changes and the result is 0.0.
     """
     k = system.order
-    P = len(xs)
-    first, vals = bspline.eval_basis_many(knots.boundary_partition(k), xs)
-    spans = first + k - 2  # level 1: every point on span k - 1
+    spans = bspline.find_spans(knots.boundary_partition(k), xs)  # level 1: every point on span k - 1
+    rng = np.random.default_rng(seed)
+    worst = 0.0
     for block in system.blocks:
         B = len(block.i0)
         t = np.array(system.seq.points[block.first : block.first + B])
         p = block.i0 - 1
         S = spans + np.cumsum(xs >= t[:, None], axis=0)
-        changed = (S >= p[:, None] - k + 1) & (S <= p[:, None] + k - 2)
-        b, i = np.nonzero(changed)
-        windows = block.windows
-        col = S[b, i] - p[b] + 2 * k - 1  # window slot of span S
-        table = np.empty((B + 1, P, k))
-        table[0] = vals
-        table[b + 1, i] = bspline.window_basis(windows, k, b, col, xs[i] - windows[b, col])
-        # Each point reads the last row at or before its level whose values changed.
-        src = np.zeros((B + 1, P), dtype=np.intp)
-        src[1:][changed] = b + 1
-        np.maximum.accumulate(src, axis=0, out=src)
-        src *= P
-        src += np.arange(P)
-        vals = table.reshape(-1, k).take(src.ravel(), axis=0).reshape(B + 1, P, k)
-        first = np.vstack([first[None], S - k + 2])
-        yield block, first, vals
-        spans, first, vals = S[-1], first[-1], vals[-1]
-
-
-def boehm_identity_error(system, seed, xs):
-    """Largest |s_{n-1}(x) - s_n(x)| over n = 2..N and the points xs, for random coarse splines.
-
-    s_{n-1} has coefficients drawn from ``default_rng(seed)`` on level n - 1,
-    level after level, and s_n is it prolonged to level n by the Boehm
-    weights of t_n (``bspline.prolong``); the two are the same spline, so
-    the gap is rounding.  Basis values come from ``basis_blocks``, and
-    each block's coefficients are drawn in one ``standard_normal`` call,
-    which continues the stream exactly as one call per level would.  Both
-    splines are evaluated at every point by ``bspline.spline_values``, each
-    level's coefficients laid in a row of their own.  A NaN gap is
-    returned, not dropped.
-    """
-    k = system.order
-    rng = np.random.default_rng(seed)
-    maxima = []
-    for block, first, vals in basis_blocks(system, xs):
-        B = len(block.i0)
         M = block.first + np.arange(B) + k - 1
-        coarse = np.zeros((B, M[-1] - 1))
-        coarse[np.arange(M[-1] - 1) < M[:, None] - 1] = rng.standard_normal(int(M.sum()) - B)
-        fine = np.zeros((B, M[-1]))
+        coarse = rng.standard_normal(int(M.sum()) - B)  # M - 1 per level, level after level
+        start = np.cumsum(M - 1) - (M - 1)
+        # Fine coefficients p-2k+1..p+k-1, every one the changed spans read:
+        # the coarse ones shifted past the knot, then the k + 1 it splits.
+        # Indices are clipped into the level's own; the clipped are not read.
+        near = p[:, None] + np.arange(1 - 2 * k, k)
+        fine = coarse[start[:, None] + np.clip(near - (near > p[:, None]), 0, M[:, None] - 2)]
         w1, w2 = bspline.boehm_weights(block.windows[:, k - 1 : 3 * k])  # tau_{i0-k}..tau_{i0+k}
-        for row, (m, i0) in enumerate(zip(M.tolist(), block.i0.tolist())):
-            fine[row, :m] = bspline.prolong(coarse[row, : m - 1], i0, w1[row], w2[row])
-        rows = np.arange(B)[:, None]
-        fine_first = (first[1:] + rows * fine.shape[1]).ravel()
-        coarse_first = (first[:-1] + rows * coarse.shape[1]).ravel()
-        gap = bspline.spline_values(fine.ravel(), fine_first, vals[1:].reshape(-1, k))
-        gap -= bspline.spline_values(coarse.ravel(), coarse_first, vals[:-1].reshape(-1, k))
-        maxima.append(np.abs(gap, out=gap).max())
-    return float(np.max(maxima))
+        fine[:, k - 1 : 2 * k] = bspline.split_columns(fine[:, k - 1 : 2 * k - 1], w1, w2)
+        b, i = np.nonzero((S >= p[:, None] - k + 1) & (S <= p[:, None] + k - 2))
+        x = xs[i]
+        fine_s = S[b, i]
+        coarse_s = fine_s - (x >= t[b])
+        slot = 2 * k - 1 - p[b]  # span s lies at window slot s + slot at both levels
+        windows = block.windows
+        shrunk = np.delete(windows, 2 * k - 1, axis=1)  # without the new knot
+        fine_vals = bspline.window_basis(windows, k, b, fine_s + slot, x - windows[b, fine_s + slot])
+        coarse_vals = bspline.window_basis(shrunk, k, b, coarse_s + slot, x - shrunk[b, coarse_s + slot])
+        gap = bspline.spline_values(fine.ravel(), b * fine.shape[1] + fine_s - p[b] + k + 1, fine_vals)
+        gap -= bspline.spline_values(coarse, start[b] + coarse_s - k + 2, coarse_vals)
+        worst = np.maximum(worst, np.abs(gap).max(initial=0.0))
+        spans = S[-1]
+    return float(worst)
 
 
 def char_norms(system, p):

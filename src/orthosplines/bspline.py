@@ -76,7 +76,7 @@ def _gauss_legendre(q):
     return ref_x, ref_w
 
 
-def _find_spans(partition, xs):
+def find_spans(partition, xs):
     """0-based span index s with knots[s] <= x < knots[s+1] for each x.
 
     x = 1 uses the span ending at 1 (left limit).  Raises DomainError for
@@ -129,7 +129,7 @@ def eval_basis_many(partition, xs):
     found on its span s and evaluated at x - tau_s.
     """
     xs = np.asarray(xs, dtype=float)
-    spans = _find_spans(partition, xs)
+    spans = find_spans(partition, xs)
     return span_values(partition, spans, xs - partition.knots[spans])
 
 
@@ -472,14 +472,3 @@ def split_columns(block, w1, w2):
     out[..., 1:] += block * w2
     return out
 
-
-def prolong(coeffs, i0, w1, w2):
-    """Coefficients over the fine basis of splines given over the coarse one.
-
-    ``coeffs`` holds coarse coefficients along its last axis; (w1, w2) are
-    the ``boehm_weights`` of the insertion at tau_{i0} (1-based).
-    """
-    a, b = i0 - len(w1) - 1, i0 - 1
-    return np.concatenate(
-        [coeffs[..., :a], split_columns(coeffs[..., a:b], w1, w2), coeffs[..., b:]], axis=-1
-    )

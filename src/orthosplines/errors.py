@@ -25,6 +25,10 @@ class BadBoundary(SplineError, ValueError):
     """A sequence does not start with the boundary pair 0, 1."""
 
 
+class MalformedSequence(SplineError, ValueError):
+    """A sequence document is not a {"k": order, "points": [numbers]} object."""
+
+
 class LevelOutOfRange(SplineError, ValueError):
     """Requested level is below 2 or beyond the available points."""
 

@@ -9,6 +9,7 @@ public API, matching the usual tau_1 <= ... <= tau_{n+2k-1} numbering.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     BadBoundary,
     LevelOutOfRange,
+    MalformedSequence,
     MultiplicityExceeded,
     OutOfRange,
 )
@@ -80,6 +82,8 @@ def validate_admissible(order, raw_points):
 
     Raises
     ------
+    MalformedSequence
+        If a point is not a real number (a bool is not one).
     BadBoundary
         If the sequence does not begin with 0, 1.
     OutOfRange
@@ -88,6 +92,8 @@ def validate_admissible(order, raw_points):
         If some interior value occurs more than ``order`` times.
     """
     _check_order(order)
+    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in raw_points):
+        raise MalformedSequence("sequence points must be numbers")
     pts = [float(p) for p in raw_points]
     if len(pts) < 2:
         raise BadBoundary("sequence needs at least the boundary pair 0, 1")
@@ -104,7 +110,9 @@ def validate_admissible(order, raw_points):
 
 
 def sequence_from_dict(obj):
-    """Rebuild a validated sequence from its {"k", "points"} form."""
+    """Rebuild a validated sequence from its {"k", "points"} form, or raise MalformedSequence."""
+    if not (isinstance(obj, dict) and "k" in obj and isinstance(obj.get("points"), list)):
+        raise MalformedSequence('a sequence is {"k": order, "points": [numbers]}')
     return validate_admissible(obj["k"], obj["points"])
 
 
@@ -190,7 +198,7 @@ def random_admissible(seed, order, n_points, law="uniform-iid"):
 
 
 def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
 
 

@@ -272,6 +272,19 @@ def refinement_matrix(coarse, fine, i0):
     return R
 
 
+def prolong(coeffs, i0, w1, w2):
+    """Coefficients over the fine basis of splines given over the coarse one.
+
+    ``coeffs`` holds coarse coefficients along its last axis; (w1, w2) are
+    the ``bspline.boehm_weights`` of the insertion at tau_{i0} (1-based).
+    The k coarse columns the knot splits go through ``bspline.split_columns``.
+    """
+    a, b = i0 - len(w1) - 1, i0 - 1
+    return np.concatenate(
+        [coeffs[..., :a], bspline.split_columns(coeffs[..., a:b], w1, w2), coeffs[..., b:]], axis=-1
+    )
+
+
 def prolong_many(F, coarse, fine, i0):
     """Row-wise prolongation of stacked coarse coefficient vectors (T, M_coarse).
 
@@ -517,8 +530,9 @@ def boehm_identity_loop(system, seed, xs):
     """``analysis.boehm_identity_error`` one level at a time, as ``verify`` once ran it.
 
     Each level's partition is evaluated whole at xs, its coarse coefficients
-    drawn in a call of their own, and the level's largest gap is folded in
-    with the builtin ``max``.
+    drawn in a call of their own and prolonged whole (``prolong``), and the
+    level's largest gap is folded in with ``np.maximum``, which keeps a NaN;
+    the builtin ``max(0.0, nan)`` would drop it.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -528,9 +542,9 @@ def boehm_identity_loop(system, seed, xs):
         fine = bspline.eval_basis_many(part, xs)
         w1, w2 = boehm_refine(part, of.i0)
         c = rng.standard_normal(part.M - 1)
-        fine_c = bspline.prolong(c, of.i0, w1, w2)
+        fine_c = prolong(c, of.i0, w1, w2)
         gap = bspline.spline_values(fine_c, *fine) - bspline.spline_values(c, *coarse)
-        worst = max(worst, float(np.abs(gap).max()))
+        worst = float(np.maximum(worst, np.abs(gap).max()))
         coarse = fine
     return worst
 

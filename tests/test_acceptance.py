@@ -26,6 +26,7 @@ from oracles import (
     maximal_function,
     monotone_subsequence,
     ortho_function,
+    prolong,
     sup_norm,
     value_matrix,
 )
@@ -85,7 +86,7 @@ def test_criterion_03_refinement_identity():
             w1, w2 = boehm_refine(fine, i0)
             c = rng.standard_normal(coarse.M)
             f = Spline(coarse, c)
-            g = Spline(fine, bspline.prolong(c, i0, w1, w2))
+            g = Spline(fine, prolong(c, i0, w1, w2))
             worst = max(worst, float(np.max(np.abs(f(xs) - g(xs)))))
     _report(f"criterion 3 refinement identity: max pointwise gap = {worst:.3e} (tol 1e-12)")
     assert worst <= 1e-12

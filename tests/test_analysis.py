@@ -189,6 +189,14 @@ def family_sequence(family, k, n_points):
     return knots.validate_admissible(k, [0.0, 1.0] + interior)
 
 
+def knot_points(seq, N):
+    """A grid of 1,000 points, every knot value of level N and its two float neighbours, unsorted."""
+    finest = knots.distinct(knots.partition_at(seq, N).knots)
+    near = np.concatenate([finest, np.nextafter(finest[1:], 0.0), np.nextafter(finest[:-1], 1.0)])
+    xs = np.concatenate([np.linspace(0.0, 1.0, 1000), near])
+    return xs[np.random.default_rng(1).permutation(len(xs))]
+
+
 FAMILIES = knots.LAWS + ("near-one", "mirror", "full-multiplicity", "next-to-ends")
 BLOCKS = (1, 7, 64)
 
@@ -237,7 +245,7 @@ class TestLevelPasses:
             assert n == N + 1
 
     def test_passes_match_the_level_loops(self, monkeypatch, sequence):
-        xs = np.linspace(0.0, 1.0, 1000)
+        xs = knot_points(*sequence)
         want = None
         for system in self.systems(monkeypatch, sequence):
             if want is None:
@@ -262,26 +270,62 @@ class TestLevelPasses:
                     assert np.array_equal(xs[level == b], want)
                     assert np.array_equal(dn[level == b], d_point(level_knots, (c, d), want))
 
-    def test_reused_basis_values_equal_a_fresh_evaluation(self, monkeypatch, sequence):
+    def test_reused_basis_values_equal_a_fresh_evaluation(self, sequence):
+        # What boehm_identity_error rests on.  A point off the fine spans
+        # p-k+1..p+k-2 keeps its level n - 1 basis values, one span to the
+        # right past t_n.  On them, the level's knot window gives the fresh
+        # level-n values, and the window without its new knot the level n - 1
+        # ones, bit for bit.
         seq, N = sequence
-        # the grid, every knot value of the finest level and its neighbours, unsorted
-        finest = knots.distinct(knots.partition_at(seq, N).knots)
-        near = np.concatenate([finest, np.nextafter(finest[1:], 0.0), np.nextafter(finest[:-1], 1.0)])
-        xs = np.concatenate([np.linspace(0.0, 1.0, 200), near])
-        xs = xs[np.random.default_rng(1).permutation(len(xs))]
-        levels = [knots.boundary_partition(seq.order)]
-        levels += [knots.partition_at(seq, n) for n in range(2, N + 1)]
-        fresh = [bspline.eval_basis_many(part, xs) for part in levels]
-        for system in self.systems(monkeypatch, sequence):
-            n = 0  # the level before the block, from level 1
-            for block, first, vals in analysis.basis_blocks(system, xs):
-                assert block.first == n + 2
-                assert len(first) == len(vals) == len(block.i0) + 1
-                for row_first, row_vals, (want_first, want_vals) in zip(first, vals, fresh[n:]):
-                    assert np.array_equal(row_first, want_first)
-                    assert row_vals.tobytes() == want_vals.tobytes()
-                n += len(block.i0)
-            assert n == N - 1
+        k = seq.order
+        xs = knot_points(seq, N)
+        coarse = bspline.eval_basis_many(knots.boundary_partition(k), xs)
+        for parts, block in ortho.knot_blocks(seq, N):
+            for b, part in enumerate(parts):
+                fine = bspline.eval_basis_many(part, xs)
+                p = int(block.i0[b]) - 1
+                spans = fine[0] + k - 2
+                on = (spans >= p - k + 1) & (spans <= p + k - 2)
+                shift = xs >= seq.points[block.first + b]
+                assert np.array_equal(fine[0][~on], (coarse[0] + shift)[~on])
+                assert fine[1][~on].tobytes() == coarse[1][~on].tobytes()
+                window = block.windows[b : b + 1]
+                shrunk = np.delete(window, 2 * k - 1, axis=1)
+                for (first, vals), knots_ in ((fine, window), (coarse, shrunk)):
+                    slot = first[on] + k - 2 - p + 2 * k - 1
+                    rows = np.zeros(len(slot), dtype=np.intp)
+                    got = bspline.window_basis(knots_, k, rows, slot, xs[on] - knots_[0, slot])
+                    assert got.tobytes() == vals[on].tobytes()
+                coarse = fine
+
+
+class TestBoehmIdentity:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_rejects_points_outside_the_interval(self, system_k2, bad):
+        with pytest.raises(DomainError):
+            analysis.boehm_identity_error(system_k2, 3, np.array([0.0, 0.5, bad, 1.0]))
+
+    def test_a_wrong_weight_shows(self, monkeypatch, system_k2):
+        # One level's w1 is scaled after the build.  Only the check reads the
+        # patched weights, as does the oracle through boehm_refine; the level
+        # is the one whose window has t_5 in its middle.
+        xs = np.linspace(0.0, 1.0, 1000)
+        assert analysis.boehm_identity_error(system_k2, 3, xs) <= 1e-15
+        boehm_weights, t5 = bspline.boehm_weights, system_k2.seq.points[5]
+        for factor in (1.0 + 1e-6, math.nan):
+
+            def wrong(t, factor=factor):
+                w1, w2 = boehm_weights(t)
+                w1[t[..., 2] == t5] *= factor  # k = 2: the middle knot of 2k + 1
+                return w1, w2
+
+            monkeypatch.setattr(bspline, "boehm_weights", wrong)
+            got = analysis.boehm_identity_error(system_k2, 3, xs)
+            want = boehm_identity_loop(system_k2, 3, xs)
+            if math.isnan(factor):
+                assert math.isnan(got) and math.isnan(want)
+            else:
+                assert got > 1e-8 and want > 1e-8
 
 
 TILES = (1, 37, 10**9)  # one row, a few rows, every row of a block in one tile

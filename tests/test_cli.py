@@ -203,6 +203,21 @@ class TestVerify:
         assert ((F != 0.0) & (np.abs(F) < 1e-100)).sum() > 1000
         assert measured["max_err"] == float(np.abs(F @ G.apply(F.T) - np.eye(system.size)).max())
 
+    def test_a_wrong_boehm_weight_fails_the_gate(self, monkeypatch, capsys):
+        # ortho holds its own reference to boehm_weights, so the build is
+        # untouched; only the Boehm check reads the scaled weights, those of
+        # level 2, the first row of the one block of levels
+        boehm_weights = bspline.boehm_weights
+
+        def scaled(t):
+            w1, w2 = boehm_weights(t)
+            w1[0] *= 1.0 + 1e-6
+            return w1, w2
+
+        monkeypatch.setattr(bspline, "boehm_weights", scaled)
+        assert run("verify", "--k", "3", "--n", "32", "--seed", "1") == 1
+        assert "failed invariant: boehm-identity" in capsys.readouterr().err
+
 
 class TestExperiment:
     @pytest.mark.parametrize("command", ["build", "verify", "census", "experiment", "decay"])
@@ -281,12 +296,11 @@ class TestEvaluationCount:
         assert np.isin(cells, points).all()
         assert np.isin(points, cells).sum() == len(cells)
 
-    def test_boehm_identity_evaluates_level_one_whole_then_changed_spans(self, monkeypatch):
-        # The 1,000 points are evaluated whole on the level-1 partition only.
-        # Each block of levels then evaluates, in one window_basis call, the
-        # points on the 2k - 2 spans next to each of its new knots; at k = 2
-        # those two spans are the coarse span the knot splits, so the 15
-        # levels of N = 16 evaluate far fewer than 15,000 points.
+    def test_boehm_identity_evaluates_only_the_changed_spans(self, monkeypatch):
+        # No level evaluates the 1,000 points whole.  Each block of levels
+        # makes two window_basis calls, fine and coarse, on the points of
+        # the 2k - 2 spans next to each of its new knots alone; at k = 2
+        # those two spans are the coarse span the knot splits.
         seen, fresh = [], []
         eval_basis_many, window_basis = bspline.eval_basis_many, bspline.window_basis
 
@@ -303,12 +317,20 @@ class TestEvaluationCount:
         monkeypatch.setattr(bspline, "window_basis", counted_window)
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 4)
         assert cli.main(["verify", "--k", "2", "--n", "16", "--seed", "3"]) == 0
-        assert seen == [1]
+        assert seen == []
+        # the points on fine spans p - 1 and p of each level, found by a whole
+        # evaluation of that level
+        seq, xs = knots.random_admissible(3, 2, 17), np.linspace(0.0, 1.0, 1000)
+        part, changed = knots.boundary_partition(2), []
+        for _ in range(15):
+            part, i0 = knots.next_partition(seq, part)
+            first, _ = eval_basis_many(part, xs)  # at k = 2, first is the span
+            changed.append(int(((first >= i0 - 2) & (first <= i0 - 1)).sum()))
+        per_block = [sum(changed[lo : lo + 4]) for lo in range(0, 15, 4)]
         # four blocks in the Boehm identity, then four in norm-equivalence,
         # whose calls take k + 2 nodes per level
-        assert len(fresh) == 8
-        assert sum(fresh[:4]) < 15_000 / 3
-        assert fresh[4:] == [4 * 4, 4 * 4, 4 * 4, 3 * 4]
+        assert fresh[:8] == [c for c in per_block for _ in range(2)]
+        assert fresh[8:] == [4 * 4, 4 * 4, 4 * 4, 3 * 4]
 
 
 class TestCensusAndDecay:
@@ -380,6 +402,22 @@ class TestUsageErrors:
         assert run("experiment", "--k", "3", "--n", "64", "--seed", "1", "--p", "0.5") == 2
         assert "error: p=0.5 outside (1, inf)" in capsys.readouterr().err
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"k": 3, "points": [0, 1, None]},
+            {"k": 3, "points": 5},
+            {"k": 3, "points": [0, 1, [0.5]]},
+            [1, 2],
+            {"k": True, "points": [0, 1, 0.5]},
+        ],
+    )
+    def test_malformed_points_file(self, tmp_path, capsys, document):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps(document))
+        assert run("build", "--points", str(seq_file), "--n", "2") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_points_file(self, tmp_path):
         assert run("build", "--points", str(tmp_path / "absent.json")) == 2
