@@ -1,14 +1,14 @@
-"""Experiments on the orthonormal system: square function, level sets, sign flips, tails.
+"""The sign-flip experiment and verify's per-level checks: Boehm identity, norms on J_n, tail decay.
 
 Everything here sits on top of a built OrthoSystem, evaluated a block of
-points at a time: the square function on a uniform cell grid
-(``bspline.eval_blocks``), threshold level sets of it, the sign-flip
-unconditionality experiment, and the tail-decay audit, whose quadrature
-nodes are evaluated on their own spans (``bspline.rule_blocks``).  Within
-a block, the values of many splines are formed and reduced a tile of rows
-at a time (``bspline.row_tiles``), so no rows x EVAL_BLOCK temporary is
-made; a BLAS product over a block stays whole, so that every value keeps
-its bits in any tile size.  The
+points at a time: the squared system functions on a uniform cell grid
+(``bspline.eval_blocks``), which the sign-flip unconditionality
+experiment sums into its square-function ratios, and the tail-decay
+audit, whose quadrature nodes are evaluated on their own spans
+(``bspline.rule_blocks``).  Within a block, the values of many splines
+are formed and reduced a tile of rows at a time (``bspline.row_tiles``),
+so no rows x EVAL_BLOCK temporary is made; a BLAS product over a block
+stays whole, so that every value keeps its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
 on J_n, the tail audit's scores) work one block of levels at a time in
 array passes, reading the rows of the system's ``ortho.KnotBlock``
@@ -18,14 +18,13 @@ is exactly 0.0 at every other point; the tail audit's distances take
 each level's knots from the level-N ones (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
-represented by its center sample.  Interval averages and set measures are
-exact for the cell model; against the continuum they carry an O(1/G)
+represented by its center sample.  A sum over the cells divided by G is
+exact for the cell model; against the continuum it carries an O(1/G)
 discretization gap, which callers quantify by refining G.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +32,6 @@ from . import bspline, charint, knots
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """Cell unions for a square-function threshold and its maximal hull."""
-
-    E: np.ndarray
-    B: np.ndarray
-    e_measure: float
-    b_measure: float
-    weak_constant: object
 
 
 def random_coeffs(seed, trial, size):
@@ -117,47 +105,6 @@ def squared_values(system, rows, xs):
         for tile in bspline.row_tiles(rows, len(first)):
             np.square(bspline.spline_values(F[tile], first, vals), out=sq[tile])
         yield lo, sq
-
-
-def square_function(system, coeffs, xs):
-    """(sum_n c_n^2 f_n(x)^2)^(1/2) at each point, over the first coeffs.shape[-1] functions.
-
-    Leading axes of ``coeffs``, one row per expansion, are carried.  Each
-    block of points is one product of the squared coefficients with
-    ``squared_values``.
-    """
-    weights = coeffs**2
-    out = np.empty(coeffs.shape[:-1] + (len(xs),))
-    for lo, sq in squared_values(system, coeffs.shape[-1], xs):
-        out[..., lo : lo + sq.shape[1]] = np.sqrt(weights @ sq)
-    return out
-
-
-def level_sets(sf, lam, r):
-    """Threshold set of a square function and its maximal-average hull.
-
-    ``sf`` holds the square function on the G-cell grid, G = len(sf).  E
-    collects the cells where Sf > lam.  B is the cell set where some
-    grid-aligned interval through the cell has 1_E-average above r; that is
-    decided exactly in O(G) by testing whether the best-sum segment of
-    1_E - r through each cell is positive, which is the same predicate.
-    """
-    if lam <= 0:
-        raise DomainError(f"lambda={lam} must be positive")
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r={r} outside (0, 1)")
-    G = len(sf)
-    E = sf > lam
-    s = E.astype(float) - r
-    P = np.concatenate([[0.0], np.cumsum(s)])
-    end_best = P[1:] - np.minimum.accumulate(P[:-1])
-    start_best = np.maximum.accumulate(P[1:][::-1])[::-1] - P[:-1]
-    through = end_best + start_best - s
-    B = through > 0.0
-    e_measure = float(E.sum()) / G
-    b_measure = float(B.sum()) / G
-    c = r * b_measure / e_measure if e_measure > 0 else None
-    return LevelSets(E=E, B=B, e_measure=e_measure, b_measure=b_measure, weak_constant=c)
 
 
 def check_exponents(ps):
@@ -253,8 +200,8 @@ def _lp_sums(system, C, ps):
 def _grid_sums(system, weights, xs, ps):
     """Sums over the points xs of Sf^p, (len(ps), trials), for squared coefficients ``weights``, (trials, size).
 
-    Each block's product with ``squared_values`` is whole, as in
-    ``square_function``, into a buffer every block reuses; its square
+    Sf = (sum_n c_n^2 f_n^2)^(1/2).  Each block's product with
+    ``squared_values`` is whole, into a buffer every block reuses; its square
     roots, their p-th powers and their sums are taken a tile of trials at a
     time.
     """
@@ -333,7 +280,10 @@ def boehm_identity_error(system, seed, xs):
     exactly: the middle knot of the weights' window is t_n itself, so
     w1[0] = (x - tau)/(x - tau) = 1 and w2[k-1] = 1.  Both sums take the
     same numbers in the same order, so the maximum is unchanged bit for
-    bit.  At k = 1 no span changes and the result is 0.0.
+    bit.  At k = 1 no span changes and the result is 0.0, and the identity
+    is exact there: ``boehm_weights`` gives w1 = w2 = 1 exactly, each a
+    knot gap over itself, and ``ortho.alpha_coefficients`` gives (1, -1)
+    whatever weights it is passed.
     """
     k = system.order
     spans = bspline.find_spans(knots.boundary_partition(k), xs)  # level 1: every point on span k - 1

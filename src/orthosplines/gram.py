@@ -1,12 +1,12 @@
 """Structural and quantitative checks of the Gram inverse.
 
-The inverse of the banded B-spline Gram matrix has three verifiable traits:
-its sign pattern is a checkerboard, each diagonal entry dominates the
-reciprocal of the matching Gram diagonal, and its entries decay
+The inverse of the banded B-spline Gram matrix has two traits that
+``verify`` checks: its sign pattern is a checkerboard, and its entries decay
 geometrically away from the diagonal once weighted by the local knot gap.
 Each check reads the inverse a block of columns at a time from the Gram
-system's Cholesky factor (``GramSystem.inverse_columns``), and the diagonal
-from the band of the inverse alone, so no dense M x M array is formed.
+system's Cholesky factor (``GramSystem.inverse_columns``), so no dense
+M x M array is formed; the checkerboard tolerance reads the diagonal from
+the band of the inverse alone.
 The sign check can feed each block to an ``OffsetMaxima`` as well, so that
 ``verify`` reads the inverse once for both the signs and the decay fit.
 """
@@ -87,12 +87,6 @@ def checkerboard_check(G, maxima=None):
         if maxima is not None:
             maxima.add(start, rows)
     return CheckResult(passed=first is None, first_violation=first)
-
-
-def diag_inverse_bound(G):
-    """Max over i of 1 / (a_ii b_ii); at most 1 when b_ii >= 1 / a_ii holds."""
-    a_diag = G.band[G.partition.order - 1]
-    return float(np.max(1.0 / (a_diag * G.inverse_diagonal)))
 
 
 class OffsetMaxima:

@@ -4,8 +4,9 @@ Each function recomputes a quantity that the library obtains another way
 (dense linear algebra, explicit refinement matrices, single-point
 evaluation, exhaustive window counts, exact rational arithmetic), or checks
 a lemma of the paper that no command runs: expansions and their maximal
-functions, interval distances, monotone subsequences.  The command line
-reaches none of them.
+functions, square functions and their level sets, the diagonal bound of
+the Gram inverse, interval distances, monotone subsequences.  The command
+line reaches none of them.
 """
 
 import functools
@@ -184,6 +185,16 @@ def streamed_inverse(G):
     return np.tril(B) + np.tril(B, -1).T
 
 
+def diag_inverse_bound(G):
+    """Max over i of 1 / (a_ii b_ii), B = A^{-1}, from the band of the inverse.
+
+    At most 1 for every SPD A, up to rounding, by Cauchy-Schwarz:
+    1 = (A^{1/2} e_i, A^{-1/2} e_i) <= (a_ii b_ii)^{1/2}.
+    """
+    a_diag = G.band[G.partition.order - 1]
+    return float(np.max(1.0 / (a_diag * G.inverse_diagonal)))
+
+
 def trailing_solve_columns(G):
     """Yield (start, B[start:, start:start + w]), w <= 256, left to right, one banded solve per block.
 
@@ -340,8 +351,14 @@ def span_integrals_whole(system, rule, p):
     return pieces
 
 
-def square_function_whole(system, coeffs, xs):
-    """``analysis.square_function`` with each block's values formed for every row at once."""
+def square_function(system, coeffs, xs):
+    """(sum_n c_n^2 f_n(x)^2)^(1/2) at each point, over the first coeffs.shape[-1] functions.
+
+    Leading axes of ``coeffs``, one row per expansion, are carried.  Each
+    block of points is evaluated for every row at once and reduced by one
+    product with the squared coefficients, as ``analysis._grid_sums``
+    reduces ``analysis.squared_values``.
+    """
     F = system.matrix[: coeffs.shape[-1]]
     weights = coeffs**2
     out = np.empty(coeffs.shape[:-1] + (len(xs),))
@@ -776,6 +793,46 @@ def hl_maximal(g):
         avgs = (P[i + 1 :] - P[i]) / np.arange(1, G - i + 1)
         np.maximum(out[i:], np.maximum.accumulate(avgs[::-1])[::-1], out=out[i:])
     return out
+
+
+@dataclass(frozen=True)
+class LevelSets:
+    """Cell unions for a square-function threshold and its maximal hull."""
+
+    E: np.ndarray
+    B: np.ndarray
+    e_measure: float
+    b_measure: float
+    weak_constant: object
+
+
+def level_sets(sf, lam, r):
+    """Threshold set of a square function and its maximal-average hull.
+
+    ``sf`` holds the square function on the G-cell grid, G = len(sf).  E
+    collects the cells where Sf > lam.  B is the cell set where some
+    grid-aligned interval through the cell has 1_E-average above r; that is
+    decided exactly in O(G) by testing whether the best-sum segment of
+    1_E - r through each cell is positive, which is the same predicate.  B
+    holds E for every input: on a cell of E the one-cell segment alone
+    gives through >= 1 - r > 0, up to the rounding of the prefix sums.
+    """
+    if lam <= 0:
+        raise DomainError(f"lambda={lam} must be positive")
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r={r} outside (0, 1)")
+    G = len(sf)
+    E = sf > lam
+    s = E.astype(float) - r
+    P = np.concatenate([[0.0], np.cumsum(s)])
+    end_best = P[1:] - np.minimum.accumulate(P[:-1])
+    start_best = np.maximum.accumulate(P[1:][::-1])[::-1] - P[:-1]
+    through = end_best + start_best - s
+    B = through > 0.0
+    e_measure = float(E.sum()) / G
+    b_measure = float(B.sum()) / G
+    c = r * b_measure / e_measure if e_measure > 0 else None
+    return LevelSets(E=E, B=B, e_measure=e_measure, b_measure=b_measure, weak_constant=c)
 
 
 def d_interval(knots, J, V):

@@ -16,17 +16,20 @@ import pytest
 from oracles import (
     Spline,
     boehm_refine,
+    diag_inverse_bound,
     expansion_values,
     gram_schmidt_oracle,
     hl_maximal,
     insert_event,
     level_records,
+    level_sets,
     level_spline,
     lp_norm,
     maximal_function,
     monotone_subsequence,
     ortho_function,
     prolong,
+    square_function,
     sup_norm,
     value_matrix,
 )
@@ -103,7 +106,7 @@ def test_criterion_04_checkerboard_and_diagonal():
             seq = knots.random_admissible(int(rng.integers(0, 2**31)), k, n_points)
             G = bspline.gram_matrix(knots.partition_at(seq, n_points - 1))
             res = gram.checkerboard_check(G)
-            bound = gram.diag_inverse_bound(G)
+            bound = diag_inverse_bound(G)
             worst_bound = max(worst_bound, bound)
             if not res.passed or bound > 1.0 + 1e-12:
                 violations += 1
@@ -257,12 +260,12 @@ def test_criterion_08_level_set_inclusion():
         xs = analysis.cell_centers(system, G)
         for trial in range(50):
             c = analysis.random_coeffs(88, trial, size)
-            sf = analysis.square_function(system, c, xs)
+            sf = square_function(system, c, xs)
             rng = np.random.default_rng((88, trial, 9))
             q = 0.3 + 0.65 * float(rng.random())
             r = 0.1 + 0.8 * float(rng.random())
             lam = max(float(np.quantile(sf, q)), 1e-9)
-            ls = analysis.level_sets(sf, lam, r)
+            ls = level_sets(sf, lam, r)
             assert np.all(ls.B[ls.E])
             checked += 1
     _report(

@@ -19,6 +19,7 @@ from oracles import (
     expansion_values,
     hl_maximal,
     level_records,
+    level_sets,
     level_spline,
     lp_norm,
     matrix_row_major,
@@ -26,7 +27,7 @@ from oracles import (
     reconstruction,
     rule_nodes,
     span_integrals_whole,
-    square_function_whole,
+    square_function,
     tail_decay_loop,
     value_matrix,
 )
@@ -67,7 +68,7 @@ def cell_values(system, G):
 
 def cell_sf(system, coeffs, G):
     """The square function on the centers of G cells."""
-    return analysis.square_function(system, coeffs, analysis.cell_centers(system, G))
+    return square_function(system, coeffs, analysis.cell_centers(system, G))
 
 
 class TestExpand:
@@ -327,6 +328,19 @@ class TestBoehmIdentity:
             else:
                 assert got > 1e-8 and want > 1e-8
 
+    @pytest.mark.parametrize("law", knots.LAWS)
+    def test_order_one_identity_is_exact(self, law):
+        # At k = 1 the check evaluates no point, and there is nothing for it
+        # to see: every level's weights are exactly 1, and alpha is (1, -1)
+        # whatever weights it is given.
+        seq = knots.random_admissible(1, 1, 65, law)
+        wild = np.random.default_rng(1).standard_normal((2, 63, 1))
+        for _, block in ortho.knot_blocks(seq, 64):
+            w1, w2 = bspline.boehm_weights(block.windows[:, 0:3])  # tau_{i0-1}..tau_{i0+1}
+            assert (w1 == 1.0).all() and (w2 == 1.0).all()
+            assert (block.alpha == [1.0, -1.0]).all()
+        assert (ortho.alpha_coefficients(*wild) == [1.0, -1.0]).all()
+
 
 TILES = (1, 37, 10**9)  # one row, a few rows, every row of a block in one tile
 
@@ -366,15 +380,19 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("block", (10, 512))
     def test_square_function(self, monkeypatch, system, block):
+        # the squared values the square function's sums read, for every
+        # function, one, and a prefix, against each point's values formed
+        # for every row at once
         monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
         xs = analysis.cell_centers(system, 1100)
-        draws = np.array([analysis.random_coeffs(4, t, system.size) for t in range(1000)])
-        cases = [draws[0], draws[:1], draws[:5], draws, draws[:5, :40]]
-        want = [square_function_whole(system, coeffs, xs) for coeffs in cases]
+        want = bspline.spline_values(system.matrix, *bspline.eval_basis_many(system.gram.partition, xs)) ** 2
         for tile in TILES:
             monkeypatch.setattr(bspline, "TILE", tile)
-            for coeffs, values in zip(cases, want):
-                assert np.array_equal(analysis.square_function(system, coeffs, xs), values)
+            for rows in (system.size, 1, 40):
+                got = np.empty((rows, len(xs)))
+                for lo, sq in analysis.squared_values(system, rows, xs):
+                    got[:, lo : lo + sq.shape[1]] = sq
+                assert np.array_equal(got, want[:rows])
 
     @pytest.mark.parametrize("block", (10, 512))
     def test_uncond_experiment(self, monkeypatch, system, block):
@@ -484,7 +502,7 @@ class TestSquareFunction:
         V = value_matrix(system_k2, xs)[:9]
         want = np.sqrt(((C[:, :, None] * V) ** 2).sum(axis=1))
         monkeypatch.setattr(bspline, "EVAL_BLOCK", 7)
-        got = analysis.square_function(system_k2, C, xs)
+        got = square_function(system_k2, C, xs)
         assert got.shape == (3, 300)
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -530,7 +548,7 @@ class TestLevelSets:
     def test_threshold_above_max_is_empty(self, system_k2):
         c = analysis.random_coeffs(9, 0, system_k2.size)
         sf = cell_sf(system_k2, c, 512)
-        ls = analysis.level_sets(sf, float(sf.max()) * 1.01, 0.5)
+        ls = level_sets(sf, float(sf.max()) * 1.01, 0.5)
         assert ls.e_measure == 0.0
         assert ls.b_measure == 0.0
         assert ls.weak_constant is None
@@ -538,7 +556,7 @@ class TestLevelSets:
     def test_tiny_threshold_fills_interval(self, system_k2):
         c = analysis.random_coeffs(9, 1, system_k2.size)
         sf = cell_sf(system_k2, c, 512)
-        ls = analysis.level_sets(sf, 1e-12, 0.5)
+        ls = level_sets(sf, 1e-12, 0.5)
         assert ls.e_measure == pytest.approx(1.0, abs=1e-9)
         assert ls.b_measure == 1.0
 
@@ -548,7 +566,7 @@ class TestLevelSets:
         c = analysis.random_coeffs(9, 2, system_k2.size)
         sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.7))
-        ls = analysis.level_sets(sf, lam, 0.5)
+        ls = level_sets(sf, lam, 0.5)
         hull = hl_maximal(ls.E.astype(float)) > 0.5
         assert np.array_equal(ls.B, hull)
         assert np.all(ls.B[ls.E])
@@ -559,7 +577,7 @@ class TestLevelSets:
         sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.7))
         r = 0.4
-        ls = analysis.level_sets(sf, lam, r)
+        ls = level_sets(sf, lam, r)
         m = hl_maximal(ls.E.astype(float))
         assert np.all(ls.B[m > r + 1e-9])
         assert not np.any(ls.B[m < r - 1e-9])
@@ -568,7 +586,7 @@ class TestLevelSets:
         c = analysis.random_coeffs(9, 3, system_k2.size)
         sf = cell_sf(system_k2, c, 512)
         lam = float(np.quantile(sf, 0.5))
-        ls = analysis.level_sets(sf, lam, 0.3)
+        ls = level_sets(sf, lam, 0.3)
         assert ls.weak_constant is not None
         # measure of the hull is controlled by measure of the set over r
         assert ls.b_measure <= ls.e_measure / 0.3 + 1e-12
@@ -576,9 +594,9 @@ class TestLevelSets:
     def test_parameter_validation(self, system_k2):
         sf = cell_sf(system_k2, np.ones(system_k2.size), 512)
         with pytest.raises(DomainError):
-            analysis.level_sets(sf, 0.0, 0.5)
+            level_sets(sf, 0.0, 0.5)
         with pytest.raises(DomainError):
-            analysis.level_sets(sf, 1.0, 1.5)
+            level_sets(sf, 1.0, 1.5)
 
 
 class TestUncondExperiment:
