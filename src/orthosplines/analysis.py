@@ -14,8 +14,8 @@ on J_n, the tail audit's scores) work one block of levels at a time in
 array passes, reading the rows of the system's ``ortho.KnotBlock``
 records.  The Boehm identity evaluates only the points on the 2k - 2
 spans around each new knot, from its level's knot window, since the gap
-is exactly 0.0 at every other point; the tail audit's distances take
-each level's knots from the level-N ones (``charint.knot_distances``).
+is exactly 0.0 at every other point; the tail audit cuts every level at
+the distinct level-N knot values (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  A sum over the cells divided by G is
@@ -365,10 +365,12 @@ def tail_decay_audit(system, p, gamma_fit):
     levels in one array pass, with d from ``charint.knot_distances`` and
     the tails from ``tail_sums`` of the block's own rows of
     ``span_integrals``, so no more than a block's rows of pieces are held
-    at once; the rule's nodes are evaluated once for every block.  Each
-    ratio is formed from logarithms, since gamma^d underflows on deep tails;
-    a zero tail has ratio 0, and a maximum past the float range is reported
-    as inf.  log |J| is taken by ``math.log``, one level at a time.
+    at once; the rule's nodes are evaluated once for every block.  The
+    rule's spans join the distinct level-N knot values x, so the tails
+    beyond x[r] are column r of ``tail_sums``.  Each ratio is formed from
+    logarithms, since gamma^d underflows on deep tails; a zero tail has
+    ratio 0, and a maximum past the float range is reported as inf.
+    log |J| is taken by ``math.log``, one level at a time.
     """
     if not 0.0 < gamma_fit < 1.0:
         raise DomainError(f"gamma_fit={gamma_fit} outside (0, 1)")
@@ -377,7 +379,7 @@ def tail_decay_audit(system, p, gamma_fit):
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     nodes = list(bspline.rule_blocks(system.gram.partition, rule))
-    rights = rule.intervals[:, 1]
+    x = knots.distinct(system.gram.partition.knots)  # the cut after r spans of the rule is x[r]
 
     log_gamma = math.log(gamma_fit)
     max_log = -math.inf
@@ -385,14 +387,15 @@ def tail_decay_audit(system, p, gamma_fit):
     for block in system.blocks:
         row = block.first + k - 2
         left, right = tail_sums(span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, p))
-        level, xs, dn = charint.knot_distances(system, block)
-        count += len(xs)
+        keep, dn = charint.knot_distances(system, block)
+        level, r = np.nonzero(keep)
+        xs, dn = x[r], dn[keep]
+        count += len(r)
         J = block.J
         half_log = np.array([0.5 * math.log(d - c) for c, d in J.tolist()])
         c, d = J[level, 0], J[level, 1]
         below = xs <= c
-        cut = np.searchsorted(rights, xs, side="right")
-        tail_p = np.where(below, left[level, cut], right[level, cut])
+        tail_p = np.where(below, left[level, r], right[level, r])
         dist = np.where(below, c - xs, xs - d)
         live = tail_p > 0.0
         log_envelope = (

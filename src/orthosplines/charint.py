@@ -4,7 +4,8 @@ Each inserted knot gets a characteristic interval: among the k + 1 B-spline
 supports touching the insertion index, keep those of near-minimal length,
 pick the one with the largest associated coefficient magnitude, and inside it
 keep the longest single knot span.  The orthogonal function of that level
-carries a fixed fraction of its norm there.
+carries a fixed fraction of its norm there.  Distances to it are counts of
+level-N knots, by the level at which each arrives.
 """
 
 from __future__ import annotations
@@ -45,46 +46,33 @@ def characteristic_intervals(t, alpha, i0):
 
 
 def knot_distances(system, block):
-    """Every knot value of each level outside its J, with its knot-count distance d to J.
+    """(keep, d): each level's knot values at or outside its J, and their knot-count distances d to J.
 
-    ``block`` is one of the system's ``ortho.KnotBlock`` records.  Each
-    level's knots are the level-N ones inserted by then: the boundary knots
-    and t_m, m <= n, at their level-N ``positions``.  Returns flat arrays
-    (level, x, d) over every pair: level indexes the block's rows, x runs over
-    the distinct knot values of that level with x <= c or x >= d for
-    J = (c, d), and d counts the level's knots with multiplicity strictly
-    between x and the nearer endpoint of J, plus that endpoint once; 0 at
-    x = c and x = d.  The counts come from the starts and ends of the runs
-    of equal knots: for x < c it is (knots below c) - (knots up to x) + 1,
-    for x > d (knots below x) - (knots up to d) + 1, and c and d are knot
-    values of the level.
+    ``block`` is one of the system's ``ortho.KnotBlock`` records.  Both
+    arrays are (levels, R), a column per distinct level-N knot value x.  A
+    level's knots are the level-N ones arrived by then: the boundary knots
+    at level 1, t_n at level n at its ``positions``.  ``keep`` marks each
+    level's knot values with x <= c or x >= d, J = (c, d); d counts the
+    level's knots with multiplicity strictly between x and the nearer end
+    of J, plus that end once, and is 0 at c and d.  One cumulative count of
+    the arrived knots gives the level's knots below and up to each x: x is
+    a knot of the level when the two differ, and d is (below c) - (up to
+    x) + 1 for x < c and (below x) - (up to d) + 1 for x > d.
     """
     finest = system.gram.partition.knots
-    inserted = np.ones(len(finest), dtype=np.intp)  # the level each knot comes in at; 1 at the boundary
-    inserted[system.positions] = np.arange(2, system.N + 1)
-    rows = [finest[inserted <= n] for n in range(block.first, block.first + len(block.J))]
-    lengths = np.array([len(row) for row in rows])
-    offsets = np.cumsum(lengths) - lengths
-    flat = np.concatenate(rows)
-    # Runs of equal knots, none crossing from one level into the next.
-    new = np.empty(len(flat), dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    new[offsets] = True
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(flat))
-    level = np.repeat(np.arange(len(rows)), lengths)[starts]
-    x = flat[starts]
-    below = starts - offsets[level]  # knots of the level below x
-    upto = ends - offsets[level]  # knots of the level up to x
-    c, d = block.J[level, 0], block.J[level, 1]
-    below_c = np.empty(len(rows), dtype=below.dtype)
-    below_c[level[x == c]] = below[x == c]
-    upto_d = np.empty(len(rows), dtype=upto.dtype)
-    upto_d[level[x == d]] = upto[x == d]
-    dist = np.where(x < c, below_c[level] - upto + 1, np.where(x > d, below - upto_d[level] + 1, 0))
-    out = (x <= c) | (x >= d)
-    return level[out], x[out], dist[out]
+    arrives = np.ones(len(finest), dtype=np.intp)  # 1 for the boundary knots
+    arrives[system.positions] = np.arange(2, system.N + 1)
+    levels = np.arange(block.first, block.first + len(block.J))[:, None]
+    count = np.zeros((len(levels), len(finest) + 1), dtype=np.intp)  # column i: the level's knots below i
+    np.cumsum(arrives <= levels, axis=1, out=count[:, 1:])
+    x = distinct(finest)
+    below = count[:, np.searchsorted(finest, x, "left")]
+    upto = count[:, np.searchsorted(finest, x, "right")]
+    c, d = block.J[:, :1], block.J[:, 1:]
+    below_c = np.take_along_axis(count, np.searchsorted(finest, c, "left"), axis=1)
+    upto_d = np.take_along_axis(count, np.searchsorted(finest, d, "right"), axis=1)
+    dist = np.where(x < c, below_c - upto + 1, np.where(x > d, below - upto_d + 1, 0))
+    return (upto > below) & ((x <= c) | (x >= d)), dist
 
 
 def census_max(points, J, beta):

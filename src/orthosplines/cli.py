@@ -4,7 +4,8 @@ Subcommands: gen (write a knot-sequence file), build (write a system
 export), verify (gate the paper's invariants: orthonormality, the
 checkerboard inverse, the Boehm identity, norm equivalence on J_n and the
 tail decay), census (characteristic-interval multiplicity sweeps),
-experiment (sign-flip ratios on the cell grid), decay (Gram-inverse decay
+experiment (sign-flip L^p ratios by per-span Gauss quadrature, and
+square-function ratios on the cell grid), decay (Gram-inverse decay
 profiles).  Reports are canonical JSON written atomically; an aligned
 text table goes to stdout and, next to a --out file, to a .txt sibling.
 

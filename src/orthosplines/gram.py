@@ -141,8 +141,10 @@ def decay_profile(G, maxima=None):
     |b_ij| maxima per offset: the gap weight grows with d (by roughly d knot
     spacings), so fitting the weighted envelope directly would overshoot the
     geometric rate.  C_hat is then inflated until C_hat gamma_hat^d dominates
-    every fitted m_d.  ``maxima``, an ``OffsetMaxima`` already fed every
-    block, spares a walk of the inverse.
+    every fitted m_d.  Two offsets fix the line exactly (a 2 x 2 block
+    diagonal inverse, as at k = 2 with every interior knot twice); a
+    non-finite inverse leaves none and raises DegenerateFit.  ``maxima``, an
+    ``OffsetMaxima`` already fed every block, spares a walk of the inverse.
     """
     raw, m = offset_maxima(G) if maxima is None else (maxima.raw, maxima.m)
     M, k = G.partition.M, G.partition.order
@@ -150,8 +152,8 @@ def decay_profile(G, maxima=None):
     if len(keep) == 1 and keep[0] == 0:
         # Diagonal to machine precision; decay faster than any geometric rate.
         return DecayProfile(gamma_hat=0.0, C_hat=float(m[0]), residual=0.0, M=M, k=k)
-    if len(keep) < 3:
-        raise DegenerateFit(f"only {len(keep)} usable offsets, need at least 3")
+    if len(keep) < 2:
+        raise DegenerateFit(f"only {len(keep)} usable offsets, need at least 2")
     ds = keep.astype(float)
     ys = np.log(m[keep])
     slope, intercept = np.polyfit(ds, np.log(raw[keep]), 1)

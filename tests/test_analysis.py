@@ -253,23 +253,27 @@ class TestLevelPasses:
                 want = (
                     boehm_identity_loop(system, 3, xs),
                     char_norms_loop(system, 2.0),
-                    tail_decay_loop(system, (2.0,), (0.5,))[2.0, 0.5],
+                    tail_decay_loop(system, (2.0,), (0.5, 0.01)),
                 )
             boehm, norms, tails = want
             assert analysis.boehm_identity_error(system, 3, xs) == boehm
             assert analysis.char_norms(system, 2.0).tobytes() == norms.tobytes()
-            assert analysis.tail_decay_audit(system, 2.0, 0.5) == tails
+            # At gamma = 0.01 a distance off by one moves max_ratio 100 times.
+            for gamma in (0.5, 0.01):
+                assert analysis.tail_decay_audit(system, 2.0, gamma) == tails[2.0, gamma]
 
     def test_knot_distances_match_d_point(self, monkeypatch, sequence):
         for system in self.systems(monkeypatch, sequence):
+            x = knots.distinct(system.gram.partition.knots)
             for block in system.blocks:
-                level, xs, dn = charint.knot_distances(system, block)
+                keep, dn = charint.knot_distances(system, block)
+                assert keep.shape == dn.shape == (len(block.J), len(x))
                 for b, (c, d) in enumerate(block.J.tolist()):
                     level_knots = knots.partition_at(system.seq, block.first + b).knots
                     values = knots.distinct(level_knots)
                     want = values[(values <= c) | (values >= d)]
-                    assert np.array_equal(xs[level == b], want)
-                    assert np.array_equal(dn[level == b], d_point(level_knots, (c, d), want))
+                    assert np.array_equal(x[keep[b]], want)
+                    assert np.array_equal(dn[b, keep[b]], d_point(level_knots, (c, d), want))
 
     def test_reused_basis_values_equal_a_fresh_evaluation(self, sequence):
         # What boehm_identity_error rests on.  A point off the fine spans

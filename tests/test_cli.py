@@ -21,6 +21,11 @@ from orthosplines import bspline, cli, knots, ortho
 # A knot at the smallest normal double makes the level-5 complement function of k=3
 # infinite.
 FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-1022, 2.0**-1021]
+# k = 2 with every interior knot twice: the level-15 Gram inverse is block diagonal with
+# 2 x 2 blocks, so its decay fit has two offsets.
+FULL_MULTIPLICITY_K2 = [0.0, 1.0] + [
+    x for x in (1 / 2, 1 / 4, 3 / 4, 1 / 8, 3 / 8, 5 / 8, 7 / 8) for _ in range(2)
+]
 # Two knots one ulp apart next to 1: their spans are a few ulps wide, and still build.
 ONE_ULP_PAIR_NEAR_ONE = [0.0, 1.0, 0.5, 0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 0.75]
 
@@ -398,6 +403,23 @@ class TestCensusAndDecay:
         assert [c["max_count"] for c in json.loads(out.read_text())["census"]] == [2, 2]
         assert run("build", "--points", str(seq_file), "--n", "6") == 2
         assert "error: level 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "decay"])
+    def test_full_multiplicity_fits_its_two_offsets(self, tmp_path, command):
+        # b_{2i+1,2i} = -b_ii / 2 on every block: the fit is exact at gamma = 1/2
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 2, "points": FULL_MULTIPLICITY_K2}))
+        out = tmp_path / "report.json"
+        assert run(command, "--points", str(seq_file), "--n", "15", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        if command == "verify":
+            assert all(r["passed"] for r in payload["suites"])
+            [gamma] = [r["measured"]["gamma"] for r in payload["suites"] if r["name"] == "tail-decay"]
+            fits = [{"gamma": gamma}]
+        else:
+            fits = payload["profiles"]
+            assert [prof["C"] for prof in fits] == pytest.approx([4.0, 4.0], rel=1e-12)
+        assert [fit["gamma"] for fit in fits] == pytest.approx([0.5] * len(fits), rel=1e-12)
 
     def test_decay_reports_two_levels(self, tmp_path):
         out = tmp_path / "decay.json"

@@ -118,9 +118,16 @@ class TestDecayProfile:
         assert prof.k == 1
 
     def test_too_few_offsets(self):
+        # the level-1 inverse at k = 2 is [[4, -2], [-2, 4]]: two offsets fix the line
         G = bspline.gram_matrix(knots.boundary_partition(2))
-        with pytest.raises(DegenerateFit):
-            gram.decay_profile(G)
+        prof = gram.decay_profile(G)
+        assert prof.gamma_hat == pytest.approx(0.5, rel=1e-12)
+        assert prof.C_hat == pytest.approx(4.0, rel=1e-12)
+        assert prof.residual <= 0.0
+        # a factor that is not finite leaves no usable offset
+        broken = bspline.GramSystem(G.partition, G.band, np.full_like(G.factor, np.nan))
+        with pytest.raises(DegenerateFit, match="only 0 usable offsets"):
+            gram.decay_profile(broken)
 
     def test_uniform_order_two_rate(self):
         seq = knots.validate_admissible(

@@ -7,11 +7,14 @@ statements of its class body outside every method, so an alias there
 (``__call__ = eval``) does not reach it.  A helper only tests call belongs in
 tests/oracles.py.  Only bspline imports from scipy, and only the LAPACK band
 routines, which it loads from scipy's LAPACK extension without importing
-scipy.linalg.
+scipy.linalg.  Every backticked ``module.name`` in README.md and in the
+package's own text, whose module is one of the package's, names an attribute
+that exists.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import orthosplines
@@ -125,3 +128,44 @@ def test_the_scipy_check_sees_every_form_of_import(tmp_path):
         ("b.py", "scipy", ["sparse"]),
         ("c.py", "scipy.sparse", None),
     ]
+
+
+def stale_names(package, texts):
+    """The backticked ``module.name`` references in the texts that do not resolve, in order.
+
+    A reference is the leading dotted name of a span between matching runs
+    of backticks, with a first part that is a module of the package and
+    not a file name (``knots.py``); it resolves when each later part is an
+    attribute of the one before.
+    """
+    modules = {path.stem for path in Path(package).glob("*.py")} - {"__init__"}
+    out = []
+    for text in texts:
+        for _, span in re.findall(r"(`+)([^`]+?)\1", text):
+            ref = re.match(r"\w+(?:\.\w+)+", span)
+            if ref is None or ref[0].split(".")[0] not in modules or ref[0].endswith(".py"):
+                continue
+            module, *attrs = ref[0].split(".")
+            target = importlib.import_module(f"{Path(package).name}.{module}")
+            for attr in attrs:
+                if not hasattr(target, attr):
+                    out.append(ref[0])
+                    break
+                target = getattr(target, attr)
+    return out
+
+
+def test_every_backticked_name_resolves():
+    package = Path(orthosplines.__file__).parent
+    readme = package.parents[1] / "README.md"
+    texts = [readme.read_text()] + [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert stale_names(package, texts) == []
+
+
+def test_the_name_check_sees_a_stale_name():
+    package = Path(orthosplines.__file__).parent
+    text = (
+        "`charint.knot_distances` and ``bspline.GramSystem.inverse_columns``, "
+        "`analysis.square_function`, `np.cumsum`, ``bspline.GramSystem.gone(x)`` and `knots.py`"
+    )
+    assert stale_names(package, [text]) == ["analysis.square_function", "bspline.GramSystem.gone"]
