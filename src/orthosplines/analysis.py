@@ -9,13 +9,14 @@ audit, whose quadrature nodes are evaluated on their own spans
 are formed and reduced a tile of rows at a time (``bspline.row_tiles``),
 so no rows x EVAL_BLOCK temporary is made; a BLAS product over a block
 stays whole, so that every value keeps its bits in any tile size.  The
-per-level checks of ``verify`` (the Boehm identity, the norm of each f_n
-on J_n, the tail audit's scores) work one block of levels at a time in
-array passes, reading the rows of the system's ``ortho.KnotBlock``
-records.  The Boehm identity evaluates only the points on the 2k - 2
-spans around each new knot, from its level's knot window, since the gap
-is exactly 0.0 at every other point; the tail audit cuts every level at
-the distinct level-N knot values (``charint.knot_distances``).
+per-level checks of ``verify`` (the Boehm identity and the tail audit)
+work one block of levels at a time in array passes, reading the rows of
+the system's ``ortho.KnotBlock`` records.  The Boehm identity evaluates
+only the points on the 2k - 2 spans around each new knot, from its
+level's knot window, since the gap is exactly 0.0 at every other point.
+The tail audit integrates each f_n over every level-N span once: the
+spans inside J_n give its norm there, and those outside its tails, cut
+at the distinct level-N knot values (``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  A sum over the cells divided by G is
@@ -223,19 +224,28 @@ def span_integrals(F, rule, nodes, p):
     The rows of F are splines over the finest basis, and the rule is over
     the finest partition's knots.  ``nodes`` holds the rule's nodes
     evaluated on their own spans, a block of whole spans at a time
-    (``bspline.rule_blocks``); each block is reduced a tile of rows at a
-    time (``bspline.row_tiles``).  A row's integrals keep their bits
-    whichever rows come with it.
+    (``bspline.rule_blocks``).  Each block's basis values are scaled once
+    by w^(1/p), the p-th root of their node's weight, so that a piece is
+    the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's |f|^p alone
+    can pass the float range on a narrow span whose piece does not.  Each
+    block is reduced a tile of rows at a time (``bspline.row_tiles``).  A
+    row's integrals keep their bits whichever rows come with it.
+
+    The rule is exact through degree 2q - 1, so a piece is exact only for
+    even p, where |f|^p is a polynomial of degree p(k - 1) on the span: at
+    the tail audit's q = k + 6, p = 2 for every k and p = 4 for k <= 7.
     """
-    q, w = rule.q, rule.weights
-    pieces = np.empty((len(F), len(rule.intervals)))
+    q = rule.q
+    roots = rule.weights.ravel() ** (1.0 / p)
+    pieces = np.empty((len(F), len(rule.spans)))
     for lo, first, vals in nodes:
         spans = slice(lo // q, (lo + len(first)) // q)
+        vals = vals * roots[lo : lo + len(first), None]
         for tile in bspline.row_tiles(len(F), len(first)):
             mags = bspline.spline_values(F[tile], first, vals)
             np.abs(mags, out=mags)
             mags **= p
-            pieces[tile, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
+            pieces[tile, spans] = mags.reshape(len(mags), -1, q).sum(axis=2)
     return pieces
 
 
@@ -320,42 +330,8 @@ def boehm_identity_error(system, seed, xs):
     return float(worst)
 
 
-def char_norms(system, p):
-    """||phi_n||_{L^p(J_n)} for n = 2..N, as an array, a block of levels at a time.
-
-    J_n = [c, d] is one knot span of level n, so each norm is one
-    Gauss-Legendre rule of k + 2 nodes on it.  The span is the last copy of
-    c among the k + 1 knots of the support [tau_j0, tau_{j0+k}], which holds
-    J_n.  The nodes of a block are evaluated in one ``bspline.window_basis``
-    call on their levels' knot windows.  The span is j0 - 1 + a (0-based),
-    a < k, and reads knots j0+1-k..j0+2k-3; j0 - 1 lies in p-k..p, so these
-    lie inside the window p-2k+1..p+3k-2.  Each level's sum is reduced on
-    its own before its own power 1/p.
-    """
-    k = system.order
-    q = k + 2
-    near = np.arange(1 - k, k)  # coefficients j0-k..j0+k-2 (0-based), the k on J's span among them
-    norms = []
-    for block in system.blocks:
-        B, J = len(block.J), block.J
-        rule = bspline.QuadratureRule.over_spans(J.ravel(), q, np.arange(0, 2 * B, 2))
-        kept = system.coeffs[block.first - 2 : block.first - 2 + B]
-        coeffs = np.stack([c.take(near + j0 - 1, mode="clip") for c, j0 in zip(kept, block.j0.tolist())])
-        # Window slot of tau_{j0}, knot j0 - 1 (0-based); the window starts at p - 2k + 1.
-        s0 = block.j0 - block.i0 + 2 * k - 1
-        support = np.take_along_axis(block.windows, s0[:, None] + np.arange(k + 1), axis=1)
-        a = (support <= J[:, :1]).sum(axis=1) - 1  # J's span is j0 - 1 + a
-        rows = np.repeat(np.arange(B), q)
-        vals = bspline.window_basis(block.windows, k, rows, np.repeat(s0 + a, q), rule.offsets.ravel())
-        first = np.repeat(np.arange(B) * coeffs.shape[1] + a + 1, q)
-        mags = np.abs(bspline.spline_values(coeffs.ravel(), first, vals)) ** p
-        sums = (rule.weights * mags.reshape(B, q)).sum(axis=1)
-        norms.extend(float(total ** (1.0 / p)) for total in sums)
-    return np.array(norms)
-
-
 def tail_decay_audit(system, p, gamma_fit):
-    """Largest tail norm of any phi_n against its geometric envelope.
+    """Each phi_n's L^p norm on its J, and its largest tail norm against a geometric envelope.
 
     For every function and every knot value x of its level partition outside
     the characteristic interval J, the envelope is
@@ -371,6 +347,12 @@ def tail_decay_audit(system, p, gamma_fit):
     logarithms, since gamma^d underflows on deep tails; a zero tail has
     ratio 0, and a maximum past the float range is reported as inf.
     log |J| is taken by ``math.log``, one level at a time.
+
+    The same pieces give the norms on J.  J = (c, d) is a span of level n,
+    so both ends are level-N knot values, and the rule's span r lies in J
+    exactly when x[r] >= c and x[r + 1] <= d.  Each level's pieces in J are
+    summed along its row, zeros in place of the others; ``band_min`` and
+    ``band_max`` are the least and largest of these sums to the power 1/p.
     """
     if not 0.0 < gamma_fit < 1.0:
         raise DomainError(f"gamma_fit={gamma_fit} outside (0, 1)")
@@ -384,9 +366,13 @@ def tail_decay_audit(system, p, gamma_fit):
     log_gamma = math.log(gamma_fit)
     max_log = -math.inf
     count = 0
+    on_J = []
     for block in system.blocks:
         row = block.first + k - 2
-        left, right = tail_sums(span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, p))
+        pieces = span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, p)
+        inside = (x[:-1] >= block.J[:, :1]) & (x[1:] <= block.J[:, 1:])
+        on_J.append(np.where(inside, pieces, 0.0).sum(axis=1))
+        left, right = tail_sums(pieces)
         keep, dn = charint.knot_distances(system, block)
         level, r = np.nonzero(keep)
         xs, dn = x[r], dn[keep]
@@ -406,4 +392,14 @@ def tail_decay_audit(system, p, gamma_fit):
         log_ratio = np.log(tail_p[live]) / p - log_envelope
         max_log = float(log_ratio.max(initial=max_log))
     max_ratio = math.exp(max_log) if max_log <= _LOG_FLOAT_MAX else math.inf
-    return {"k": k, "p": p, "N": system.N, "gamma": gamma_fit, "max_ratio": max_ratio, "tails": count}
+    band = np.concatenate(on_J) ** (1.0 / p)
+    return {
+        "k": k,
+        "p": p,
+        "N": system.N,
+        "gamma": gamma_fit,
+        "max_ratio": max_ratio,
+        "tails": count,
+        "band_min": float(band.min()),
+        "band_max": float(band.max()),
+    }

@@ -202,7 +202,6 @@ class QuadratureRule:
 
     q: int
     spans: np.ndarray  # (S,) indices of nonzero-width spans in the knot array
-    intervals: np.ndarray  # (S, 2) their ends
     offsets: np.ndarray  # (S, q)
     weights: np.ndarray  # (S, q)
 
@@ -218,7 +217,6 @@ class QuadratureRule:
         return cls(
             q=q,
             spans=live,
-            intervals=np.column_stack([a, b]),
             offsets=half[:, None] * (1.0 + ref_x),
             weights=half[:, None] * ref_w,
         )

@@ -303,15 +303,13 @@ def _verify_suites(args, seq, N):
     worst = analysis.boehm_identity_error(system, args.seed, np.linspace(0.0, 1.0, 1000))
     suites.append(("boehm-identity", worst <= 1e-8, {"max_err": worst}))
 
-    # At p = 2 the length normalization |J|^(1/p - 1/2) drops out, so the
-    # band is just the share of unit L2 mass each function keeps on its J.
-    ratios = analysis.char_norms(system, 2.0)
-    lo, hi = float(ratios.min()), float(ratios.max())
-    suites.append(("norm-equivalence", 0.0 < lo <= hi < 1.001, {"band_min": lo, "band_max": hi}))
-
     profile = gram.decay_profile(G, maxima)
     gamma = profile.gamma_hat if 0.0 < profile.gamma_hat < 1.0 else 0.5
     audit = analysis.tail_decay_audit(system, 2.0, gamma)
+    # At p = 2 the length normalization |J|^(1/p - 1/2) drops out, so the
+    # band is just the share of unit L2 mass each function keeps on its J.
+    lo, hi = audit["band_min"], audit["band_max"]
+    suites.append(("norm-equivalence", 0.0 < lo <= hi < 1.001, {"band_min": lo, "band_max": hi}))
     suites.append(
         (
             "tail-decay",

@@ -47,16 +47,16 @@ class KnotBlock:
     ``i0`` holds the 1-based index of each level's new knot, at 0-based
     position p = i0 - 1; ``windows`` the level's knots p-2k+1..p+3k-2,
     the boundary knot 0 or 1 repeated past either end; ``alpha`` the k + 1
-    insertion coefficients for j = i0-k..i0; ``j0`` and ``J`` the
-    characteristic interval, J = (c, d) the longest knot span of the
-    support [tau_j0, tau_{j0+k}].  Level n has M = n + k - 1 B-splines.
+    insertion coefficients for j = i0-k..i0; ``J`` the characteristic
+    interval, J = (c, d) the longest knot span of the selected support
+    (``charint.characteristic_intervals``).  Level n has M = n + k - 1
+    B-splines.
     """
 
     first: int
     i0: np.ndarray
     windows: np.ndarray
     alpha: np.ndarray
-    j0: np.ndarray
     J: np.ndarray
 
 
@@ -240,8 +240,8 @@ def knot_blocks(seq, N):
         windows = np.stack([part.knots.take(i - 1 + at, mode="clip") for part, i in zip(parts, i0)])
         near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
         alpha = alpha_coefficients(*boehm_weights(near))
-        j0, J = charint.characteristic_intervals(near, alpha, i0)
-        yield parts, KnotBlock(first=first, i0=i0, windows=windows, alpha=alpha, j0=j0, J=J)
+        _, J = charint.characteristic_intervals(near, alpha, i0)
+        yield parts, KnotBlock(first=first, i0=i0, windows=windows, alpha=alpha, J=J)
 
 
 def levels(seq, N):

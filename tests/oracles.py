@@ -73,10 +73,13 @@ def level_records(system):
 
     Record n - 2 holds level n's ``level``, ``i0``, knot ``window``,
     ``alpha``, ``j0``, ``J`` as a pair of floats, and ``coeffs`` over the
-    level-n basis.
+    level-n basis.  The blocks keep J alone; j0 is selected again by
+    ``charint.characteristic_intervals`` from the window and alpha.
     """
+    k = system.order
     out = []
     for block in system.blocks:
+        j0, _ = charint.characteristic_intervals(block.windows[:, k - 1 : 3 * k], block.alpha, block.i0)
         for b, n in enumerate(range(block.first, block.first + len(block.i0))):
             out.append(
                 SimpleNamespace(
@@ -84,7 +87,7 @@ def level_records(system):
                     i0=int(block.i0[b]),
                     window=block.windows[b],
                     alpha=block.alpha[b],
-                    j0=int(block.j0[b]),
+                    j0=int(j0[b]),
                     J=tuple(block.J[b].tolist()),
                     coeffs=system.coeffs[n - 2],
                 )
@@ -129,9 +132,9 @@ def eval_basis(partition, x):
     return int(first[0]), vals[0]
 
 
-def rule_nodes(rule):
-    """Absolute nodes of a quadrature rule, (S, q): each span's left end plus the node offsets."""
-    return rule.intervals[:, :1] + rule.offsets
+def rule_nodes(knots_, rule):
+    """Absolute nodes of a rule over a knot array, (S, q): each span's left end plus the node offsets."""
+    return knots_[rule.spans][:, None] + rule.offsets
 
 
 def design_matrix(partition, xs):
@@ -342,12 +345,13 @@ def matrix_row_major(system):
 
 def span_integrals_whole(system, rule, p):
     """``analysis.span_integrals`` with each block's values formed for every row at once."""
-    q, w = rule.q, rule.weights
-    pieces = np.empty((system.size, len(rule.intervals)))
+    q, roots = rule.q, rule.weights.ravel() ** (1.0 / p)
+    pieces = np.empty((system.size, len(rule.spans)))
     for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
+        vals = vals * roots[lo : lo + len(first), None]
         mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
         spans = slice(lo // q, (lo + len(first)) // q)
-        pieces[:, spans] = np.einsum("nsq,sq->ns", mags.reshape(len(mags), -1, q), w[spans])
+        pieces[:, spans] = mags.reshape(len(mags), -1, q).sum(axis=2)
     return pieces
 
 
@@ -518,8 +522,8 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     Integrates |f|^p by composite Gauss-Legendre with k + 2 nodes on every
     knot span clipped to the interval.  Each node is evaluated on its knot
     span from its offset to the span's left end, so narrow spans lose no
-    digits.  On J_n it is the norm that ``analysis.char_norms`` takes for
-    a whole block of levels.
+    digits.  On J_n it is the norm that ``analysis.tail_decay_audit``
+    reads from its per-span pieces.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 <= a <= b <= 1.0):
@@ -530,7 +534,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
     cuts = np.concatenate([[a], knots_[(knots_ > a) & (knots_ < b)], [b]])
     rule = bspline.QuadratureRule.over_spans(cuts, f.partition.order + 2)
     # A cut span's left end is a knot, or a inside the first span; it is below 1.
-    left = rule.intervals[:, 0]
+    left = cuts[rule.spans]
     spans = np.searchsorted(knots_, left, side="right") - 1
     u = (left - knots_[spans])[:, None] + rule.offsets
     first, vals = bspline.span_values(f.partition, np.repeat(spans, rule.q), u.ravel())
@@ -539,7 +543,7 @@ def lp_norm(f, p, interval=(0.0, 1.0)):
 
 
 def char_norms_loop(system, p):
-    """``analysis.char_norms`` one level at a time: ``lp_norm`` of each phi_n on its J_n."""
+    """The audit's norms on J_n one level at a time: ``lp_norm`` of each phi_n on its J_n."""
     return np.array([lp_norm(level_spline(system.seq, rec), p, rec.J) for rec in level_records(system)])
 
 
@@ -672,15 +676,16 @@ def exact_right_tails(pieces):
 def tail_decay_loop(system, ps, gammas):
     """``analysis.tail_decay_audit`` for every (p, gamma), one Python iteration per (n, x) pair.
 
-    Returns {(p, gamma): report}.  The per-span pieces are the audit's own
-    ``analysis.span_integrals``; each pair makes its own ``searchsorted``
-    and scalar ``d_point`` calls, and every logarithm is of one
-    float (``np.log`` for the two per-pair terms, as in the audit), so the
-    maxima are the per-pair ones bit for bit.
+    Returns {(p, gamma): report}, the audit's report but for its norms on
+    J_n, which ``char_norms_loop`` gives.  The per-span pieces are the
+    audit's own ``analysis.span_integrals``; each pair makes its own
+    ``searchsorted`` and scalar ``d_point`` calls, and every logarithm is
+    of one float (``np.log`` for the two per-pair terms, as in the audit),
+    so the maxima are the per-pair ones bit for bit.
     """
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    rights = rule.intervals[:, 1]
+    rights = system.gram.partition.knots[rule.spans + 1]
     nodes = list(bspline.rule_blocks(system.gram.partition, rule))
     pieces = {p: analysis.span_integrals(system.matrix, rule, nodes, p) for p in ps}
     records = level_records(system)
@@ -749,7 +754,7 @@ def expand(f, system, N=None):
         a = system.matrix @ system.gram.apply(f.coeffs)
     else:
         rule = bspline.QuadratureRule.over_spans(part.knots, system.order + 8)
-        xs = rule_nodes(rule).ravel()
+        xs = rule_nodes(part.knots, rule).ravel()
         fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
         moments = design_matrix(part, xs).T @ (rule.weights.ravel() * fv)
         a = system.matrix @ moments

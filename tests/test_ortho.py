@@ -480,7 +480,7 @@ class TestBuildSystem:
                     assert len(value) == B and value.size <= 5 * k * B, name
             assert block.windows.shape == (B, 5 * k - 2)
             assert block.alpha.shape == (B, k + 1)
-            assert block.j0.shape == (B,) and block.J.shape == (B, 2)
+            assert block.J.shape == (B, 2)
 
     def test_level_below_two_is_a_level_error(self):
         seq = knots.random_admissible(6, 3, 12)
