@@ -3,11 +3,13 @@
 Everything here sits on top of a built OrthoSystem, evaluated a block of
 points at a time: the squared system functions on a uniform cell grid
 (``bspline.eval_blocks``), which the sign-flip unconditionality
-experiment sums into its square-function ratios, and the tail-decay
-audit, whose quadrature nodes are evaluated on their own spans
-(``bspline.rule_blocks``).  Within a block, the values of many splines
-are formed and reduced a tile of rows at a time (``bspline.row_tiles``),
-so no rows x EVAL_BLOCK temporary is made; a BLAS product over a block
+experiment sums into its square-function ratios, and the nodes of one
+Gauss rule on the level-N spans (``lp_rule``), evaluated on their own
+spans (``bspline.rule_blocks``), from which ``span_integrals`` forms every
+L^p integral: the experiment's norms of its random expansions and the
+tail audit's pieces.  Within a block, the values of many splines are
+formed and reduced a tile of rows at a time (``bspline.row_tiles``), so no
+rows x EVAL_BLOCK temporary is made; the grid's BLAS product over a block
 stays whole, so that every value keeps its bits in any tile size.  The
 per-level checks of ``verify`` (the Boehm identity and the tail audit)
 work one block of levels at a time in array passes, reading the rows of
@@ -120,19 +122,22 @@ def uncond_experiment(system, ps, trials, seed, grid):
 
     Expansions run over every function of the built system.  Per trial: a
     unit coefficient vector a and a sign vector eps are drawn from per-trial
-    streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is computed on the
-    exact piecewise-polynomial representations (quadrature per knot
-    interval, not on the sample grid).  Square-function ratios
-    ||Sf||_p / ||f||_p come from the ``grid`` cells.  Nothing but the final
-    reductions depends on p, so each block of nodes or cells is evaluated
-    once, for the draws and their flips together, and reduced for every p
-    before the next one is formed (``_lp_sums``, ``_grid_sums``), a tile
-    of trials at a time.
+    streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is integrated from
+    the level-N B-spline coefficients C = [A; A S] F of both splines by
+    ``span_integrals`` on ``lp_rule``, in chunks of rows whose pieces fill
+    one tile per p.  That rule is exact only for even p with
+    p(k - 1) <= 2k + 11 (of the default ps, p = 6 at k <= 4); at any other
+    p, R is a quadrature estimate.  An integral past the float range raises
+    DomainError naming its p.  Square-function ratios ||Sf||_p / ||f||_p
+    come from the ``grid`` cells (``_grid_sums``).  Each block of nodes or
+    cells is evaluated once, for the draws and their flips together, and
+    reduced for every p.
 
     A trial's draws do not depend on the trial count, but its ratios can
-    differ by an ulp between runs with different counts: the products over
-    all trials are single BLAS calls, which may sum a row in an order that
-    depends on its place among the rows.
+    differ by an ulp between runs with different counts: C and the grid's
+    product with the squared coefficients are BLAS calls over all trials,
+    which may sum a row in an order that depends on its place among the
+    rows.  Given C, a trial's integrals keep their bits in any chunk.
     """
     check_exponents(ps)
     if trials < 1:
@@ -143,12 +148,20 @@ def uncond_experiment(system, ps, trials, seed, grid):
 
     A = np.array([random_coeffs(seed, t, size) for t in range(trials)])
     S = np.array([random_signs(seed, t, size) for t in range(trials)])
-    # Level-N B-spline coefficients of each trial's expansion and of its flip.
-    lp = _lp_sums(system, np.stack([A, A * S]) @ system.matrix, ps)
     sq = _grid_sums(system, A**2, xs, ps)
+    # Level-N B-spline coefficients of each trial's expansion and of its flip.
+    C = (np.stack([A, A * S]) @ system.matrix).reshape(2 * trials, size)
+    rule, nodes = lp_rule(system)
+    lp = np.empty((len(ps), 2 * trials))
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming its p
+        for rows in bspline.row_tiles(2 * trials, len(rule.spans)):
+            lp[:, rows] = span_integrals(C[rows], rule, nodes, ps).sum(axis=2)
+    for p, sums in zip(ps, lp):
+        if not np.isfinite(sums).all():
+            raise DomainError(f"p={p}: an L^p integral passes the float range")
 
     reports = []
-    for p, (f_sums, flip_sums), sq_sums in zip(ps, lp, sq):
+    for p, (f_sums, flip_sums), sq_sums in zip(ps, lp.reshape(len(ps), 2, trials), sq):
         nf = f_sums ** (1.0 / p)
         R = flip_sums ** (1.0 / p) / nf
         sq_ratio = (sq_sums / grid) ** (1.0 / p) / nf
@@ -168,34 +181,6 @@ def uncond_experiment(system, ps, trials, seed, grid):
             }
         )
     return reports
-
-
-def _lp_sums(system, C, ps):
-    """Integrals of |s|^p, (len(ps), 2, trials), for the level-N coefficients C of each trial's pair of splines.
-
-    A block's magnitudes and their p-th powers are formed a tile of trials
-    at a time, into buffers that every block reuses.  Its products with the
-    weights stay whole: BLAS may sum a row in an order that depends on the
-    rows around it.
-    """
-    trials = C.shape[1]
-    rows = C.reshape(2 * trials, -1)  # contiguous rows: a tile of them is read with no copy
-    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
-    wq = rule.weights.ravel()
-    lp = np.zeros((len(ps), 2, trials))
-    nodes = max(bspline.EVAL_BLOCK, rule.q)  # a block holds at least one span's q nodes
-    mags, powers = np.empty(2 * trials * nodes), np.empty(2 * trials * nodes)
-    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
-        shape = (2 * trials, len(first))
-        m, pw = _leading(mags, shape), _leading(powers, shape)
-        tiles = bspline.row_tiles(2 * trials, len(first))
-        for tile in tiles:
-            np.abs(bspline.spline_values(rows[tile], first, vals), out=m[tile])
-        for i, p in enumerate(ps):
-            for tile in tiles:
-                pw[tile] = m[tile] ** p
-            lp[i] += pw.reshape(2, trials, -1) @ wq[lo : lo + len(first)]
-    return lp
 
 
 def _grid_sums(system, weights, xs, ps):
@@ -218,34 +203,47 @@ def _grid_sums(system, weights, xs, ps):
     return sq
 
 
-def span_integrals(F, rule, nodes, p):
-    """Integral of |f|^p over each span of the rule for each row of F, (rows, spans).
+def lp_rule(system):
+    """(rule, nodes): the (k + 6)-node Gauss rule on every level-N span, and its nodes' basis values.
+
+    The nodes are evaluated on their own spans a block at a time
+    (``bspline.rule_blocks``) and kept, so that every call of
+    ``span_integrals`` on the rule reads them without forming them again.
+    """
+    partition = system.gram.partition
+    rule = bspline.QuadratureRule.over_spans(partition.knots, system.order + 6)
+    return rule, list(bspline.rule_blocks(partition, rule))
+
+
+def span_integrals(F, rule, nodes, ps):
+    """Integral of |f|^p over each span of the rule, (len(ps), rows, spans), for each row of F and p in ps.
 
     The rows of F are splines over the finest basis, and the rule is over
     the finest partition's knots.  ``nodes`` holds the rule's nodes
     evaluated on their own spans, a block of whole spans at a time
-    (``bspline.rule_blocks``).  Each block's basis values are scaled once
-    by w^(1/p), the p-th root of their node's weight, so that a piece is
-    the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's |f|^p alone
-    can pass the float range on a narrow span whose piece does not.  Each
-    block is reduced a tile of rows at a time (``bspline.row_tiles``).  A
-    row's integrals keep their bits whichever rows come with it.
+    (``bspline.rule_blocks``).  Each block's magnitudes are formed once, a
+    tile of rows at a time (``bspline.row_tiles``); for each p they are
+    scaled by w^(1/p), the p-th root of their node's weight, so that a piece
+    is the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's |f|^p alone
+    can pass the float range on a narrow span whose piece does not.  A row's
+    integrals keep their bits whichever rows come with it.
 
     The rule is exact through degree 2q - 1, so a piece is exact only for
     even p, where |f|^p is a polynomial of degree p(k - 1) on the span: at
-    the tail audit's q = k + 6, p = 2 for every k and p = 4 for k <= 7.
+    ``lp_rule``'s q = k + 6, for p(k - 1) <= 2k + 11, which is p = 2 for
+    every k, p = 4 for k <= 7 and p = 6 for k <= 4.
     """
     q = rule.q
-    roots = rule.weights.ravel() ** (1.0 / p)
-    pieces = np.empty((len(F), len(rule.spans)))
+    roots = [rule.weights.ravel() ** (1.0 / p) for p in ps]
+    pieces = np.empty((len(ps), len(F), len(rule.spans)))
     for lo, first, vals in nodes:
         spans = slice(lo // q, (lo + len(first)) // q)
-        vals = vals * roots[lo : lo + len(first), None]
         for tile in bspline.row_tiles(len(F), len(first)):
-            mags = bspline.spline_values(F[tile], first, vals)
-            np.abs(mags, out=mags)
-            mags **= p
-            pieces[tile, spans] = mags.reshape(len(mags), -1, q).sum(axis=2)
+            mags = np.abs(bspline.spline_values(F[tile], first, vals))
+            for piece, root, p in zip(pieces, roots, ps):
+                scaled = mags * root[lo : lo + len(first)]
+                scaled **= p
+                piece[tile, spans] = scaled.reshape(len(mags), -1, q).sum(axis=2)
     return pieces
 
 
@@ -359,8 +357,7 @@ def tail_decay_audit(system, p, gamma_fit):
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p={p} outside [1, inf)")
     k = system.order
-    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
-    nodes = list(bspline.rule_blocks(system.gram.partition, rule))
+    rule, nodes = lp_rule(system)
     x = knots.distinct(system.gram.partition.knots)  # the cut after r spans of the rule is x[r]
 
     log_gamma = math.log(gamma_fit)
@@ -369,7 +366,7 @@ def tail_decay_audit(system, p, gamma_fit):
     on_J = []
     for block in system.blocks:
         row = block.first + k - 2
-        pieces = span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, p)
+        (pieces,) = span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, (p,))
         inside = (x[:-1] >= block.J[:, :1]) & (x[1:] <= block.J[:, 1:])
         on_J.append(np.where(inside, pieces, 0.0).sum(axis=1))
         left, right = tail_sums(pieces)

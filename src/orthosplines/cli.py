@@ -4,10 +4,11 @@ Subcommands: gen (write a knot-sequence file), build (write a system
 export), verify (gate the paper's invariants: orthonormality, the
 checkerboard inverse, the Boehm identity, norm equivalence on J_n and the
 tail decay), census (characteristic-interval multiplicity sweeps),
-experiment (sign-flip L^p ratios by per-span Gauss quadrature, and
-square-function ratios on the cell grid), decay (Gram-inverse decay
-profiles).  Reports are canonical JSON written atomically; an aligned
-text table goes to stdout and, next to a --out file, to a .txt sibling.
+experiment (sign-flip L^p ratios by per-span Gauss quadrature, exact
+only for even p with p(k - 1) <= 2k + 11, and square-function ratios on
+the cell grid), decay (Gram-inverse decay profiles).  Reports are
+canonical JSON written atomically; an aligned text table goes to stdout
+and, next to a --out file, to a .txt sibling.
 
 Exit codes: 0 all hard assertions pass, 1 an assertion failed (the first
 failing invariant is named), 2 usage or input errors.

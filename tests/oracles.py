@@ -343,15 +343,16 @@ def matrix_row_major(system):
     return F
 
 
-def span_integrals_whole(system, rule, p):
+def span_integrals_whole(system, rule, ps):
     """``analysis.span_integrals`` with each block's values formed for every row at once."""
-    q, roots = rule.q, rule.weights.ravel() ** (1.0 / p)
-    pieces = np.empty((system.size, len(rule.spans)))
+    q = rule.q
+    pieces = np.empty((len(ps), system.size, len(rule.spans)))
     for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
-        vals = vals * roots[lo : lo + len(first), None]
-        mags = np.abs(bspline.spline_values(system.matrix, first, vals)) ** p
+        mags = np.abs(bspline.spline_values(system.matrix, first, vals))
         spans = slice(lo // q, (lo + len(first)) // q)
-        pieces[:, spans] = mags.reshape(len(mags), -1, q).sum(axis=2)
+        for piece, p in zip(pieces, ps):
+            roots = rule.weights.ravel()[lo : lo + len(first)] ** (1.0 / p)
+            piece[:, spans] = ((mags * roots) ** p).reshape(len(mags), -1, q).sum(axis=2)
     return pieces
 
 
@@ -687,7 +688,7 @@ def tail_decay_loop(system, ps, gammas):
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     rights = system.gram.partition.knots[rule.spans + 1]
     nodes = list(bspline.rule_blocks(system.gram.partition, rule))
-    pieces = {p: analysis.span_integrals(system.matrix, rule, nodes, p) for p in ps}
+    pieces = dict(zip(ps, analysis.span_integrals(system.matrix, rule, nodes, ps)))
     records = level_records(system)
 
     max_log = {(p, g): -math.inf for p in ps for g in gammas}

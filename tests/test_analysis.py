@@ -52,9 +52,9 @@ def benchmark_sequence(law, seed, k, n):
     return knots.sequence_from_dict(inputs.points(law, seed, k, n, zlib.crc32(f"{law}/{k}/{n}".encode())))
 
 
-def span_integrals(system, rule, p):
-    """``analysis.span_integrals`` of every system function, on the rule's nodes."""
-    return analysis.span_integrals(system.matrix, rule, bspline.rule_blocks(system.gram.partition, rule), p)
+def span_integrals(system, rule, ps):
+    """``analysis.span_integrals`` of every system function for each p in ps, on the rule's nodes."""
+    return analysis.span_integrals(system.matrix, rule, bspline.rule_blocks(system.gram.partition, rule), ps)
 
 
 def tail_scores(audit):
@@ -384,16 +384,16 @@ class TestRowTiles:
     def test_span_integrals(self, monkeypatch, system, block):
         monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
-        want = {p: span_integrals_whole(system, rule, p) for p in (1.5, 2.0)}
+        want = span_integrals_whole(system, rule, (1.5, 2.0))
         for tile in TILES:
             monkeypatch.setattr(bspline, "TILE", tile)
-            for p in want:
-                assert np.array_equal(span_integrals(system, rule, p), want[p])
-        # a slice of rows, as the tail audit asks for a block of levels, on nodes evaluated once
+            assert np.array_equal(span_integrals(system, rule, (1.5, 2.0)), want)
+        # a slice of rows at one p, as the tail audit asks for a block of
+        # levels, on nodes evaluated once
         nodes = list(bspline.rule_blocks(system.gram.partition, rule))
         for rows in (slice(0, 1), slice(5, 17), slice(system.order, None)):
-            got = analysis.span_integrals(system.matrix[rows], rule, nodes, 2.0)
-            assert np.array_equal(got, want[2.0][rows])
+            (got,) = analysis.span_integrals(system.matrix[rows], rule, nodes, (2.0,))
+            assert np.array_equal(got, want[1][rows])
 
     @pytest.mark.parametrize("block", (10, 512))
     def test_square_function(self, monkeypatch, system, block):
@@ -466,7 +466,7 @@ class TestTiledMemory:
     def test_span_integrals(self, system):
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 9)
         pieces = 8 * system.size * len(rule.spans)
-        peak = traced_peak(lambda: span_integrals(system, rule, 2.0))
+        peak = traced_peak(lambda: span_integrals(system, rule, (2.0,)))
         assert peak < pieces + 6 * 8 * bspline.TILE, f"peaked {peak - pieces} B beyond the pieces"
 
     def test_tail_audit_holds_one_block_of_pieces(self, monkeypatch):
@@ -481,11 +481,13 @@ class TestTiledMemory:
         assert peak < pieces / 3, f"peaked at {peak} B against {pieces} B of pieces"
 
     def test_uncond_experiment(self, system):
-        # Beyond the coefficient arrays A, S and C (4 trials x size floats),
-        # the L^p pass holds two buffers of 2 trials x EVAL_BLOCK floats,
-        # which keep its BLAS products whole; the grid pass holds less.
+        # The grid pass holds the draws A, S and A**2 (3 trials x size
+        # floats) and buffers of size + trials rows of EVAL_BLOCK floats;
+        # then the L^p pass holds A, S, [A; A S] and C (6 trials x size) at
+        # their product, and after it the rule's nodes and a chunk of pieces.
         trials = 200
-        held = 8 * 4 * trials * (system.size + bspline.EVAL_BLOCK)
+        grid_pass = 3 * trials * system.size + (system.size + trials) * bspline.EVAL_BLOCK
+        held = 8 * max(grid_pass, 6 * trials * system.size)
         peak = traced_peak(lambda: analysis.uncond_experiment(system, [1.5, 3.0], trials, 1, 4096))
         assert peak < held + 6 * 8 * bspline.TILE, f"peaked {peak - held} B beyond the arrays it holds"
 
@@ -667,6 +669,38 @@ class TestUncondExperiment:
             for key in a:
                 assert b[key] == pytest.approx(a[key], rel=1e-13, abs=0.0)
 
+    def test_integrals_keep_their_bits_in_any_chunk_of_rows(self):
+        # Given C, each trial's L^p integrals are the same from chunks of one
+        # row as from one chunk of all rows, at several p at once.
+        system = ortho.build_system(knots.random_admissible(12, 3, 41), 40)
+        A = np.array([analysis.random_coeffs(2, t, system.size) for t in range(9)])
+        S = np.array([analysis.random_signs(2, t, system.size) for t in range(9)])
+        C = (np.stack([A, A * S]) @ system.matrix).reshape(18, system.size)
+        rule, nodes = analysis.lp_rule(system)
+        ps = (1.2, 3.0, 6.0)
+        whole = analysis.span_integrals(C, rule, nodes, ps).sum(axis=2)
+        for r in range(len(C)):
+            one = analysis.span_integrals(C[r : r + 1], rule, nodes, ps).sum(axis=2)
+            assert np.array_equal(one[:, 0], whole[:, r])
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_fourth_powers_next_to_zero_stay_finite(self, k):
+        # Knots 2^-1000 and 2 * 2^-1000 put |f| near 1e151 on their spans: a
+        # node's |f|^4 passes the float range, the span's integral does not.
+        N = 63 + (k - 1) % 4
+        system = ortho.build_system(family_sequence("next-to-ends", k, N + 1), N)
+        (out,) = analysis.uncond_experiment(system, [4.0], trials=5, seed=1, grid=2048)
+        for key in ("ratio_max", "ratio_min", "ratio_q95", "sq_ratio_max", "sq_ratio_min"):
+            assert 0.0 < out[key] < math.inf, key
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_an_integral_past_the_float_range_names_its_p(self, k):
+        # On the same knots the integral of |f|^6 over a span is near 1e605.
+        N = 63 + (k - 1) % 4
+        system = ortho.build_system(family_sequence("next-to-ends", k, N + 1), N)
+        with pytest.raises(DomainError, match=r"^p=6\.0: an L\^p integral passes the float range$"):
+            analysis.uncond_experiment(system, [1.5, 6.0], trials=5, seed=1, grid=2048)
+
     def test_parameter_validation(self):
         system = ortho.build_system(knots.random_admissible(11, 2, 9), 8)
         with pytest.raises(DomainError):
@@ -692,7 +726,7 @@ class TestTailDecay:
         # pieces, however small; the row total less the left sum is not.
         system = ortho.build_system(benchmark_sequence("dyadic-shuffled", 1, 3, 512), 512)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
-        pieces = span_integrals(system, rule, 2.0)
+        (pieces,) = span_integrals(system, rule, (2.0,))
         left, right = analysis.tail_sums(pieces)
         exact = exact_right_tails(pieces)
         for r in range(0, len(pieces), 32):
@@ -718,7 +752,7 @@ class TestTailDecay:
         V = value_matrix(system_k2, rule_nodes(system_k2.gram.partition.knots, rule).ravel())
         V = V.reshape(system_k2.size, -1, 5)
         want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
-        got = span_integrals(system_k2, rule, 1.5)
+        (got,) = span_integrals(system_k2, rule, (1.5,))
         assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
     def test_pieces_hold_unit_mass_next_to_one(self):
@@ -728,7 +762,7 @@ class TestTailDecay:
         seq = knots.validate_admissible(3, [0.0, 1.0] + [1.0 - 2.0**-j for j in range(1, 50)])
         system = ortho.build_system(seq, 50)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 3 + 6)
-        mass = span_integrals(system, rule, 2.0).sum(axis=1)
+        mass = span_integrals(system, rule, (2.0,))[0].sum(axis=1)
         assert np.abs(mass - 1.0).max() <= 1e-12
         norms = np.array([lp_norm(level_spline(seq, rec), 2.0) for rec in level_records(system)])
         assert np.abs(norms - 1.0).max() <= 1e-12

@@ -28,6 +28,9 @@ FULL_MULTIPLICITY_K2 = [0.0, 1.0] + [
 ]
 # Two knots one ulp apart next to 1: their spans are a few ulps wide, and still build.
 ONE_ULP_PAIR_NEAR_ONE = [0.0, 1.0, 0.5, 0.25, float(np.nextafter(1.0, 0.0)), 1.0 - 2.0**-52, 0.75]
+# Knots 2^-1000 and 2 * 2^-1000: at k=3, N=6 the integral of |f|^4 over their spans is a
+# float, that of |f|^6 is not.
+NEXT_TO_ZERO = [0.0, 1.0, 2.0**-1000, 0.5, 2.0**-999, 0.25, 0.75]
 
 
 def run(*argv):
@@ -288,6 +291,19 @@ class TestExperiment:
         payload = json.loads(out.read_text())
         assert payload["config"]["grid"] == 4 * 603
         assert payload["reports"][0]["grid"] == 4 * 603
+
+    def test_an_integral_past_the_float_range_exits_2(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps({"k": 3, "points": NEXT_TO_ZERO}))
+        argv = ["experiment", "--points", str(seq_file), "--n", "6", "--trials", "5"]
+        finite = tmp_path / "p4.json"
+        assert run(*argv, "--p", "4", "--out", str(finite)) == 0
+        assert math.isfinite(json.loads(finite.read_text())["reports"][0]["ratio_max"])
+        out = tmp_path / "p6.json"
+        capsys.readouterr()
+        assert run(*argv, "--p", "4", "--p", "6", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: p=6.0: an L^p integral passes the float range\n"
+        assert not out.exists()
 
 
 class TestEvaluationCount:
