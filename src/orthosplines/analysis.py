@@ -5,12 +5,19 @@ points at a time: the squared system functions on a uniform cell grid
 (``bspline.eval_blocks``), which the sign-flip unconditionality
 experiment sums into its square-function ratios, and the nodes of one
 Gauss rule on the level-N spans (``lp_rule``), evaluated on their own
-spans (``bspline.rule_blocks``), from which ``span_integrals`` forms every
-L^p integral: the experiment's norms of its random expansions and the
-tail audit's pieces.  Within a block, the values of many splines are
-formed and reduced a tile of rows at a time (``bspline.row_tiles``), so no
-rows x EVAL_BLOCK temporary is made; the grid's BLAS product over a block
-stays whole, so that every value keeps its bits in any tile size.  The
+spans a block of whole spans at a time and laid out span-major
+(``bspline.rule_blocks``), from which ``span_integrals`` forms every L^p
+integral: the experiment's norms of its random expansions and the tail
+audit's pieces.  It gathers k coefficients per span, not per node, and
+sums each span's q nodes over contiguous runs of spans.  Within a block,
+the values of many splines are formed and reduced a tile of rows at a
+time (``bspline.row_tiles``), so no rows x EVAL_BLOCK temporary is made;
+the grid's BLAS product over a block of cells and a block of trials stays
+whole, so that every value keeps its bits in any tile size.  The
+experiment runs its trials in fixed blocks of ``_TRIAL_BLOCK`` = 64
+(``_trial_sums``): it holds the draws, trials x size floats, and
+O(64 size) floats beside them, and a trial's ratios do not depend on how
+many trials run.  The
 per-level checks of ``verify`` (the Boehm identity and the tail audit)
 work one block of levels at a time in array passes, reading the rows of
 the system's ``ortho.KnotBlock`` records.  The Boehm identity evaluates
@@ -124,50 +131,42 @@ def uncond_experiment(system, ps, trials, seed, grid):
     unit coefficient vector a and a sign vector eps are drawn from per-trial
     streams, and R = ||sum eps_n a_n f_n||_p / ||f||_p is integrated from
     the level-N B-spline coefficients C = [A; A S] F of both splines by
-    ``span_integrals`` on ``lp_rule``, in chunks of rows whose pieces fill
-    one tile per p.  That rule is exact only for even p with
-    p(k - 1) <= 2k + 11 (of the default ps, p = 6 at k <= 4); at any other
-    p, R is a quadrature estimate.  An integral past the float range raises
-    DomainError naming its p.  Square-function ratios ||Sf||_p / ||f||_p
-    come from the ``grid`` cells (``_grid_sums``).  Each block of nodes or
-    cells is evaluated once, for the draws and their flips together, and
-    reduced for every p.
+    ``span_integrals`` on ``lp_rule``.  That rule is exact only for even p
+    with p(k - 1) <= 2k + 11 (of the default ps, p = 6 at k <= 4); at any
+    other p, R is a quadrature estimate.  An integral past the float range
+    raises DomainError naming its p.  Square-function ratios
+    ||Sf||_p / ||f||_p come from the ``grid`` cells (``_grid_sums``).  Each
+    block of nodes or cells is evaluated once, for every trial, and reduced
+    for every p.
 
-    A trial's draws do not depend on the trial count, but its ratios can
-    differ by an ulp between runs with different counts: C and the grid's
-    product with the squared coefficients are BLAS calls over all trials,
-    which may sum a row in an order that depends on its place among the
-    rows.  Given C, a trial's integrals keep their bits in any chunk.
+    The trials run in blocks of ``_TRIAL_BLOCK`` = 64 (``_trial_sums``), so
+    besides the draws A, trials x size floats, the experiment holds
+    O(64 size) floats and a few tiles.  Trial t's ratios depend on t and
+    its draws alone, not on the trial count: every BLAS product over the
+    draws is over one block of 64 rows, of the same shape in every block
+    and every run, with trial t at row t mod 64.  BLAS may sum a row in an
+    order that depends on its place among the rows and on the product's
+    shape, but not on the values of the other rows.  The BLAS thread
+    count can still move a ratio by an ulp.
     """
     check_exponents(ps)
     if trials < 1:
         raise DomainError(f"trials={trials} must be at least 1")
-    k = system.order
-    size = system.size
     xs = cell_centers(system, grid)
-
-    A = np.array([random_coeffs(seed, t, size) for t in range(trials)])
-    S = np.array([random_signs(seed, t, size) for t in range(trials)])
-    sq = _grid_sums(system, A**2, xs, ps)
-    # Level-N B-spline coefficients of each trial's expansion and of its flip.
-    C = (np.stack([A, A * S]) @ system.matrix).reshape(2 * trials, size)
-    rule, nodes = lp_rule(system)
-    lp = np.empty((len(ps), 2 * trials))
     with np.errstate(over="ignore"):  # an overflow is raised below, naming its p
-        for rows in bspline.row_tiles(2 * trials, len(rule.spans)):
-            lp[:, rows] = span_integrals(C[rows], rule, nodes, ps).sum(axis=2)
+        lp, sq = _trial_sums(system, ps, trials, seed, xs)
     for p, sums in zip(ps, lp):
         if not np.isfinite(sums).all():
             raise DomainError(f"p={p}: an L^p integral passes the float range")
 
     reports = []
-    for p, (f_sums, flip_sums), sq_sums in zip(ps, lp.reshape(len(ps), 2, trials), sq):
+    for p, (f_sums, flip_sums), sq_sums in zip(ps, lp, sq):
         nf = f_sums ** (1.0 / p)
         R = flip_sums ** (1.0 / p) / nf
         sq_ratio = (sq_sums / grid) ** (1.0 / p) / nf
         reports.append(
             {
-                "k": k,
+                "k": system.order,
                 "p": p,
                 "N": system.N,
                 "trials": trials,
@@ -183,23 +182,71 @@ def uncond_experiment(system, ps, trials, seed, grid):
     return reports
 
 
-def _grid_sums(system, weights, xs, ps):
-    """Sums over the points xs of Sf^p, (len(ps), trials), for squared coefficients ``weights``, (trials, size).
+# Trials per block of the sign-flip experiment: each BLAS product over the
+# draws has this many rows, whatever the trial count.
+_TRIAL_BLOCK = 64
 
-    Sf = (sum_n c_n^2 f_n^2)^(1/2).  Each block's product with
-    ``squared_values`` is whole, into a buffer every block reuses; its square
-    roots, their p-th powers and their sums are taken a tile of trials at a
-    time.
+
+def _trial_sums(system, ps, trials, seed, xs):
+    """(lp, sq): each trial's L^p integrals and grid sums of Sf^p, for each p in ps.
+
+    lp is (len(ps), 2, trials), the integrals of |f|^p for the expansion
+    and for its flip, sq is (len(ps), trials).  The draws A are padded with
+    zero rows to whole blocks of ``_TRIAL_BLOCK`` trials, and are the only
+    trials x size array held.  The grid pass comes first (``_grid_sums``).
+    Then, block by block, the signs are drawn, and C = [A_b; A_b S_b] F is
+    formed into buffers made once and integrated in chunks of its rows
+    whose pieces fill one tile per p; only the sums over the spans are
+    kept.
     """
-    trials = len(weights)
-    sq = np.zeros((len(ps), trials))
-    sums = np.empty(trials * bspline.EVAL_BLOCK)
-    for _, values in squared_values(system, weights.shape[1], xs):
-        block = np.matmul(weights, values, out=_leading(sums, (trials, values.shape[1])))
-        np.sqrt(block, out=block)
-        for tile in bspline.row_tiles(trials, values.shape[1]):
-            for i, p in enumerate(ps):
-                sq[i, tile] += (block[tile] ** p).sum(axis=1)
+    T = _TRIAL_BLOCK
+    size = system.size
+    A = np.zeros((-(-trials // T) * T, size))
+    for t in range(trials):
+        A[t] = random_coeffs(seed, t, size)
+    sq = _grid_sums(system, A, xs, ps)
+    rule, nodes = lp_rule(system)
+    lp = np.empty((len(ps), 2, len(A)))
+    flips = np.empty((T, size))
+    C = np.empty((2, T, size))  # level-N coefficients of a block's expansions, then of their flips
+    rows = C.reshape(2 * T, size)
+    sums = np.empty((len(ps), 2 * T))
+    for lo in range(0, trials, T):
+        block = range(lo, min(lo + T, trials))
+        for i, t in enumerate(block):
+            np.multiply(A[t], random_signs(seed, t, size), out=flips[i])
+        flips[len(block) :] = 0.0
+        np.matmul(A[lo : lo + T], system.matrix, out=C[0])
+        np.matmul(flips, system.matrix, out=C[1])
+        for chunk in bspline.row_tiles(2 * T, len(rule.spans)):
+            sums[:, chunk] = span_integrals(rows[chunk], rule, nodes, ps).sum(axis=2)
+        lp[:, :, lo : lo + T] = sums.reshape(len(ps), 2, T)
+    return lp[:, :, :trials], sq[:, :trials]
+
+
+def _grid_sums(system, A, xs, ps):
+    """Sums over the points xs of Sf^p, (len(ps), trials), for coefficient rows A, (trials, size).
+
+    Sf = (sum_n a_n^2 f_n^2)^(1/2), and trials is a multiple of
+    ``_TRIAL_BLOCK``.  The cells are the outer loop: each block of
+    ``squared_values`` is reduced against one block of trials at a time,
+    whose squared coefficients fill a buffer of ``_TRIAL_BLOCK`` rows, by
+    a product into a buffer every block reuses.  Each Sf^2 is raised to
+    p/2, and the powers summed, a tile of trials at a time.
+    """
+    T = _TRIAL_BLOCK
+    sq = np.zeros((len(ps), len(A)))
+    weights = np.empty((T, A.shape[1]))
+    buf = np.empty(T * bspline.EVAL_BLOCK)
+    for _, values in squared_values(system, A.shape[1], xs):
+        prod = _leading(buf, (T, values.shape[1]))
+        for lo in range(0, len(A), T):
+            np.square(A[lo : lo + T], out=weights)
+            np.matmul(weights, values, out=prod)
+            out = sq[:, lo : lo + T]
+            for tile in bspline.row_tiles(T, values.shape[1]):
+                for i, p in enumerate(ps):
+                    out[i, tile] += (prod[tile] ** (p / 2)).sum(axis=1)
     return sq
 
 
@@ -220,30 +267,33 @@ def span_integrals(F, rule, nodes, ps):
 
     The rows of F are splines over the finest basis, and the rule is over
     the finest partition's knots.  ``nodes`` holds the rule's nodes
-    evaluated on their own spans, a block of whole spans at a time
-    (``bspline.rule_blocks``).  Each block's magnitudes are formed once, a
-    tile of rows at a time (``bspline.row_tiles``); for each p they are
-    scaled by w^(1/p), the p-th root of their node's weight, so that a piece
-    is the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's |f|^p alone
-    can pass the float range on a narrow span whose piece does not.  A row's
-    integrals keep their bits whichever rows come with it.
+    evaluated on their own spans, a block of whole spans at a time and
+    span-major (``bspline.rule_blocks``), so a tile's values gather k
+    coefficients per span, not per node (``bspline.node_values``).  Each
+    block's magnitudes are formed once, a tile of rows at a time
+    (``bspline.row_tiles``), as (rows, q, spans); for each p they are
+    scaled by w^(1/p), the p-th root of their node's weight, so that a
+    piece is the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's
+    |f|^p alone can pass the float range on a narrow span whose piece does
+    not.  The q nodes of a span are summed in node order, one contiguous
+    run of spans at a time.  A row's integrals keep their bits whichever
+    rows come with it.
 
     The rule is exact through degree 2q - 1, so a piece is exact only for
     even p, where |f|^p is a polynomial of degree p(k - 1) on the span: at
     ``lp_rule``'s q = k + 6, for p(k - 1) <= 2k + 11, which is p = 2 for
     every k, p = 4 for k <= 7 and p = 6 for k <= 4.
     """
-    q = rule.q
-    roots = [rule.weights.ravel() ** (1.0 / p) for p in ps]
+    roots = [np.ascontiguousarray(rule.weights.T) ** (1.0 / p) for p in ps]  # (q, spans)
     pieces = np.empty((len(ps), len(F), len(rule.spans)))
-    for lo, first, vals in nodes:
-        spans = slice(lo // q, (lo + len(first)) // q)
-        for tile in bspline.row_tiles(len(F), len(first)):
-            mags = np.abs(bspline.spline_values(F[tile], first, vals))
+    for lo, start, vals in nodes:
+        spans = slice(lo, lo + len(start))
+        for tile in bspline.row_tiles(len(F), vals[0].size):
+            mags = np.abs(bspline.node_values(F[tile], start, vals))
             for piece, root, p in zip(pieces, roots, ps):
-                scaled = mags * root[lo : lo + len(first)]
+                scaled = mags * root[:, spans]
                 scaled **= p
-                piece[tile, spans] = scaled.reshape(len(mags), -1, q).sum(axis=2)
+                np.sum(scaled, axis=1, out=piece[tile, spans])
     return pieces
 
 

@@ -4,7 +4,8 @@ The basis is the L^inf-normalized one: the order-k B-splines N_1..N_M of a
 partition form a partition of unity.  Evaluation is right-continuous at
 interior knots and takes the left limit at x = 1, so the identity
 sum_j N_j(x) = 1 holds on the closed interval.  Splines are evaluated only
-from the k basis values at each point (``eval_basis_many``, ``spline_values``).
+from the k basis values at each point (``eval_basis_many``, ``spline_values``),
+and a rule's nodes a span at a time (``rule_blocks``, ``node_values``).
 
 Every basis value comes from one Cox-de Boor kernel on a span index s and an
 offset u = x - tau_s, which reads the knots only through differences from
@@ -163,17 +164,43 @@ def row_tiles(rows, points):
 
 
 def rule_blocks(partition, rule):
-    """Yield (lo, first, vals) for the nodes of a rule over the partition's own knots.
+    """Yield (lo, start, vals) for the nodes of a rule over the partition's own knots, span-major.
 
-    Each node is evaluated on its span from its offset, with no span search;
-    a block holds as many whole spans of nodes as fit in EVAL_BLOCK, at
-    least one, and lo indexes the flattened nodes.
+    A block holds spans lo..lo + S - 1 of the rule, as many whole spans as
+    fit in EVAL_BLOCK nodes but at least two, and a last span left alone
+    joins the block before it.  Every node of a span reads the same k
+    coefficients, the (S,) ``start`` holding each span's first (0-based),
+    and ``vals``, (k, q, S), holds basis function start + j at node i of
+    span s at vals[j, i, s], so each (j, i) is a contiguous run over the
+    spans.  Each node is evaluated on its span from its offset, with no
+    span search.
+
+    With two spans or more, a block's q axis is never the fast one, so a
+    sum over it adds node after node: numpy sums along the fast axis
+    pairwise, which from q = 8 on is another order.
     """
-    q = rule.q
-    step = max(1, EVAL_BLOCK // q)
-    for s in range(0, len(rule.spans), step):
-        spans = np.repeat(rule.spans[s : s + step], q)
-        yield (s * q, *span_values(partition, spans, rule.offsets[s : s + step].ravel()))
+    q, k = rule.q, partition.order
+    step = max(2, EVAL_BLOCK // q)
+    ends = list(range(step, len(rule.spans) - 1, step)) + [len(rule.spans)]
+    for lo, hi in zip([0] + ends, ends):
+        spans = rule.spans[lo:hi]
+        vals = _span_basis(partition.knots, k, np.tile(spans, q), rule.offsets[lo:hi].T.ravel())
+        yield lo, spans - k + 1, np.ascontiguousarray(vals.T).reshape(k, q, len(spans))
+
+
+def node_values(coeffs, start, vals):
+    """Values, coeffs.shape[:-1] + (q, S), at the nodes of one ``rule_blocks`` block.
+
+    Each span's k coefficients are gathered once for its q nodes, and the k
+    terms are summed in the order of ``spline_values``, so every value
+    keeps the bits that ``spline_values`` gives it.
+    """
+    out = np.take(coeffs, start, axis=-1)[..., None, :] * vals[0]
+    term = np.empty_like(out)
+    for j in range(1, len(vals)):
+        np.multiply(np.take(coeffs, start + j, axis=-1)[..., None, :], vals[j], out=term)
+        out += term
+    return out
 
 
 def spline_values(coeffs, first, vals):

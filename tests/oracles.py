@@ -344,15 +344,24 @@ def matrix_row_major(system):
 
 
 def span_integrals_whole(system, rule, ps):
-    """``analysis.span_integrals`` with each block's values formed for every row at once."""
+    """``analysis.span_integrals`` with each block's values formed for every row at once.
+
+    The values come from ``bspline.spline_values``, each span's first index
+    repeated for its q nodes, and each span's q terms are summed one node
+    after the other, the order in which the kernel sums them.
+    """
     q = rule.q
     pieces = np.empty((len(ps), system.size, len(rule.spans)))
-    for lo, first, vals in bspline.rule_blocks(system.gram.partition, rule):
-        mags = np.abs(bspline.spline_values(system.matrix, first, vals))
-        spans = slice(lo // q, (lo + len(first)) // q)
+    for lo, start, vals in bspline.rule_blocks(system.gram.partition, rule):
+        k, _, S = vals.shape
+        V = bspline.spline_values(system.matrix, np.tile(start + 1, q), vals.reshape(k, -1).T)
+        mags = np.abs(V).reshape(-1, q, S)
         for piece, p in zip(pieces, ps):
-            roots = rule.weights.ravel()[lo : lo + len(first)] ** (1.0 / p)
-            piece[:, spans] = ((mags * roots) ** p).reshape(len(mags), -1, q).sum(axis=2)
+            terms = (mags * rule.weights[lo : lo + S].T ** (1.0 / p)) ** p
+            total = terms[:, 0].copy()
+            for i in range(1, q):
+                total += terms[:, i]
+            piece[:, lo : lo + S] = total
     return pieces
 
 

@@ -57,6 +57,16 @@ def span_integrals(system, rule, ps):
     return analysis.span_integrals(system.matrix, rule, bspline.rule_blocks(system.gram.partition, rule), ps)
 
 
+def assert_span_integrals_match_the_dense_values(system, q):
+    """``span_integrals`` at p = 1.5 on the q-node rule against the dense value matrix at its nodes."""
+    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, q)
+    V = value_matrix(system, rule_nodes(system.gram.partition.knots, rule).ravel())
+    V = V.reshape(system.size, -1, q)
+    want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
+    (got,) = span_integrals(system, rule, (1.5,))
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
 def tail_scores(audit):
     """The tail audit's report without its norms on J_n, as ``tail_decay_loop`` gives it."""
     return {key: value for key, value in audit.items() if key not in ("band_min", "band_max")}
@@ -481,13 +491,16 @@ class TestTiledMemory:
         assert peak < pieces / 3, f"peaked at {peak} B against {pieces} B of pieces"
 
     def test_uncond_experiment(self, system):
-        # The grid pass holds the draws A, S and A**2 (3 trials x size
-        # floats) and buffers of size + trials rows of EVAL_BLOCK floats;
-        # then the L^p pass holds A, S, [A; A S] and C (6 trials x size) at
-        # their product, and after it the rule's nodes and a chunk of pieces.
-        trials = 200
-        grid_pass = 3 * trials * system.size + (system.size + trials) * bspline.EVAL_BLOCK
-        held = 8 * max(grid_pass, 6 * trials * system.size)
+        # The draws A, padded to whole blocks of T trials, are the one
+        # trials x size array.  Beside them the grid pass holds size x
+        # EVAL_BLOCK squared values and a block's squared coefficients and
+        # product, T x size and T x EVAL_BLOCK floats; the L^p pass holds a
+        # block's flips and C, 3 T x size, the rule's nodes and a tile of
+        # pieces per p.
+        trials, T, size = 200, analysis._TRIAL_BLOCK, system.size
+        draws = -(-trials // T) * T * size
+        grid_pass = size * bspline.EVAL_BLOCK + T * (size + bspline.EVAL_BLOCK)
+        held = 8 * (draws + max(grid_pass, 3 * T * size))
         peak = traced_peak(lambda: analysis.uncond_experiment(system, [1.5, 3.0], trials, 1, 4096))
         assert peak < held + 6 * 8 * bspline.TILE, f"peaked {peak - held} B beyond the arrays it holds"
 
@@ -683,6 +696,19 @@ class TestUncondExperiment:
             one = analysis.span_integrals(C[r : r + 1], rule, nodes, ps).sum(axis=2)
             assert np.array_equal(one[:, 0], whole[:, r])
 
+    def test_a_trials_sums_do_not_depend_on_the_trial_count(self):
+        # Every BLAS product over the draws is over one block of
+        # _TRIAL_BLOCK trials, so trial t's L^p integrals and grid sums are
+        # bit-equal in runs of 5 and of 200 trials (seed-1 benchmark input).
+        system = ortho.build_system(benchmark_sequence("dyadic-shuffled", 1, 3, 512), 512)
+        xs = analysis.cell_centers(system, 4096)
+        ps = (1.2, 3.0, 6.0)
+        lp, sq = analysis._trial_sums(system, ps, 5, 1, xs)
+        lp_all, sq_all = analysis._trial_sums(system, ps, 200, 1, xs)
+        assert lp.shape == (3, 2, 5) and sq.shape == (3, 5)
+        assert np.array_equal(lp, lp_all[:, :, :5])
+        assert np.array_equal(sq, sq_all[:, :5])
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_fourth_powers_next_to_zero_stay_finite(self, k):
         # Knots 2^-1000 and 2 * 2^-1000 put |f| near 1e151 on their spans: a
@@ -746,14 +772,23 @@ class TestTailDecay:
 
     @pytest.mark.parametrize("block", [1, 20, 512])
     def test_span_integrals_match_the_dense_values(self, system_k2, monkeypatch, block):
-        # blocks of whole spans, one span even when a block holds fewer nodes
+        # blocks of whole spans, two even when a block holds fewer nodes
         monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
-        rule = bspline.QuadratureRule.over_spans(system_k2.gram.partition.knots, 5)
-        V = value_matrix(system_k2, rule_nodes(system_k2.gram.partition.knots, rule).ravel())
-        V = V.reshape(system_k2.size, -1, 5)
-        want = np.einsum("nsq,sq->ns", np.abs(V) ** 1.5, rule.weights)
-        (got,) = span_integrals(system_k2, rule, (1.5,))
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+        assert_span_integrals_match_the_dense_values(system_k2, 5)
+
+    @pytest.mark.parametrize("block", [1, 20, 512])
+    @pytest.mark.parametrize("case", ["full-multiplicity", "k1"])
+    def test_span_integrals_match_the_dense_values_on_skipped_spans_and_at_k1(self, monkeypatch, block, case):
+        # On full-multiplicity knots the live spans are not consecutive; at
+        # k = 1 the rule has q = 7 nodes, fewer than numpy sums pairwise.
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        if case == "full-multiplicity":
+            system = ortho.build_system(family_sequence(case, 3, 41), 40)
+            spans = bspline.QuadratureRule.over_spans(system.gram.partition.knots, 1).spans
+            assert (np.diff(spans) > 1).any()
+        else:
+            system = ortho.build_system(knots.random_admissible(7, 1, 41), 40)
+        assert_span_integrals_match_the_dense_values(system, system.order + 6)
 
     def test_pieces_hold_unit_mass_next_to_one(self):
         # spans 2^-49 wide at 1: each node is evaluated on its own span from

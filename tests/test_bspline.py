@@ -120,6 +120,13 @@ class TestSplineValues:
         want = value_matrix(system, xs)
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+        # at a rule's nodes, gathered span by span, the values are those of
+        # spline_values with each span's start repeated for its nodes, bit for bit
+        rule = bspline.QuadratureRule.over_spans(part.knots, k + 6)
+        for _, start, at_nodes in bspline.rule_blocks(part, rule):
+            _, q, S = at_nodes.shape
+            flat = bspline.spline_values(system.matrix, np.tile(start + 1, q), at_nodes.reshape(k, -1).T)
+            assert np.array_equal(bspline.node_values(system.matrix, start, at_nodes), flat.reshape(-1, q, S))
         # leading axes are carried, and each slice is the same contraction
         both = bspline.spline_values(np.stack([system.matrix, -system.matrix]), first, vals)
         assert np.array_equal(both, np.stack([got, -got]))
@@ -133,16 +140,26 @@ class TestSplineValues:
         first, vals = bspline.eval_basis_many(p, xs)
         assert np.array_equal(np.concatenate([f for _, f, _ in blocks]), first)
         assert np.array_equal(np.concatenate([v for _, _, v in blocks]), vals)
-        # a rule's nodes come in whole spans, each node on its own span
+        # a rule's nodes come in whole spans, span-major: one coefficient
+        # start per span, and the values as (k, q, spans), each node on its
+        # own span with the bits of its span and offset; a block holds two
+        # spans at least, and a last span left alone joins the block before
+        p = part(2, [0, 1, 0.5, 0.25, 0.75, 0.125])
         rule = bspline.QuadratureRule.over_spans(p.knots, 3)
         blocks = list(bspline.rule_blocks(p, rule))
-        assert [lo for lo, _, _ in blocks] == [0, 6]
-        first, vals = bspline.eval_basis_many(p, rule_nodes(p.knots, rule).ravel())
-        assert np.array_equal(np.concatenate([f for _, f, _ in blocks]), first)
-        assert np.allclose(np.concatenate([v for _, _, v in blocks]), vals, rtol=0, atol=1e-15)
-        # a span longer than the block still makes progress
+        assert [(lo, len(start)) for lo, start, _ in blocks] == [(0, 2), (2, 3)]
+        assert all(v.shape == (2, 3, len(s)) and v.flags.c_contiguous for _, s, v in blocks)
+        start = np.concatenate([s for _, s, _ in blocks])
+        vals = np.concatenate([v for _, _, v in blocks], axis=2).transpose(2, 1, 0).reshape(-1, 2)
+        first, want = bspline.span_values(p, np.repeat(rule.spans, 3), rule.offsets.ravel())
+        assert np.array_equal(np.repeat(start + 1, 3), first)
+        assert np.array_equal(vals, want)
+        first, want = bspline.eval_basis_many(p, rule_nodes(p.knots, rule).ravel())
+        assert np.array_equal(np.repeat(start + 1, 3), first)
+        assert np.allclose(vals, want, rtol=0, atol=1e-15)
+        # so do spans longer than the block
         rule = bspline.QuadratureRule.over_spans(p.knots, 10)
-        assert [lo for lo, _, _ in bspline.rule_blocks(p, rule)] == [0, 10, 20]
+        assert [(lo, len(start)) for lo, start, _ in bspline.rule_blocks(p, rule)] == [(0, 2), (2, 3)]
 
 
 class TestGramMatrix:
