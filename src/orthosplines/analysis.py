@@ -9,9 +9,14 @@ spans a block of whole spans at a time and laid out span-major
 (``bspline.rule_blocks``), from which ``span_integrals`` forms every L^p
 integral: the experiment's norms of its random expansions and the tail
 audit's pieces.  It gathers k coefficients per span, not per node, and
-sums each span's q nodes over contiguous runs of spans.  Within a block,
-the values of many splines are formed and reduced a tile of rows at a
-time (``bspline.row_tiles``), so no rows x EVAL_BLOCK temporary is made;
+sums each span's q nodes over contiguous runs of spans.  No p-th power
+is taken by scalar ``pow`` (``_powers``): a whole p by repeated squaring,
+so p = 2 is one square, and the other p from one log of the magnitudes
+shared by all of them, with each node's weight folded in so that no
+node's |f|^p has to fit in a float; the grid's Sf^2 is raised to p/2 the
+same way.  Within a block, the values of many splines are formed and
+reduced a tile of rows at a time (``bspline.row_tiles``), so no
+rows x EVAL_BLOCK temporary is made;
 the grid's BLAS product over a block of cells and a block of trials stays
 whole, so that every value keeps its bits in any tile size.  The
 experiment runs its trials in fixed blocks of ``_TRIAL_BLOCK`` = 64
@@ -42,6 +47,7 @@ from . import bspline, charint, knots
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_MIN = sys.float_info.min
 
 
 def random_coeffs(seed, trial, size):
@@ -232,21 +238,31 @@ def _grid_sums(system, A, xs, ps):
     ``squared_values`` is reduced against one block of trials at a time,
     whose squared coefficients fill a buffer of ``_TRIAL_BLOCK`` rows, by
     a product into a buffer every block reuses.  Each Sf^2 is raised to
-    p/2, and the powers summed, a tile of trials at a time.
+    p/2 by ``_powers``, by repeated squaring where p/2 is whole and from
+    one log of the tile for the other p, and the powers summed, a tile of
+    trials at a time.
+
+    Before the product, each block's squared values below the least normal
+    float, ``sys.float_info.min``, are set to 0: subnormal operands make
+    the BLAS product about a third slower.  Weighted by squared unit
+    coefficients, the flushed terms add less than size x 2.3e-308 to an
+    Sf^2, below an ulp of any Sf^2 above size x 1e-292.
     """
     T = _TRIAL_BLOCK
+    halves = [p / 2 for p in ps]
     sq = np.zeros((len(ps), len(A)))
     weights = np.empty((T, A.shape[1]))
     buf = np.empty(T * bspline.EVAL_BLOCK)
     for _, values in squared_values(system, A.shape[1], xs):
+        for tile in bspline.row_tiles(len(values), values.shape[1]):
+            np.copyto(values[tile], 0.0, where=values[tile] < _FLOAT_MIN)
         prod = _leading(buf, (T, values.shape[1]))
         for lo in range(0, len(A), T):
             np.square(A[lo : lo + T], out=weights)
             np.matmul(weights, values, out=prod)
             out = sq[:, lo : lo + T]
             for tile in bspline.row_tiles(T, values.shape[1]):
-                for i, p in enumerate(ps):
-                    out[i, tile] += (prod[tile] ** (p / 2)).sum(axis=1)
+                out[:, tile] += [power.sum(axis=1) for power in _powers(prod[tile], halves)]
     return sq
 
 
@@ -271,30 +287,88 @@ def span_integrals(F, rule, nodes, ps):
     span-major (``bspline.rule_blocks``), so a tile's values gather k
     coefficients per span, not per node (``bspline.node_values``).  Each
     block's magnitudes are formed once, a tile of rows at a time
-    (``bspline.row_tiles``), as (rows, q, spans); for each p they are
-    scaled by w^(1/p), the p-th root of their node's weight, so that a
-    piece is the sum of its q nodes' |f w^(1/p)|^p = w |f|^p: a node's
-    |f|^p alone can pass the float range on a narrow span whose piece does
-    not.  The q nodes of a span are summed in node order, one contiguous
-    run of spans at a time.  A row's integrals keep their bits whichever
-    rows come with it.
+    (``bspline.row_tiles``), as (rows, q, spans), and each node's
+    w |f|^p is taken for every p from them by ``_powers``, with its node's
+    weight w folded in before the power: a node's |f|^p alone can pass
+    the float range on a narrow span whose piece does not (p = 4 on spans
+    2^-1000 wide).  At a whole p, |f| w^(1/p) is raised by repeated
+    squaring, within (p - 1) 2^-53 relative of the exact power of that
+    product, and p = 2 is one correctly rounded ``np.square``.  The other
+    p share one ``np.log`` of the magnitudes, and the weight is added to
+    it as log w: exp(p log|f| + log w) is within
+    (3 p |ln|f|| + 2 |ln w| + 2) 2^-53 relative of w |f|^p, the rounding of
+    the two logs, the product and the sum, taken as an absolute error of
+    the exponent, and of exp itself.  The q nodes of a span are summed in
+    node order, one contiguous run of spans at a time.  A row's integrals
+    keep their bits whichever rows come with it.
 
     The rule is exact through degree 2q - 1, so a piece is exact only for
     even p, where |f|^p is a polynomial of degree p(k - 1) on the span: at
     ``lp_rule``'s q = k + 6, for p(k - 1) <= 2k + 11, which is p = 2 for
     every k, p = 4 for k <= 7 and p = 6 for k <= 4.
     """
-    roots = [np.ascontiguousarray(rule.weights.T) ** (1.0 / p) for p in ps]  # (q, spans)
+    w = np.ascontiguousarray(rule.weights.T)  # (q, spans)
+    with np.errstate(divide="ignore"):  # a weight that underflowed to 0 has log -inf, and terms 0
+        log_w = None if all(_whole(p) for p in ps) else np.log(w)
+    folds = [w ** (1.0 / p) if _whole(p) else log_w for p in ps]
     pieces = np.empty((len(ps), len(F), len(rule.spans)))
     for lo, start, vals in nodes:
         spans = slice(lo, lo + len(start))
+        block_folds = [fold[:, spans] for fold in folds]
         for tile in bspline.row_tiles(len(F), vals[0].size):
-            mags = np.abs(bspline.node_values(F[tile], start, vals))
-            for piece, root, p in zip(pieces, roots, ps):
-                scaled = mags * root[:, spans]
-                scaled **= p
-                np.sum(scaled, axis=1, out=piece[tile, spans])
+            mags = bspline.node_values(F[tile], start, vals)
+            np.abs(mags, out=mags)
+            for i, power in enumerate(_powers(mags, ps, block_folds)):
+                np.sum(power, axis=1, out=pieces[i, tile, spans])
     return pieces
+
+
+def _whole(p):
+    """Whether p is a whole number, whose powers ``_powers`` takes by squaring."""
+    return float(p).is_integer()
+
+
+def _powers(x, exponents, folds=None):
+    """Yield w x^e for each e in exponents, from magnitudes x >= 0, with w = 1 unless ``folds`` is given.
+
+    A whole e raises x w^(1/e), folds[i] holding w^(1/e), by repeated
+    squaring (``_whole_power``).  The other e share one ``np.log`` of x
+    and take exp(e log x + log w), folds[i] holding log w.  A zero x gives
+    0 with no warning; a NaN gives NaN.  The powers are formed in one
+    buffer of x's shape, and x w^(1/e) in another, so each yielded array
+    is overwritten by the next; at e = 1 with no folds, x itself is
+    yielded.
+    """
+    logs = None
+    out = np.empty_like(x)
+    scaled = None if folds is None else np.empty_like(x)
+    for i, e in enumerate(exponents):
+        if _whole(e):
+            base = x if folds is None else np.multiply(x, folds[i], out=scaled)
+            yield _whole_power(base, int(e), out)
+            continue
+        if logs is None:
+            with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+                logs = np.log(x)
+        np.multiply(logs, e, out=out)
+        if folds is not None:
+            out += folds[i]
+        yield np.exp(out, out=out)
+
+
+def _whole_power(x, n, out):
+    """x^n for a whole n >= 1 by repeated squaring from the leading bit down, into out; x itself at n = 1.
+
+    Each step is one rounded product, so x^n is within (n - 1) 2^-53
+    relative of the exact power while no step leaves the normal range, and
+    x^2 is ``np.square(x)``.
+    """
+    power = x
+    for bit in bin(n)[3:]:
+        power = np.square(power, out=out)
+        if bit == "1":
+            power *= x
+    return power
 
 
 def tail_sums(pieces):

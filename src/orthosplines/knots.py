@@ -92,7 +92,10 @@ def validate_admissible(order, raw_points):
         If some interior value occurs more than ``order`` times.
     """
     _check_order(order)
-    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in raw_points):
+    # A float passes on its type alone, before the far slower numbers.Real check.
+    if not all(
+        type(p) is float or (isinstance(p, numbers.Real) and not isinstance(p, bool)) for p in raw_points
+    ):
         raise MalformedSequence("sequence points must be numbers")
     pts = [float(p) for p in raw_points]
     if len(pts) < 2:

@@ -348,7 +348,10 @@ def span_integrals_whole(system, rule, ps):
 
     The values come from ``bspline.spline_values``, each span's first index
     repeated for its q nodes, and each span's q terms are summed one node
-    after the other, the order in which the kernel sums them.
+    after the other, the order in which the kernel sums them.  A term is
+    w |f|^p by the kernel's power rule: at a whole p, |f| w^(1/p) raised by
+    squaring and multiplying from the leading bit of p down; at the other
+    p, exp(p log|f| + log w).
     """
     q = rule.q
     pieces = np.empty((len(ps), system.size, len(rule.spans)))
@@ -356,8 +359,18 @@ def span_integrals_whole(system, rule, ps):
         k, _, S = vals.shape
         V = bspline.spline_values(system.matrix, np.tile(start + 1, q), vals.reshape(k, -1).T)
         mags = np.abs(V).reshape(-1, q, S)
+        w = rule.weights[lo : lo + S].T
         for piece, p in zip(pieces, ps):
-            terms = (mags * rule.weights[lo : lo + S].T ** (1.0 / p)) ** p
+            if float(p).is_integer():
+                base = mags * w ** (1.0 / p)
+                terms = base
+                for bit in format(int(p), "b")[1:]:
+                    terms = terms * terms
+                    if bit == "1":
+                        terms = terms * base
+            else:
+                with np.errstate(divide="ignore"):
+                    terms = np.exp(np.log(mags) * p + np.log(w))
             total = terms[:, 0].copy()
             for i in range(1, q):
                 total += terms[:, i]

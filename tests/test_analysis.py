@@ -372,6 +372,129 @@ class TestBoehmIdentity:
 TILES = (1, 37, 10**9)  # one row, a few rows, every row of a block in one tile
 
 
+UNIT = 2.0**-53  # the unit roundoff: the relative error of one rounded operation
+TINY = 2.0**-1074  # the least subnormal
+
+
+def node_pieces(system, ps):
+    """(mags, w, pieces): |f| at every node of the system's (k + 6)-node rule, the node's weight, and its w |f|^p.
+
+    Each node is made a span of its own, in a one-node rule, so that the
+    pieces of ``span_integrals`` are its terms node by node, (len(ps),
+    size, nodes).  The magnitudes are the ones the kernel reads, from
+    ``bspline.node_values``.
+    """
+    rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
+    single = bspline.QuadratureRule(
+        1, np.repeat(rule.spans, rule.q), rule.offsets.reshape(-1, 1), rule.weights.reshape(-1, 1)
+    )
+    nodes = list(bspline.rule_blocks(system.gram.partition, single))
+    values = [bspline.node_values(system.matrix, start, vals)[:, 0] for _, start, vals in nodes]
+    mags = np.abs(np.concatenate(values, axis=1))
+    return mags, single.weights[:, 0], analysis.span_integrals(system.matrix, single, nodes, ps)
+
+
+def extended():
+    """Skip unless numpy's long double carries at least 64 bits of mantissa, as x86's does."""
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("no extended-precision long double to take reference powers in")
+    return np.longdouble
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(1, 7))
+class TestPowerRule:
+    """The kernel's terms w |f|^p against ``np.power`` in extended precision, node by node.
+
+    Whole p are raised by repeated squaring of |f| w^(1/p), each step one
+    rounded product; the other p share one log of the magnitudes and take
+    exp(p log|f| + log w).  The next-to-ends family puts |f| near 1e151
+    on spans 2^-1000 wide, and at k = 1 most magnitudes are exactly 0.
+    """
+
+    WHOLE = (1.0, 2.0, 3.0, 4.0)
+    FRACTIONAL = (1.2, 1.5, 2.5)
+
+    @pytest.fixture
+    def pieces(self, family, k):
+        N = 63 + (k - 1) % 4
+        system = ortho.build_system(family_sequence(family, k, N + 1), N)
+        return node_pieces(system, self.WHOLE + self.FRACTIONAL)
+
+    def test_whole_p_within_p_minus_one_roundings(self, pieces):
+        long = extended()
+        mags, w, got = pieces
+        for p, power in zip(self.WHOLE, got):
+            x = mags * w ** (1.0 / p)
+            if p == 2.0:
+                assert power.tobytes() == np.square(x).tobytes()
+            want = np.power(x.astype(long), int(p))
+            # Below the normal range each step may lose up to half a subnormal ulp.
+            assert np.all(np.abs(power - want) <= (p - 1 + 1e-6) * UNIT * want + p * TINY), p
+
+    def test_fractional_p_within_the_log_bound(self, pieces):
+        # y = p log|f| + log w carries the rounding of the two logs, of the
+        # product and of the sum, (3 p |ln|f|| + 2 |ln w|) 2^-53 absolute,
+        # and exp adds one rounding of its own.
+        long = extended()
+        mags, w, got = pieces
+        live = mags > 0.0
+        log_f = np.log(np.where(live, mags, 1.0))
+        for p, power in zip(self.FRACTIONAL, got[len(self.WHOLE) :]):
+            want = np.power(mags.astype(long), p) * w
+            bound = (3 * p * np.abs(log_f) + 2 * np.abs(np.log(w)) + 2) * UNIT
+            assert np.all(np.abs(power - want)[live] <= (bound * want + TINY)[live]), p
+            assert np.all(power[~live] == 0.0), p
+
+
+class TestPowerEdges:
+    def test_zero_gives_zero_and_nan_propagates(self, system_k2):
+        # pytest turns any RuntimeWarning into an error: log 0 warns nowhere
+        rule, nodes = analysis.lp_rule(system_k2)
+        F = np.zeros((3, system_k2.size))
+        F[1] = system_k2.matrix[5]
+        F[2, 7] = np.nan
+        ps = (1.2, 1.5, 2.0, 3.0)
+        pieces = analysis.span_integrals(F, rule, nodes, ps)
+        assert np.all(pieces[:, 0] == 0.0)
+        assert np.all(np.isfinite(pieces[:, 1])) and np.all(pieces[:, 1].sum(axis=1) > 0.0)
+        assert np.all(np.isnan(pieces[:, 2]).any(axis=1))
+        assert not np.isnan(pieces[:, :2]).any()
+
+    def test_grid_powers(self):
+        # Sf^2 raised to p/2: whole halves by squaring, the others from one log
+        long = extended()
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.random(500) * 600, 10.0 ** rng.uniform(-320, 0, 500), np.zeros(4)])
+        halves = (0.6, 0.75, 1.0, 1.5, 3.0)
+        live = x > 0.0
+        log_x = np.log(np.where(live, x, 1.0))
+        for e, power in zip(halves, analysis._powers(x, halves)):
+            want = np.power(x.astype(long), e)
+            if float(e).is_integer():
+                bound = (e - 1 + 1e-6) * UNIT * want + e * TINY
+            else:
+                bound = (2 * e * np.abs(log_x) + 2) * UNIT * want + TINY
+            assert np.all(np.abs(power - want) <= bound), e
+            assert np.all(power[~live] == 0.0), e
+            if e == 1.0:
+                assert power.tobytes() == x.tobytes()
+
+    def test_grid_flush_moves_no_sum_beyond_rounding(self):
+        # Squares below the least normal float are set to 0 before the grid's
+        # product; the benchmark's dyadic input has many of them.
+        system = ortho.build_system(benchmark_sequence("dyadic-shuffled", 1, 3, 512), 512)
+        xs = analysis.cell_centers(system, 4096)
+        A = np.array([analysis.random_coeffs(1, t, system.size) for t in range(analysis._TRIAL_BLOCK)])
+        blocks = analysis.squared_values(system, system.size, xs)
+        assert sum(np.count_nonzero((sq > 0.0) & (sq < 2.0**-1022)) for _, sq in blocks) > 1000
+        ps = (1.2, 3.0, 6.0)
+        got = analysis._grid_sums(system, A, xs, ps)
+        sf = square_function(system, A, xs)
+        want = np.array([(sf**p).sum(axis=1) for p in ps])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("family", ("uniform-iid", "near-one", "full-multiplicity"))
 @pytest.mark.parametrize("k", (1, 2, 3))
 class TestRowTiles:
@@ -394,10 +517,10 @@ class TestRowTiles:
     def test_span_integrals(self, monkeypatch, system, block):
         monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
         rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, system.order + 6)
-        want = span_integrals_whole(system, rule, (1.5, 2.0))
+        want = span_integrals_whole(system, rule, (1.5, 2.0, 3.0))
         for tile in TILES:
             monkeypatch.setattr(bspline, "TILE", tile)
-            assert np.array_equal(span_integrals(system, rule, (1.5, 2.0)), want)
+            assert np.array_equal(span_integrals(system, rule, (1.5, 2.0, 3.0)), want)
         # a slice of rows at one p, as the tail audit asks for a block of
         # levels, on nodes evaluated once
         nodes = list(bspline.rule_blocks(system.gram.partition, rule))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -8,6 +10,7 @@ from orthosplines import knots
 from orthosplines.errors import (
     BadBoundary,
     LevelOutOfRange,
+    MalformedSequence,
     MultiplicityExceeded,
     OutOfRange,
 )
@@ -48,6 +51,21 @@ class TestValidateAdmissible:
         seq = knots.validate_admissible(2, [0, 1, 0.5, 0.25])
         again = knots.sequence_from_dict(seq.to_dict())
         assert again == seq
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5], 1j])
+    def test_points_that_are_not_real_numbers_rejected(self, bad):
+        # after floats too, which pass on their type alone
+        for points in ([0, 1, bad], [0.0, 1.0, 0.25, bad]):
+            with pytest.raises(MalformedSequence, match="^sequence points must be numbers$"):
+                knots.validate_admissible(2, points)
+
+    def test_real_numbers_of_any_type_give_the_same_floats(self):
+        points = [0.0, 1.0, 0.5, 0.25, 2.0**-1074, 0.75]
+        mixed = [0, 1, np.float64(0.5), np.float32(0.25), 2.0**-1074, Fraction(3, 4)]
+        for raw in (points, mixed):
+            seq = knots.validate_admissible(2, raw)
+            assert all(type(p) is float for p in seq.points)
+            assert np.array(seq.points).tobytes() == np.array(points).tobytes()
 
 
 class TestPartitionAt:
