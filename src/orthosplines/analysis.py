@@ -47,7 +47,6 @@ from . import bspline, charint, knots
 from .errors import DomainError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_FLOAT_MIN = sys.float_info.min
 
 
 def random_coeffs(seed, trial, size):
@@ -241,12 +240,6 @@ def _grid_sums(system, A, xs, ps):
     p/2 by ``_powers``, by repeated squaring where p/2 is whole and from
     one log of the tile for the other p, and the powers summed, a tile of
     trials at a time.
-
-    Before the product, each block's squared values below the least normal
-    float, ``sys.float_info.min``, are set to 0: subnormal operands make
-    the BLAS product about a third slower.  Weighted by squared unit
-    coefficients, the flushed terms add less than size x 2.3e-308 to an
-    Sf^2, below an ulp of any Sf^2 above size x 1e-292.
     """
     T = _TRIAL_BLOCK
     halves = [p / 2 for p in ps]
@@ -254,8 +247,6 @@ def _grid_sums(system, A, xs, ps):
     weights = np.empty((T, A.shape[1]))
     buf = np.empty(T * bspline.EVAL_BLOCK)
     for _, values in squared_values(system, A.shape[1], xs):
-        for tile in bspline.row_tiles(len(values), values.shape[1]):
-            np.copyto(values[tile], 0.0, where=values[tile] < _FLOAT_MIN)
         prod = _leading(buf, (T, values.shape[1]))
         for lo in range(0, len(A), T):
             np.square(A[lo : lo + T], out=weights)
@@ -468,7 +459,12 @@ def tail_decay_audit(system, p, gamma_fit):
     beyond x[r] are column r of ``tail_sums``.  Each ratio is formed from
     logarithms, since gamma^d underflows on deep tails; a zero tail has
     ratio 0, and a maximum past the float range is reported as inf.
-    log |J| is taken by ``math.log``, one level at a time.
+    log |J| is taken by ``math.log``, one level at a time.  Each phi_n is
+    exactly 0 past the window its level was solved on (``ortho.levels``),
+    so its tails there are 0, and the maximum runs over the depths the
+    windows hold, about the knots within 16k B-splines of the new knot; a
+    fit of the decay envelope has to choose which of those depths it
+    covers.
 
     The same pieces give the norms on J.  J = (c, d) is a span of level n,
     so both ends are level-N knot values, and the rule's span r lies in J

@@ -17,8 +17,8 @@ The banded Cholesky factor and solve are LAPACK's ``dpbtrf`` and ``dpbtrs``,
 taken from scipy's compiled LAPACK extension ``scipy/linalg/_flapack``, the
 object ``scipy.linalg.lapack`` re-exports.  It is loaded by file, without
 the ``scipy.linalg`` package, whose import costs about 0.3 s per process.
-``dpbtrs`` serves ``GramSystem.solve`` only: the Gram inverse is read from
-the factor by a recurrence, with no solve.
+``dpbtrs`` serves only the level walk's window solves (``window_solve``):
+the Gram inverse is read from the factor by a recurrence, with no solve.
 """
 
 from __future__ import annotations
@@ -253,15 +253,23 @@ class GramSystem:
     """Banded Gram matrix a_ij = <N_i, N_j> with its Cholesky factorization.
 
     The band has width k - 1 (supports of N_i and N_j are disjoint once
-    |i - j| >= k).  The inverse B = A^{-1} is dense; it is read from the
+    |i - j| >= k).  ``factor``, the upper Cholesky factor in LAPACK band
+    storage, is formed from the band on first read unless it is given
+    (``cholesky``), so a Gram system the level walk passes through keeps
+    its band alone.  The inverse B = A^{-1} is dense; it is read from the
     factor a block of columns at a time and never held whole, and its
     diagonal, read from the band of B alone, is kept.
     """
 
-    def __init__(self, partition, band, factor):
+    def __init__(self, partition, band, factor=None):
         self.partition = partition
         self.band = band
-        self.factor = factor
+        if factor is not None:
+            self.factor = factor
+
+    @functools.cached_property
+    def factor(self):
+        return cholesky(self.band, self.partition.level)
 
     @property
     def M(self):
@@ -279,10 +287,6 @@ class GramSystem:
             y[:-d] += s * v[d:]
             y[d:] += s * v[:-d]
         return y
-
-    def solve(self, rhs):
-        """A x = rhs through the banded Cholesky factor."""
-        return dpbtrs(self.factor, rhs)[0]
 
     def inverse_columns(self):
         """Yield (start, rows), rows[c, d] = b_{j+d, j} at j = start + c, block by block right to left.
@@ -398,18 +402,37 @@ def _band_columns(knots, k, spans, cols, width):
     return band
 
 
-def _factored(partition, band, fresh):
-    """The Gram system of ``band``, whose columns outside ``fresh`` were checked before.
+def cholesky(band, level, lo=0):
+    """Upper Cholesky factor, in LAPACK band storage, of a run of a level's Gram band from column lo on.
 
-    Raises NotPositiveDefinite naming the level when a fresh entry is inf or
-    NaN (knots a few subnormal ulps apart) or a leading minor is not positive.
+    The run is sliced from the band as it is: its first k - 1 columns hold,
+    above its first row, entries of rows before lo, which LAPACK never
+    reads, so the run is the band of its principal submatrix.  Raises
+    NotPositiveDefinite naming the level and the first leading minor of
+    the run that is not positive, by its index in the level (info + lo).
+    """
+    factor, info = dpbtrf(band)
+    if info:
+        raise NotPositiveDefinite(f"level {level}: {info + lo}-th leading minor not positive definite")
+    return factor
+
+
+def window_solve(band, lo, rhs, level):
+    """x with A_W x = rhs, A_W the Gram matrix on the run W of columns lo..lo + len(rhs) - 1 of a level's band.
+
+    LAPACK's factor (``cholesky``) and solve of the run alone; a run of all
+    columns is the whole band.
+    """
+    return dpbtrs(cholesky(band[:, lo : lo + len(rhs)], level, lo), rhs)[0]
+
+
+def _check_finite(partition, fresh):
+    """Raise NotPositiveDefinite naming the level when a fresh band entry is inf or NaN.
+
+    That happens for knots a few subnormal ulps apart.
     """
     if not np.isfinite(fresh).all():
         raise NotPositiveDefinite(f"level {partition.level}: array must not contain infs or NaNs")
-    factor, info = dpbtrf(band)
-    if info:
-        raise NotPositiveDefinite(f"level {partition.level}: {info}-th leading minor not positive definite")
-    return GramSystem(partition, band, factor)
 
 
 def gram_matrix(partition):
@@ -421,7 +444,8 @@ def gram_matrix(partition):
     k = partition.order
     spans = np.flatnonzero(np.diff(partition.knots) > 0)
     band = _band_columns(partition.knots, k, spans, spans - k + 1, partition.M)
-    return _factored(partition, band, band)
+    _check_finite(partition, band)
+    return GramSystem(partition, band, cholesky(band, partition.level))
 
 
 def refinement_columns(windows, k, ncols):
@@ -451,22 +475,24 @@ def refinement_columns(windows, k, ncols):
 
 
 def refine_gram(G, fine, i0, fresh):
-    """The Gram system of a one-knot refinement, from the coarse one and the changed columns.
+    """The Gram band of a one-knot refinement, from the coarse one and the changed columns.
 
     ``fine`` is G's partition with tau_{i0} (1-based) inserted at 0-based
     position p = i0 - 1, and ``fresh`` holds its band columns p-k.. from
     ``refinement_columns``.  Every other column is the coarse one, shifted
     by one past the knot, so the band equals the one ``gram_matrix(fine)``
-    assembles, bit for bit; it is factored again.  Only the fresh columns
-    are checked for inf and NaN: the others were checked at their own level.
+    assembles, bit for bit.  The band is not factored here.  Only the fresh
+    columns are checked for inf and NaN: the others were checked at their
+    own level.
     """
     k = fine.order
     p = i0 - 1
+    _check_finite(fine, fresh)
     band = np.empty((k, fine.M))
     band[:, :p] = G.band[:, :p]
     band[:, p + 1 :] = G.band[:, p:]
     band[:, p - k : p - k + fresh.shape[1]] = fresh
-    return _factored(fine, band, fresh)
+    return GramSystem(fine, band)
 
 
 def boehm_weights(t):

@@ -26,8 +26,6 @@ from collections.abc import Iterator
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Smallest default experiment --grid; finer inputs get 4 cells per knot.
 _GRID_FLOOR = 2048
-# Entries of the system matrix below this are zeroed in verify's orthonormality product.
-_FLUSH = 1e-100
 
 
 def _cap_threads():
@@ -185,7 +183,11 @@ def _emit(args, payload, rows):
 
 
 def _config_dict(args):
-    return {key: value for key, value in vars(args).items() if key != "func"}
+    """Every parsed option; ``law`` is null when --points supplies the sequence, which no law drew."""
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    if config.get("points"):
+        config["law"] = None
+    return config
 
 
 def _resolve_grid(args, system):
@@ -269,17 +271,9 @@ def _cmd_build(args):
 
 
 def _orthonormality_error(F, G):
-    """max |<f_m, f_n> - delta_mn| over the system matrix F, from the product F A F^T.
-
-    Entries of F below _FLUSH in magnitude are zeroed in this product only,
-    which spares it the slow arithmetic of the subnormals among them; the
-    exported coefficients are never flushed.  Each zeroed entry moves an
-    inner product by at most _FLUSH max|A F^T|, so the whole product moves
-    by at most 2 M _FLUSH max|A F^T|, far below the 1e-10 gate.
-    """
+    """max |<f_m, f_n> - delta_mn| over the system matrix F, from the product F A F^T."""
     import numpy as np
 
-    F = np.where(np.abs(F) < _FLUSH, 0.0, F)
     return float(np.abs(F @ G.apply(F.T) - np.eye(len(F))).max())
 
 

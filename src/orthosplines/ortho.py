@@ -9,7 +9,12 @@ orthonormal polynomials.
 The walk has two passes, split where the paper splits them.  The knot pass
 (``knot_blocks``) gives each level's alpha, its characteristic interval and
 its knot window from the knots alone; the Gram pass (``levels``) adds the
-Gram system and f_n.
+Gram system and f_n.  f_n is exponentially localized around its new knot,
+as the Gram inverse is (Demko, Moss and Smith, Math. Comp. 1984), so the
+Gram pass solves each level on a window of B-splines around the new knot
+(``window_function``), accepted by the window's normwise backward error
+(``backward_error``), and writes exact zeros outside it; a level costs
+O(h k^2 + M k) for a window of half-width h, not O(M k^2).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .bspline import (
     gram_matrix,
     refine_gram,
     refinement_columns,
+    window_solve,
 )
 from .errors import NotPositiveDefinite
 from .knots import boundary_partition, check_level, next_partition
@@ -38,6 +44,11 @@ from .knots import boundary_partition, check_level, next_partition
 # O(LEVEL_BLOCK M) floats, and temporaries of O(LEVEL_BLOCK k^3) floats:
 # about 0.5 MB at k = 3, M = 1024.
 LEVEL_BLOCK = 64
+# A level's first window reaches FIRST_WINDOW * k B-splines to either side of
+# its new knot; ``window_function`` doubles it until the window is certified.
+FIRST_WINDOW = 16
+# The unit roundoff 2^-53 of float64: the backward error a window may add.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,8 @@ class OrthoSystem:
 
     ``polynomials`` holds the k polynomials of ``initial_block``,
     ``blocks`` the walk's ``KnotBlock`` records in level order, and
-    ``coeffs[n - 2]`` the coefficients of f_n over the level-n basis.
+    ``coeffs[n - 2]`` the coefficients of f_n over the level-n basis, exact
+    zeros outside its window.
     ``matrix`` holds every system function expressed over the level-N
     B-spline basis (rows ordered by level, the polynomials first, so level n
     is row n + k - 2): Gram identities are single products with it, and
@@ -251,14 +263,54 @@ def levels(seq, N):
     G its Gram system, ``coeffs`` the coefficients of f_n over the level-n
     basis and ``norm2`` the L2 norm of the unnormalized complement function
     g = norm2 f_n.  Per block one ``refinement_columns`` call assembles the
-    2k fresh Gram band columns around each t_n.  Each level then only shifts
-    the band past t_n and pastes its fresh columns, factors the band and
-    solves for the new function once: O(M k^2) per level, O(N^2 k^2) for
-    the walk.  A level that fails raises when the walk reaches it, naming
-    the level.  The walk keeps the knot vectors of one block; a consumer
-    that drops what it was given runs in memory O(LEVEL_BLOCK N).  An N
-    the sequence cannot reach fails before the level-1 Gram system is
-    assembled.
+    2k fresh Gram band columns around each t_n.  Each level then shifts the
+    band past t_n and pastes its fresh columns, a copy of O(M k), and solves
+    A w = alpha on a window around t_n alone (``window_function``): O(h k^2)
+    for a window of half-width h.  The coefficients outside the window are
+    exactly 0.  So a level costs O(h k^2 + M k), and h stays near
+    FIRST_WINDOW k on every input tried, where the full band cost
+    O(M k^2).  Only the level-N band is factored whole, once, at the end of
+    the walk, so the last G holds the full factor and a level-N band that
+    is not positive definite fails the walk.
+
+    Why the window is safe.  Let p = i0 - 1 be t_n's 0-based position, W
+    the window lo..hi - 1 around it, D = diag A, and A~ = D^-1/2 A D^-1/2,
+    whose unit diagonal gives ||A~||_2 >= 1.  LAPACK's factor and solve of
+    the window's principal submatrix A_W return w with
+    (A_W + dA_W) w = alpha_W, and |dA_W| <= c_k u |R_W^T| |R_W| for the
+    window's factor R_W (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm. 10.4, with the bandwidth in place of the order).
+    Column j of R_W has squared norm a_jj, so by Cauchy-Schwarz
+    (|R_W^T| |R_W|)_ij <= (a_ii a_jj)^1/2: the window's scaled error
+    ||D^-1/2 dA_W D^-1/2||_2 obeys the same bound as the error of LAPACK's
+    solve of the whole band.  Extend w by zeros to x.  Alpha vanishes
+    outside W, so (A + dA) x - alpha = r with dA = dA_W in W's rows and
+    columns and r = A x off W: r is nonzero only on the k - 1 rows past each
+    end of W, and it costs O(k^2) to form.  In the scaled variables
+    x~ = D^1/2 x, r~ = D^-1/2 r, alpha~ = D^-1/2 alpha, r~ and x~ have
+    disjoint supports, so r~ is orthogonal to x~, and the symmetric
+    E~ = -(r~ x~^T + x~ r~^T) / ||x~||^2 gives E~ x~ = -r~, that is,
+    (A~ + dA~ + E~) x~ = alpha~.  With unit vectors along r~ and x~ that are
+    orthogonal, E~ has eigenvalues +-eta and 0, so ||E~||_2 = eta with
+
+        eta = ||D^-1/2 r||_2 / ||D^1/2 x||_2,
+
+    Rigal and Gaches' normwise backward error (Higham, Sec. 7.1).  The
+    window is accepted when eta <= u = 2^-53; else h doubles, from
+    FIRST_WINDOW k, until eta <= u or W is the whole level, where r = 0.
+    Because ||A~||_2 >= 1, an accepted window adds at most one unit roundoff
+    of normwise backward error, relative to ||A~||_2, to what LAPACK's solve
+    of the whole band carries: no eigenvalue bound is needed.  r is formed
+    with at most k - 1 products a row, so its rounding moves eta by about
+    k u times the same ratio taken with |A| |x| in place of r: a term of
+    order k u^2 where the two ratios are alike.  A window that is the
+    whole level is LAPACK's full solve, bit for bit.
+
+    A level that fails raises when the walk reaches it, naming the level; a
+    window whose factor fails names the minor by its index in the level.
+    The walk keeps the knot vectors of one block; a consumer that drops
+    what it was given runs in memory O(LEVEL_BLOCK N).  An N the sequence
+    cannot reach fails before the level-1 Gram system is assembled.
     """
     check_level(seq, N)
     k = seq.order
@@ -268,17 +320,82 @@ def levels(seq, N):
         M = block.first + np.arange(len(p)) + k - 1
         fresh = refinement_columns(block.windows, k, np.minimum(M, p + k) - p + k)
         for b, (fine, cols) in enumerate(zip(parts, fresh)):
-            i0 = int(block.i0[b])
-            G = refine_gram(G, fine, i0, cols)
-            rhs = np.zeros(fine.M)
-            rhs[i0 - k - 1 : i0] = block.alpha[b]
-            w = G.solve(rhs)
-            norm2 = math.sqrt(float(rhs @ w))
-            if not (math.isfinite(norm2) and np.isfinite(w).all()):
-                raise NotPositiveDefinite(
-                    f"level {fine.level}: complement function not finite, norm {norm2}"
-                )
-            yield G, block, b, w / norm2, norm2
+            G = refine_gram(G, fine, int(block.i0[b]), cols)
+            lo, c, norm2 = window_function(G.band, int(p[b]), block.alpha[b], fine.level)
+            coeffs = np.zeros(fine.M)
+            coeffs[lo : lo + len(c)] = c
+            if fine.level == N:
+                G.factor  # the level-N factor, the one band the walk factors whole
+            yield G, block, b, coeffs, norm2
+
+
+def window_function(band, p, alpha, level):
+    """(lo, c, norm2): f_n's coefficients c on the certified window lo..lo + len(c) - 1 around position p.
+
+    ``band`` is the level's Gram band and ``alpha`` sits at p - k..p.  The
+    window reaches h = FIRST_WINDOW k to either side of p, cut at the ends
+    of the level.  On it A w = alpha is solved, norm2 = (alpha . w)^1/2
+    and c = w / norm2.  h doubles until ``backward_error`` is at most
+    UNIT_ROUNDOFF or the window is the whole level (``levels`` proves why
+    that suffices).  A window whose c or norm2 is not finite is widened
+    too, so a level fails, naming itself, only on its whole band, as the
+    full solve did.
+    """
+    k, M = band.shape
+    h = FIRST_WINDOW * k
+    while True:
+        lo, hi = max(0, p - h), min(M, p + h + 1)
+        rhs = np.zeros(hi - lo)
+        rhs[p - k - lo : p + 1 - lo] = alpha
+        w = window_solve(band, lo, rhs, level)
+        norm2 = math.sqrt(float(rhs @ w))
+        if not (math.isfinite(norm2) and np.isfinite(w).all()):
+            if hi - lo == M:
+                raise NotPositiveDefinite(f"level {level}: complement function not finite, norm {norm2}")
+        else:
+            c = w / norm2
+            if hi - lo == M or backward_error(band, lo, c) <= UNIT_ROUNDOFF:
+                return lo, c, norm2
+        h *= 2
+
+
+def backward_error(band, lo, c):
+    """eta = ||D^-1/2 r||_2 / ||D^1/2 x||_2 for window coefficients c on lo..lo + len(c) - 1, x = c extended by 0.
+
+    eta does not depend on the scale of x, so c may be w or w / norm2.
+    r = A x - alpha vanishes in the window, up to the solve's own rounding,
+    and outside it alpha = 0, so r is A x on the kd = k - 1 rows past each
+    end: row lo - kd + a meets column lo + j, j <= a, in band[a - j, lo + j],
+    and row hi + a meets column hi - kd + j, j >= a, in band[j - a, hi + a].
+    Each row's sum of at most kd products is squared and divided by the
+    row's diagonal entry; a diagonal entry that is not positive makes eta
+    infinite.  The window must hold at least kd entries.
+    """
+    k, M = band.shape
+    kd = k - 1
+    hi = lo + len(c)
+    diag = band[kd]
+    num2 = 0.0
+    if lo > 0:
+        ends, x = band[:kd, lo : lo + kd].tolist(), c[:kd].tolist()
+        first = max(0, kd - lo)  # rows before 0 do not exist
+        for a, d in zip(range(first, kd), diag[lo - kd + first : lo].tolist()):
+            r = 0.0
+            for j in range(a + 1):
+                r += ends[a - j][j] * x[j]
+            if not d > 0.0:
+                return math.inf
+            num2 += r * r / d
+    if hi < M:
+        ends, x = band[:kd, hi : hi + kd].tolist(), c[len(c) - kd :].tolist()
+        for a, d in enumerate(diag[hi : hi + kd].tolist()):
+            r = 0.0
+            for j in range(a, kd):
+                r += ends[j - a][a] * x[j]
+            if not d > 0.0:
+                return math.inf
+            num2 += r * r / d
+    return math.sqrt(num2 / float(diag[lo:hi] @ (c * c)))
 
 
 def build_system(seq, N):

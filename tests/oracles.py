@@ -453,7 +453,7 @@ def ortho_function(G, i0):
     alpha = alpha_loop(part, i0)
     rhs = np.zeros(part.M)
     rhs[i0 - k - 1 : i0] = alpha
-    w = G.solve(rhs)
+    w = bspline.dpbtrs(G.factor, rhs)[0]
     norm2 = math.sqrt(float(rhs @ w))
     if not (math.isfinite(norm2) and np.isfinite(w).all()):
         raise NotPositiveDefinite(f"level {part.level}: complement function not finite, norm {norm2}")
@@ -468,6 +468,23 @@ def ortho_function(G, i0):
         coeffs=w / norm2,
         norm2=norm2,
     )
+
+
+def full_band_levels(seq, N):
+    """The level walk with every level's whole band factored and solved: the oracle of the window solves.
+
+    Yields what ``ortho.levels`` yields, with coeffs and norm2 replaced by
+    those of LAPACK's factor and solve of the level's whole Gram band, alpha
+    scattered into R^M, as the walk made them before it solved on windows.
+    """
+    k = seq.order
+    for G, block, b, _, _ in ortho.levels(seq, N):
+        i0 = int(block.i0[b])
+        rhs = np.zeros(G.M)
+        rhs[i0 - k - 1 : i0] = block.alpha[b]
+        w = bspline.dpbtrs(G.factor, rhs)[0]
+        norm2 = math.sqrt(float(rhs @ w))
+        yield G, block, b, w / norm2, norm2
 
 
 def gram_schmidt_oracle(seq, n):
@@ -507,7 +524,7 @@ def estwj_ratio(of, G):
     e = np.zeros(G.M)
     e[j0 - 1] = 1.0
     w = of.norm2 * of.coeffs
-    return abs(float(w[j0 - 1])) / float(G.solve(e)[j0 - 1])
+    return abs(float(w[j0 - 1])) / float(bspline.dpbtrs(G.factor, e)[0][j0 - 1])
 
 
 def deboor_stability_ratio(f, p):

@@ -29,6 +29,7 @@ from oracles import (
 from orthosplines import bspline, knots, ortho
 from orthosplines.errors import (
     DomainError,
+    NotPositiveDefinite,
     QuadratureTooCoarse,
 )
 
@@ -206,8 +207,22 @@ class TestGramMatrix:
         G = bspline.gram_matrix(p)
         B = np.linalg.inv(dense(G))
         rhs = np.arange(1.0, p.M + 1)
-        assert np.allclose(B @ rhs, G.solve(rhs), atol=1e-12)
+        assert np.allclose(B @ rhs, bspline.dpbtrs(G.factor, rhs)[0], atol=1e-12)
         assert np.allclose(streamed_inverse(G), B, atol=1e-12)
+
+    @pytest.mark.parametrize("lo", [0, 1, 20])
+    def test_window_factor_names_the_minor_in_the_level(self, lo):
+        # a diagonal entry made negative at column 30 fails the factor of any
+        # window that holds it at that column's 1-based index in the level
+        G = bspline.gram_matrix(part(3, knots.random_admissible(5, 3, 60).points))
+        band = G.band.copy()
+        band[2, 30] = -1.0
+        rhs = np.ones(40)
+        with pytest.raises(NotPositiveDefinite, match="^level 59: 31-th leading minor not positive definite$"):
+            bspline.window_solve(band, lo, rhs, 59)
+        # the run of columns is the band of the principal submatrix
+        A = dense(G)[lo : lo + 40, lo : lo + 40]
+        assert np.allclose(A @ bspline.window_solve(G.band, lo, rhs, 59), rhs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("M", [255, 256, 257, 513])
     @pytest.mark.parametrize("k", [1, 3, 6])

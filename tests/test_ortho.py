@@ -10,6 +10,7 @@ from oracles import (
     boehm_refine,
     dense,
     estwj_ratio,
+    full_band_levels,
     gram_schmidt_oracle,
     insert_event,
     legendre_projection,
@@ -35,12 +36,15 @@ def alpha_of(part, i0):
     return ortho.alpha_coefficients(*boehm_refine(part, i0))
 
 
-def cubic_build(seq, N):
+def cubic_build(seq, N, coeffs=None):
     """The level loop as first written, kept as the oracle of build_system.
 
     Re-sorts every level's partition, prolongs all earlier functions through
     each single-knot refinement, stacks a new copy of the system matrix and
-    assembles the whole Gram matrix per level: O(N^3) in all.
+    assembles the whole Gram matrix per level: O(N^3) in all.  ``coeffs``,
+    when given, holds each level's coefficients to stack in place of the
+    oracle's own, so that the matrix sweep can be checked bit for bit on
+    the walk's window solves; the returned functions are the oracle's.
     """
     k = seq.order
     block = ortho.initial_block(k)
@@ -52,7 +56,7 @@ def cubic_build(seq, N):
         i0 = insert_event(seq, n)
         F = prolong_many(F, part, fine, i0)
         of = ortho_function(bspline.gram_matrix(fine), i0)
-        F = np.vstack([F, of.coeffs[None, :]])
+        F = np.vstack([F, (of.coeffs if coeffs is None else coeffs[n - 2])[None, :]])
         functions.append(of)
         part = fine
     return functions, F
@@ -60,6 +64,48 @@ def cubic_build(seq, N):
 
 LEVELS = 40
 FAMILIES = ("uniform-iid", "dyadic-shuffled", "near-one", "full-multiplicity", "next-to-ends")
+UNIT = 2.0**-53
+
+
+def recorded_windows(monkeypatch):
+    """{level: (lo, hi)}, filled with the window each level's solve is accepted on, as the walk runs."""
+    windows = {}
+    window_function = ortho.window_function
+
+    def recorded(band, p, alpha, level):
+        lo, c, norm2 = window_function(band, p, alpha, level)
+        windows[level] = (lo, lo + len(c))
+        return lo, c, norm2
+
+    monkeypatch.setattr(ortho, "window_function", recorded)
+    return windows
+
+
+def window_tolerance(k):
+    """Largest weighted relative difference of a window solve from the full solve of the same level.
+
+    Each solve of the scaled Gram system A~ has normwise backward error
+    below 8u, the window's certificate adding at most u to LAPACK's, so
+    the two differ by at most 2 * 8u * kappa(A~).  kappa(A~) stays below
+    4^k (``TestWindowSolves`` checks it at level N).
+    """
+    return 16 * 4**k * UNIT
+
+
+def assert_same_solution(G, got, want, window):
+    """got is 0 outside the window; bit-equal to want on a whole-level window, else within ``window_tolerance``.
+
+    G is the level's Gram system; the difference is weighted by the
+    B-splines' L2 norms, the square roots of its diagonal.
+    """
+    lo, hi = window
+    assert not got[:lo].any() and not got[hi:].any()
+    if hi - lo == len(got):
+        assert got.tobytes() == want.tobytes()
+    else:
+        k = G.partition.order
+        d = np.sqrt(G.band[k - 1])
+        assert np.linalg.norm(d * (got - want)) <= window_tolerance(k) * np.linalg.norm(d * want)
 
 
 def family_sequence(family, k):
@@ -305,13 +351,14 @@ class TestEstwjRatio:
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 class TestIncrementalBuild:
-    def test_matches_cubic_oracle(self, k, family):
+    def test_matches_cubic_oracle(self, monkeypatch, k, family):
         # the walk's own block size puts all 39 levels in one block
         seq = family_sequence(family, k)
         N = len(seq.points) - 1
-        functions, F = cubic_build(seq, N)
+        windows = recorded_windows(monkeypatch)
         system = ortho.build_system(seq, N)
-        assert_same_functions(level_records(system), functions)
+        functions, F = cubic_build(seq, N, system.coeffs)
+        assert_same_functions(level_records(system), functions, seq, windows)
         assert np.array_equal(system.matrix, F)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
@@ -321,7 +368,8 @@ class TestIncrementalBuild:
         seq = family_sequence(family, k)
         N = len(seq.points) - 1
         functions, _ = cubic_build(seq, N)
-        assert_same_functions(level_records(ortho.build_system(seq, N)), functions)
+        windows = recorded_windows(monkeypatch)
+        assert_same_functions(level_records(ortho.build_system(seq, N)), functions, seq, windows)
 
     def test_positions_give_every_level_its_knots(self, k, family):
         # level n's knots are the level-N ones at the boundary and at the
@@ -338,6 +386,7 @@ class TestIncrementalBuild:
 
     def test_local_band_equals_full_assembly(self, monkeypatch, k, family):
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
+        windows = recorded_windows(monkeypatch)
         seq = family_sequence(family, k)
         for n, (G, block, b, coeffs, norm2) in enumerate(ortho.levels(seq, len(seq.points) - 1), start=2):
             full = bspline.gram_matrix(knots.partition_at(seq, n))
@@ -345,18 +394,22 @@ class TestIncrementalBuild:
             assert block.first + b == n
             assert block.i0[b] == insert_event(seq, n)
             assert np.array_equal(G.band, full.band)
-            assert np.array_equal(G.factor, full.factor)
-            # the walk's norm of g, which the system does not keep, is the per-level one
+            # the walk factors windows alone; the oracle factors and solves the whole band
             want = ortho_function(full, insert_event(seq, n))
-            assert norm2 == want.norm2
-            assert coeffs.tobytes() == want.coeffs.tobytes()
+            assert_same_solution(G, coeffs, want.coeffs, windows[n])
+            if windows[n] == (0, G.M):
+                # the walk's norm of g, which the system does not keep, is the per-level one
+                assert norm2 == want.norm2
+            else:
+                assert abs(norm2 - want.norm2) <= window_tolerance(k) * want.norm2
 
 
-def assert_same_functions(mine, ref):
+def assert_same_functions(mine, ref, seq, windows):
+    """The walk's level records against the cubic oracle's: coefficients by ``assert_same_solution``."""
     assert len(mine) == len(ref)
     for got, want in zip(mine, ref):
         assert got.level == want.level
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert_same_solution(level_gram(seq, got.level), got.coeffs, want.coeffs, windows[got.level])
         assert got.window.tobytes() == want.window.tobytes()
         assert got.i0 == want.i0
         assert (got.j0, got.J) == (want.j0, want.J)
@@ -364,15 +417,70 @@ def assert_same_functions(mine, ref):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
-def test_block_edges_match_the_cubic_oracle(offset):
+def test_block_edges_match_the_cubic_oracle(monkeypatch, offset):
     # N = B - 1 .. B + 2: the N - 1 levels 2..N fill one block short by two
     # and by one, one whole block, and one whole block plus one level.
     N = ortho.LEVEL_BLOCK + offset
     seq = knots.random_admissible(N, 3, N + 1, "dyadic-shuffled")
-    functions, F = cubic_build(seq, N)
+    windows = recorded_windows(monkeypatch)
     system = ortho.build_system(seq, N)
-    assert_same_functions(level_records(system), functions)
+    functions, F = cubic_build(seq, N, system.coeffs)
+    assert_same_functions(level_records(system), functions, seq, windows)
     assert np.array_equal(system.matrix, F)
+
+
+def wide_sequence(family, k, N):
+    """N + 1 points of a family at a depth where windows are narrower than the level.
+
+    The laws of ``knots.LAWS``; near-one, 1 - 2^-j for j < 50 and then
+    uniform draws; full multiplicity, shuffled odd multiples of 2^-10, each
+    k times.
+    """
+    if family in knots.LAWS:
+        return knots.random_admissible(7 + k, k, N + 1, family)
+    rng = np.random.default_rng(k)
+    if family == "near-one":
+        interior = [1.0 - 2.0**-j for j in range(1, 50)][: N - 1]
+        interior += list(rng.random(N - 1 - len(interior)))
+    else:
+        interior = [(2 * i + 1) / 1024 for i in rng.permutation(512) for _ in range(k)][: N - 1]
+    return knots.validate_admissible(k, [0.0, 1.0] + interior)
+
+
+@pytest.mark.parametrize("family", knots.LAWS + ("near-one", "full-multiplicity"))
+@pytest.mark.parametrize("k", range(1, 7))
+class TestWindowSolves:
+    # N = 48k: a level has M = 49k - 1 B-splines, more than the first
+    # window's 32k + 1, so levels away from the middle solve on windows.
+
+    def test_every_window_is_certified(self, monkeypatch, k, family):
+        # eta = |D^-1/2 A x| / |D^1/2 x| on the rows outside the window, from
+        # the level's whole band, x the walk's coefficients, 0 off the window
+        windows = recorded_windows(monkeypatch)
+        partial = 0
+        for G, block, b, coeffs, _ in ortho.levels(wide_sequence(family, k, 48 * k), 48 * k):
+            lo, hi = windows[block.first + b]
+            assert not coeffs[:lo].any() and not coeffs[hi:].any()
+            diag = G.band[k - 1]
+            outside = np.r_[0:lo, hi : G.M]
+            eta = np.linalg.norm(G.apply(coeffs)[outside] / np.sqrt(diag[outside]))
+            assert eta <= UNIT * np.linalg.norm(np.sqrt(diag) * coeffs)
+            partial += hi - lo < G.M
+        assert partial > 0
+
+    def test_windows_match_the_full_band_oracle(self, monkeypatch, k, family):
+        # bit-equal where the window is the whole level, else within window_tolerance
+        windows = recorded_windows(monkeypatch)
+        seq = wide_sequence(family, k, 48 * k)
+        walks = zip(ortho.levels(seq, 48 * k), full_band_levels(seq, 48 * k))
+        for (G, block, b, coeffs, norm2), (_, _, _, want, want_norm2) in walks:
+            window = windows[block.first + b]
+            assert_same_solution(G, coeffs, want, window)
+            assert abs(norm2 - want_norm2) <= window_tolerance(k) * want_norm2
+        # the tolerance's premise: the scaled Gram condition below 4^k
+        d = np.sqrt(G.band[k - 1])
+        eig = np.linalg.eigvalsh(dense(G) / np.outer(d, d))
+        assert eig[-1] < 4**k * eig[0]
 
 
 def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
