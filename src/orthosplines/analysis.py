@@ -9,8 +9,14 @@ spans a block of whole spans at a time and laid out span-major
 (``bspline.rule_blocks``), from which ``span_integrals`` forms every L^p
 integral: the experiment's norms of its random expansions and the tail
 audit's pieces.  It gathers k coefficients per span, not per node, and
-sums each span's q nodes over contiguous runs of spans.  No p-th power
-is taken by scalar ``pow`` (``_powers``): a whole p by repeated squaring,
+sums each span's q nodes over contiguous runs of spans.  Both readers of
+the system's rows evaluate a row only on the blocks of points where its
+coefficients are not all zero (``OrthoSystem.columns``): each f_n is
+exactly 0 outside the window its level was solved on, and the zeros it
+would give elsewhere are written as 0.0, which is their value bit for
+bit.  The experiment's rows, random expansions over every function, are
+read whole.  No p-th power is taken by scalar ``pow`` (``_powers``): a
+whole p by repeated squaring,
 so p = 2 is one square, and the other p from one log of the magnitudes
 shared by all of them, with each node's weight folded in so that no
 node's |f|^p has to fit in a float; the grid's Sf^2 is raised to p/2 the
@@ -28,9 +34,10 @@ work one block of levels at a time in array passes, reading the rows of
 the system's ``ortho.KnotBlock`` records.  The Boehm identity evaluates
 only the points on the 2k - 2 spans around each new knot, from its
 level's knot window, since the gap is exactly 0.0 at every other point.
-The tail audit integrates each f_n over every level-N span once: the
-spans inside J_n give its norm there, and those outside its tails, cut
-at the distinct level-N knot values (``charint.knot_distances``).
+The tail audit integrates each f_n once over the level-N spans where it
+is not zero: the spans inside J_n give its norm there, and those outside
+its tails, cut at the distinct level-N knot values
+(``charint.knot_distances``).
 
 The grid model: [0, 1] is split into G half-open cells [i/G, (i+1)/G), each
 represented by its center sample.  A sum over the cells divided by G is
@@ -109,17 +116,39 @@ def squared_values(system, rows, xs):
 
     A block is ``bspline.eval_blocks``' EVAL_BLOCK points from index lo on,
     and ``sq`` is (rows, points), a C-contiguous view of one buffer of
-    rows x EVAL_BLOCK floats that every block reuses: it is filled a tile
-    of rows at a time (``bspline.row_tiles``) and holds a block only until
-    the next one is formed.
+    rows x EVAL_BLOCK floats that every block reuses, and holds a block
+    only until the next one is formed.  Only the rows whose nonzero
+    columns (``OrthoSystem.columns``) meet the block's are evaluated
+    (``_meets``), from the block's columns alone, a tile of rows at a
+    time (``bspline.row_tiles``); the others are filled with 0.0.  That is
+    their value bit for bit: a row whose k coefficients at every point are
+    +-0 has value +-0 there, and its square is +0.0.
     """
     F = system.matrix[:rows]
+    columns = system.columns[:rows]
+    k = system.order
     buf = np.empty(rows * bspline.EVAL_BLOCK)
     for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
         sq = _leading(buf, (rows, len(first)))
-        for tile in bspline.row_tiles(rows, len(first)):
-            np.square(bspline.spline_values(F[tile], first, vals), out=sq[tile])
+        c0, c1 = int(first.min()) - 1, int(first.max()) + k - 2
+        meets = _meets(columns, c0, c1)
+        sq[~meets] = 0.0
+        live = np.flatnonzero(meets)
+        for tile in bspline.row_tiles(len(live), len(first)):
+            at = _run(live[tile])
+            sq[at] = np.square(bspline.spline_values(F[at, c0 : c1 + 1], first - c0, vals))
         yield lo, sq
+
+
+def _meets(columns, lo, hi):
+    """Whether each row's nonzero columns, (rows, 2) first and last, meet columns lo..hi."""
+    return (columns[:, 0] <= hi) & (columns[:, 1] >= lo)
+
+
+def _run(rows):
+    """An increasing array of row indices as a slice when the rows are consecutive, so reading them copies nothing."""
+    first, last = int(rows[0]), int(rows[-1])
+    return slice(first, last + 1) if last - first + 1 == len(rows) else rows
 
 
 def check_exponents(ps):
@@ -216,6 +245,7 @@ def _trial_sums(system, ps, trials, seed, xs):
     C = np.empty((2, T, size))  # level-N coefficients of a block's expansions, then of their flips
     rows = C.reshape(2 * T, size)
     sums = np.empty((len(ps), 2 * T))
+    dense = np.broadcast_to([0, size - 1], (2 * T, 2))  # every row of C may be nonzero anywhere
     for lo in range(0, trials, T):
         block = range(lo, min(lo + T, trials))
         for i, t in enumerate(block):
@@ -224,7 +254,7 @@ def _trial_sums(system, ps, trials, seed, xs):
         np.matmul(A[lo : lo + T], system.matrix, out=C[0])
         np.matmul(flips, system.matrix, out=C[1])
         for chunk in bspline.row_tiles(2 * T, len(rule.spans)):
-            sums[:, chunk] = span_integrals(rows[chunk], rule, nodes, ps).sum(axis=2)
+            sums[:, chunk] = span_integrals(rows[chunk], rule, nodes, ps, dense[chunk]).sum(axis=2)
         lp[:, :, lo : lo + T] = sums.reshape(len(ps), 2, T)
     return lp[:, :, :trials], sq[:, :trials]
 
@@ -269,7 +299,7 @@ def lp_rule(system):
     return rule, list(bspline.rule_blocks(partition, rule))
 
 
-def span_integrals(F, rule, nodes, ps):
+def span_integrals(F, rule, nodes, ps, columns):
     """Integral of |f|^p over each span of the rule, (len(ps), rows, spans), for each row of F and p in ps.
 
     The rows of F are splines over the finest basis, and the rule is over
@@ -293,6 +323,15 @@ def span_integrals(F, rule, nodes, ps):
     node order, one contiguous run of spans at a time.  A row's integrals
     keep their bits whichever rows come with it.
 
+    ``columns``, (rows, 2), holds each row's first and last column that is
+    not zero (``OrthoSystem.columns``; 0 and size - 1 for a row read
+    whole).  A block of nodes reads columns min(start)..max(start) + k - 1,
+    and only the rows whose range meets them are evaluated, from those
+    columns alone; the others keep pieces of +0.0.  That is what they
+    would give: their k coefficients on every span of the block are +-0,
+    so every value is +-0, its magnitude +0.0 and every power and sum
+    +0.0.
+
     The rule is exact through degree 2q - 1, so a piece is exact only for
     even p, where |f|^p is a polynomial of degree p(k - 1) on the span: at
     ``lp_rule``'s q = k + 6, for p(k - 1) <= 2k + 11, which is p = 2 for
@@ -306,11 +345,16 @@ def span_integrals(F, rule, nodes, ps):
     for lo, start, vals in nodes:
         spans = slice(lo, lo + len(start))
         block_folds = [fold[:, spans] for fold in folds]
-        for tile in bspline.row_tiles(len(F), vals[0].size):
-            mags = bspline.node_values(F[tile], start, vals)
+        c0, c1 = int(start.min()), int(start.max()) + len(vals) - 1
+        meets = _meets(columns, c0, c1)
+        pieces[:, ~meets, spans] = 0.0
+        live = np.flatnonzero(meets)
+        for tile in bspline.row_tiles(len(live), vals[0].size):
+            rows = _run(live[tile])
+            mags = bspline.node_values(F[rows, c0 : c1 + 1], start - c0, vals)
             np.abs(mags, out=mags)
             for i, power in enumerate(_powers(mags, ps, block_folds)):
-                np.sum(power, axis=1, out=pieces[i, tile, spans])
+                pieces[i, rows, spans] = power.sum(axis=1)
     return pieces
 
 
@@ -464,7 +508,9 @@ def tail_decay_audit(system, p, gamma_fit):
     so its tails there are 0, and the maximum runs over the depths the
     windows hold, about the knots within 16k B-splines of the new knot; a
     fit of the decay envelope has to choose which of those depths it
-    covers.
+    covers.  The pieces are formed only on the blocks of spans that meet
+    each row's nonzero columns (``OrthoSystem.columns``), and are +0.0
+    elsewhere, so the audit's work follows the windows, not N.
 
     The same pieces give the norms on J.  J = (c, d) is a span of level n,
     so both ends are level-N knot values, and the rule's span r lies in J
@@ -486,7 +532,8 @@ def tail_decay_audit(system, p, gamma_fit):
     on_J = []
     for block in system.blocks:
         row = block.first + k - 2
-        (pieces,) = span_integrals(system.matrix[row : row + len(block.J)], rule, nodes, (p,))
+        rows = slice(row, row + len(block.J))
+        (pieces,) = span_integrals(system.matrix[rows], rule, nodes, (p,), system.columns[rows])
         inside = (x[:-1] >= block.J[:, :1]) & (x[1:] <= block.J[:, 1:])
         on_J.append(np.where(inside, pieces, 0.0).sum(axis=1))
         left, right = tail_sums(pieces)

@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterator
+from itertools import islice
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Smallest default experiment --grid; finer inputs get 4 cells per knot.
@@ -42,8 +43,9 @@ def _canonical(payload):
     An iterator is encoded as a list while it is consumed, so a report can be
     written as its records are made: each of its items, and every other
     value, is encoded in one string (``_text``).  A numpy array is encoded as
-    its list; one of finite float64 values is written in one call
-    (``_float_items``).  Dict keys are strings.
+    its list; a 1-D float64 one is written as its window of items that are
+    not +0.0 (``_window``), encoded by ``_float_items``, between literal runs
+    of "0.0".  Dict keys are strings.
     """
     yield from _chunks(payload, "\n")
     yield "\n"
@@ -82,11 +84,21 @@ def _text(obj, newline):
     inner = newline + "  "
     if isinstance(obj, dict):
         items = [_string(key) + ": " + _text(value, inner) for key, value in sorted(obj.items())]
+    elif isinstance(obj, _Floats):
+        if obj.text is None:
+            items = [0.0] * obj.lo + obj.window.tolist() + [0.0] * (obj.size - obj.hi)
+            return _text(items, newline)
+        if not obj.size:
+            return "[]"
+        sep = "," + inner
+        items = ("0.0" + sep) * obj.lo + obj.text.replace(",", sep) + (sep + "0.0") * (obj.size - obj.hi)
+        return "[" + inner + items + newline + "]"
     elif isinstance(obj, (list, tuple, Iterator)):
         items = [_text(item, inner) for item in obj]
     elif _is_array(obj):
-        text = _float_items(obj, "," + inner)
-        return _text(obj.tolist(), newline) if text is None else "[" + inner + text + newline + "]"
+        if obj.ndim != 1 or obj.dtype != "float64":
+            return _text(obj.tolist(), newline)
+        return _text(_float_items([_window(obj)])[0], newline)
     else:
         return json.dumps(obj)
     brackets = "{}" if isinstance(obj, dict) else "[]"
@@ -111,34 +123,89 @@ def _is_array(obj):
     return np is not None and isinstance(obj, np.ndarray)
 
 
-def _float_items(values, sep):
-    """The reprs of a non-empty 1-D float64 array joined by sep, else None.
+class _Floats:
+    """A 1-D float64 array of ``size`` items, +0.0 outside its window, items lo..hi - 1.
 
-    None also when a value is not finite.  orjson writes the shortest
-    round-trip digits, as ``repr`` does, about 25 times faster.  Its text
-    differs from repr's only for 1e-9 <= |x| < 1e-4 ("0.00001", "1e-9"
-    where repr writes "1e-05", "1e-09") and for |x| >= 1e16 ("1e16" for
-    "1e+16"), so those values are written as NaN, which orjson writes as
-    null, and each null is replaced by the value's repr.  No item holds a
-    comma, so the layout is one replace of the commas.  Imported here, so
-    importing this module loads neither numpy nor orjson and
-    ``_cap_threads`` still runs first.
+    ``window`` holds the window's items, and ``text`` their reprs joined by
+    commas once ``_float_items`` has encoded them: then the window is
+    dropped.  ``text`` stays None where an item is not finite.  A plain
+    class, since ``dataclasses`` would import ``inspect`` before numpy.
+    """
+
+    __slots__ = ("lo", "hi", "size", "window", "text")
+
+    def __init__(self, lo, hi, size, window=None, text=None):
+        self.lo, self.hi, self.size, self.window, self.text = lo, hi, size, window, text
+
+
+def _window(values):
+    """A 1-D float64 array as a ``_Floats``: its items from the first to the last that is not +0.0, copied.
+
+    The bits are tested, so a -0.0 is an item of the window, and every item
+    outside it is +0.0, whose repr is "0.0".  An array of +0.0 alone keeps
+    its last item as its window.
     """
     import numpy as np
+
+    live = values.view(np.uint64).nonzero()[0]
+    size = len(values)
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if len(live) else (max(0, size - 1), size)
+    return _Floats(lo, hi, size, values[lo:hi].copy())
+
+
+def _float_items(batch):
+    """The ``_Floats`` of the batch with each finite window encoded, all of them by one ``orjson.dumps`` call.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, about
+    25 times faster.  Its text differs from repr's only for
+    1e-9 <= |x| < 1e-4 ("1e-9", "0.00001" where repr writes "1e-09",
+    "1e-05") and for |x| >= 1e16 ("1e16" for "1e+16").  Those values are
+    written as NaN, which orjson writes as null, and each null is replaced
+    by the value's own text, once for the whole batch: for
+    1e-9 <= |x| < 1e-5, orjson's text of them, from one more call, with
+    its one-digit exponent padded to two, and for the others, far fewer,
+    their repr.  The windows are encoded as one list of arrays, views of
+    one concatenation, and its text is split into theirs at "],[": no item
+    holds a bracket.  A window with an item that is not finite is left to
+    be written item by item.  Imported here, so importing this module
+    loads neither numpy nor orjson and ``_cap_threads`` still runs first.
+    """
+    import numpy as np
+
+    windows = [f.window for f in batch]
+    finite = [True] * len(batch)
+    flat = np.concatenate(windows)
+    if not np.isfinite(flat).all():
+        finite = [bool(np.isfinite(window).all()) for window in windows]
+        windows = [window if ok else window[:0] for window, ok in zip(windows, finite)]
+        flat = np.concatenate(windows)
+    magnitude = np.abs(flat)
+    odd = np.flatnonzero(((magnitude >= 1e-9) & (magnitude < 1e-4)) | (magnitude >= 1e16))
+    values = flat[odd]
+    short = magnitude[odd] < 1e-5  # one-digit exponents, -6 to -9
+    items = np.empty(len(odd), dtype=object)
+    items[short] = _dumps(values[short])[1:-1].replace("e-", "e-0").split(",")
+    items[~short] = list(map(repr, values[~short].tolist()))
+    flat[odd] = np.nan
+    ends = np.cumsum([len(window) for window in windows]).tolist()
+    views = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    text = [None] * (2 * len(odd) + 1)
+    text[::2] = _dumps(views).split("null")
+    text[1::2] = items.tolist()
+    text[0] = text[0][2:]  # the outer brackets
+    text[-1] = text[-1][:-2]
+    text = "".join(text)  # the parts go before the split
+    return [
+        _Floats(f.lo, f.hi, f.size, text=window_text) if ok else f
+        for f, ok, window_text in zip(batch, finite, text.split("],["))
+    ]
+
+
+def _dumps(obj):
+    """orjson's text of obj, numpy arrays encoded as lists."""
     import orjson
 
-    if values.ndim != 1 or values.dtype != np.float64 or not values.size:
-        return None
-    size = np.abs(values)
-    if not np.isfinite(size).all():
-        return None
-    odd = np.flatnonzero(((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16))
-    marked = np.array(values)  # a C-contiguous copy, as orjson needs
-    marked[odd] = np.nan
-    parts = orjson.dumps(marked, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split("null")
-    reprs = map(repr, values[odd].tolist())
-    text = "".join([part + item for part, item in zip(parts, reprs)]) + parts[-1]
-    return text.replace(",", sep)
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def _atomic_write(path, chunks):
@@ -242,7 +309,7 @@ def _cmd_gen(args):
 
 
 def _cmd_build(args):
-    """Export f_2..f_N, each record encoded and written as soon as its level is built.
+    """Export f_2..f_N, a block of ``ortho.LEVEL_BLOCK`` records encoded and written as soon as it is built.
 
     Without --out every level is still built, so a failing level is reported
     the same way.
@@ -258,7 +325,7 @@ def _cmd_build(args):
     payload = {
         "config": _config_dict(args),
         "input_hash": digest,
-        "records": (ortho.export_record(*level) for level in stream),
+        "records": _encoded((ortho.export_record(*level) for level in stream), ortho.LEVEL_BLOCK),
     }
     rows = [
         ("order", seq.order),
@@ -268,6 +335,20 @@ def _cmd_build(args):
     ]
     _emit(args, payload, rows)
     return 0
+
+
+def _encoded(records, block):
+    """The records, each one's coeffs cut to its window as it arrives (``_window``), encoded a block at a time.
+
+    A block of records is held with its windows alone, never its
+    full-length coefficient arrays, and its windows are encoded in one
+    ``_float_items`` call.
+    """
+    records = ({**record, "coeffs": _window(record["coeffs"])} for record in records)
+    while batch := list(islice(records, block)):
+        for record, coeffs in zip(batch, _float_items([record["coeffs"] for record in batch])):
+            record["coeffs"] = coeffs
+            yield record
 
 
 def _orthonormality_error(F, G):

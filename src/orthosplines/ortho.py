@@ -34,6 +34,7 @@ from .bspline import (
     gram_matrix,
     refine_gram,
     refinement_columns,
+    row_tiles,
     window_solve,
 )
 from .errors import NotPositiveDefinite
@@ -113,8 +114,11 @@ class OrthoSystem:
     B-spline basis (rows ordered by level, the polynomials first, so level n
     is row n + k - 2): Gram identities are single products with it, and
     ``bspline.spline_values`` evaluates its rows; it is formed on first use.
-    ``gram`` is the level-N Gram system; its partition is the finest one,
-    and ``positions`` places each t_n in it, which fixes every level's knots.
+    ``columns`` holds each row's first and last column that is not zero,
+    so a reader evaluates a row only where its coefficients are not all
+    zero.  ``gram`` is the level-N Gram system; its partition is the finest
+    one, and ``positions`` places each t_n in it, which fixes every level's
+    knots.
     """
 
     def __init__(self, seq, N, polynomials, blocks, coeffs, gram):
@@ -160,6 +164,28 @@ class OrthoSystem:
                 F[labels, row] = self.coeffs[n - 2]
         _transpose_in_place(F)
         return F
+
+    @functools.cached_property
+    def columns(self):
+        """(size, 2) array: the first and last column of each ``matrix`` row that is not zero.
+
+        f_n is exactly 0 outside the window its level was solved on
+        (``levels``), and the Boehm weights that prolong it to level N are
+        finite, so its row is zero outside about that window carried
+        through the later insertions.  A NaN counts as not zero, and a row
+        of zeros alone gets the empty range (size, -1).  Read from the rows
+        a tile at a time (``bspline.row_tiles``), so no size x size boolean
+        is made.
+        """
+        F = self.matrix
+        M = len(F)
+        out = np.empty((M, 2), dtype=np.intp)
+        for tile in row_tiles(M, M):
+            live = F[tile] != 0.0
+            some = live.any(axis=1)
+            out[tile, 0] = np.where(some, live.argmax(axis=1), M)
+            out[tile, 1] = np.where(some, M - 1 - live[:, ::-1].argmax(axis=1), -1)
+        return out
 
     @functools.cached_property
     def positions(self):

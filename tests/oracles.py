@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
@@ -378,6 +379,46 @@ def span_integrals_whole(system, rule, ps):
     return pieces
 
 
+def span_integrals_dense(F, rule, nodes, ps):
+    """``analysis.span_integrals`` with every row of F evaluated on every block of nodes.
+
+    The kernel with no column ranges: each block's values are formed for
+    all rows, a tile at a time, and each node's w |f|^p taken by the
+    kernel's ``_powers``.  A row whose coefficients on a block's spans are
+    all +-0 gets pieces of +0.0 from it.
+    """
+    w = np.ascontiguousarray(rule.weights.T)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    folds = [w ** (1.0 / p) if float(p).is_integer() else log_w for p in ps]
+    pieces = np.empty((len(ps), len(F), len(rule.spans)))
+    for lo, start, vals in nodes:
+        spans = slice(lo, lo + len(start))
+        block_folds = [fold[:, spans] for fold in folds]
+        for tile in bspline.row_tiles(len(F), vals[0].size):
+            mags = np.abs(bspline.node_values(F[tile], start, vals))
+            for i, power in enumerate(analysis._powers(mags, ps, block_folds)):
+                np.sum(power, axis=1, out=pieces[i, tile, spans])
+    return pieces
+
+
+def tail_decay_audit_dense(system, p, gamma):
+    """``analysis.tail_decay_audit`` on the pieces of ``span_integrals_dense``, every row on every span."""
+
+    def dense(F, rule, nodes, ps, columns):
+        return span_integrals_dense(F, rule, nodes, ps)
+
+    with mock.patch.object(analysis, "span_integrals", dense):
+        return analysis.tail_decay_audit(system, p, gamma)
+
+
+def squared_values_dense(system, rows, xs):
+    """``analysis.squared_values`` with every row evaluated on every block of points, a fresh array each."""
+    F = system.matrix[:rows]
+    for lo, first, vals in bspline.eval_blocks(system.gram.partition, xs):
+        yield lo, np.square(bspline.spline_values(F, first, vals))
+
+
 def square_function(system, coeffs, xs):
     """(sum_n c_n^2 f_n(x)^2)^(1/2) at each point, over the first coeffs.shape[-1] functions.
 
@@ -718,16 +759,16 @@ def tail_decay_loop(system, ps, gammas):
 
     Returns {(p, gamma): report}, the audit's report but for its norms on
     J_n, which ``char_norms_loop`` gives.  The per-span pieces are the
-    audit's own ``analysis.span_integrals``; each pair makes its own
-    ``searchsorted`` and scalar ``d_point`` calls, and every logarithm is
-    of one float (``np.log`` for the two per-pair terms, as in the audit),
-    so the maxima are the per-pair ones bit for bit.
+    audit's kernel on every row and span (``span_integrals_dense``); each
+    pair makes its own ``searchsorted`` and scalar ``d_point`` calls, and
+    every logarithm is of one float (``np.log`` for the two per-pair terms,
+    as in the audit), so the maxima are the per-pair ones bit for bit.
     """
     k = system.order
     rule = bspline.QuadratureRule.over_spans(system.gram.partition.knots, k + 6)
     rights = system.gram.partition.knots[rule.spans + 1]
     nodes = list(bspline.rule_blocks(system.gram.partition, rule))
-    pieces = dict(zip(ps, analysis.span_integrals(system.matrix, rule, nodes, ps)))
+    pieces = dict(zip(ps, span_integrals_dense(system.matrix, rule, nodes, ps)))
     records = level_records(system)
 
     max_log = {(p, g): -math.inf for p in ps for g in gammas}

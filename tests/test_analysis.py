@@ -28,6 +28,8 @@ from oracles import (
     rule_nodes,
     span_integrals_whole,
     square_function,
+    squared_values_dense,
+    tail_decay_audit_dense,
     tail_decay_loop,
     value_matrix,
 )
@@ -54,7 +56,13 @@ def benchmark_sequence(law, seed, k, n):
 
 def span_integrals(system, rule, ps):
     """``analysis.span_integrals`` of every system function for each p in ps, on the rule's nodes."""
-    return analysis.span_integrals(system.matrix, rule, bspline.rule_blocks(system.gram.partition, rule), ps)
+    nodes = bspline.rule_blocks(system.gram.partition, rule)
+    return analysis.span_integrals(system.matrix, rule, nodes, ps, system.columns)
+
+
+def dense_columns(F):
+    """The column range of every row of F taken as all of its columns."""
+    return np.broadcast_to([0, F.shape[1] - 1], (len(F), 2))
 
 
 def assert_span_integrals_match_the_dense_values(system, q):
@@ -285,6 +293,42 @@ class TestLevelPasses:
         [band] = bands
         assert band == pytest.approx((norms.min(), norms.max()), rel=1e-14, abs=0.0)
 
+    def test_columns_are_each_rows_nonzero_range(self, monkeypatch, sequence):
+        # read a tile of rows at a time, with tiles of one row and of several
+        want = None
+        for tile in TILES:
+            monkeypatch.setattr(bspline, "TILE", tile)
+            system = ortho.build_system(*sequence)
+            if want is None:
+                nonzero = [np.flatnonzero(row) for row in system.matrix]
+                want = np.array([(cols[0], cols[-1]) for cols in nonzero])
+            assert system.columns.dtype == np.intp
+            assert np.array_equal(system.columns, want)
+
+    @pytest.mark.parametrize("block", (10, 512))
+    def test_tail_audit_matches_the_dense_pieces(self, monkeypatch, sequence, block):
+        # Blocks of two spans make a shrunk column range skip a row on spans
+        # where it is not zero; at gamma = 0.01 the deepest tails, on the
+        # ends of each row's range, set max_ratio.
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        system = ortho.build_system(*sequence)
+        for p in (1.0, 1.5, 2.0, 4.0):
+            for gamma in (0.5, 0.01):
+                assert analysis.tail_decay_audit(system, p, gamma) == tail_decay_audit_dense(system, p, gamma)
+
+    @pytest.mark.parametrize("block", (10, 512))
+    def test_squared_values_match_the_dense_values(self, monkeypatch, sequence, block):
+        # every block's bits, sign bits included, on unsorted points that
+        # hold every knot value and its two float neighbours
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", block)
+        system = ortho.build_system(*sequence)
+        xs = knot_points(*sequence)
+        for rows in (system.size, 1, 40):
+            got = analysis.squared_values(system, rows, xs)
+            for (lo, sq), (want_lo, want) in zip(got, squared_values_dense(system, rows, xs), strict=True):
+                assert lo == want_lo and sq.shape == want.shape
+                assert sq.tobytes() == want.tobytes()
+
     def test_knot_distances_match_d_point(self, monkeypatch, sequence):
         for system in self.systems(monkeypatch, sequence):
             x = knots.distinct(system.gram.partition.knots)
@@ -391,7 +435,7 @@ def node_pieces(system, ps):
     nodes = list(bspline.rule_blocks(system.gram.partition, single))
     values = [bspline.node_values(system.matrix, start, vals)[:, 0] for _, start, vals in nodes]
     mags = np.abs(np.concatenate(values, axis=1))
-    return mags, single.weights[:, 0], analysis.span_integrals(system.matrix, single, nodes, ps)
+    return mags, single.weights[:, 0], analysis.span_integrals(system.matrix, single, nodes, ps, system.columns)
 
 
 def extended():
@@ -455,7 +499,7 @@ class TestPowerEdges:
         F[1] = system_k2.matrix[5]
         F[2, 7] = np.nan
         ps = (1.2, 1.5, 2.0, 3.0)
-        pieces = analysis.span_integrals(F, rule, nodes, ps)
+        pieces = analysis.span_integrals(F, rule, nodes, ps, dense_columns(F))
         assert np.all(pieces[:, 0] == 0.0)
         assert np.all(np.isfinite(pieces[:, 1])) and np.all(pieces[:, 1].sum(axis=1) > 0.0)
         assert np.all(np.isnan(pieces[:, 2]).any(axis=1))
@@ -522,7 +566,7 @@ class TestRowTiles:
         # levels, on nodes evaluated once
         nodes = list(bspline.rule_blocks(system.gram.partition, rule))
         for rows in (slice(0, 1), slice(5, 17), slice(system.order, None)):
-            (got,) = analysis.span_integrals(system.matrix[rows], rule, nodes, (2.0,))
+            (got,) = analysis.span_integrals(system.matrix[rows], rule, nodes, (2.0,), system.columns[rows])
             assert np.array_equal(got, want[1][rows])
 
     @pytest.mark.parametrize("block", (10, 512))
@@ -590,7 +634,8 @@ class TestTiledMemory:
     @pytest.fixture(scope="class")
     def system(self):
         system = ortho.build_system(benchmark_sequence("uniform-iid", 1, 3, 512), 512)
-        system.matrix  # formed once, before any tracing
+        system.matrix  # formed once, before any tracing, with its rows' column ranges
+        system.columns
         return system
 
     def test_span_integrals(self, system):
@@ -811,9 +856,9 @@ class TestUncondExperiment:
         C = (np.stack([A, A * S]) @ system.matrix).reshape(18, system.size)
         rule, nodes = analysis.lp_rule(system)
         ps = (1.2, 3.0, 6.0)
-        whole = analysis.span_integrals(C, rule, nodes, ps).sum(axis=2)
+        whole = analysis.span_integrals(C, rule, nodes, ps, dense_columns(C)).sum(axis=2)
         for r in range(len(C)):
-            one = analysis.span_integrals(C[r : r + 1], rule, nodes, ps).sum(axis=2)
+            one = analysis.span_integrals(C[r : r + 1], rule, nodes, ps, dense_columns(C[:1])).sum(axis=2)
             assert np.array_equal(one[:, 0], whole[:, r])
 
     def test_a_trials_sums_do_not_depend_on_the_trial_count(self):
@@ -909,6 +954,22 @@ class TestTailDecay:
         else:
             system = ortho.build_system(knots.random_admissible(7, 1, 41), 40)
         assert_span_integrals_match_the_dense_values(system, system.order + 6)
+
+    @pytest.mark.parametrize("family", ("uniform-iid", "near-one"))
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_readers_match_the_dense_path_past_the_windows(self, monkeypatch, family, k):
+        # At N = 300 most functions are zero on part of [0, 1], so blocks of
+        # two spans, or of ten points, skip most rows.
+        monkeypatch.setattr(bspline, "EVAL_BLOCK", 10)
+        system = ortho.build_system(family_sequence(family, k, 301), 300)
+        first, last = system.columns.T
+        assert np.mean(last - first < system.size - 1) > 0.5
+        for p in (1.5, 2.0):
+            assert analysis.tail_decay_audit(system, p, 0.01) == tail_decay_audit_dense(system, p, 0.01)
+        xs = knot_points(system.seq, 300)
+        got = analysis.squared_values(system, system.size, xs)
+        for (_, sq), (_, want) in zip(got, squared_values_dense(system, system.size, xs), strict=True):
+            assert sq.tobytes() == want.tobytes()
 
     def test_pieces_hold_unit_mass_next_to_one(self):
         # spans 2^-49 wide at 1: each node is evaluated on its own span from

@@ -166,6 +166,33 @@ class TestGenAndBuild:
         assert peaks[400] < 1.5 * peaks[200]
         assert peaks[800] < out.stat().st_size / 4
 
+    @pytest.mark.parametrize("law", ("uniform-iid", "dyadic-shuffled", "near-one"))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_build_payload_is_the_standard_encoders(self, tmp_path, law, k):
+        # At N = 300 most windows end inside their level, so records hold
+        # runs of zeros on both sides; the report is json.dumps' text of the
+        # values it holds, and those are the walk's coefficients, bit for bit.
+        N = 300
+        if law == "near-one":
+            interior = [1.0 - 2.0**-j for j in range(1, 41)] + np.random.default_rng(k).random(N - 40).tolist()
+            seq = knots.validate_admissible(k, [0.0, 1.0] + interior[: N - 1])
+        else:
+            seq = knots.random_admissible(k, k, N + 1, law)
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(json.dumps(seq.to_dict()))
+        out = tmp_path / "build.json"
+        assert run("build", "--points", str(seq_file), "--out", str(out)) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == canonical_json(payload)
+        system = ortho.build_system(seq, N)
+        assert [rec["level"] for rec in payload["records"]] == list(range(2, N + 1))
+        zeros = 0
+        for rec, coeffs in zip(payload["records"], system.coeffs, strict=True):
+            assert np.array(rec["coeffs"]).tobytes() == coeffs.tobytes()
+            zeros += rec["coeffs"][0] == 0.0 and rec["coeffs"][-1] == 0.0
+        assert zeros > 0
+
     def test_build_without_out_builds_every_level(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.json"
         seq_file.write_text(json.dumps({"k": 3, "points": FAILS_AT_LEVEL_5}))
@@ -662,6 +689,121 @@ class TestCanonicalWriter:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+
+def encode_records(arrays, block):
+    """(got, want): build's writer on one record per array, in blocks, and the standard encoder on their lists."""
+    records = [{"coeffs": values, "level": i} for i, values in enumerate(arrays)]
+    got = "".join(cli._canonical({"records": cli._encoded(iter(records), block)}))
+    want = canonical_json({"records": [{"coeffs": values.tolist(), "level": i} for i, values in enumerate(arrays)]})
+    return got, want
+
+
+def padded(values, lead, trail):
+    """values between runs of +0.0, lead before and trail after."""
+    return np.concatenate([np.zeros(lead), np.asarray(values, dtype=float), np.zeros(trail)])
+
+
+def random_windows(rng, lo, hi, count):
+    """count arrays of signed log-uniform values in [lo, hi) between random runs of +0.0."""
+    out = []
+    for _ in range(count):
+        values = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), rng.integers(1, 40))
+        values *= rng.choice([-1.0, 1.0], len(values))
+        out.append(padded(values[(values >= -hi) & (values < hi)], *rng.integers(0, 30, 2)))
+    return out
+
+
+class TestBatchEncoder:
+    """build's writer: each record's window between literal runs of 0.0, a block of windows per orjson call."""
+
+    @pytest.mark.parametrize("block", (1, 3, 64))
+    def test_zero_runs_and_window_edges(self, block):
+        arrays = [
+            padded([0.25, -1.5, 3.0], 5, 7),
+            padded([-0.0, 2.5], 3, 0),  # a -0.0 opens the window
+            padded([2.5, -0.0], 0, 4),  # and closes it
+            padded([-0.0], 2, 2),  # and is all of it
+            padded([1.0, 0.0, 0.0, -0.0, 2.0], 1, 1),  # zeros of both signs inside it
+            np.zeros(6),
+            np.zeros(1),
+            np.array([3.0]),
+            np.array([-0.0]),
+            np.array([]),
+            padded([], 0, 0),
+        ]
+        got, want = encode_records(arrays, block)
+        assert got == want
+
+    @pytest.mark.parametrize("block", (1, 3, 64))
+    def test_each_range_orjson_lays_out_apart(self, block):
+        rng = np.random.default_rng(11)
+        arrays = (
+            random_windows(rng, 1e-9, 1e-5, 20)
+            + random_windows(rng, 1e-5, 1e-4, 20)
+            + random_windows(rng, 1e16, 1e300, 20)
+            + random_windows(rng, 1e-12, 1e3, 20)
+        )
+        subnormal = rng.integers(1, 2**52, 50, dtype=np.uint64).view(np.float64)
+        arrays.append(padded(subnormal * rng.choice([-1.0, 1.0], 50), 3, 3))
+        edges = [1e-9, 1e-5, 1e-4, 1e16]
+        arrays.append(padded(edges + [math.nextafter(x, 0.0) for x in edges] + [-x for x in edges], 1, 2))
+        arrays.append(padded(FINITE_EDGE_FLOATS, 4, 4))
+        got, want = encode_records(arrays, block)
+        assert got == want
+
+    @pytest.mark.parametrize("block", (1, 3, 64))
+    def test_non_finite_windows_go_item_by_item(self, block):
+        arrays = [
+            padded([1e-6], 2, 2),
+            padded([0.5, math.nan, -1e-7], 3, 1),
+            padded([math.inf], 0, 0),
+            padded([-math.inf, 2e16], 2, 0),
+            padded([1.25e-5], 1, 1),
+        ]
+        got, want = encode_records(arrays, block)
+        assert got == want
+
+    def test_a_record_count_off_the_block(self):
+        # 150 records in blocks of 64: two whole blocks and one of 22
+        rng = np.random.default_rng(12)
+        arrays = random_windows(rng, 1e-12, 1e3, 150)
+        got, want = encode_records(arrays, 64)
+        assert got == want
+
+    @seed(9)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(st.lists(floats, max_size=8), st.integers(0, 5), st.integers(0, 5)), max_size=9
+        ),
+        block=st.sampled_from((1, 2, 64)),
+    )
+    def test_matches_the_standard_encoder(self, windows, block):
+        got, want = encode_records([padded(*window) for window in windows], block)
+        assert got == want
+
+    def test_a_block_holds_windows_not_arrays(self):
+        # 100 records of 100,000 floats, 800 KB each, in blocks of 64: a
+        # block of full arrays would hold 51 MB.
+        size = 100_000
+
+        def records():
+            for n in range(100):
+                coeffs = np.zeros(size)
+                coeffs[n : n + 2] = (1.0, -2.0)
+                yield {"coeffs": coeffs}
+
+        tracemalloc.start()
+        try:
+            encoded = [record["coeffs"] for record in cli._encoded(records(), 64)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * size
+        assert [(c.lo, c.hi, c.size, c.window, c.text) for c in encoded] == [
+            (n, n + 2, size, None, "1.0,-2.0") for n in range(100)
+        ]
 
 
 def test_verify_and_experiment_do_not_import_numpy_ma():
