@@ -426,25 +426,19 @@ def window_solve(band, lo, rhs, level):
     return dpbtrs(cholesky(band[:, lo : lo + len(rhs)], level, lo), rhs)[0]
 
 
-def _check_finite(partition, fresh):
-    """Raise NotPositiveDefinite naming the level when a fresh band entry is inf or NaN.
-
-    That happens for knots a few subnormal ulps apart.
-    """
-    if not np.isfinite(fresh).all():
-        raise NotPositiveDefinite(f"level {partition.level}: array must not contain infs or NaNs")
-
-
 def gram_matrix(partition):
     """Assemble the banded Gram matrix of the partition's B-spline basis.
 
     The rule uses q = k nodes per interval, which integrates the
-    degree-(2k - 2) products exactly.
+    degree-(2k - 2) products exactly.  A band entry that is inf or NaN,
+    as knots a few subnormal ulps apart give, raises NotPositiveDefinite
+    naming the level.
     """
     k = partition.order
     spans = np.flatnonzero(np.diff(partition.knots) > 0)
     band = _band_columns(partition.knots, k, spans, spans - k + 1, partition.M)
-    _check_finite(partition, band)
+    if not np.isfinite(band).all():
+        raise NotPositiveDefinite(f"level {partition.level}: array must not contain infs or NaNs")
     return GramSystem(partition, band, cholesky(band, partition.level))
 
 
@@ -457,9 +451,11 @@ def refinement_columns(windows, k, ncols):
     ncols[b] = min(M, p+k) - p + k, hold one.  They draw on spans
     p-k..p+ncols[b]-2, whose Cox-de Boor values read only the window.  Every
     span of the stack goes through one ``_band_columns`` call, laid out so
-    that each level's columns sit in a row of their own; returns one
-    (k, ncols[b]) array per level, bit-equal to the same columns of a full
-    ``gram_matrix`` of that level.
+    that each level's columns sit in a row of their own.  Returns
+    (columns, finite): columns[b], (ncols[b], k), holds band column
+    p-k+c in its row c, bit-equal to the same column of a full
+    ``gram_matrix`` of that level, and finite[b] is False when one of its
+    entries is inf or NaN.
     """
     B, W = windows.shape
     # A span contributes to k consecutive columns, k - 1 of them possibly
@@ -470,29 +466,11 @@ def refinement_columns(windows, k, ncols):
     level, slot = np.nonzero(use)
     spans = sigma[slot]
     band = _band_columns(windows.ravel(), k, level * W + spans, level * R + spans - k + 1, B * R)
-    band = band.reshape(k, B, R)
-    return [band[:, b, k - 1 : k - 1 + n] for b, n in enumerate(ncols.tolist())]
-
-
-def refine_gram(G, fine, i0, fresh):
-    """The Gram band of a one-knot refinement, from the coarse one and the changed columns.
-
-    ``fine`` is G's partition with tau_{i0} (1-based) inserted at 0-based
-    position p = i0 - 1, and ``fresh`` holds its band columns p-k.. from
-    ``refinement_columns``.  Every other column is the coarse one, shifted
-    by one past the knot, so the band equals the one ``gram_matrix(fine)``
-    assembles, bit for bit.  The band is not factored here.  Only the fresh
-    columns are checked for inf and NaN: the others were checked at their
-    own level.
-    """
-    k = fine.order
-    p = i0 - 1
-    _check_finite(fine, fresh)
-    band = np.empty((k, fine.M))
-    band[:, :p] = G.band[:, :p]
-    band[:, p + 1 :] = G.band[:, p:]
-    band[:, p - k : p - k + fresh.shape[1]] = fresh
-    return GramSystem(fine, band)
+    rows = np.ascontiguousarray(band.reshape(k, B, R).transpose(1, 2, 0))
+    columns = [rows[b, k - 1 : k - 1 + n] for b, n in enumerate(ncols.tolist())]
+    if np.isfinite(rows).all():
+        return columns, [True] * B
+    return columns, [bool(np.isfinite(c).all()) for c in columns]
 
 
 def boehm_weights(t):

@@ -81,6 +81,8 @@ def _text(obj, newline):
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is _Record:
+        return _record_text(obj, newline)
     inner = newline + "  "
     if isinstance(obj, dict):
         items = [_string(key) + ": " + _text(value, inner) for key, value in sorted(obj.items())]
@@ -105,6 +107,33 @@ def _text(obj, newline):
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+class _Record(dict):
+    """A record of ``ortho.export_record``, which ``_text`` writes in one fixed layout (``_record_text``)."""
+
+    __slots__ = ()
+
+
+def _record_text(record, newline):
+    """A build record in the indent=2 layout, its six keys in sorted order, as ``_text`` writes any dict.
+
+    The values have the types ``ortho.export_record`` gives them: J two
+    floats, i0 and level ints, knots-hash a str and norm2 a float, each
+    written as ``_SCALARS`` writes it; coeffs, a ``_Floats``, goes through
+    ``_text``.  One string is formed, with no sort and no call per item.
+    """
+    inner = newline + "  "
+    item = inner + "  "
+    c, d = record["J"]
+    return (
+        f'{{{inner}"J": [{item}{_float_text(c)},{item}{_float_text(d)}{inner}],'
+        f'{inner}"coeffs": {_text(record["coeffs"], inner)},'
+        f'{inner}"i0": {int.__repr__(record["i0"])},'
+        f'{inner}"knots-hash": {_string(record["knots-hash"])},'
+        f'{inner}"level": {int.__repr__(record["level"])},'
+        f'{inner}"norm2": {_float_text(record["norm2"])}{newline}}}'
+    )
 
 
 def _float_text(value):
@@ -325,7 +354,7 @@ def _cmd_build(args):
     payload = {
         "config": _config_dict(args),
         "input_hash": digest,
-        "records": _encoded((ortho.export_record(*level) for level in stream), ortho.LEVEL_BLOCK),
+        "records": _encoded((_Record(ortho.export_record(*level)) for level in stream), ortho.LEVEL_BLOCK),
     }
     rows = [
         ("order", seq.order),
@@ -342,9 +371,10 @@ def _encoded(records, block):
 
     A block of records is held with its windows alone, never its
     full-length coefficient arrays, and its windows are encoded in one
-    ``_float_items`` call.
+    ``_float_items`` call.  A record keeps its type, so a ``_Record``
+    stays one.
     """
-    records = ({**record, "coeffs": _window(record["coeffs"])} for record in records)
+    records = (type(record)(record, coeffs=_window(record["coeffs"])) for record in records)
     while batch := list(islice(records, block)):
         for record, coeffs in zip(batch, _float_items([record["coeffs"] for record in batch])):
             record["coeffs"] = coeffs

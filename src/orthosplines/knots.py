@@ -145,24 +145,6 @@ def partition_at(seq, n):
     return Partition(order=k, knots=knots, level=n, M=n + k - 1)
 
 
-def next_partition(seq, partition):
-    """The partition one level above ``partition`` and the index of its new knot.
-
-    Returns ``(fine, i0)``: t_n goes in after any equal knots, so removing
-    tau_{i0} (1-based) recovers ``partition``, k + 1 <= i0 <= M, and a
-    repeated value takes the last copy of its block, which keeps the
-    refinement weights well defined.  ``fine`` equals ``partition_at`` of the
-    next level, without sorting the prefix again.
-    """
-    n = partition.level + 1
-    check_level(seq, n)
-    t = seq.points[n]
-    pos = int(np.searchsorted(partition.knots, t, side="right"))
-    knots = np.concatenate((partition.knots[:pos], [t], partition.knots[pos:]))
-    fine = Partition(order=partition.order, knots=knots, level=n, M=partition.M + 1)
-    return fine, pos + 1
-
-
 def random_admissible(seed, order, n_points, law="uniform-iid"):
     """Deterministic random admissible sequence of ``n_points`` total points.
 

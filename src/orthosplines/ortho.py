@@ -14,7 +14,10 @@ as the Gram inverse is (Demko, Moss and Smith, Math. Comp. 1984), so the
 Gram pass solves each level on a window of B-splines around the new knot
 (``window_function``), accepted by the window's normwise backward error
 (``backward_error``), and writes exact zeros outside it; a level costs
-O(h k^2 + M k) for a window of half-width h, not O(M k^2).
+O(h k^2 + M k) for a window of half-width h, not O(M k^2).  Both passes
+work in place on one knot buffer and one Gram band buffer for the whole
+walk: a level moves their tails up by one place, and its O(M k) is that
+move alone.
 """
 
 from __future__ import annotations
@@ -29,21 +32,20 @@ from numpy.polynomial.legendre import Legendre, leggauss
 
 from . import charint
 from .bspline import (
+    GramSystem,
     boehm_weights,
+    cholesky,
     eval_basis_many,
-    gram_matrix,
-    refine_gram,
     refinement_columns,
     row_tiles,
     window_solve,
 )
 from .errors import NotPositiveDefinite
-from .knots import boundary_partition, check_level, next_partition
+from .knots import Partition, boundary_partition, check_level
 
 # Levels whose knot data (knot windows, alpha, J) and fresh Gram columns are
-# made in one set of array passes.  A block holds its levels' knot vectors,
-# O(LEVEL_BLOCK M) floats, and temporaries of O(LEVEL_BLOCK k^3) floats:
-# about 0.5 MB at k = 3, M = 1024.
+# made in one set of array passes, with temporaries of O(LEVEL_BLOCK k^3)
+# floats.
 LEVEL_BLOCK = 64
 # A level's first window reaches FIRST_WINDOW * k B-splines to either side of
 # its new knot; ``window_function`` doubles it until the window is certified.
@@ -192,7 +194,7 @@ class OrthoSystem:
         """0-based position of each t_n, n = 2..N, in the level-N knot vector, as an array.
 
         k plus the rank of t_n among t_2..t_N, ties in insertion order, as
-        ``next_partition`` places equal knots.
+        the walk places equal knots (``knot_block``).
         """
         rank = np.empty(self.N - 1, dtype=np.intp)
         rank[np.argsort(self.seq.points[2 : self.N + 1], kind="stable")] = np.arange(self.N - 1)
@@ -222,9 +224,9 @@ def _transpose_in_place(F):
             F[J, I] = upper.T
 
 
-def export_record(G, block, b, coeffs, norm2):
-    """The serializable record of one constructed level n >= 2, from one tuple of ``levels``."""
-    digest = hashlib.sha256(np.ascontiguousarray(G.partition.knots).tobytes())
+def export_record(knots, band, block, b, coeffs, norm2):
+    """The serializable record of one constructed level n >= 2, from one tuple of ``levels``, while it is current."""
+    digest = hashlib.sha256(knots)
     return {
         "level": block.first + b,
         "i0": int(block.i0[b]),
@@ -250,54 +252,113 @@ def polynomial_coeffs_over(partition, polys):
 
 
 def knot_blocks(seq, N):
-    """Yield (partitions, KnotBlock) for levels 2..N, LEVEL_BLOCK levels at a time.
+    """Yield (inserts, KnotBlock) for levels 2..N, LEVEL_BLOCK levels at a time.
 
-    The knot pass: a block inserts each of its points in turn
-    (``next_partition``), then cuts each level's knot window around its new
-    knot and forms alpha (``boehm_weights``) and J_n
-    (``charint.characteristic_intervals``) for the whole block in array
-    passes.  They read only knots near the new knot's 0-based position p:
-    alpha and J read p-k..p+k, and the Gram pass's fresh columns read
-    p-k..p+2k-1 for their span ends and p-2k+2..p+3k-3 in Cox-de Boor.
-    The window holds p-2k+1..p+3k-2, one more on each side, so that it
-    holds p-1..p+1 at k = 1 too.  ``partitions`` holds the block's knot
-    vectors, which only the Gram pass reads.  An N the sequence cannot
-    reach fails before the first level.
+    The knot pass, on one knot buffer of N + 2k - 1 floats for the whole
+    walk.  A block's KnotBlock comes from the knots of the level before it,
+    which it reads but does not change (``knot_block``).  ``inserts`` then
+    walks the block's levels: each step shifts the buffer's tail past the
+    new knot by one place, writes the knot, and yields the level's knot
+    vector tau_1..tau_{n+2k-1}, a read-only view of the buffer that the next
+    step overwrites.  What a consumer leaves of ``inserts`` runs when the
+    pass resumes, so the next block starts from the right knots.  An N the
+    sequence cannot reach fails before the first level.
     """
     check_level(seq, N)
     k = seq.order
-    part = boundary_partition(k)
-    at = np.arange(1 - 2 * k, 3 * k - 1)
+    points = np.asarray(seq.points)
+    buffer = _buffer(N + 2 * k - 1)
+    buffer[:k] = 0.0
+    buffer[k : 2 * k] = 1.0
+    size = 2 * k
     for first in range(2, N + 1, LEVEL_BLOCK):
-        parts, i0 = [], []
-        for _ in range(min(LEVEL_BLOCK, N + 1 - first)):
-            part, i = next_partition(seq, part)
-            parts.append(part)
-            i0.append(i)
-        i0 = np.array(i0)
-        windows = np.stack([part.knots.take(i - 1 + at, mode="clip") for part, i in zip(parts, i0)])
-        near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
-        alpha = alpha_coefficients(*boehm_weights(near))
-        _, J = charint.characteristic_intervals(near, alpha, i0)
-        yield parts, KnotBlock(first=first, i0=i0, windows=windows, alpha=alpha, J=J)
+        t = points[first : min(first + LEVEL_BLOCK, N + 1)]
+        block = knot_block(buffer[:size], t, first, k)
+        inserts = _insert_knots(buffer, size, t, block.i0 - 1)
+        yield inserts, block
+        for _ in inserts:
+            pass
+        size += len(block.i0)
+
+
+def knot_block(knots, t, first, k):
+    """The KnotBlock of levels first, first + 1, ... from the level first - 1 knot vector and their points t.
+
+    t_j goes in after the knots of the level before it that are <= t_j:
+    the ``np.searchsorted`` position in ``knots`` of every point at once,
+    plus the earlier points of the block <= t_j.  Its knot window at level
+    first + j reads that level's knots p-2k+1..p+3k-2 around its position
+    p, past either end the boundary knot repeated.  They are the values of
+    ``knots`` at 3k places on either side of t_j's position there (the
+    boundary knot past either end) and of t_0..t_j, sorted; past t_j there
+    are always more than enough, and the later points of the block sort
+    after all of them as +inf.  So every window holds its level's knots,
+    bit for bit, and no level's knot vector is formed.  alpha
+    (``boehm_weights``) and J_n (``charint.characteristic_intervals``) read
+    only p-k..p+k, and the Gram pass's fresh columns p-2k+2..p+3k-3.
+    """
+    B = len(t)
+    pos = np.searchsorted(knots, t, side="right")
+    before = np.count_nonzero(np.tril(t <= t[:, None], -1), axis=1)
+    near = knots.take(pos[:, None] + np.arange(-3 * k, 3 * k), mode="clip")
+    merged = np.sort(np.hstack((near, np.where(np.tri(B, dtype=bool), t, np.inf))), axis=1)
+    at = 3 * k + before  # t_j's place in row j of merged
+    windows = np.take_along_axis(merged, at[:, None] + np.arange(1 - 2 * k, 3 * k - 1), axis=1)
+    i0 = pos + before + 1
+    near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}
+    alpha = alpha_coefficients(*boehm_weights(near))
+    _, J = charint.characteristic_intervals(near, alpha, i0)
+    return KnotBlock(first=first, i0=i0, windows=windows, alpha=alpha, J=J)
+
+
+def _insert_knots(buffer, size, t, p):
+    """Insert t[b] at 0-based position p[b] of the knots buffer[:size], b in turn, yielding each level's knots.
+
+    The tail moves up one place by one overlapping 1-D assignment, which
+    numpy runs from the top down, with no temporary.
+    """
+    for t_b, p_b in zip(t.tolist(), p.tolist()):
+        buffer[p_b + 1 : size + 1] = buffer[p_b:size]
+        buffer[p_b] = t_b
+        size += 1
+        yield _read_only(buffer[:size])
+
+
+def _read_only(view):
+    view.flags.writeable = False
+    return view
+
+
+def _buffer(shape):
+    """Storage for the walk's buffers, not initialized: the walk writes each entry before it reads it."""
+    return np.empty(shape)
 
 
 def levels(seq, N):
-    """Yield (G, block, b, coeffs, norm2) for n = 2..N, one level at a time.
+    """Yield (knots, band, block, b, coeffs, norm2) for n = 2..N, one level at a time; return G.
 
     The Gram pass over ``knot_blocks``: level n is row b of its KnotBlock,
-    G its Gram system, ``coeffs`` the coefficients of f_n over the level-n
+    ``knots`` its knot vector, ``band`` its Gram band (k, M) in LAPACK's
+    upper band storage, ``coeffs`` the coefficients of f_n over the level-n
     basis and ``norm2`` the L2 norm of the unnormalized complement function
-    g = norm2 f_n.  Per block one ``refinement_columns`` call assembles the
-    2k fresh Gram band columns around each t_n.  Each level then shifts the
-    band past t_n and pastes its fresh columns, a copy of O(M k), and solves
-    A w = alpha on a window around t_n alone (``window_function``): O(h k^2)
-    for a window of half-width h.  The coefficients outside the window are
-    exactly 0.  So a level costs O(h k^2 + M k), and h stays near
-    FIRST_WINDOW k on every input tried, where the full band cost
-    O(M k^2).  Only the level-N band is factored whole, once, at the end of
-    the walk, so the last G holds the full factor and a level-N band that
-    is not positive definite fails the walk.
+    g = norm2 f_n.  ``knots`` and ``band`` are read-only views of the
+    walk's two buffers, one knot vector and one band of N + k - 1 columns
+    for the whole walk, so each is valid only until the walk moves on; a
+    consumer that keeps them keeps a copy.  Per block one
+    ``refinement_columns`` call assembles the 2k fresh Gram band columns
+    around each t_n.  Each level then moves the band's columns past them up
+    by one place, in place, pastes its fresh columns, and solves A w = alpha
+    on a window around t_n alone (``window_function``): O(h k^2) for a
+    window of half-width h.  The band buffer holds column j in its row j,
+    so the move is one contiguous run, and the solve reads the level's own
+    columns alone, never the stale ones past M - 1.  The coefficients
+    outside the window are exactly 0.  The only O(M) work of a level is
+    the in-place move of the knots' and the band's tails and the zero fill
+    of ``coeffs``; h stays near FIRST_WINDOW k on every input tried, where
+    the full band cost O(M k^2).  Only the level-N band is factored whole,
+    once, at the end: the walk returns the level-N GramSystem, which holds
+    the two buffers themselves and that factor, and a level-N band that is
+    not positive definite fails the walk at level N.
 
     Why the window is safe.  Let p = i0 - 1 be t_n's 0-based position, W
     the window lo..hi - 1 around it, D = diag A, and A~ = D^-1/2 A D^-1/2,
@@ -334,25 +395,38 @@ def levels(seq, N):
 
     A level that fails raises when the walk reaches it, naming the level; a
     window whose factor fails names the minor by its index in the level.
-    The walk keeps the knot vectors of one block; a consumer that drops
-    what it was given runs in memory O(LEVEL_BLOCK N).  An N the sequence
-    cannot reach fails before the level-1 Gram system is assembled.
+    Besides its two buffers the walk holds one block's knot data and fresh
+    columns, with temporaries of O(LEVEL_BLOCK k^3) floats, and allocates
+    nothing per level that outlives the level but the ``coeffs`` it
+    yields: a consumer that drops them runs in memory
+    O(LEVEL_BLOCK k^3 + N k).  An N the sequence cannot reach fails before
+    the first level.
     """
     check_level(seq, N)
     k = seq.order
-    G = gram_matrix(boundary_partition(k))
-    for parts, block in knot_blocks(seq, N):
+    buffer = _buffer((N + k - 1, k))
+    flat = buffer.reshape(-1)
+    for inserts, block in knot_blocks(seq, N):
         p = block.i0 - 1
-        M = block.first + np.arange(len(p)) + k - 1
-        fresh = refinement_columns(block.windows, k, np.minimum(M, p + k) - p + k)
-        for b, (fine, cols) in enumerate(zip(parts, fresh)):
-            G = refine_gram(G, fine, int(block.i0[b]), cols)
-            lo, c, norm2 = window_function(G.band, int(p[b]), block.alpha[b], fine.level)
-            coeffs = np.zeros(fine.M)
+        sizes = block.first + np.arange(len(p)) + k - 1
+        ncols = np.minimum(sizes, p + k) - p + k
+        fresh, finite = refinement_columns(block.windows, k, ncols)
+        for b, (knots, p_b, cols) in enumerate(zip(inserts, p.tolist(), fresh)):
+            n = block.first + b
+            M = n + k - 1
+            if not finite[b]:
+                raise NotPositiveDefinite(f"level {n}: array must not contain infs or NaNs")
+            # columns p+k.. are the level before's p+k-1.., those before p-k stay
+            flat[(p_b + k) * k : M * k] = flat[(p_b + k - 1) * k : (M - 1) * k]
+            buffer[p_b - k : p_b - k + len(cols)] = cols
+            band = _read_only(buffer[:M].T)
+            lo, c, norm2 = window_function(band, p_b, block.alpha[b], n)
+            coeffs = np.zeros(M)
             coeffs[lo : lo + len(c)] = c
-            if fine.level == N:
-                G.factor  # the level-N factor, the one band the walk factors whole
-            yield G, block, b, coeffs, norm2
+            if n == N:
+                G = GramSystem(Partition(order=k, knots=knots, level=N, M=M), band, cholesky(band, N))
+            yield knots, band, block, b, coeffs, norm2
+    return G
 
 
 def window_function(band, p, alpha, level):
@@ -363,9 +437,11 @@ def window_function(band, p, alpha, level):
     of the level.  On it A w = alpha is solved, norm2 = (alpha . w)^1/2
     and c = w / norm2.  h doubles until ``backward_error`` is at most
     UNIT_ROUNDOFF or the window is the whole level (``levels`` proves why
-    that suffices).  A window whose c or norm2 is not finite is widened
-    too, so a level fails, naming itself, only on its whole band, as the
-    full solve did.
+    that suffices).  A window whose norm2 is not finite is widened too, so
+    a level fails, naming itself, only on its whole band, as the full
+    solve did.  norm2 is finite only where every entry of w is: BLAS's dot
+    product multiplies every entry, zeros of alpha too, and 0 times inf or
+    NaN is NaN.
     """
     k, M = band.shape
     h = FIRST_WINDOW * k
@@ -374,14 +450,13 @@ def window_function(band, p, alpha, level):
         rhs = np.zeros(hi - lo)
         rhs[p - k - lo : p + 1 - lo] = alpha
         w = window_solve(band, lo, rhs, level)
-        norm2 = math.sqrt(float(rhs @ w))
-        if not (math.isfinite(norm2) and np.isfinite(w).all()):
-            if hi - lo == M:
-                raise NotPositiveDefinite(f"level {level}: complement function not finite, norm {norm2}")
-        else:
+        norm2 = math.sqrt(rhs @ w)
+        if math.isfinite(norm2):
             c = w / norm2
             if hi - lo == M or backward_error(band, lo, c) <= UNIT_ROUNDOFF:
                 return lo, c, norm2
+        elif hi - lo == M:
+            raise NotPositiveDefinite(f"level {level}: complement function not finite, norm {norm2}")
         h *= 2
 
 
@@ -395,44 +470,53 @@ def backward_error(band, lo, c):
     and row hi + a meets column hi - kd + j, j >= a, in band[j - a, hi + a].
     Each row's sum of at most kd products is squared and divided by the
     row's diagonal entry; a diagonal entry that is not positive makes eta
-    infinite.  The window must hold at least kd entries.
+    infinite.  The window must hold at least kd entries.  Each end's band
+    columns, their diagonal entries among them, are read in one
+    ``tolist`` call, and the denominator is one dot product of contiguous
+    vectors.
     """
     k, M = band.shape
     kd = k - 1
     hi = lo + len(c)
-    diag = band[kd]
+    cols = band.T  # cols[j][i] = band[i, j]; the diagonal entry last
     num2 = 0.0
     if lo > 0:
-        ends, x = band[:kd, lo : lo + kd].tolist(), c[:kd].tolist()
         first = max(0, kd - lo)  # rows before 0 do not exist
-        for a, d in zip(range(first, kd), diag[lo - kd + first : lo].tolist()):
+        ends, x = cols[lo - kd + first : lo + kd].tolist(), c[:kd].tolist()
+        for a in range(first, kd):
             r = 0.0
             for j in range(a + 1):
-                r += ends[a - j][j] * x[j]
+                r += ends[kd - first + j][a - j] * x[j]
+            d = ends[a - first][kd]
             if not d > 0.0:
                 return math.inf
             num2 += r * r / d
     if hi < M:
-        ends, x = band[:kd, hi : hi + kd].tolist(), c[len(c) - kd :].tolist()
-        for a, d in enumerate(diag[hi : hi + kd].tolist()):
+        ends, x = cols[hi : hi + kd].tolist(), c[len(c) - kd :].tolist()
+        for a, end in enumerate(ends):
             r = 0.0
             for j in range(a, kd):
-                r += ends[j - a][a] * x[j]
-            if not d > 0.0:
+                r += end[j - a] * x[j]
+            if not end[kd] > 0.0:
                 return math.inf
-            num2 += r * r / d
-    return math.sqrt(num2 / float(diag[lo:hi] @ (c * c)))
+            num2 += r * r / end[kd]
+    return math.sqrt(num2 / (np.ascontiguousarray(band[kd, lo:hi]) @ (c * c)))
 
 
 def build_system(seq, N):
     """Assemble the orthonormal system of a sequence up to level N.
 
     Collects the knot records and coefficients of ``levels`` and keeps the
-    level-N Gram system.  The level-N matrix is formed only when asked for.
+    level-N Gram system it returns.  The level-N matrix is formed only
+    when asked for.
     """
     blocks, coeffs = [], []
-    for G, block, b, c, _ in levels(seq, N):
+    walk = levels(seq, N)
+    while True:
+        try:
+            _, _, block, b, c, _ = next(walk)
+        except StopIteration as end:
+            return OrthoSystem(seq, N, initial_block(seq.order), blocks, coeffs, end.value)
         if b == 0:
             blocks.append(block)
         coeffs.append(c)
-    return OrthoSystem(seq, N, initial_block(seq.order), blocks, coeffs, G)

@@ -106,11 +106,29 @@ def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def next_partition(seq, partition):
+    """The partition one level above ``partition`` and the index of its new knot.
+
+    Returns ``(fine, i0)``: t_n goes in after any equal knots, so removing
+    tau_{i0} (1-based) recovers ``partition``, k + 1 <= i0 <= M, and a
+    repeated value takes the last copy of its block, which keeps the
+    refinement weights well defined.  ``fine`` equals ``partition_at`` of the
+    next level, without sorting the prefix again: the walk's insertion into
+    its knot buffer, one level at a time, with a new knot vector each.
+    """
+    n = partition.level + 1
+    knots.check_level(seq, n)
+    t = seq.points[n]
+    pos = int(np.searchsorted(partition.knots, t, side="right"))
+    grown = np.concatenate((partition.knots[:pos], [t], partition.knots[pos:]))
+    fine = knots.Partition(order=partition.order, knots=grown, level=n, M=partition.M + 1)
+    return fine, pos + 1
+
 def insert_event(seq, n):
     """1-based index i0 of t_n in the level-n partition, found by sorting the prefix.
 
     A t_n equal to earlier knots takes the last copy of the block, as
-    ``knots.next_partition`` places it.
+    ``next_partition`` places it.
     """
     part = knots.partition_at(seq, n)
     return int(np.flatnonzero(part.knots == seq.points[n])[-1]) + 1
@@ -512,20 +530,33 @@ def ortho_function(G, i0):
 
 
 def full_band_levels(seq, N):
-    """The level walk with every level's whole band factored and solved: the oracle of the window solves.
+    """Each level n = 2..N made from scratch, with the walk's window solve and LAPACK's whole-band solve.
 
-    Yields what ``ortho.levels`` yields, with coeffs and norm2 replaced by
-    those of LAPACK's factor and solve of the level's whole Gram band, alpha
-    scattered into R^M, as the walk made them before it solved on windows.
+    Reads nothing of the walk: level n's knots are ``knots.partition_at``,
+    its band is assembled whole by ``bspline.gram_matrix``, i0 is
+    ``insert_event`` and alpha is ``alpha_loop``.  Yields a namespace with
+    ``level``, ``gram``, ``i0``, ``alpha``; ``coeffs`` and ``norm2`` of
+    ``ortho.window_function`` on that band, the window scattered into R^M;
+    and ``full_coeffs`` and ``full_norm2`` of LAPACK's factor and solve of
+    the whole band, alpha scattered into R^M, as the walk made them before
+    it solved on windows.
     """
     k = seq.order
-    for G, block, b, _, _ in ortho.levels(seq, N):
-        i0 = int(block.i0[b])
+    for n in range(2, N + 1):
+        G = bspline.gram_matrix(knots.partition_at(seq, n))
+        i0 = insert_event(seq, n)
+        alpha = alpha_loop(G.partition, i0)
+        lo, c, norm2 = ortho.window_function(G.band, i0 - 1, alpha, n)
+        coeffs = np.zeros(G.M)
+        coeffs[lo : lo + len(c)] = c
         rhs = np.zeros(G.M)
-        rhs[i0 - k - 1 : i0] = block.alpha[b]
+        rhs[i0 - k - 1 : i0] = alpha
         w = bspline.dpbtrs(G.factor, rhs)[0]
-        norm2 = math.sqrt(float(rhs @ w))
-        yield G, block, b, w / norm2, norm2
+        full_norm2 = math.sqrt(float(rhs @ w))
+        yield SimpleNamespace(
+            level=n, gram=G, i0=i0, alpha=alpha, coeffs=coeffs, norm2=norm2,
+            full_coeffs=w / full_norm2, full_norm2=full_norm2,
+        )
 
 
 def gram_schmidt_oracle(seq, n):

@@ -253,12 +253,12 @@ class TestLevelPasses:
         for block in (1, 7):
             monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
             n = 2
-            for parts, kb in ortho.knot_blocks(seq, N):
-                assert kb.first == n and len(parts) == len(kb.i0) <= block
+            for inserts, kb in ortho.knot_blocks(seq, N):
+                assert kb.first == n and len(kb.i0) <= block
                 j0s, _ = charint.characteristic_intervals(kb.windows[:, k - 1 : 3 * k], kb.alpha, kb.i0)
-                for b, part in enumerate(parts):
+                for b, level_knots in enumerate(inserts):
                     want = knots.partition_at(seq, n + b)
-                    assert part == want
+                    assert level_knots.tobytes() == want.knots.tobytes()
                     i0 = int(kb.i0[b])
                     alpha = alpha_loop(want, i0)
                     j0, J = characteristic_interval(want, i0, alpha)
@@ -266,7 +266,8 @@ class TestLevelPasses:
                     assert kb.alpha[b].tobytes() == alpha.tobytes()
                     assert (int(j0s[b]), tuple(kb.J[b].tolist())) == (j0, J)
                     assert kb.windows[b].tobytes() == window.tobytes()
-                n += len(parts)
+                assert b + 1 == len(kb.i0)
+                n += len(kb.i0)
             assert n == N + 1
 
     def test_passes_match_the_level_loops(self, monkeypatch, sequence):
@@ -352,8 +353,10 @@ class TestLevelPasses:
         k = seq.order
         xs = knot_points(seq, N)
         coarse = bspline.eval_basis_many(knots.boundary_partition(k), xs)
-        for parts, block in ortho.knot_blocks(seq, N):
-            for b, part in enumerate(parts):
+        for inserts, block in ortho.knot_blocks(seq, N):
+            for b, level_knots in enumerate(inserts):
+                n = block.first + b
+                part = knots.Partition(order=k, knots=level_knots.copy(), level=n, M=n + k - 1)
                 fine = bspline.eval_basis_many(part, xs)
                 p = int(block.i0[b]) - 1
                 spans = fine[0] + k - 2

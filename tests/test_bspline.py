@@ -243,25 +243,19 @@ class TestGramMatrix:
         assert np.array_equal(G.inverse_diagonal, np.diagonal(B))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_refine_reassembles_the_columns_touching_the_new_knot(self, monkeypatch, k):
-        # 0-based columns p-k..p+k-1 hold a B-spline whose knots include tau_{p+1}
+    def test_the_walks_band_is_the_assembled_band_at_every_level(self, monkeypatch, k):
+        # The band the walk moves and pastes in place, its fresh columns
+        # p-k..p+k-1 around the new knot among them, is the level's whole
+        # assembled band, bit for bit, in blocks of 7 levels.
         seq = knots.random_admissible(k, k, 30)
-        calls = []
-        refine_gram = bspline.refine_gram
-
-        def recorded(G, fine, i0, fresh):
-            calls.append((i0, fine.M, fresh))
-            return refine_gram(G, fine, i0, fresh)
-
-        monkeypatch.setattr(ortho, "refine_gram", recorded)
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
-        for _ in ortho.levels(seq, 29):
-            pass
-        assert len(calls) == 28
-        for n, (i0, M, fresh) in enumerate(calls, start=2):
-            p = i0 - 1
+        walked = 0
+        for n, (_, band, *_) in enumerate(ortho.levels(seq, 29), start=2):
             full = bspline.gram_matrix(knots.partition_at(seq, n))
-            assert np.array_equal(fresh, full.band[:, p - k : min(M, p + k)])
+            assert band.shape == full.band.shape
+            assert np.ascontiguousarray(band).tobytes() == full.band.tobytes()
+            walked += 1
+        assert walked == 28
 
 
 def refinement(coarse, fine, i0):

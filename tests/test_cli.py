@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import canonical_json
+from oracles import canonical_json, next_partition
 
 from orthosplines import bspline, cli, knots, ortho
 
@@ -417,7 +417,7 @@ class TestEvaluationCount:
         seq, xs = knots.random_admissible(3, 2, 17), np.linspace(0.0, 1.0, 1000)
         part, changed = knots.boundary_partition(2), []
         for _ in range(15):
-            part, i0 = knots.next_partition(seq, part)
+            part, i0 = next_partition(seq, part)
             first, _ = eval_basis_many(part, xs)  # at k = 2, first is the span
             changed.append(int(((first >= i0 - 2) & (first <= i0 - 1)).sum()))
         per_block = [sum(changed[lo : lo + 4]) for lo in range(0, 15, 4)]
@@ -437,15 +437,22 @@ class TestCensusAndDecay:
 
     def test_census_builds_no_gram_system(self, monkeypatch):
         # J_n comes from the knots alone: no Gram assembly, no factorization
-        calls = []
-        for name in ("gram_matrix", "refinement_columns", "refine_gram"):
+        calls, assembled = [], []
+        for name in ("refinement_columns", "GramSystem", "cholesky"):
             monkeypatch.setattr(ortho, name, counted_calls(getattr(ortho, name), calls))
+        # every Gram band entry, fresh columns or a whole band, comes from this kernel
+        monkeypatch.setattr(bspline, "_band_columns", counted_calls(bspline._band_columns, assembled))
         assert run("census", "--k", "3", "--n", "200", "--seed", "1") == 0
-        assert calls == []
-        # the same counters see every step of build's walk: the level-1 Gram
-        # system, one column assembly per block of levels, one refinement per level
+        assert calls == [] and assembled == []
+        # the same counters see every step of build's walk that assembles or
+        # factors a band: one column assembly per block of levels, then one
+        # Gram system and one whole factor, of level N, at the end; none per level
         assert run("build", "--k", "3", "--n", "200", "--seed", "1") == 0
-        assert len(calls) == 1 + -(-199 // ortho.LEVEL_BLOCK) + 199
+        blocks = -(-199 // ortho.LEVEL_BLOCK)
+        assert [fn.__name__ for fn, _ in calls] == ["refinement_columns"] * blocks + ["cholesky", "GramSystem"]
+        assert len(assembled) == blocks
+        (_, (band, level)), (_, (partition, *_)) = calls[-2:]
+        assert band.shape == (3, 202) and level == partition.level == 200
 
     def test_census_runs_where_the_build_fails(self, tmp_path, capsys):
         # knots 2^-1022 and 2^-1021 make the level-5 function of k = 3 not
@@ -567,9 +574,9 @@ class TestUsageErrors:
     ):
         seq_file = tmp_path / "seq.json"
         seq_file.write_text(json.dumps({"k": 2, "points": [0.0, 1.0, 0.5, 0.25, 0.75]}))
-        # The walk starts with the level-1 Gram system and refines it once per level.
+        # The walk starts with the first block's knot data and fresh Gram columns.
         built = []
-        for name in ("gram_matrix", "refine_gram"):
+        for name in ("knot_block", "refinement_columns", "GramSystem"):
             monkeypatch.setattr(ortho, name, counted_calls(getattr(ortho, name), built))
         out = tmp_path / "r.json"
         assert run(command, "--points", str(seq_file), "--n", "5", "--out", str(out)) == 2
@@ -579,10 +586,10 @@ class TestUsageErrors:
 
 
 def counted_calls(fn, calls):
-    """fn, recording each call's arguments in calls."""
+    """fn, recording each call as (fn, its arguments) in calls."""
 
     def counted(*args):
-        calls.append(args)
+        calls.append((fn, args))
         return fn(*args)
 
     return counted
@@ -699,6 +706,22 @@ def encode_records(arrays, block):
     return got, want
 
 
+def build_records(arrays):
+    """Records shaped as ``ortho.export_record`` makes them, one per coefficient array."""
+    rng = np.random.default_rng(13)
+    return [
+        {
+            "level": n + 2,
+            "i0": n + 4,
+            "knots-hash": f"{n:064x}",
+            "coeffs": coeffs,
+            "J": sorted(rng.random(2).tolist()),
+            "norm2": float(10.0 ** rng.uniform(-9, 3)),
+        }
+        for n, coeffs in enumerate(arrays)
+    ]
+
+
 def padded(values, lead, trail):
     """values between runs of +0.0, lead before and trail after."""
     return np.concatenate([np.zeros(lead), np.asarray(values, dtype=float), np.zeros(trail)])
@@ -712,6 +735,31 @@ def random_windows(rng, lo, hi, count):
         values *= rng.choice([-1.0, 1.0], len(values))
         out.append(padded(values[(values >= -hi) & (values < hi)], *rng.integers(0, 30, 2)))
     return out
+
+
+class TestRecordLayout:
+    """build's records go through one fixed-layout formatter, byte for byte the generic dict path."""
+
+    ARRAYS = [
+        padded([-0.0, 2.5, 1e-7], 3, 2),  # a -0.0 opens the window
+        np.zeros(5),  # an all-+0.0 window
+        padded([0.5, math.nan, -1e-7], 2, 1),  # a non-finite item
+        padded([math.inf, -2e-5], 0, 3),
+        padded([1e-9, -3.5e-6, 2e-5, -9.99e-5, 1e-4], 1, 4),  # the values orjson writes apart
+        padded(np.random.default_rng(14).uniform(1e-9, 1e-4, 30), 6, 0),
+    ]
+
+    @pytest.mark.parametrize("block", (1, 4, 64))
+    def test_fixed_layout_is_the_generic_path(self, block):
+        records = build_records(self.ARRAYS)
+        encoded = list(cli._encoded(iter([cli._Record(r) for r in records]), block))
+        assert all(type(r) is cli._Record for r in encoded)
+        for newline in ("\n", "\n    "):
+            for record in encoded:
+                assert cli._text(record, newline) == cli._text(dict(record), newline)
+        want = canonical_json({"records": [{**r, "coeffs": r["coeffs"].tolist()} for r in records]})
+        got = "".join(cli._canonical({"records": cli._encoded(iter([cli._Record(r) for r in records]), block)}))
+        assert got == want
 
 
 class TestBatchEncoder:

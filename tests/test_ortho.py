@@ -15,6 +15,7 @@ from oracles import (
     insert_event,
     legendre_projection,
     level_records,
+    next_partition,
     ortho_function,
     prolong_many,
     refinement_matrix,
@@ -161,7 +162,7 @@ class TestAlphaCoefficients:
         for seq in seqs:
             part = knots.boundary_partition(k)
             for _ in range(2, len(seq.points)):
-                part, i0 = knots.next_partition(seq, part)
+                part, i0 = next_partition(seq, part)
                 got = alpha_of(part, i0)
                 assert got.tobytes() == alpha_loop(part, i0).tobytes()
 
@@ -388,20 +389,33 @@ class TestIncrementalBuild:
         monkeypatch.setattr(ortho, "LEVEL_BLOCK", 7)
         windows = recorded_windows(monkeypatch)
         seq = family_sequence(family, k)
-        for n, (G, block, b, coeffs, norm2) in enumerate(ortho.levels(seq, len(seq.points) - 1), start=2):
+        walk = ortho.levels(seq, len(seq.points) - 1)
+        for n, (level_knots, band, block, b, coeffs, norm2) in enumerate(walk, start=2):
             full = bspline.gram_matrix(knots.partition_at(seq, n))
-            assert G.partition == full.partition
+            assert level_knots.tobytes() == full.partition.knots.tobytes()
             assert block.first + b == n
             assert block.i0[b] == insert_event(seq, n)
-            assert np.array_equal(G.band, full.band)
+            assert bytes_of(band) == bytes_of(full.band)
             # the walk factors windows alone; the oracle factors and solves the whole band
             want = ortho_function(full, insert_event(seq, n))
-            assert_same_solution(G, coeffs, want.coeffs, windows[n])
-            if windows[n] == (0, G.M):
+            assert_same_solution(full, coeffs, want.coeffs, windows[n])
+            if windows[n] == (0, full.M):
                 # the walk's norm of g, which the system does not keep, is the per-level one
                 assert norm2 == want.norm2
             else:
                 assert abs(norm2 - want.norm2) <= window_tolerance(k) * want.norm2
+
+
+def bytes_of(array):
+    """The bytes of an array's items in C order, whatever its layout."""
+    return np.ascontiguousarray(array).tobytes()
+
+
+def walked_gram(level_knots, band):
+    """A GramSystem of copies of one level's knots and band as the walk yields them."""
+    k, M = band.shape
+    part = knots.Partition(order=k, knots=level_knots.copy(), level=M - k + 1, M=M)
+    return bspline.GramSystem(part, np.array(band))
 
 
 def assert_same_functions(mine, ref, seq, windows):
@@ -458,7 +472,8 @@ class TestWindowSolves:
         # the level's whole band, x the walk's coefficients, 0 off the window
         windows = recorded_windows(monkeypatch)
         partial = 0
-        for G, block, b, coeffs, _ in ortho.levels(wide_sequence(family, k, 48 * k), 48 * k):
+        for level_knots, band, block, b, coeffs, _ in ortho.levels(wide_sequence(family, k, 48 * k), 48 * k):
+            G = walked_gram(level_knots, band)
             lo, hi = windows[block.first + b]
             assert not coeffs[:lo].any() and not coeffs[hi:].any()
             diag = G.band[k - 1]
@@ -470,22 +485,24 @@ class TestWindowSolves:
 
     def test_windows_match_the_full_band_oracle(self, monkeypatch, k, family):
         # bit-equal where the window is the whole level, else within window_tolerance
-        windows = recorded_windows(monkeypatch)
         seq = wide_sequence(family, k, 48 * k)
-        walks = zip(ortho.levels(seq, 48 * k), full_band_levels(seq, 48 * k))
-        for (G, block, b, coeffs, norm2), (_, _, _, want, want_norm2) in walks:
-            window = windows[block.first + b]
-            assert_same_solution(G, coeffs, want, window)
-            assert abs(norm2 - want_norm2) <= window_tolerance(k) * want_norm2
+        want = list(full_band_levels(seq, 48 * k))
+        windows = recorded_windows(monkeypatch)
+        for (_, _, block, b, coeffs, norm2), level in zip(ortho.levels(seq, 48 * k), want, strict=True):
+            assert_same_solution(level.gram, coeffs, level.full_coeffs, windows[level.level])
+            assert abs(norm2 - level.full_norm2) <= window_tolerance(k) * level.full_norm2
         # the tolerance's premise: the scaled Gram condition below 4^k
+        G = level.gram
         d = np.sqrt(G.band[k - 1])
         eig = np.linalg.eigvalsh(dense(G) / np.outer(d, d))
         assert eig[-1] < 4**k * eig[0]
 
 
 def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
-    # One Cox-de Boor call for the level-1 Gram matrix, then one per block of
-    # levels: fresh columns are never assembled level by level.
+    # One Cox-de Boor call per block of levels, and none for a whole band:
+    # level 2's fresh columns are all of its band, so the walk needs no
+    # level-1 Gram matrix, and fresh columns are never assembled level by
+    # level.
     calls = []
     span_basis = bspline._span_basis
 
@@ -499,7 +516,7 @@ def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
     for _ in ortho.levels(seq, N):
         pass
     blocks = -(-(N - 1) // ortho.LEVEL_BLOCK)
-    assert len(calls) == 1 + blocks < N - 1
+    assert len(calls) == blocks < N - 1
 
 
 # Knots a few subnormal or smallest-normal ulps from 0: the first gives an
@@ -567,12 +584,15 @@ class TestBuildSystem:
     def test_collects_the_levels_walk(self):
         seq = knots.random_admissible(6, 3, 12)
         system = ortho.build_system(seq, 11)
-        walked = list(ortho.levels(seq, 11))
-        assert [block.first + b for _, block, b, _, _ in walked] == list(range(2, 12))
-        for (G, block, b, coeffs, _), kept in zip(walked, level_records(system)):
-            assert G.partition == knots.partition_at(seq, block.first + b)
+        walked = []
+        for level_knots, band, block, b, coeffs, _ in ortho.levels(seq, 11):
+            # the knots and band are views the walk overwrites: read them while they are current
+            assert level_knots.tobytes() == knots.partition_at(seq, block.first + b).knots.tobytes()
+            walked.append((block.first + b, coeffs))
+        assert [n for n, _ in walked] == list(range(2, 12))
+        for (_, coeffs), kept in zip(walked, level_records(system), strict=True):
             assert np.array_equal(coeffs, kept.coeffs)
-        assert np.array_equal(walked[-1][0].band, system.gram.band)
+        assert bytes_of(band) == bytes_of(system.gram.band)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_a_function_holds_order_k_numbers_besides_its_coeffs(self, k):
