@@ -55,10 +55,12 @@ def _chunks(obj, newline):
     """Chunks of one value in the indent=2 layout; ``newline`` opens its inner lines.
 
     An iterator, and a dict that holds one among its values, yield a chunk
-    per item; any other value is one chunk.
+    per item; any other value, a ``_Record`` too, is one chunk.
     """
     inner = newline + "  "
-    if isinstance(obj, Iterator):
+    if type(obj) is _Record:
+        yield _record_text(obj, newline)
+    elif isinstance(obj, Iterator):
         sep = "[" + inner
         for item in obj:
             yield sep
