@@ -253,23 +253,16 @@ class GramSystem:
     """Banded Gram matrix a_ij = <N_i, N_j> with its Cholesky factorization.
 
     The band has width k - 1 (supports of N_i and N_j are disjoint once
-    |i - j| >= k).  ``factor``, the upper Cholesky factor in LAPACK band
-    storage, is formed from the band on first read unless it is given
-    (``cholesky``), so a Gram system the level walk passes through keeps
-    its band alone.  The inverse B = A^{-1} is dense; it is read from the
-    factor a block of columns at a time and never held whole, and its
-    diagonal, read from the band of B alone, is kept.
+    |i - j| >= k).  ``factor`` is its upper Cholesky factor in LAPACK band
+    storage (``cholesky``).  The inverse B = A^{-1} is dense; it is read
+    from the factor a block of columns at a time and never held whole, and
+    its diagonal, read from the band of B alone, is kept.
     """
 
-    def __init__(self, partition, band, factor=None):
+    def __init__(self, partition, band, factor):
         self.partition = partition
         self.band = band
-        if factor is not None:
-            self.factor = factor
-
-    @functools.cached_property
-    def factor(self):
-        return cholesky(self.band, self.partition.level)
+        self.factor = factor
 
     @property
     def M(self):
@@ -468,9 +461,9 @@ def refinement_columns(windows, k, ncols):
     band = _band_columns(windows.ravel(), k, level * W + spans, level * R + spans - k + 1, B * R)
     rows = np.ascontiguousarray(band.reshape(k, B, R).transpose(1, 2, 0))
     columns = [rows[b, k - 1 : k - 1 + n] for b, n in enumerate(ncols.tolist())]
-    if np.isfinite(rows).all():
-        return columns, [True] * B
-    return columns, [bool(np.isfinite(c).all()) for c in columns]
+    slot = np.arange(R) - (k - 1)
+    bad = ~np.isfinite(rows).all(axis=2) & (slot >= 0) & (slot < ncols[:, None])
+    return columns, (~bad.any(axis=1)).tolist()
 
 
 def boehm_weights(t):

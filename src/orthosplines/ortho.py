@@ -44,8 +44,8 @@ from .errors import NotPositiveDefinite
 from .knots import Partition, boundary_partition, check_level
 
 # Levels whose knot data (knot windows, alpha, J) and fresh Gram columns are
-# made in one set of array passes, with temporaries of O(LEVEL_BLOCK k^3)
-# floats.
+# made in one set of array passes, with temporaries of
+# O(LEVEL_BLOCK (k^3 + LEVEL_BLOCK)) floats.
 LEVEL_BLOCK = 64
 # A level's first window reaches FIRST_WINDOW * k B-splines to either side of
 # its new knot; ``window_function`` doubles it until the window is certified.
@@ -282,20 +282,23 @@ def knot_blocks(seq, N):
 
 
 def knot_block(knots, t, first, k):
-    """The KnotBlock of levels first, first + 1, ... from the level first - 1 knot vector and their points t.
+    """The KnotBlock of levels first, first + 1, ... from the level first - 1 knot vector and the block's points t.
 
-    t_j goes in after the knots of the level before it that are <= t_j:
-    the ``np.searchsorted`` position in ``knots`` of every point at once,
-    plus the earlier points of the block <= t_j.  Its knot window at level
-    first + j reads that level's knots p-2k+1..p+3k-2 around its position
-    p, past either end the boundary knot repeated.  They are the values of
-    ``knots`` at 3k places on either side of t_j's position there (the
-    boundary knot past either end) and of t_0..t_j, sorted; past t_j there
-    are always more than enough, and the later points of the block sort
-    after all of them as +inf.  So every window holds its level's knots,
-    bit for bit, and no level's knot vector is formed.  alpha
-    (``boehm_weights``) and J_n (``charint.characteristic_intervals``) read
-    only p-k..p+k, and the Gram pass's fresh columns p-2k+2..p+3k-3.
+    Point t[j] is the new knot of level first + j.  It goes in after the
+    knots of the level before it that are <= t[j]: those of ``knots``, the
+    ``np.searchsorted`` position of every point at once, and the earlier
+    points of the block.  Its window holds that level's knots
+    p-2k+1..p+3k-2 around its 0-based position p, the boundary knot
+    repeated past either end: alpha (``boehm_weights``) and J_n
+    (``charint.characteristic_intervals``) read p-k..p+k, and the Gram
+    pass's fresh columns read p-k..p+2k-1 for their span ends and
+    p-2k+2..p+3k-3 in Cox-de Boor; one more on each side holds p-1..p+1
+    at k = 1 too.  Those knots are values of ``knots`` within 3k places of
+    t[j]'s position there (the boundary knot past either end) or points
+    t[0..j], so a row of both, sorted, holds the window around t[j]; the
+    block's later points sort after them as +inf.  So every window holds
+    its level's knots, bit for bit, with no level's knot vector formed,
+    and ``knots`` is read, not changed.
     """
     B = len(t)
     pos = np.searchsorted(knots, t, side="right")
@@ -325,6 +328,7 @@ def _insert_knots(buffer, size, t, p):
 
 
 def _read_only(view):
+    """The view, which its holder can no longer write through to the walk's buffer."""
     view.flags.writeable = False
     return view
 
@@ -396,11 +400,12 @@ def levels(seq, N):
     A level that fails raises when the walk reaches it, naming the level; a
     window whose factor fails names the minor by its index in the level.
     Besides its two buffers the walk holds one block's knot data and fresh
-    columns, with temporaries of O(LEVEL_BLOCK k^3) floats, and allocates
-    nothing per level that outlives the level but the ``coeffs`` it
-    yields: a consumer that drops them runs in memory
-    O(LEVEL_BLOCK k^3 + N k).  An N the sequence cannot reach fails before
-    the first level.
+    columns, with temporaries of O(LEVEL_BLOCK (k^3 + LEVEL_BLOCK)) floats
+    (the fresh columns' assembly and the knot windows' sort), and
+    allocates nothing per level that outlives the level but the ``coeffs``
+    it yields: a consumer that drops them runs in memory
+    O(LEVEL_BLOCK (k^3 + LEVEL_BLOCK) + N k).  An N the sequence cannot
+    reach fails before the first level.
     """
     check_level(seq, N)
     k = seq.order
@@ -450,7 +455,7 @@ def window_function(band, p, alpha, level):
         rhs = np.zeros(hi - lo)
         rhs[p - k - lo : p + 1 - lo] = alpha
         w = window_solve(band, lo, rhs, level)
-        norm2 = math.sqrt(rhs @ w)
+        norm2 = math.sqrt(np.dot(rhs, w))
         if math.isfinite(norm2):
             c = w / norm2
             if hi - lo == M or backward_error(band, lo, c) <= UNIT_ROUNDOFF:
@@ -500,7 +505,7 @@ def backward_error(band, lo, c):
             if not end[kd] > 0.0:
                 return math.inf
             num2 += r * r / end[kd]
-    return math.sqrt(num2 / (np.ascontiguousarray(band[kd, lo:hi]) @ (c * c)))
+    return math.sqrt(num2 / np.dot(np.ascontiguousarray(band[kd, lo:hi]), c * c))
 
 
 def build_system(seq, N):

@@ -106,6 +106,11 @@ def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# A knot at the smallest normal double makes the level-5 complement function of k=3
+# infinite.
+FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-1022, 2.0**-1021]
+
+
 def next_partition(seq, partition):
     """The partition one level above ``partition`` and the index of its new knot.
 

@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import canonical_json, next_partition
+from oracles import FAILS_AT_LEVEL_5, canonical_json, next_partition
 
 from orthosplines import bspline, cli, knots, ortho
 
 
-# A knot at the smallest normal double makes the level-5 complement function of k=3
-# infinite.
-FAILS_AT_LEVEL_5 = [0.0, 1.0, 0.5, 0.25, 0.75, 2.0**-1022, 2.0**-1021]
 # k = 2 with every interior knot twice: the level-15 Gram inverse is block diagonal with
 # 2 x 2 blocks, so its decay fit has two offsets.
 FULL_MULTIPLICITY_K2 = [0.0, 1.0] + [

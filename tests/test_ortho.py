@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import (
+    FAILS_AT_LEVEL_5,
     EmptyInterval,
     alpha_loop,
     block_levels,
@@ -415,7 +417,7 @@ def walked_gram(level_knots, band):
     """A GramSystem of copies of one level's knots and band as the walk yields them."""
     k, M = band.shape
     part = knots.Partition(order=k, knots=level_knots.copy(), level=M - k + 1, M=M)
-    return bspline.GramSystem(part, np.array(band))
+    return bspline.GramSystem(part, np.array(band), bspline.cholesky(band, part.level))
 
 
 def assert_same_functions(mine, ref, seq, windows):
@@ -483,6 +485,23 @@ class TestWindowSolves:
             partial += hi - lo < G.M
         assert partial > 0
 
+    def test_poisoned_buffers_change_no_bit(self, monkeypatch, k, family):
+        # Both buffers start as NaN, the columns past each level's last one
+        # too, so a level that read an entry the walk had not written for it
+        # would differ from the level made from scratch, or fail.
+        poison(monkeypatch)
+        seq = wide_sequence(family, k, 48 * k)
+        walk = ortho.levels(seq, 48 * k)
+        partial = 0
+        for (level_knots, band, block, b, coeffs, norm2), want in zip(walk, full_band_levels(seq, 48 * k), strict=True):
+            assert block.first + b == want.level
+            assert level_knots.tobytes() == want.gram.partition.knots.tobytes()
+            assert bytes_of(band) == bytes_of(want.gram.band)
+            assert coeffs.tobytes() == want.coeffs.tobytes()
+            assert np.float64(norm2).tobytes() == np.float64(want.norm2).tobytes()
+            partial += coeffs[0] == 0.0 or coeffs[-1] == 0.0
+        assert partial > 0
+
     def test_windows_match_the_full_band_oracle(self, monkeypatch, k, family):
         # bit-equal where the window is the whole level, else within window_tolerance
         seq = wide_sequence(family, k, 48 * k)
@@ -496,6 +515,24 @@ class TestWindowSolves:
         d = np.sqrt(G.band[k - 1])
         eig = np.linalg.eigvalsh(dense(G) / np.outer(d, d))
         assert eig[-1] < 4**k * eig[0]
+
+
+def poison(monkeypatch):
+    """Start every buffer of the walk as NaN, in place of memory that is not initialized."""
+    monkeypatch.setattr(ortho, "_buffer", lambda shape: np.full(shape, np.nan))
+
+
+@pytest.mark.parametrize("block", [1, ortho.LEVEL_BLOCK])
+def test_poisoned_walk_fails_at_level_5_as_it_did(monkeypatch, block):
+    monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+    seq = knots.validate_admissible(3, FAILS_AT_LEVEL_5)
+    with pytest.raises(NotPositiveDefinite) as clean:
+        ortho.build_system(seq, 6)
+    assert str(clean.value).startswith("level 5: ")
+    poison(monkeypatch)
+    with pytest.raises(NotPositiveDefinite) as poisoned:
+        ortho.build_system(seq, 6)
+    assert str(poisoned.value) == str(clean.value)
 
 
 def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
@@ -517,6 +554,37 @@ def test_blocks_do_the_local_work_in_one_assembly_call(monkeypatch):
         pass
     blocks = -(-(N - 1) // ortho.LEVEL_BLOCK)
     assert len(calls) == blocks < N - 1
+
+
+def drained_peak(seq, N):
+    """The traced peak, in floats, of a walk to level N whose consumer drops each level."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in ortho.levels(seq, N):
+            pass
+        return (tracemalloc.get_traced_memory()[1] - base) / 8
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_a_drained_walk_holds_its_buffers_and_one_block(k):
+    # The walk holds its two buffers, N + 2k - 1 knots and N + k - 1 band
+    # columns of k, the level-N factor, and one block's temporaries: the
+    # knot windows' sort of LEVEL_BLOCK x (6k + LEVEL_BLOCK) floats and the
+    # fresh columns' assembly, O(LEVEL_BLOCK k^3).  So its peak is
+    # O(LEVEL_BLOCK (k^3 + LEVEL_BLOCK) + N k) floats, bounded here with a
+    # constant of 16 (k = 3: 2.1e5 floats; the walk reads about 4.8e4 and
+    # one that keeps a knot vector or a band per block of levels, 2.7e5).
+    # A level keeps nothing of length M past itself: from N = 1000 to 2000
+    # the peak grows by a few floats per level, where a new knot vector and
+    # band per level would leave it about 130 per level higher.
+    B = ortho.LEVEL_BLOCK
+    seq = knots.random_admissible(1, k, 2001)
+    peak = drained_peak(seq, 2000)
+    assert peak < 16 * (B * (k**3 + B) + 2000 * k)
+    assert peak - drained_peak(seq, 1000) < 8 * k * 1000
 
 
 # Knots a few subnormal or smallest-normal ulps from 0: the first gives an
@@ -554,6 +622,26 @@ class TestNonFiniteLevels:
                 with pytest.raises(NotPositiveDefinite) as got:
                     build(seq, N)
                 assert str(got.value) == want
+
+
+@pytest.mark.parametrize("block", [1, 3, ortho.LEVEL_BLOCK])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_level_inside_a_block_fails_as_the_cubic_oracle(monkeypatch, k, block):
+    # The least subnormal knot arrives at level 5, inside a block of 3 or 64
+    # levels: the walk yields levels 2..4, then fails at level 5 with the
+    # message of the per-level walk, whose fresh columns were not finite.
+    monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
+    seq = knots.validate_admissible(k, [0.0, 1.0, 0.5, 0.25, 0.75, float(np.nextafter(0.0, 1.0)), 0.125])
+    want = "level 5: 1-th leading minor not positive definite" if k == 1 else "level 5: array must not contain infs or NaNs"
+    walked = []
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotPositiveDefinite) as oracle:
+            cubic_build(seq, 6)
+        with pytest.raises(NotPositiveDefinite) as got:
+            for _, _, block_, b, _, _ in ortho.levels(seq, 6):
+                walked.append(block_.first + b)
+    assert str(oracle.value) == str(got.value) == want
+    assert walked == [2, 3, 4]
 
 
 # The message each family fails with at order k, as the per-level walk gave it.
