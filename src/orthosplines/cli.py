@@ -54,20 +54,18 @@ def _canonical(payload):
 def _chunks(obj, newline):
     """Chunks of one value in the indent=2 layout; ``newline`` opens its inner lines.
 
-    An iterator, and a dict that holds one among its values, yield a chunk
-    per item; any other value, a ``_Record`` too, is one chunk.
+    An iterator, and a plain dict that holds one among its values, yield a
+    chunk per item; any other value, a ``_Record`` too, is one chunk.
     """
     inner = newline + "  "
-    if type(obj) is _Record:
-        yield _record_text(obj, newline)
-    elif isinstance(obj, Iterator):
+    if isinstance(obj, Iterator):
         sep = "[" + inner
         for item in obj:
             yield sep
             yield from _chunks(item, inner)
             sep = "," + inner
         yield "[]" if sep == "[" + inner else newline + "]"
-    elif isinstance(obj, dict) and any(isinstance(value, Iterator) for value in obj.values()):
+    elif type(obj) is dict and any(isinstance(value, Iterator) for value in obj.values()):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             yield sep + _string(key) + ": "
