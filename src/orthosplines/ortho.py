@@ -225,7 +225,10 @@ def _transpose_in_place(F):
 
 
 def export_record(knots, band, block, b, coeffs, norm2):
-    """The serializable record of one constructed level n >= 2, from one tuple of ``levels``, while it is current."""
+    """The serializable record of one constructed level n >= 2, from one tuple of ``levels``.
+
+    Made while the tuple is current: ``knots`` is a view of the walk's buffer.
+    """
     digest = hashlib.sha256(knots)
     return {
         "level": block.first + b,
@@ -282,7 +285,7 @@ def knot_blocks(seq, N):
 
 
 def knot_block(knots, t, first, k):
-    """The KnotBlock of levels first, first + 1, ... from the level first - 1 knot vector and the block's points t.
+    """The KnotBlock of levels first, first + 1, ... from the level first - 1 knots and the block's points t.
 
     Point t[j] is the new knot of level first + j.  It goes in after the
     knots of the level before it that are <= t[j]: those of ``knots``, the
@@ -315,7 +318,7 @@ def knot_block(knots, t, first, k):
 
 
 def _insert_knots(buffer, size, t, p):
-    """Insert t[b] at 0-based position p[b] of the knots buffer[:size], b in turn, yielding each level's knots.
+    """Insert t[b] at 0-based position p[b] of the knots buffer[:size], b in turn; yield each level's knots.
 
     The tail moves up one place by one overlapping 1-D assignment, which
     numpy runs from the top down, with no temporary.

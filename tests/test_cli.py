@@ -446,7 +446,8 @@ class TestCensusAndDecay:
         # Gram system and one whole factor, of level N, at the end; none per level
         assert run("build", "--k", "3", "--n", "200", "--seed", "1") == 0
         blocks = -(-199 // ortho.LEVEL_BLOCK)
-        assert [fn.__name__ for fn, _ in calls] == ["refinement_columns"] * blocks + ["cholesky", "GramSystem"]
+        names = [fn.__name__ for fn, _ in calls]
+        assert names == ["refinement_columns"] * blocks + ["cholesky", "GramSystem"]
         assert len(assembled) == blocks
         (_, (band, level)), (_, (partition, *_)) = calls[-2:]
         assert band.shape == (3, 202) and level == partition.level == 200
@@ -755,7 +756,8 @@ class TestRecordLayout:
             for record in encoded:
                 assert cli._text(record, newline) == cli._text(dict(record), newline)
         want = canonical_json({"records": [{**r, "coeffs": r["coeffs"].tolist()} for r in records]})
-        got = "".join(cli._canonical({"records": cli._encoded(iter([cli._Record(r) for r in records]), block)}))
+        streamed = cli._encoded(iter([cli._Record(r) for r in records]), block)
+        got = "".join(cli._canonical({"records": streamed}))
         assert got == want
 
 

@@ -493,7 +493,8 @@ class TestWindowSolves:
         seq = wide_sequence(family, k, 48 * k)
         walk = ortho.levels(seq, 48 * k)
         partial = 0
-        for (level_knots, band, block, b, coeffs, norm2), want in zip(walk, full_band_levels(seq, 48 * k), strict=True):
+        oracle = full_band_levels(seq, 48 * k)
+        for (level_knots, band, block, b, coeffs, norm2), want in zip(walk, oracle, strict=True):
             assert block.first + b == want.level
             assert level_knots.tobytes() == want.gram.partition.knots.tobytes()
             assert bytes_of(band) == bytes_of(want.gram.band)
@@ -507,7 +508,7 @@ class TestWindowSolves:
         seq = wide_sequence(family, k, 48 * k)
         want = list(full_band_levels(seq, 48 * k))
         windows = recorded_windows(monkeypatch)
-        for (_, _, block, b, coeffs, norm2), level in zip(ortho.levels(seq, 48 * k), want, strict=True):
+        for (*_, coeffs, norm2), level in zip(ortho.levels(seq, 48 * k), want, strict=True):
             assert_same_solution(level.gram, coeffs, level.full_coeffs, windows[level.level])
             assert abs(norm2 - level.full_norm2) <= window_tolerance(k) * level.full_norm2
         # the tolerance's premise: the scaled Gram condition below 4^k
@@ -631,8 +632,11 @@ def test_a_level_inside_a_block_fails_as_the_cubic_oracle(monkeypatch, k, block)
     # levels: the walk yields levels 2..4, then fails at level 5 with the
     # message of the per-level walk, whose fresh columns were not finite.
     monkeypatch.setattr(ortho, "LEVEL_BLOCK", block)
-    seq = knots.validate_admissible(k, [0.0, 1.0, 0.5, 0.25, 0.75, float(np.nextafter(0.0, 1.0)), 0.125])
-    want = "level 5: 1-th leading minor not positive definite" if k == 1 else "level 5: array must not contain infs or NaNs"
+    least = float(np.nextafter(0.0, 1.0))
+    seq = knots.validate_admissible(k, [0.0, 1.0, 0.5, 0.25, 0.75, least, 0.125])
+    want = "level 5: " + (
+        "1-th leading minor not positive definite" if k == 1 else "array must not contain infs or NaNs"
+    )
     walked = []
     with np.errstate(all="ignore"):
         with pytest.raises(NotPositiveDefinite) as oracle:
