@@ -308,7 +308,7 @@ def knot_block(knots, t, first, k):
     before = np.count_nonzero(np.tril(t <= t[:, None], -1), axis=1)
     near = knots.take(pos[:, None] + np.arange(-3 * k, 3 * k), mode="clip")
     merged = np.sort(np.hstack((near, np.where(np.tri(B, dtype=bool), t, np.inf))), axis=1)
-    at = 3 * k + before  # t_j's place in row j of merged
+    at = 3 * k + before  # t[j]'s place in row j of merged
     windows = np.take_along_axis(merged, at[:, None] + np.arange(1 - 2 * k, 3 * k - 1), axis=1)
     i0 = pos + before + 1
     near = windows[:, k - 1 : 3 * k]  # tau_{i0-k}..tau_{i0+k}

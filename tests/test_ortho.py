@@ -485,10 +485,14 @@ class TestWindowSolves:
             partial += hi - lo < G.M
         assert partial > 0
 
-    def test_poisoned_buffers_change_no_bit(self, monkeypatch, k, family):
+    @pytest.mark.parametrize("first", [1, ortho.FIRST_WINDOW])
+    def test_poisoned_buffers_change_no_bit(self, monkeypatch, k, family, first):
         # Both buffers start as NaN, the columns past each level's last one
         # too, so a level that read an entry the walk had not written for it
-        # would differ from the level made from scratch, or fail.
+        # would differ from the level made from scratch, or fail.  Windows
+        # that start at h = k are rejected and widened, on the level's own
+        # band in the walk and on the assembled one in the oracle.
+        monkeypatch.setattr(ortho, "FIRST_WINDOW", first)
         poison(monkeypatch)
         seq = wide_sequence(family, k, 48 * k)
         walk = ortho.levels(seq, 48 * k)
