@@ -18,7 +18,8 @@ taken from scipy's compiled LAPACK extension ``scipy/linalg/_flapack``, the
 object ``scipy.linalg.lapack`` re-exports.  It is loaded by file, without
 the ``scipy.linalg`` package, whose import costs about 0.3 s per process.
 ``dpbtrs`` serves only the level walk's window solves (``window_solve``):
-the Gram inverse is read from the factor by a recurrence, with no solve.
+the Gram inverse is read from the factor by a recurrence, one diagonal at
+a time, with no solve.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ def _lapack_band_routines():
 
 dpbtrf, dpbtrs = _lapack_band_routines()
 
-# Columns of the Gram inverse per block of ``GramSystem.inverse_columns``.
-_INVERSE_BLOCK = 256
 # Points per evaluation block.  Readers of many splines form their values on
 # a block one tile of rows at a time (``row_tiles``), not R x EVAL_BLOCK at once.
 EVAL_BLOCK = 512
@@ -255,8 +254,9 @@ class GramSystem:
     The band has width k - 1 (supports of N_i and N_j are disjoint once
     |i - j| >= k).  ``factor`` is its upper Cholesky factor in LAPACK band
     storage (``cholesky``).  The inverse B = A^{-1} is dense; it is read
-    from the factor a block of columns at a time and never held whole, and
-    its diagonal, read from the band of B alone, is kept.
+    from the factor one diagonal at a time (``inverse_diagonals``), up to
+    where the rest of it is exactly zero, and never held whole.  Its band,
+    read from the factor alone (``inverse_band``), is kept.
     """
 
     def __init__(self, partition, band, factor):
@@ -281,98 +281,109 @@ class GramSystem:
             y[d:] += s * v[:-d]
         return y
 
-    def inverse_columns(self):
-        """Yield (start, rows), rows[c, d] = b_{j+d, j} at j = start + c, block by block right to left.
+    def inverse_diagonals(self):
+        """Yield (d, b_d), b_d[j] = b_{j+d, j}, the diagonals of B = A^{-1} from d = 0 on.
 
-        Row c is column j of B = A^{-1} from its diagonal entry down, as one
-        contiguous row of M - start entries, zeros past the column's end; a
-        block holds w <= 256 columns, so at most 256 x M entries of B exist
-        at a time.  B is symmetric, so these lower parts are all of it.  The
-        rows are a view of one buffer that the next block overwrites.
+        B is symmetric, so these lower diagonals are all of it.  Diagonals
+        0..kd, kd = k - 1, are ``inverse_band``.  Past the band, the
+        recurrence of Takahashi, Fagan and Chin (1973) on the Cholesky
+        factor A = U^T U, b_ij = -(sum_{l=kd..1} u_{j,j+l} b_{i,j+l}) / u_jj
+        for i > j, reads at i = j + d only diagonals d - kd..d - 1, so each
+        diagonal is one array step from the kd before it:
 
-        The entries come from the recurrence on the Cholesky factor A = U^T U
-        of Takahashi, Fagan and Chin (1973), column by column from the last:
-        U B = U^{-T} is lower triangular with diagonal 1/u_jj, so with
-        kd = k - 1
+            b_d[j] = (b_{d-kd}[j+kd] (-u_kd[j]) - ... - b_{d-1}[j+1] u_1[j]) / u_0[j],
 
-            b_ij = -(sum_{l=kd..1} u_{j,j+l} b_{i,j+l}) / u_jj,  i > j,
-            b_jj = (1/u_jj - sum_{l=kd..1} u_{j,j+l} b_{j+l,j}) / u_jj.
+        u_l[j] = u_{j,j+l}.  Each entry takes the multiplies and subtracts
+        of the column-by-column recurrence in its order, l = kd..1, with no
+        dot product, so its bits depend on its own operands alone.
 
-        Each block carries the kd columns right of it from the block before.
+        The walk stops after kd consecutive diagonals that are all +-0, and
+        every diagonal it does not yield is exactly zero, for a finite
+        factor with a positive diagonal as ``cholesky`` returns it.  Proof:
+        let b_{d-kd}..b_{d-1} be all +-0, with d > kd.  Each product of a
+        +-0 with a finite u_l is +-0, a difference of +-0 is +-0, and
+        +-0 / u_0 is +-0 for u_0 > 0: b_d is all +-0, and so, by induction
+        on d, is every later diagonal.  At k = 1 the sum is empty and B is diagonal, so the walk
+        stops after b_0.  At k = 4 on 4,096 uniform random knots it stops
+        near offset 1,160 of M = 4,099, where the entries have underflowed.
+
+        Each b_d is a new array, but the reader keeps it, to form the kd
+        diagonals after it, so it must not be written to.
         """
         kd, M = self.partition.order - 1, self.M
-        upper = _upper_diagonals(self.factor)
-        buf = np.zeros((_INVERSE_BLOCK + kd, M + kd))
-        for start in reversed(range(0, M, _INVERSE_BLOCK)):
-            width = min(_INVERSE_BLOCK, M - start)
-            _inverse_sweep(upper, buf[: width + kd], start)
-            yield start, buf[:width, kd : kd + M - start]
-            buf[_INVERSE_BLOCK:] = buf[:kd]
+        band = self.inverse_band
+        yield from enumerate(band)
+        # u[l] = u_l, contiguous: LAPACK leaves the factor in Fortran order.
+        u = [np.ascontiguousarray(self.factor[kd - l, l:]) for l in range(kd + 1)]
+        neg = -u[kd]
+        recent = list(band[1:])
+        zeros = 0  # the run of all-zero diagonals that ends at the last one
+        for b in recent:
+            zeros = 0 if b.any() else zeros + 1
+        tmp = np.empty(M)
+        for d in range(kd + 1, M):
+            if zeros >= kd:
+                return
+            n = M - d
+            b = recent[0][kd : kd + n] * neg[:n]
+            part = tmp[:n]
+            for l in range(kd - 1, 0, -1):
+                np.multiply(recent[kd - l][l : l + n], u[l][:n], out=part)
+                np.subtract(b, part, out=b)
+            np.divide(b, u[0][:n], out=b)
+            yield d, b
+            recent = recent[1:] + [b]
+            # b[0] settles most diagonals without a pass over them.
+            zeros = zeros + 1 if b[0] == 0.0 and not b.any() else 0
 
     @functools.cached_property
-    def inverse_diagonal(self):
-        """b_ii for every i, kept: the recurrence of ``inverse_columns`` on the band |i - j| <= kd alone.
+    def inverse_band(self):
+        """(b_0, ..., b_kd), the diagonals of B = A^{-1} within the band, read-only and kept.
 
-        Each entry in the band reads only entries in the band, so this
-        selected inversion costs O(M k^2) and gives the diagonal of
-        ``inverse_columns`` bit for bit.
+        Selected inversion: the recurrence of ``inverse_diagonals``, column
+        j from the last to the first, on the entries |i - j| <= kd alone,
+        which read only entries in the band, as a scalar loop in O(M k^2).
+        Column j's entries below its diagonal are
+
+            b_{j+d, j} = -(sum_{l=lmax..1} u_{j,j+l} b_{j+d, j+l}) / u_jj,  d = 1..lmax,
+            b_jj = (1/u_jj - sum_{l=lmax..1} u_{j,j+l} b_{j+l, j}) / u_jj,
+
+        lmax = min(kd, M - 1 - j), summed in that order, and each
+        b_{j+d, j+l} with l > d read as b_{j+l, j+d}.
         """
-        kd = self.partition.order - 1
-        rows = np.zeros((self.M + kd, 2 * kd + 1))
-        _inverse_sweep(_upper_diagonals(self.factor), rows, 0)
-        return rows[: self.M, kd].copy()
+        kd, M = self.partition.order - 1, self.M
+        u = [self.factor[kd - l, l:].tolist() for l in range(kd + 1)]
+        b = [[0.0] * (M - d) for d in range(kd + 1)]
+        for j in range(M - 1, -1, -1):
+            if j >= M - 1 - kd:
+                # lmax = M - 1 - j until it reaches kd.  Per d, each term
+                # l = lmax..1 as (diagonal, offset from j, u_l).
+                lmax = M - 1 - j
+                terms = [
+                    [(b[d - l], l, u[l]) if l <= d else (b[l - d], d, u[l]) for l in range(lmax, 0, -1)]
+                    for d in range(1, lmax + 1)
+                ]
+                plans = [(b[d], t[0], t[1:]) for d, t in enumerate(terms, start=1)]
+                diagonal_terms = [(b[l], u[l]) for l in range(lmax, 0, -1)]
+            u_jj = u[0][j]
+            for b_d, (src, at, u_l), rest in plans:
+                x = src[j + at] * -u_l[j]
+                for src, at, u_l in rest:
+                    x -= src[j + at] * u_l[j]
+                b_d[j] = x / u_jj
+            diag = 1.0 / u_jj
+            for b_l, u_l in diagonal_terms:
+                diag -= u_l[j] * b_l[j]
+            b[0][j] = diag / u_jj
+        out = tuple(np.array(diagonal) for diagonal in b)
+        for diagonal in out:
+            diagonal.setflags(write=False)
+        return out
 
-
-def _upper_diagonals(factor):
-    """Lists u[l][j] = u_{j, j+l}, l = 0..kd, of the upper Cholesky factor in LAPACK band storage."""
-    kd = factor.shape[0] - 1
-    return [factor[kd - l, l:].tolist() for l in range(kd + 1)]
-
-
-def _inverse_sweep(upper, rows, first):
-    """Fill rows[r] with column j = first + r of the Gram inverse, for r from the last down to 0.
-
-    ``upper`` comes from ``_upper_diagonals``.  Row r holds b_{j+d, j} at
-    position kd + d, for 0 <= d <= min(n, M - 1 - j), n = rows.shape[1] - kd - 1;
-    positions kd - m, m = 1..kd - 1, hold b_{j-m, j} = b_{j, j-m}, copied
-    from row r - m once that column is done.  The last kd rows are the
-    columns right of the block, done before (or past M, and never read).
-
-    Each entry is formed by elementwise multiplies and subtracts in the
-    order l = kd..1, never by a dot product, so its bits depend on its own
-    operands alone and not on how many entries a row holds.
-    """
-    kd = len(upper) - 1
-    M = len(upper[0])
-    R, S = rows.shape
-    n = S - kd - 1
-    # Flat index of row r + l, position p - l is that of row r, position p plus l * step.
-    flat = rows.reshape(-1)
-    step = S - 1
-    tmp = np.empty(n)
-    for r in range(R - kd - 1, -1, -1):
-        j = first + r
-        m = min(n, M - 1 - j)
-        lmax = min(kd, m)
-        u_jj = upper[0][j]
-        diag = 1.0 / u_jj
-        at = r * S + kd
-        if lmax:
-            below = flat[at + 1 : at + 1 + m]
-            part = tmp[:m]
-            src = at + 1 + lmax * step
-            np.multiply(flat[src : src + m], -upper[lmax][j], out=below)
-            for l in range(lmax - 1, 0, -1):
-                src = at + 1 + l * step
-                np.multiply(flat[src : src + m], upper[l][j], out=part)
-                np.subtract(below, part, out=below)
-            np.divide(below, u_jj, out=below)
-            head = below[:lmax].tolist()
-            for l in range(lmax, 0, -1):
-                diag -= upper[l][j] * head[l - 1]
-            # b_{j+l, j} to position kd - l of row r + l, l < kd, for the columns left of j.
-            flat[at + step : at + min(lmax, kd - 1) * step + 1 : step] = below[: kd - 1]
-        flat[at] = diag / u_jj
+    @property
+    def inverse_diagonal(self):
+        """b_ii for every i, ``inverse_band[0]``."""
+        return self.inverse_band[0]
 
 
 def _band_columns(knots, k, spans, cols, width):

@@ -3,12 +3,13 @@
 The inverse of the banded B-spline Gram matrix has two traits that
 ``verify`` checks: its sign pattern is a checkerboard, and its entries decay
 geometrically away from the diagonal once weighted by the local knot gap.
-Each check reads the inverse a block of columns at a time from the Gram
-system's Cholesky factor (``GramSystem.inverse_columns``), so no dense
-M x M array is formed; the checkerboard tolerance reads the diagonal from
-the band of the inverse alone.
-The sign check can feed each block to an ``OffsetMaxima`` as well, so that
-``verify`` reads the inverse once for both the signs and the decay fit.
+Each check reads the inverse one diagonal at a time from the Gram system's
+Cholesky factor (``GramSystem.inverse_diagonals``), which stops where the
+rest of the inverse is exactly zero, so no dense M x M array is formed and
+no entry past the stop is read; the checkerboard tolerance reads the
+diagonal from the band of the inverse alone.
+The sign check can feed each diagonal to an ``OffsetMaxima`` as well, so
+that ``verify`` reads the inverse once for both the signs and the decay fit.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateFit
 
-# Columns of the Gram inverse per array pass of offset_maxima.
-_STRIP = 32
 # Offsets whose weighted envelope sits below this times the diagonal value
 # are machine noise and excluded from the decay fit.
 NOISE_FLOOR = 1e-13
@@ -64,71 +62,66 @@ class DecayProfile:
 def checkerboard_check(G, maxima=None):
     """Verify (-1)^(i+j) b_ij >= -tol over the whole inverse.
 
-    tol is 1e-12 times the largest b_ii, which is the largest inverse
+    tol is 1e-12 times the largest finite b_ii, which is the largest inverse
     magnitude since |b_ij| <= sqrt(b_ii b_jj) for an SPD inverse; it is a margin
-    for entries that are exact zeros in exact arithmetic.  B is symmetric, so
-    only the entries on and below the diagonal are scanned.  Returns the
-    lexicographically smallest violating (min(i, j), max(i, j)), 1-based,
+    for entries that are exact zeros in exact arithmetic.  An entry fails
+    unless the inequality holds, so a NaN fails.  B is symmetric, so only
+    the entries on and below the diagonal are scanned.  Returns the
+    lexicographically smallest failing (min(i, j), max(i, j)), 1-based,
     which is the row-major first violation of B, when the pattern fails.
-    An ``OffsetMaxima`` given as ``maxima`` is fed each block of the same
-    walk, so that both checks read the inverse once.
+    An ``OffsetMaxima`` given as ``maxima`` is fed each diagonal of the
+    same walk, so that both checks read the inverse once.
     """
-    tol = 1e-12 * float(G.inverse_diagonal.max())
+    diagonal = G.inverse_diagonal
+    tol = 1e-12 * float(np.max(diagonal[np.isfinite(diagonal)], initial=0.0))
     first = None
-    for start, rows in G.inverse_columns():
-        # Entry (c, d) of the block is b_ij at j = start + c, i = j + d, so
-        # (-1)^(i+j) = (-1)^d.  Blocks come right to left, so the last block
-        # with a violation holds the smallest column; argwhere is row-major,
-        # so its first hit has the smallest column, then row.
-        bad = np.argwhere(rows * (-1.0) ** np.arange(rows.shape[1]) < -tol)
-        if len(bad):
-            c, d = (int(x) for x in bad[0])
-            first = (start + c + 1, start + c + d + 1)
+    for d, b in G.inverse_diagonals():
+        # Entry j of diagonal d is b_ij at i = j + d, so (-1)^(i+j) = (-1)^d,
+        # and the diagonal passes when its extreme does; a NaN fails both.
+        even = d % 2 == 0
+        if not (np.minimum.reduce(b) >= -tol if even else np.maximum.reduce(b) <= tol):
+            j = int(np.argmin(b >= -tol if even else b <= tol))
+            # Diagonals come in increasing d, so only a smaller column
+            # replaces the first failure.
+            if first is None or j + 1 < first[0]:
+                first = (j + 1, j + d + 1)
         if maxima is not None:
-            maxima.add(start, rows)
+            maxima.add(d, b)
     return CheckResult(passed=first is None, first_violation=first)
 
 
 class OffsetMaxima:
-    """raw[d] and m[d], the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d, block by block.
+    """raw[d] and m[d], the max of |b_ij| and of |b_ij| (tau_{i+k} - tau_j) over i - j = d, a diagonal at a time.
 
-    Each block of the inverse holds column j's entries b_{j+d, j} at
-    offset d of its row, so the maxima per offset are maxima over rows.
-    ``add`` takes them in array passes over strips of _STRIP rows, whose
-    temporaries stay in cache.  The gap weights are laid out alike from the
-    knots, padded with ones so that the products past a column's end are
-    zeros.  A max is exact and each product is the one the entry's own
-    formula forms, so the maxima do not depend on how the entries are
-    grouped.
+    Diagonal d holds b_{j+d, j} at j, whose gap weight is
+    tau_{j+d+k} - tau_j, so each maximum is one pass over one diagonal.
+    A max is exact and each product is the one the entry's own formula
+    forms, so the maxima do not depend on how the entries are grouped.
+    Offsets the walk stops before are exact zeros and keep raw = m = 0.
     """
 
     def __init__(self, G):
         part = G.partition
         self.k, self.M = part.order, part.M
         self.knots = part.knots
-        self.padded = np.concatenate([part.knots, np.ones(_STRIP)])
         self.raw = np.zeros(self.M)
         self.m = np.zeros(self.M)
 
-    def add(self, start, block):
-        """Fold in one block (start, rows) of ``GramSystem.inverse_columns``."""
-        raw, m, knots = self.raw, self.m, self.knots
-        for c0 in range(0, block.shape[0], _STRIP):
-            j0 = start + c0
-            R = self.M - j0
-            mags = np.abs(block[c0 : c0 + _STRIP, :R])
-            w = len(mags)
-            weighted = sliding_window_view(self.padded[j0 + self.k :], R)[:w] - knots[j0 : j0 + w, None]
-            weighted *= mags
-            np.maximum(raw[:R], mags.max(axis=0), out=raw[:R])
-            np.maximum(m[:R], weighted.max(axis=0), out=m[:R])
+    def add(self, d, b):
+        """Fold in one diagonal (d, b_d) of ``GramSystem.inverse_diagonals``."""
+        n, at = len(b), d + self.k
+        mags = np.abs(b)
+        self.raw[d] = np.maximum.reduce(mags)
+        weighted = self.knots[at : at + n] - self.knots[:n]
+        weighted *= mags
+        self.m[d] = np.maximum.reduce(weighted)
 
 
 def offset_maxima(G):
-    """(raw, m) of ``OffsetMaxima`` over every block of the inverse."""
+    """(raw, m) of ``OffsetMaxima`` over every diagonal of the inverse."""
     maxima = OffsetMaxima(G)
-    for start, block in G.inverse_columns():
-        maxima.add(start, block)
+    for d, b in G.inverse_diagonals():
+        maxima.add(d, b)
     return maxima.raw, maxima.m
 
 
@@ -144,7 +137,7 @@ def decay_profile(G, maxima=None):
     every fitted m_d.  Two offsets fix the line exactly (a 2 x 2 block
     diagonal inverse, as at k = 2 with every interior knot twice); a
     non-finite inverse leaves none and raises DegenerateFit.  ``maxima``, an
-    ``OffsetMaxima`` already fed every block, spares a walk of the inverse.
+    ``OffsetMaxima`` already fed every diagonal, spares a walk of the inverse.
     """
     raw, m = offset_maxima(G) if maxima is None else (maxima.raw, maxima.m)
     M, k = G.partition.M, G.partition.order

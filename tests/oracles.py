@@ -186,29 +186,45 @@ def dense(G):
     return a
 
 
+def wide_sequence(family, k, N):
+    """N + 1 points of a test family.
+
+    The laws of ``knots.LAWS``; near-one, 1 - 2^-j for j < 50 and then
+    uniform draws; full multiplicity, shuffled odd multiples of 2^-10, each
+    k times.
+    """
+    if family in knots.LAWS:
+        return knots.random_admissible(7 + k, k, N + 1, family)
+    rng = np.random.default_rng(k)
+    if family == "near-one":
+        interior = [1.0 - 2.0**-j for j in range(1, 50)][: N - 1]
+        interior += list(rng.random(N - 1 - len(interior)))
+    else:
+        interior = [(2 * i + 1) / 1024 for i in rng.permutation(512) for _ in range(k)][: N - 1]
+    return knots.validate_admissible(k, [0.0, 1.0] + interior)
+
+
 def offset_maxima_loop(G):
-    """``gram.offset_maxima`` one column of each inverse block at a time."""
+    """``gram.offset_maxima`` one column of ``streamed_inverse`` at a time."""
     part = G.partition
     k, M = part.order, part.M
     knots = part.knots
+    B = streamed_inverse(G)
     raw = np.zeros(M)
     m = np.zeros(M)
-    for start, rows in G.inverse_columns():
-        for c in range(rows.shape[0]):
-            j = start + c
-            b = np.abs(rows[c, : M - j])
-            np.maximum(raw[: M - j], b, out=raw[: M - j])
-            np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
+    for j in range(M):
+        b = np.abs(B[j:, j])
+        np.maximum(raw[: M - j], b, out=raw[: M - j])
+        np.maximum(m[: M - j], b * (knots[j + k : M + k] - knots[j]), out=m[: M - j])
     return raw, m
 
 
 def streamed_inverse(G):
-    """Dense B = A^{-1} from G's blocks of lower columns, the upper triangle mirrored from the lower."""
-    B = np.zeros((G.M, G.M))
-    for start, rows in G.inverse_columns():
-        for c in range(rows.shape[0]):
-            j = start + c
-            B[j:, j] = rows[c, : G.M - j]
+    """Dense B = A^{-1} from G's diagonals, zero past where the walk stops, the upper triangle mirrored."""
+    M = G.M
+    B = np.zeros((M, M))
+    for d, b in G.inverse_diagonals():
+        B[np.arange(d, M), np.arange(M - d)] = b
     return np.tril(B) + np.tril(B, -1).T
 
 
@@ -225,9 +241,10 @@ def diag_inverse_bound(G):
 def trailing_solve_columns(G):
     """Yield (start, B[start:, start:start + w]), w <= 256, left to right, one banded solve per block.
 
-    The reader ``GramSystem.inverse_columns`` replaced: each block is LAPACK's
-    ``dpbtrs`` against the trailing factor alone and unit vectors, since the
-    forward sweep is zero above ``start``.
+    A reader by banded solves, held beside ``GramSystem.inverse_diagonals``
+    to the exact inverse: each block is LAPACK's ``dpbtrs`` against the
+    trailing factor alone and unit vectors, since the forward sweep is zero
+    above ``start``.
     """
     M = G.M
     for start in range(0, M, 256):
@@ -238,11 +255,12 @@ def trailing_solve_columns(G):
 
 
 def recurrence_inverse(G):
-    """Dense B = A^{-1} by the recurrence of ``GramSystem.inverse_columns`` on whole columns.
+    """Dense B = A^{-1} by the recurrence of ``GramSystem.inverse_diagonals`` on whole columns.
 
     Column j, from the last to the first, is formed from the full columns
     j + 1..j + kd of a dense array with the reader's operations in its
-    order, and mirrored into row j; no blocks and no band storage.
+    order, and mirrored into row j; no diagonals, no stop and no band
+    storage.
     """
     kd, M = G.partition.order - 1, G.M
 

@@ -24,6 +24,7 @@ from oracles import (
     streamed_inverse,
     sup_norm,
     value_matrix,
+    wide_sequence,
 )
 
 from orthosplines import bspline, knots, ortho
@@ -227,20 +228,11 @@ class TestGramMatrix:
     @pytest.mark.parametrize("M", [255, 256, 257, 513])
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_inverse_blocks_are_the_dense_recurrence_bit_for_bit(self, k, M):
-        # Blocks of 256 columns from the right: one block of 255 or 256, a
-        # one-column block carrying kd columns into the next, or three blocks.
+        # The reader's blocks are its diagonals, each the dense recurrence's.
         G = bspline.gram_matrix(part(k, knots.random_admissible(M, k, M - k + 2).points))
         assert G.M == M
-        B = recurrence_inverse(G)
-        starts = []
-        for start, rows in G.inverse_columns():
-            starts.append(start)
-            assert rows.shape == (min(256, M - start), M - start)
-            for c, row in enumerate(rows):
-                j = start + c
-                assert np.array_equal(row, np.concatenate([B[j:, j], np.zeros(c)])), f"column {j}"
-        assert starts == list(range(0, M, 256))[::-1]
-        assert np.array_equal(G.inverse_diagonal, np.diagonal(B))
+        assert_diagonals_are_the_recurrence(G)
+        assert np.array_equal(G.inverse_diagonal, np.diagonal(recurrence_inverse(G)))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_the_walks_band_is_the_assembled_band_at_every_level(self, monkeypatch, k):
@@ -256,6 +248,52 @@ class TestGramMatrix:
             assert np.ascontiguousarray(band).tobytes() == full.band.tobytes()
             walked += 1
         assert walked == 28
+
+
+def assert_diagonals_are_the_recurrence(G):
+    """Every diagonal the reader yields is ``recurrence_inverse``'s, bit for bit, and every later one zero.
+
+    Returns the number of diagonals yielded, d = 0, 1, ... in order.
+    """
+    B = recurrence_inverse(G)
+    count = 0
+    for d, b in G.inverse_diagonals():
+        assert d == count
+        assert b.tobytes() == np.diagonal(B, -d).tobytes(), f"diagonal {d}"
+        count += 1
+    assert not np.tril(B, -count).any(), f"stopped after {count} diagonals"
+    return count
+
+
+class TestInverseDiagonals:
+    @pytest.mark.parametrize("family", knots.LAWS + ("near-one", "full-multiplicity"))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_diagonal_is_the_recurrence_bit_for_bit(self, k, family):
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence(family, k, 300), 300))
+        count = assert_diagonals_are_the_recurrence(G)
+        # at k = 1 B is diagonal; at full multiplicity it is block diagonal
+        if k == 1 or family == "full-multiplicity":
+            assert count < G.M
+        assert np.array_equal(G.inverse_diagonal, np.diagonal(recurrence_inverse(G)))
+
+    def test_the_walk_stops_where_the_inverse_underflows(self):
+        # k = 2, N = 1024: entries far from the diagonal underflow to zero
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", 2, 1024), 1024))
+        assert assert_diagonals_are_the_recurrence(G) < G.M // 2
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_the_walk_runs_through_kd_minus_one_zero_diagonals(self, k):
+        # u_{j,j+l} = 0 for 0 < l < kd leaves A, and so B, nonzero only on
+        # diagonals that are multiples of kd (at k = 3, every odd diagonal is
+        # zero): runs of kd - 1 zero diagonals that a walk must not stop at
+        kd = k - 1
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", k, 60), 60))
+        factor = G.factor.copy()
+        factor[1:kd] = 0.0
+        planted = bspline.GramSystem(G.partition, G.band, factor)
+        assert assert_diagonals_are_the_recurrence(planted) == planted.M
+        for d, b in planted.inverse_diagonals():
+            assert b.any() == (d % kd == 0), f"diagonal {d}"
 
 
 def refinement(coarse, fine, i0):

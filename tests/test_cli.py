@@ -276,16 +276,16 @@ class TestVerify:
     def test_a_flipped_inverse_sign_fails_the_checkerboard_gate(self, monkeypatch, capsys, tmp_path):
         # b_{7,6} (1-based) is negative and well above the tolerance; with
         # its sign flipped, the check must name it
-        inverse_columns = bspline.GramSystem.inverse_columns
+        inverse_diagonals = bspline.GramSystem.inverse_diagonals
 
         def flipped(self):
-            for start, rows in inverse_columns(self):
-                if start == 0:
-                    rows = rows.copy()
-                    rows[5, 1] = -rows[5, 1]
-                yield start, rows
+            for d, b in inverse_diagonals(self):
+                if d == 1:
+                    b = b.copy()
+                    b[5] = -b[5]
+                yield d, b
 
-        monkeypatch.setattr(bspline.GramSystem, "inverse_columns", flipped)
+        monkeypatch.setattr(bspline.GramSystem, "inverse_diagonals", flipped)
         out = tmp_path / "verify.json"
         assert run("verify", "--k", "3", "--n", "32", "--seed", "1", "--out", str(out)) == 1
         assert "failed invariant: checkerboard" in capsys.readouterr().err

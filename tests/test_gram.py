@@ -54,19 +54,15 @@ def dense_decay_profile(G, B):
 
 
 class Planted:
-    """Serves the lower columns and diagonal of a dense B in GramSystem's layout, right to left."""
+    """Serves all M diagonals of a dense B, and its main diagonal, in GramSystem's layout."""
 
     def __init__(self, B):
         self.B = B
         self.inverse_diagonal = np.diagonal(B).copy()
 
-    def inverse_columns(self):
-        M = self.B.shape[0]
-        for start in reversed(range(0, M, 256)):
-            rows = np.zeros((min(256, M - start), M - start))
-            for c, row in enumerate(rows):
-                row[: M - start - c] = self.B[start + c :, start + c]
-            yield start, rows
+    def inverse_diagonals(self):
+        for d in range(self.B.shape[0]):
+            yield d, np.diagonal(self.B, -d).copy()
 
 
 class TestCheckerboard:
@@ -93,6 +89,29 @@ class TestCheckerboard:
         res = gram.checkerboard_check(Planted(B))
         assert not res.passed
         assert res.first_violation == (1, 2)
+
+    @pytest.mark.parametrize(
+        "planted, first",
+        [
+            ({(5, 3): np.nan}, (4, 6)),
+            ({(7, 7): np.nan}, (8, 8)),
+            # a NaN left of a sign violation in column order comes first
+            ({(9, 2): np.nan, (4, 3): -1.0}, (3, 10)),
+            # and a sign violation left of a NaN
+            ({(9, 2): -1.0, (4, 3): np.nan}, (3, 10)),
+        ],
+    )
+    def test_a_nan_entry_fails_and_is_named(self, planted, first):
+        # a NaN passes no sign test, and one on the diagonal leaves the
+        # tolerance to the finite diagonal, so no other entry fails
+        B = np.linalg.inv(dense(random_gram(4, 3, 12)))
+        assert gram.checkerboard_check(Planted(B)).passed
+        for (i, j), value in planted.items():
+            if not np.isnan(value):
+                value *= np.diagonal(B).max() * (-1.0) ** (i + j)
+            B[i, j] = B[j, i] = value
+        res = gram.checkerboard_check(Planted(B))
+        assert (res.passed, res.first_violation) == (False, first)
 
 
 class TestDiagBound:
@@ -178,7 +197,7 @@ def test_inverse_identity_moderate_size():
 
 @pytest.fixture(scope="module")
 def multi_block():
-    """k=4, N=2048: M = 2051 columns, read in several blocks; with its dense inverse."""
+    """k=4, N=2048: M = 2051 columns, where the walk stops before M; with its dense inverse."""
     seq = knots.random_admissible(3, 4, 2049)
     G = bspline.gram_matrix(knots.partition_at(seq, 2048))
     assert G.M == 2051
@@ -199,6 +218,21 @@ class TestStreamedInverse:
             tracemalloc.stop()
         assert peak < limit, f"{check} peaked at {peak} B against {limit} B"
 
+    def test_decay_peak_memory_is_linear_in_m_k(self):
+        # a few diagonals of M floats and the band of B: under 32 M k
+        # floats, which a buffer of 256 columns of B alone would exceed
+        seq = knots.random_admissible(3, 4, 2049)
+        G = bspline.gram_matrix(knots.partition_at(seq, 2048))
+        limit = 8 * 32 * G.M * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gram.decay_profile(G)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"decay_profile peaked at {peak} B against {limit} B"
+
     def test_decay_matches_dense_oracle(self, multi_block):
         G, B = multi_block
         gamma, C, residual = dense_decay_profile(G, B)
@@ -208,7 +242,7 @@ class TestStreamedInverse:
         assert prof.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
 
     def test_offset_maxima_match_the_column_loop(self, multi_block):
-        # several blocks of 256 columns and a narrow last one, bit for bit
+        # a walk that stops before M, bit for bit
         G, _ = multi_block
         raw, m = gram.offset_maxima(G)
         want_raw, want_m = offset_maxima_loop(G)
@@ -233,13 +267,13 @@ class TestStreamedInverse:
     def test_one_walk_reads_the_inverse_once(self, monkeypatch, multi_block):
         G, _ = multi_block
         walks = []
-        inverse_columns = G.inverse_columns
+        inverse_diagonals = G.inverse_diagonals
 
         def counted():
             walks.append(1)
-            return inverse_columns()
+            return inverse_diagonals()
 
-        monkeypatch.setattr(G, "inverse_columns", counted)
+        monkeypatch.setattr(G, "inverse_diagonals", counted)
         maxima = gram.OffsetMaxima(G)
         gram.checkerboard_check(G, maxima)
         gram.decay_profile(G, maxima)
@@ -255,7 +289,7 @@ class TestStreamedInverse:
     def test_violation_past_first_block_has_global_index(self, multi_block):
         _, B = multi_block
         doctored = B.copy()
-        # offset one from the diagonal in the third block: far above tol
+        # offset one from the diagonal, far from column 1: far above tol
         doctored[600, 601] = -doctored[600, 601]
         doctored[601, 600] = -doctored[601, 600]
         res = gram.checkerboard_check(Planted(doctored))
@@ -268,7 +302,7 @@ class TestStreamedInverse:
     ):
         _, B = multi_block
         doctored = B.copy()
-        # index 300 lies in the second block of 256 and 700 in the third;
+        # an entry of diagonal 400, where B's own is tiny, set to -max b_ii;
         # i + j is even, so a negative entry breaks the pattern
         doctored[300, 700] = doctored[700, 300] = -np.diagonal(B).max()
         res = gram.checkerboard_check(Planted(doctored))
@@ -278,8 +312,9 @@ class TestStreamedInverse:
     def test_violations_in_several_blocks_report_the_smallest_column(self, multi_block):
         _, B = multi_block
         doctored = B.copy()
-        # blocks come right to left: the violation in the fifth block is seen
-        # first, and the one in the second block must replace it
+        # diagonals come in increasing offset: the violation on diagonal 70
+        # is seen first, the one on diagonal 400, in a smaller column, must
+        # replace it, and the one on diagonal 401, in the same column, not
         for i, j in ((1100, 1030), (700, 300), (300, 701)):
             doctored[i, j] = doctored[j, i] = -np.diagonal(B).max() * (-1.0) ** (i + j)
         res = gram.checkerboard_check(Planted(doctored))

@@ -165,7 +165,7 @@ def test_every_backticked_name_resolves():
 def test_the_name_check_sees_a_stale_name():
     package = Path(orthosplines.__file__).parent
     text = (
-        "`charint.knot_distances` and ``bspline.GramSystem.inverse_columns``, "
+        "`charint.knot_distances` and ``bspline.GramSystem.inverse_diagonals``, "
         "`analysis.square_function`, `np.cumsum`, ``bspline.GramSystem.gone(x)`` and `knots.py`"
     )
     assert stale_names(package, [text]) == ["analysis.square_function", "bspline.GramSystem.gone"]

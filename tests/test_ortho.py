@@ -22,6 +22,7 @@ from oracles import (
     prolong_many,
     refinement_matrix,
     value_matrix,
+    wide_sequence,
 )
 
 from orthosplines import bspline, knots, ortho
@@ -443,24 +444,6 @@ def test_block_edges_match_the_cubic_oracle(monkeypatch, offset):
     functions, F = cubic_build(seq, N, system.coeffs)
     assert_same_functions(level_records(system), functions, seq, windows)
     assert np.array_equal(system.matrix, F)
-
-
-def wide_sequence(family, k, N):
-    """N + 1 points of a family at a depth where windows are narrower than the level.
-
-    The laws of ``knots.LAWS``; near-one, 1 - 2^-j for j < 50 and then
-    uniform draws; full multiplicity, shuffled odd multiples of 2^-10, each
-    k times.
-    """
-    if family in knots.LAWS:
-        return knots.random_admissible(7 + k, k, N + 1, family)
-    rng = np.random.default_rng(k)
-    if family == "near-one":
-        interior = [1.0 - 2.0**-j for j in range(1, 50)][: N - 1]
-        interior += list(rng.random(N - 1 - len(interior)))
-    else:
-        interior = [(2 * i + 1) / 1024 for i in rng.permutation(512) for _ in range(k)][: N - 1]
-    return knots.validate_admissible(k, [0.0, 1.0] + interior)
 
 
 @pytest.mark.parametrize("family", knots.LAWS + ("near-one", "full-multiplicity"))
