@@ -254,9 +254,11 @@ class GramSystem:
     The band has width k - 1 (supports of N_i and N_j are disjoint once
     |i - j| >= k).  ``factor`` is its upper Cholesky factor in LAPACK band
     storage (``cholesky``).  The inverse B = A^{-1} is dense; it is read
-    from the factor one diagonal at a time (``inverse_diagonals``), up to
-    where the rest of it is exactly zero, and never held whole.  Its band,
-    read from the factor alone (``inverse_band``), is kept.
+    from the factor one diagonal at a time (``inverse_diagonals``) and
+    never held whole, up to where the rest of it is exactly zero or, by a
+    bound certified from the factor (``tail_bound``), at most the floor its
+    reader asks for.  Its band, read from the factor alone
+    (``inverse_band``), and the bound are kept.
     """
 
     def __init__(self, partition, band, factor):
@@ -281,7 +283,7 @@ class GramSystem:
             y[d:] += s * v[:-d]
         return y
 
-    def inverse_diagonals(self):
+    def inverse_diagonals(self, floor=0.0):
         """Yield (d, b_d), b_d[j] = b_{j+d, j}, the diagonals of B = A^{-1} from d = 0 on.
 
         B is symmetric, so these lower diagonals are all of it.  Diagonals
@@ -297,15 +299,27 @@ class GramSystem:
         of the column-by-column recurrence in its order, l = kd..1, with no
         dot product, so its bits depend on its own operands alone.
 
-        The walk stops after kd consecutive diagonals that are all +-0, and
-        every diagonal it does not yield is exactly zero, for a finite
-        factor with a positive diagonal as ``cholesky`` returns it.  Proof:
-        let b_{d-kd}..b_{d-1} be all +-0, with d > kd.  Each product of a
-        +-0 with a finite u_l is +-0, a difference of +-0 is +-0, and
-        +-0 / u_0 is +-0 for u_0 > 0: b_d is all +-0, and so, by induction
-        on d, is every later diagonal.  At k = 1 the sum is empty and B is diagonal, so the walk
-        stops after b_0.  At k = 4 on 4,096 uniform random knots it stops
-        near offset 1,160 of M = 4,099, where the entries have underflowed.
+        The walk stops after kd consecutive settled diagonals.  A diagonal
+        is settled when it is all +-0, or when ``tail_bound`` gives (K, s)
+        and its largest magnitude r has 2 K (r + s) <= floor; only a finite
+        floor > 0 asks for the bound, so at floor = 0 the walk stops at
+        exact zeros alone.  Every entry the walk does not yield is then
+        exactly zero, or at most floor in magnitude, as the entry the walk
+        would have computed.  Proof: kd consecutive settled diagonals are
+        either all +-0 or all certified, because a zero diagonal passes the
+        bound's test too as soon as a diagonal with r > 0 does (the test's
+        rounded arithmetic is monotone in r).  In the first case let
+        b_{d-kd+1}..b_d be all +-0, d >= kd.  Each product of a +-0 with a
+        finite u_l is +-0, a difference of +-0 is +-0, and +-0 / u_0 is +-0
+        for u_0 > 0: b_{d+1} is all +-0, and so, by induction, is every
+        later diagonal, for a finite factor with a positive diagonal as
+        ``cholesky`` returns it.  In the second, R_d, the largest |b| on the kd diagonals, passes
+        the test, and ``tail_bound`` puts every later entry below floor.  A
+        NaN makes r NaN, which passes neither test.  At k = 1 the sum is
+        empty and B is diagonal, so the walk stops after b_0.  At k = 4 on
+        4,096 uniform random knots the decay fit's floor stops the walk
+        after about 60 diagonals, and floor 0 near offset 1,160 of
+        M = 4,099, where the entries have underflowed.
 
         Each b_d is a new array, but the reader keeps it, to form the kd
         diagonals after it, so it must not be written to.
@@ -316,13 +330,22 @@ class GramSystem:
         # u[l] = u_l, contiguous: LAPACK leaves the factor in Fortran order.
         u = [np.ascontiguousarray(self.factor[kd - l, l:]) for l in range(kd + 1)]
         neg = -u[kd]
-        recent = list(band[1:])
-        zeros = 0  # the run of all-zero diagonals that ends at the last one
-        for b in recent:
-            zeros = 0 if b.any() else zeros + 1
+        bound = self.tail_bound if 0.0 < floor < np.inf else None
         tmp = np.empty(M)
+
+        def settled(b):
+            if bound is None:
+                # b[0] settles most diagonals without a pass over them.
+                return b[0] == 0.0 and not b.any()
+            r = float(np.maximum.reduce(np.abs(b, out=tmp[: len(b)])))
+            return r == 0.0 or 2.0 * bound[0] * (r + bound[1]) <= floor
+
+        recent = list(band[1:])
+        run = 0  # the run of settled diagonals that ends at the last one
+        for b in recent:
+            run = run + 1 if settled(b) else 0
         for d in range(kd + 1, M):
-            if zeros >= kd:
+            if run >= kd:
                 return
             n = M - d
             b = recent[0][kd : kd + n] * neg[:n]
@@ -333,8 +356,75 @@ class GramSystem:
             np.divide(b, u[0][:n], out=b)
             yield d, b
             recent = recent[1:] + [b]
-            # b[0] settles most diagonals without a pass over them.
-            zeros = zeros + 1 if b[0] == 0.0 and not b.any() else 0
+            run = run + 1 if settled(b) else 0
+
+    @functools.cached_property
+    def tail_bound(self):
+        """(K, s) that bound every entry of B past a diagonal by the kd diagonals before it, or None.
+
+        Past the band, fix a row i and let x_j = (b_{i,j}, ..., b_{i,j+kd-1}).
+        The recurrence of ``inverse_diagonals`` is x_j = C_j x_{j+1} for
+        j < i, C_j the companion matrix whose first row is
+        c_l[j] = -u_l[j] / u_0[j], l = 1..kd (0 where j + l > M - 1), with
+        the identity below it.  Let P_t be the largest infinity-norm of a
+        product C_j ... C_{j+t-1} of t consecutive ones, P_0 = 1.  For
+        d >= kd and R_d the largest |b| on diagonals d - kd + 1..d, row i's
+        x_{i-d} has norm at most R_d, and each entry b_{i,j} past diagonal
+        d is the first of x_j = C_j ... C_{i-d-1} x_{i-d}.  If P_S <= 1, a
+        product of t = qS + r of them splits into q products of S and one
+        of r < S, whose norm is at most K = max_{r<S} P_r, so |b_{i,j}| <=
+        K R_d.
+
+        In floating point, let u = 2^-53, rho >= 1 the largest norm of one
+        C_j and eta_t = 4 t (kd + 2) u rho^t.  The computed P_t, from the
+        rounded c_l by rounded products, is within eta_t of P_t, and a
+        product of t of the walk's rounded steps, each of which rounds the
+        first row of C_j by at most (kd + 1) u relative, is within eta_t of
+        the exact product: both are first-order bounds, with room to spare,
+        on t products of matrices whose entries are at most rho^t in
+        magnitude (Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 3).  S is the least t <= 4k with computed P_t + 2 eta_t <= 1
+        and eta_t <= 1/4, and K the largest computed P_r, r < S, and 1.
+        Then each product of the walk's steps has norm at most K + 1/2 <=
+        1.5 K.  Gradual underflow adds at most e = (kd + 1) 2^-1075 /
+        min(1, u_0) to an entry at each step, and a row has fewer than M
+        steps, so every entry past diagonal d that the walk would compute is
+        at most 1.5 K (R_d + s), s = 2^-1000 M (kd + 1) / min(1, u_0) >= M e.
+        A rounded test 2 K (R_d + s) <= floor therefore leaves every such
+        entry below floor.
+
+        None when kd = 0 (B is diagonal), when the factor is not finite or
+        its diagonal not positive, and when no t <= 4k passes, as when the
+        steps do not contract or rho^t outgrows 1 / (16 t (kd + 2) u).
+        The products take O(M kd^2) per t, in a few array passes.
+        """
+        kd, M = self.partition.order - 1, self.M
+        u = [self.factor[kd - l, l:] for l in range(kd + 1)]
+        if kd == 0 or not (all(np.isfinite(x).all() for x in u) and u[0].min() > 0.0):
+            return None
+        c = np.zeros((M, kd))
+        with np.errstate(over="ignore"):
+            for l in range(1, kd + 1):
+                c[: M - l, l - 1] = -u[l] / u[0][: M - l]
+        rho = max(1.0, float(np.abs(c).sum(axis=1).max()))
+        unit = 4 * (kd + 2) * 2.0**-53
+        prod = np.zeros((M, kd, kd))  # prod[j] = C_j ... C_{j+t-1}
+        prod[:, 0] = c
+        prod[:, np.arange(1, kd), np.arange(kd - 1)] = 1.0
+        K = 1.0
+        for t in range(1, 4 * (kd + 1) + 1):
+            eta = t * unit * float(np.exp(min(t * np.log(rho), 700.0)))
+            if eta > 0.25:
+                return None  # eta only grows with t
+            P = float(np.max(np.abs(prod).sum(axis=2), initial=0.0))
+            if P + 2.0 * eta <= 1.0:
+                return K, 2.0**-1000 * M * (kd + 1) / min(1.0, float(u[0].min()))
+            K = max(K, P)
+            # Right-multiply by C_{j+t}: column m of prod C is prod[:, :, 0] c_{m+1} + prod[:, :, m+1].
+            step = prod[: M - t, :, :1] * c[t:, None, :]
+            step[:, :, :-1] += prod[: M - t, :, 1:]
+            prod = step
+        return None
 
     @functools.cached_property
     def inverse_band(self):

@@ -4,12 +4,16 @@ The inverse of the banded B-spline Gram matrix has two traits that
 ``verify`` checks: its sign pattern is a checkerboard, and its entries decay
 geometrically away from the diagonal once weighted by the local knot gap.
 Each check reads the inverse one diagonal at a time from the Gram system's
-Cholesky factor (``GramSystem.inverse_diagonals``), which stops where the
-rest of the inverse is exactly zero, so no dense M x M array is formed and
-no entry past the stop is read; the checkerboard tolerance reads the
-diagonal from the band of the inverse alone.
+Cholesky factor (``GramSystem.inverse_diagonals``), so no dense M x M array
+is formed.  Each passes the walk the floor below which no entry can change
+its result, and the walk stops where a certified bound puts every entry it
+has not yielded at or below that floor: the sign check's tolerance, and
+NOISE_FLOOR times the weighted diagonal maximum for the decay fit, since a
+gap weight on [0, 1] is at most 1.  The tolerance reads the diagonal from
+the band of the inverse alone.
 The sign check can feed each diagonal to an ``OffsetMaxima`` as well, so
-that ``verify`` reads the inverse once for both the signs and the decay fit.
+that ``verify`` reads the inverse once for both the signs and the decay fit,
+down to the smaller of the two floors.
 """
 
 from __future__ import annotations
@@ -69,13 +73,16 @@ def checkerboard_check(G, maxima=None):
     the entries on and below the diagonal are scanned.  Returns the
     lexicographically smallest failing (min(i, j), max(i, j)), 1-based,
     which is the row-major first violation of B, when the pattern fails.
+    The walk stops at floor tol: an entry with |b| <= tol passes, so the
+    entries past the stop change neither the verdict nor the violation.
     An ``OffsetMaxima`` given as ``maxima`` is fed each diagonal of the
-    same walk, so that both checks read the inverse once.
+    same walk, so that both checks read the inverse once, and the walk
+    stops at the smaller of the two floors.
     """
     diagonal = G.inverse_diagonal
     tol = 1e-12 * float(np.max(diagonal[np.isfinite(diagonal)], initial=0.0))
     first = None
-    for d, b in G.inverse_diagonals():
+    for d, b in G.inverse_diagonals(tol if maxima is None else min(tol, maxima.floor)):
         # Entry j of diagonal d is b_ij at i = j + d, so (-1)^(i+j) = (-1)^d,
         # and the diagonal passes when its extreme does; a NaN fails both.
         even = d % 2 == 0
@@ -97,7 +104,11 @@ class OffsetMaxima:
     tau_{j+d+k} - tau_j, so each maximum is one pass over one diagonal.
     A max is exact and each product is the one the entry's own formula
     forms, so the maxima do not depend on how the entries are grouped.
-    Offsets the walk stops before are exact zeros and keep raw = m = 0.
+    ``floor``, NOISE_FLOOR m[0], is formed from ``inverse_band[0]`` before
+    any walk, as ``decay_profile`` forms it: a gap weight is a difference
+    of two knots in [0, 1], at most 1, so an offset whose entries are all
+    at most floor has m[d] <= floor, and the fit drops it.  Offsets the
+    walk stops before keep raw = m = 0.
     """
 
     def __init__(self, G):
@@ -106,6 +117,8 @@ class OffsetMaxima:
         self.knots = part.knots
         self.raw = np.zeros(self.M)
         self.m = np.zeros(self.M)
+        self.add(0, G.inverse_band[0])
+        self.floor = NOISE_FLOOR * self.m[0]
 
     def add(self, d, b):
         """Fold in one diagonal (d, b_d) of ``GramSystem.inverse_diagonals``."""
@@ -115,14 +128,6 @@ class OffsetMaxima:
         weighted = self.knots[at : at + n] - self.knots[:n]
         weighted *= mags
         self.m[d] = np.maximum.reduce(weighted)
-
-
-def offset_maxima(G):
-    """(raw, m) of ``OffsetMaxima`` over every diagonal of the inverse."""
-    maxima = OffsetMaxima(G)
-    for d, b in G.inverse_diagonals():
-        maxima.add(d, b)
-    return maxima.raw, maxima.m
 
 
 def decay_profile(G, maxima=None):
@@ -136,10 +141,16 @@ def decay_profile(G, maxima=None):
     geometric rate.  C_hat is then inflated until C_hat gamma_hat^d dominates
     every fitted m_d.  Two offsets fix the line exactly (a 2 x 2 block
     diagonal inverse, as at k = 2 with every interior knot twice); a
-    non-finite inverse leaves none and raises DegenerateFit.  ``maxima``, an
-    ``OffsetMaxima`` already fed every diagonal, spares a walk of the inverse.
+    non-finite inverse leaves none and raises DegenerateFit.  The walk
+    stops at the ``OffsetMaxima`` floor, which only dropped offsets lie
+    past.  ``maxima``, an ``OffsetMaxima`` already fed a walk down to its
+    floor, spares a walk of the inverse.
     """
-    raw, m = offset_maxima(G) if maxima is None else (maxima.raw, maxima.m)
+    if maxima is None:
+        maxima = OffsetMaxima(G)
+        for d, b in G.inverse_diagonals(maxima.floor):
+            maxima.add(d, b)
+    raw, m = maxima.raw, maxima.m
     M, k = G.partition.M, G.partition.order
     keep = np.flatnonzero(m > NOISE_FLOOR * m[0])
     if len(keep) == 1 and keep[0] == 0:

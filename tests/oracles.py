@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.linalg import solve as dense_solve
 
-from orthosplines import analysis, bspline, charint, knots, ortho
+from orthosplines import analysis, bspline, charint, gram, knots, ortho
 from orthosplines.errors import (
     DomainError,
     LevelOutOfRange,
@@ -204,8 +204,18 @@ def wide_sequence(family, k, N):
     return knots.validate_admissible(k, [0.0, 1.0] + interior)
 
 
+def offset_maxima(G, floor=None):
+    """(raw, m, read): a ``gram.OffsetMaxima`` fed the walk at ``floor``, by default its own, and the diagonals read."""
+    maxima = gram.OffsetMaxima(G)
+    read = 0
+    for d, b in G.inverse_diagonals(maxima.floor if floor is None else floor):
+        maxima.add(d, b)
+        read += 1
+    return maxima.raw, maxima.m, read
+
+
 def offset_maxima_loop(G):
-    """``gram.offset_maxima`` one column of ``streamed_inverse`` at a time."""
+    """``offset_maxima``'s (raw, m) at floor 0, one column of ``streamed_inverse`` at a time."""
     part = G.partition
     k, M = part.order, part.M
     knots = part.knots

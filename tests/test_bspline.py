@@ -250,19 +250,29 @@ class TestGramMatrix:
         assert walked == 28
 
 
-def assert_diagonals_are_the_recurrence(G):
-    """Every diagonal the reader yields is ``recurrence_inverse``'s, bit for bit, and every later one zero.
+def assert_diagonals_are_the_recurrence(G, floor=0.0):
+    """Every diagonal the reader yields at ``floor`` is ``recurrence_inverse``'s, bit for bit, and every later one below it.
 
+    Below means |b| <= floor, so at floor 0 every later entry is zero.
     Returns the number of diagonals yielded, d = 0, 1, ... in order.
     """
     B = recurrence_inverse(G)
     count = 0
-    for d, b in G.inverse_diagonals():
+    for d, b in G.inverse_diagonals(floor):
         assert d == count
         assert b.tobytes() == np.diagonal(B, -d).tobytes(), f"diagonal {d}"
         count += 1
-    assert not np.tril(B, -count).any(), f"stopped after {count} diagonals"
+    past = np.abs(np.tril(B, -count)).max(initial=0.0)
+    assert past <= floor, f"stopped after {count} diagonals, an entry past them is {past}"
     return count
+
+
+def planted_factor(G, rows):
+    """G's band beside a copy of its factor with the given rows of the band storage replaced: {row: values}."""
+    factor = G.factor.copy()
+    for row, values in rows.items():
+        factor[row] = values
+    return bspline.GramSystem(G.partition, G.band, factor)
 
 
 class TestInverseDiagonals:
@@ -276,6 +286,23 @@ class TestInverseDiagonals:
             assert count < G.M
         assert np.array_equal(G.inverse_diagonal, np.diagonal(recurrence_inverse(G)))
 
+    @pytest.mark.parametrize("family", knots.LAWS + ("near-one", "full-multiplicity"))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_entry_past_the_certified_stop_is_below_the_floor(self, k, family):
+        # M >= 500; from k = 4 on one step of the recurrence can grow a row
+        # (max_j sum_l |u_{j,j+l}| / u_jj > 1), and only products of several
+        # steps contract
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence(family, k, 500), 500))
+        full = assert_diagonals_are_the_recurrence(G)
+        kd = k - 1
+        if k >= 4 and family == "uniform-iid":
+            n = G.M - kd
+            ratio = sum(np.abs(G.factor[kd - l, l : l + n]) for l in range(1, k)) / G.factor[kd, :n]
+            assert ratio.max() > 1.0
+        for scale in (1e-3, 1e-12):
+            count = assert_diagonals_are_the_recurrence(G, scale * G.inverse_diagonal.max())
+            assert count < full or k == 1 or family == "full-multiplicity"
+
     def test_the_walk_stops_where_the_inverse_underflows(self):
         # k = 2, N = 1024: entries far from the diagonal underflow to zero
         G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", 2, 1024), 1024))
@@ -288,12 +315,57 @@ class TestInverseDiagonals:
         # zero): runs of kd - 1 zero diagonals that a walk must not stop at
         kd = k - 1
         G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", k, 60), 60))
-        factor = G.factor.copy()
-        factor[1:kd] = 0.0
-        planted = bspline.GramSystem(G.partition, G.band, factor)
+        planted = planted_factor(G, {row: 0.0 for row in range(1, kd)})
         assert assert_diagonals_are_the_recurrence(planted) == planted.M
         for d, b in planted.inverse_diagonals():
             assert b.any() == (d % kd == 0), f"diagonal {d}"
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_the_certified_stop_waits_for_kd_settled_diagonals(self, k):
+        # the factor above at M >= 500: a zero diagonal past the band is
+        # below every floor, but the next multiple of kd is far above it
+        kd = k - 1
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", k, 500), 500))
+        planted = planted_factor(G, {row: 0.0 for row in range(1, kd)})
+        assert planted.tail_bound is not None
+        floor = 1e-12 * planted.inverse_diagonal.max()
+        assert 2 * kd < assert_diagonals_are_the_recurrence(planted, floor) < planted.M
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_the_certified_stop_holds_where_the_bound_is_nearly_sharp(self, scale):
+        # b_{i,j} = 1.7 b_{i,j+1} - 0.9 b_{i,j+2}: the roots 0.85 +- 0.42i
+        # give each row a decay of 0.949 per step, but a row can first grow
+        # to about 3.5 times the largest of the two entries before it, close
+        # to K = 3.64; a stop that took K as 1 reads too little
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", 3, 500), 500))
+        u_1, u_2 = np.full(G.M - 1, -1.7), np.full(G.M - 2, 0.9)
+        planted = planted_factor(G, {2: 1.0, 1: np.r_[0.0, u_1], 0: np.r_[0.0, 0.0, u_2]})
+        assert planted.tail_bound[0] > 3.5
+        floor = scale * planted.inverse_diagonal.max()
+        assert assert_diagonals_are_the_recurrence(planted, floor) < planted.M
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_factor_that_never_contracts_reads_on(self, k):
+        # b_{i,j} = 1.25 b_{i,j+1} + 0: no product of steps contracts, so no
+        # floor stops the walk, which reads all M diagonals
+        kd = k - 1
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", k, 60), 60))
+        rows = {row: 0.0 for row in range(kd - 1)}
+        rows[kd - 1] = np.concatenate([[0.0], -1.25 * G.factor[kd, :-1]])
+        planted = planted_factor(G, rows)
+        assert planted.tail_bound is None
+        assert assert_diagonals_are_the_recurrence(planted, 1e300) == planted.M
+
+    def test_no_bound_for_a_factor_that_is_not_finite_and_no_stop_below_a_positive_floor(self):
+        G = bspline.gram_matrix(knots.partition_at(wide_sequence("uniform-iid", 3, 500), 500))
+        for row in range(3):  # u_2, u_1 and u_0
+            for bad in (np.nan, np.inf):
+                factor = G.factor.copy()
+                factor[row, 7] = bad
+                assert bspline.GramSystem(G.partition, G.band, factor).tail_bound is None, (row, bad)
+        full = sum(1 for _ in G.inverse_diagonals())
+        for floor in (-1.0, np.nan, np.inf):
+            assert sum(1 for _ in G.inverse_diagonals(floor)) == full
 
 
 def refinement(coarse, fine, i0):

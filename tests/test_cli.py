@@ -278,8 +278,8 @@ class TestVerify:
         # its sign flipped, the check must name it
         inverse_diagonals = bspline.GramSystem.inverse_diagonals
 
-        def flipped(self):
-            for d, b in inverse_diagonals(self):
+        def flipped(self, floor=0.0):
+            for d, b in inverse_diagonals(self, floor):
                 if d == 1:
                     b = b.copy()
                     b[5] = -b[5]

@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense, diag_inverse_bound, offset_maxima_loop, streamed_inverse
+from oracles import (
+    dense,
+    diag_inverse_bound,
+    offset_maxima,
+    offset_maxima_loop,
+    streamed_inverse,
+    wide_sequence,
+)
 
 from orthosplines import bspline, gram, knots
 from orthosplines.errors import DegenerateFit
@@ -54,13 +61,16 @@ def dense_decay_profile(G, B):
 
 
 class Planted:
-    """Serves all M diagonals of a dense B, and its main diagonal, in GramSystem's layout."""
+    """Serves all M diagonals of a dense B, and its main diagonal, in GramSystem's layout.
+
+    A walk may always read past its floor, so every floor reads all of B.
+    """
 
     def __init__(self, B):
         self.B = B
         self.inverse_diagonal = np.diagonal(B).copy()
 
-    def inverse_diagonals(self):
+    def inverse_diagonals(self, floor=0.0):
         for d in range(self.B.shape[0]):
             yield d, np.diagonal(self.B, -d).copy()
 
@@ -195,6 +205,42 @@ def test_inverse_identity_moderate_size():
     assert np.max(np.abs(residual)) <= 1e-8
 
 
+def assert_maxima_match_to_the_stop(G):
+    """The decay walk's maxima equal the column loop's bit for bit up to its stop, and the loop's are below floor past it.
+
+    Returns the number of diagonals the walk read.
+    """
+    raw, m, read = offset_maxima(G)
+    want_raw, want_m = offset_maxima_loop(G)
+    floor = gram.OffsetMaxima(G).floor
+    assert np.array_equal(raw[:read], want_raw[:read]) and np.array_equal(m[:read], want_m[:read])
+    assert want_raw[read:].max(initial=0.0) <= floor and want_m[read:].max(initial=0.0) <= floor
+    assert not raw[read:].any() and not m[read:].any()
+    return read
+
+
+@pytest.mark.parametrize("family", knots.LAWS + ("near-one", "full-multiplicity"))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_stop_keeps_every_result(monkeypatch, k, family):
+    # M >= 500, where the certified stop comes long before the exact zeros:
+    # both checks, alone and on verify's shared walk, equal those of walks
+    # that read on to the exact zeros
+    G = bspline.gram_matrix(knots.partition_at(wide_sequence(family, k, 500), 500))
+    read = offset_maxima(G)[2]
+    full = offset_maxima(G, 0.0)[2]
+    assert read < full or k == 1 or family == "full-multiplicity"
+
+    def results():
+        maxima = gram.OffsetMaxima(G)
+        shared = gram.checkerboard_check(G, maxima), gram.decay_profile(G, maxima)
+        return (gram.checkerboard_check(G), gram.decay_profile(G)) + shared
+
+    stopped = results()
+    walk = bspline.GramSystem.inverse_diagonals
+    monkeypatch.setattr(bspline.GramSystem, "inverse_diagonals", lambda self, floor=0.0: walk(self))
+    assert stopped == results()
+
+
 @pytest.fixture(scope="module")
 def multi_block():
     """k=4, N=2048: M = 2051 columns, where the walk stops before M; with its dense inverse."""
@@ -242,26 +288,25 @@ class TestStreamedInverse:
         assert prof.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
 
     def test_offset_maxima_match_the_column_loop(self, multi_block):
-        # a walk that stops before M, bit for bit
+        # a walk that stops before M, bit for bit up to its stop
         G, _ = multi_block
-        raw, m = gram.offset_maxima(G)
-        want_raw, want_m = offset_maxima_loop(G)
-        assert np.array_equal(raw, want_raw) and np.array_equal(m, want_m)
+        assert assert_maxima_match_to_the_stop(G) < G.M
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_offset_maxima_of_one_block(self, k):
-        G = random_gram(k, k, 40)
-        raw, m = gram.offset_maxima(G)
-        want_raw, want_m = offset_maxima_loop(G)
-        assert np.array_equal(raw, want_raw) and np.array_equal(m, want_m)
+        assert_maxima_match_to_the_stop(random_gram(k, k, 40))
 
     def test_one_walk_feeds_both_checks(self, multi_block):
-        # verify's single read of the inverse gives each check's own result, bit for bit
+        # verify's single read of the inverse gives each check's own result,
+        # bit for bit; it stops at the smaller floor, so it reads at least
+        # as far as the decay fit's own walk, with the same maxima up to
+        # that walk's stop and none above its floor past it
         G, _ = multi_block
         maxima = gram.OffsetMaxima(G)
         assert gram.checkerboard_check(G, maxima) == gram.checkerboard_check(G)
-        raw, m = gram.offset_maxima(G)
-        assert np.array_equal(maxima.raw, raw) and np.array_equal(maxima.m, m)
+        raw, m, read = offset_maxima(G)
+        assert np.array_equal(maxima.raw[:read], raw[:read]) and np.array_equal(maxima.m[:read], m[:read])
+        assert maxima.raw[read:].max(initial=0.0) <= maxima.floor
         assert gram.decay_profile(G, maxima) == gram.decay_profile(G)
 
     def test_one_walk_reads_the_inverse_once(self, monkeypatch, multi_block):
@@ -269,15 +314,22 @@ class TestStreamedInverse:
         walks = []
         inverse_diagonals = G.inverse_diagonals
 
-        def counted():
+        def counted(floor=0.0):
             walks.append(1)
-            return inverse_diagonals()
+            return inverse_diagonals(floor)
 
         monkeypatch.setattr(G, "inverse_diagonals", counted)
         maxima = gram.OffsetMaxima(G)
         gram.checkerboard_check(G, maxima)
         gram.decay_profile(G, maxima)
         assert len(walks) == 1
+
+    def test_the_decay_walk_stops_near_the_noise_floor(self, multi_block):
+        # the fit keeps offsets up to about 50; at floor 0 the walk reads on
+        # to where the entries underflow, past offset 1,100
+        G, _ = multi_block
+        assert offset_maxima(G)[2] <= 120
+        assert offset_maxima(G, 0.0)[2] > 1100
 
     def test_checks_match_dense_oracle(self, multi_block):
         G, B = multi_block
